@@ -20,7 +20,7 @@ from .equations import (
 )
 from .evaluation import EmpiricalOrder, EvalResult, empirical_order, eval_series, max_modulus
 from .newton import NewtonAnalysis, OrderEntry, analyze, order_list, s_sequence, verdict
-from .parsing import format_delta_form, format_equation, format_general, parse_equation
+from .parsing import format_delta_form, format_general, parse_equation
 from .polynomials import (
     FallingExpansion,
     NEG_INF,
@@ -92,7 +92,6 @@ __all__ = [
     "falling_power_eval",
     "falling_product_expand",
     "format_delta_form",
-    "format_equation",
     "format_general",
     "from_falling_basis",
     "indicial_exponents",

@@ -80,19 +80,17 @@ def _equation_json(eq: DifferenceEquation) -> dict:
     }
 
 
+# the verdict fields in CLI order
+_VERDICT_KEYS = ("orders", "total_bound", "exists_below_one", "zero_order_possible", "message")
+
+
 def _newton_json(analysis: NewtonAnalysis) -> dict:
-    report = verdict(analysis)
+    report = _jsonable(verdict(analysis))
     return {
         "degrees": [None if d == float("-inf") else int(d) for d in analysis.degrees],
         "s_sequence": list(analysis.s_seq),
         "p": analysis.p,
-        "orders": [
-            {"rho": _rat(e.rho), "max_count": e.max_count} for e in analysis.orders
-        ],
-        "total_bound": analysis.total_bound,
-        "exists_below_one": analysis.exists_sub1,
-        "zero_order_possible": False,
-        "message": report["message"],
+        **{key: report[key] for key in _VERDICT_KEYS},
     }
 
 

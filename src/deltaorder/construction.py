@@ -65,7 +65,8 @@ def construct_equation(q: int, p: int, series_length: int | None = None) -> Cons
     profile = _stretched_falling(p, 1 / lam)
     weights_rational = to_falling_basis(profile)
     # ff(n/lam, p) vanishes at n = 0, so there is no constant weight
-    assert weights_rational[0] == 0
+    if weights_rational[0] != 0:
+        raise ArithmeticError("stretched falling power has a constant weight")
     denom = 1
     for w in weights_rational:
         denom = math.lcm(denom, w.denominator)

@@ -171,17 +171,11 @@ def delta_to_shift(eq: DifferenceEquation) -> GeneralForm:
     The returned terms carry exact integer coefficient polynomials, ordered by
     descending shift; no rescaling is applied.
     """
-    table: dict[int, Poly] = {}
-    for k, p in enumerate(eq.coeffs):
-        if p.is_zero:
-            continue
-        for j in range(k + 1):
-            sign = 1 if (k - j) % 2 == 0 else -1
-            table[j] = table.get(j, Poly()) + p * (sign * binomial(k, j))
+    powers = tuple(OperatorTerm(coefficient=p, delta_power=k) for k, p in enumerate(eq.coeffs))
+    table = _shift_table(GeneralForm(terms=powers))
     terms = [
         OperatorTerm(coefficient=table[s], delta_power=0, shift=s)
         for s in sorted(table, reverse=True)
-        if not table[s].is_zero
     ]
     return GeneralForm(terms=tuple(terms))
 

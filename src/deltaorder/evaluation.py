@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import EvaluationError, NonConvergenceError
-from .polynomials import falling_power_eval, working_precision
+from .errors import EvaluationError, GammaPoleError, NonConvergenceError
+from .polynomials import _falling_power_mp, falling_power_eval, working_precision
 from .series import SeriesSolution
 
 
@@ -146,10 +146,8 @@ def _log_max_modulus(sol, radius, samples, tol, bits) -> float:
             prefactor = mpmath.mpc(1)
             if rho != 0:
                 try:
-                    prefactor = mpmath.exp(
-                        mpmath.loggamma(z + 1) - mpmath.loggamma(z + 1 - rho_mp)
-                    )
-                except ValueError as exc:
+                    prefactor = _falling_power_mp(z, rho)
+                except GammaPoleError as exc:
                     raise EvaluationError(f"gamma pole on the circle at z={z}") from exc
             total, _, _, _ = _sum_series(
                 coeffs_mp, z - rho_mp, mpmath.mpf(tol), sol.support_modulus

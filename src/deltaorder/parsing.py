@@ -104,12 +104,6 @@ class _Parser:
 
     # -- coefficient polynomials
 
-    def _at_poly_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "lparen"):
-            return True
-        return tok.kind == "letter" and tok.value == "z"
-
     def parse_poly_sum(self) -> Poly:
         sign = 1
         while self.peek().kind == "op" and self.peek().value in "+-":
@@ -148,7 +142,7 @@ class _Parser:
                 continue
             # adjacency means multiplication; function letters are not atoms,
             # so the operator part of a term never gets swallowed
-            if self._at_poly_atom():
+            if self._atom_at(self.index):
                 total = total * self.parse_poly_factor()
                 continue
             return total
@@ -175,7 +169,7 @@ class _Parser:
 
     def parse_term(self, sign: int) -> OperatorTerm:
         coefficient = Poly.constant(sign)
-        if self._at_poly_atom():
+        if self._atom_at(self.index):
             coefficient = self.parse_poly_sum() * sign
         tok = self.peek()
         if tok.kind == "op" and tok.value == "*":
@@ -284,10 +278,3 @@ def format_delta_form(eq: DifferenceEquation) -> str:
     ]
     return format_general(GeneralForm(terms=tuple(terms)))
 
-
-def format_equation(obj) -> str:
-    if isinstance(obj, DifferenceEquation):
-        return format_delta_form(obj)
-    if isinstance(obj, GeneralForm):
-        return format_general(obj)
-    raise TypeError(f"cannot format {type(obj).__name__}")

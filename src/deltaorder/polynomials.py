@@ -386,52 +386,45 @@ def falling_product_expand(m: int, rho) -> FallingExpansion:
 # --- falling powers with general exponent ------------------------------------
 
 
-def _as_exact_or_complex(value):
-    """Split a number into (exact Fraction, None) or (None, complex)."""
+def _exact(value) -> Fraction | None:
+    """The exact rational behind ``value``, or None for an inexact number."""
     if isinstance(value, (int, Fraction)):
-        return as_rational(value), None
-    if isinstance(value, float):
-        if value == int(value):
-            return Fraction(int(value)), None
-        return None, complex(value)
-    return None, complex(value)
+        return as_rational(value)
+    if isinstance(value, float) and value.is_integer():
+        return Fraction(int(value))
+    return None
 
 
-def _is_nonpositive_integer(value) -> bool:
-    exact, approx = _as_exact_or_complex(value)
+def _to_mp(value):
+    """An mp number for ``value``; mp inputs keep their working precision."""
+    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
+        return value
+    exact = _exact(value)
     if exact is not None:
-        return exact.denominator == 1 and exact <= 0
-    if abs(approx.imag) > 1e-12:
-        return False
-    nearest = round(approx.real)
-    return nearest <= 0 and abs(approx.real - nearest) <= 1e-12
+        return mpmath.mpf(exact.numerator) / exact.denominator
+    approx = complex(value)
+    if approx.imag == 0:
+        return mpmath.mpf(approx.real)
+    return mpmath.mpc(approx.real, approx.imag)
+
+
+def _is_gamma_pole(point) -> bool:
+    """Whether ``point`` is exactly a non-positive integer."""
+    if isinstance(point, Fraction):
+        return point.denominator == 1 and point <= 0
+    point = mpmath.mpc(point)
+    return point.imag == 0 and point.real <= 0 and mpmath.isint(point.real)
 
 
 def falling_power_eval(z, rho, prec: int | None = None) -> complex:
     """Evaluate the falling power of ``z`` with general exponent ``rho``.
 
-    For non-negative integer exponents this is the exact product
-    z(z-1)...(z-rho+1); otherwise it is the gamma quotient
-    Gamma(z+1)/Gamma(z+1-rho) computed through log-gamma in arbitrary
-    precision.  Poles of the quotient raise :class:`GammaPoleError`.
+    For integer exponents this is the product z(z-1)...(z-rho+1), or the
+    reciprocal rising product for negative ones; otherwise it is the gamma
+    quotient Gamma(z+1)/Gamma(z+1-rho) through log-gamma.  Either is computed
+    in arbitrary precision and rounded to a double once.  Poles of the
+    quotient raise :class:`GammaPoleError`.
     """
-    rho_exact, _ = _as_exact_or_complex(rho)
-    if rho_exact is not None and rho_exact.denominator == 1:
-        n = int(rho_exact)
-        if n >= 0:
-            out = 1 + 0j if not isinstance(z, complex) else complex(1)
-            value = z
-            for u in range(n):
-                out = out * (value - u)
-            return complex(out)
-        # negative integer exponent: reciprocal rising product
-        denom = complex(1)
-        for u in range(1, -n + 1):
-            factor = complex(z) + u
-            if factor == 0:
-                raise GammaPoleError(f"falling power pole at z={z}, exponent={rho}")
-            denom *= factor
-        return 1 / denom
     bits = prec if prec is not None else working_precision()
     with mpmath.workprec(bits):
         return complex(_falling_power_mp(z, rho))
@@ -439,7 +432,7 @@ def falling_power_eval(z, rho, prec: int | None = None) -> complex:
 
 def _falling_power_mp(z, rho):
     """Falling power as an mp complex in the ambient working precision."""
-    rho_exact, _ = _as_exact_or_complex(rho)
+    rho_exact = _exact(rho)
     if rho_exact is not None and rho_exact.denominator == 1:
         n = int(rho_exact)
         out = mpmath.mpc(1)
@@ -454,37 +447,20 @@ def _falling_power_mp(z, rho):
                 raise GammaPoleError(f"falling power pole at z={z}, exponent={rho}")
             out *= factor
         return 1 / out
-    for point, label in ((_add(z, 1), "z+1"), (_sub(_add(z, 1), rho), "z+1-rho")):
-        if _is_nonpositive_integer(point):
+    # argument arithmetic stays in working precision (rational offsets must
+    # not collapse to doubles); exact arguments are tested for poles exactly
+    top = _to_mp(z) + 1
+    bottom = top - _to_mp(rho)
+    points = (top, bottom)
+    z_exact = _exact(z)
+    if z_exact is not None and rho_exact is not None:
+        points = (z_exact + 1, z_exact + 1 - rho_exact)
+    for point, label in zip(points, ("z+1", "z+1-rho")):
+        if _is_gamma_pole(point):
             raise GammaPoleError(
                 f"gamma pole: {label} = {point} is a non-positive integer"
             )
-    # argument arithmetic stays in working precision (exact rational offsets
-    # must not collapse to doubles before the log-gamma calls)
-    a = mpmath.loggamma(_to_mp(z) + 1)
-    b = mpmath.loggamma(_to_mp(z) + 1 - _to_mp(rho))
-    return mpmath.exp(a - b)
-
-
-def _add(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return as_rational(a) + as_rational(b)
-    return complex(a) + complex(b)
-
-
-def _sub(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return as_rational(a) - as_rational(b)
-    return complex(a) - complex(b)
-
-
-def _to_mp(value):
-    exact, approx = _as_exact_or_complex(value)
-    if exact is not None:
-        return mpmath.mpf(exact.numerator) / exact.denominator
-    if approx.imag == 0:
-        return mpmath.mpf(approx.real)
-    return mpmath.mpc(approx.real, approx.imag)
+    return mpmath.exp(mpmath.loggamma(top) - mpmath.loggamma(bottom))
 
 
 def fraction_log_abs(x) -> float:

@@ -7,10 +7,16 @@ each output index n, one exact linear row
     sum_i  a_{n-i} * Q_i(n)  =  0,
 
 where the window polynomials Q_i are indexed by the back-shift i running
-from -m (the equation order) to d (the largest coefficient degree).  With a
-nonzero offset rho the rows for negative n are genuine constraints; their
-lowest row gives the indicial polynomial whose roots are the admissible
-offsets.
+from -m (the equation order) to d (the largest coefficient degree).  With
+A_{j,t} the falling-basis coefficients of P_j, regrouping by u = t - i gives
+
+    Q_i(n) = sum_u B_{i,u} ff(n + rho - i, u),
+    B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j),
+
+so each entry is one falling-basis conversion of scalar sums, shifted by
+rho - i.  With a nonzero offset rho the rows for negative n are genuine
+constraints; their lowest row gives the indicial polynomial
+ff(rho, m) P_m(rho - m), whose roots are the admissible offsets.
 
 The asymptotic regime of the recurrence is read off a convex broken line
 over the points (index, D - deg Q): each segment carries a rational slope,
@@ -24,7 +30,7 @@ modeled here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +42,7 @@ from .polynomials import (
     Poly,
     as_rational,
     binomial,
-    falling_factorial_poly,
+    from_falling_basis,
     to_falling_basis,
 )
 
@@ -57,17 +63,12 @@ class CoefficientRecurrence:
 
     window: dict[int, Poly]
     rho_offset: Fraction = Fraction(0)
-    initial_rows: tuple = field(init=False)
 
     def __post_init__(self):
         if not self.window:
             raise ValueError("empty recurrence window")
         if self.window[min(self.window)].is_zero:
             raise ValueError("vanishing entry at the deepest back-shift")
-        rows = tuple(
-            tuple(self.row(n)) for n in range(self.first_row, self.max_index)
-        )
-        object.__setattr__(self, "initial_rows", rows)
 
     @property
     def order(self) -> int:
@@ -104,21 +105,15 @@ class CoefficientRecurrence:
                 out.append((idx, value))
         return out
 
-    def leading_value(self, n: int) -> Fraction:
-        """Value multiplying the deepest stream index a_{n+order} in row n."""
-        return self.window[-self.order](Fraction(n))
 
-
-def _window_entry(falling_coeffs, order: int, i: int, rho: Fraction) -> Poly:
-    out = Poly()
-    for j in range(order + 1):
+def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
+    """Q_i from the scalar sums B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j)."""
+    sums = [Fraction(0)] * (max(len(coeffs) for coeffs in falling_coeffs) - i)
+    for j in range(max(0, -i), len(falling_coeffs)):
         coeffs = falling_coeffs[j]
-        for t, a in enumerate(coeffs):
-            c = binomial(t, i + j)
-            if c == 0 or a == 0:
-                continue
-            out = out + falling_factorial_poly(t - i, offset=rho - i) * (a * c)
-    return out
+        for u in range(j, len(coeffs) - i):
+            sums[u] += coeffs[u + i] * binomial(u + i, i + j)
+    return from_falling_basis(sums).shifted(rho - i)
 
 
 def derive_recurrence(eq: DifferenceEquation) -> CoefficientRecurrence:
@@ -132,20 +127,21 @@ def shifted_recurrence(eq: DifferenceEquation, rho) -> CoefficientRecurrence:
     The window entry at back-shift i collects, over all equation terms j and
     falling-basis coefficients A_{j,t} of P_j,
 
-        Q_i(n) = sum_{j,t} A_{j,t} C(t, i+j) ff(n - i + rho, t - i),
+        Q_i(n) = sum_{j,t} A_{j,t} C(t, i+j) ff(n - i + rho, t - i)
+               = sum_u B_{i,u} ff(n + rho - i, u),  u = t - i,
 
-    which reduces to the plain derivation at rho = 0.  ``rho`` must not be a
-    negative integer (the series offset would collide with a falling-power
-    annihilation).
+    so it is built as one falling-basis conversion of the scalar sums
+    B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j), shifted by rho - i.  At rho = 0
+    this is the plain derivation.  ``rho`` must not be a negative integer
+    (the series offset would collide with a falling-power annihilation).
     """
     rho = as_rational(rho)
     if rho.denominator == 1 and rho < 0:
         raise ValueError("offset must not be a negative integer")
-    m = eq.order
-    d = eq.max_degree
     falling_coeffs = [to_falling_basis(p) for p in eq.coeffs]
     window = {
-        i: _window_entry(falling_coeffs, m, i, rho) for i in range(-m, d + 1)
+        i: _window_entry(falling_coeffs, i, rho)
+        for i in range(-eq.order, eq.max_degree + 1)
     }
     rec = CoefficientRecurrence(window=window, rho_offset=rho)
     _check_degree_chain(eq, rec)
@@ -153,56 +149,43 @@ def shifted_recurrence(eq: DifferenceEquation, rho) -> CoefficientRecurrence:
 
 
 def _check_degree_chain(eq: DifferenceEquation, rec: CoefficientRecurrence):
-    """Window degrees must follow the vertex-chain profile; always asserted."""
+    """Window degrees must follow the vertex-chain profile.
+
+    A violation means the derivation itself is wrong, so it raises
+    ArithmeticError rather than returning a window that would mislead.
+    """
     analysis = analyze(eq)
     d, s = analysis.degrees, analysis.s_seq
     first, last = s[0], s[-1]
     for k, q in rec.window.items():
-        deg = q.degree
-        if k > d[last] - last:
-            assert q.is_zero, f"window entry {k} should vanish"
-        elif k < d[first] - first:
-            assert deg <= d[first] - k, f"window entry {k} exceeds the degree bound"
+        if k > d[last] - last and not q.is_zero:
+            raise ArithmeticError(f"window entry {k} should vanish")
+        if k < d[first] - first and q.degree > d[first] - k:
+            raise ArithmeticError(f"window entry {k} exceeds the degree bound")
     for vertex in s:
         k = d[vertex] - vertex
-        assert rec.window[k].degree == vertex, (
-            f"window entry {k} must have degree {vertex}"
-        )
-
-
-def indicial_polynomial(eq: DifferenceEquation) -> Poly:
-    """Constraint polynomial in the offset from the lowest shifted row.
-
-    In the row at output index -m only a_0 survives, multiplied by
-    sum_t A_{m,t} ff(rho, t + m) with A_{m,t} the falling-basis coefficients
-    of the top equation polynomial.
-    """
-    top = to_falling_basis(eq.coeffs[-1])
-    out = Poly()
-    for t, a in enumerate(top):
-        if a != 0:
-            out = out + falling_factorial_poly(t + eq.order) * a
-    return out
+        if rec.window[k].degree != vertex:
+            raise ArithmeticError(f"window entry {k} must have degree {vertex}")
 
 
 def indicial_exponents(eq: DifferenceEquation) -> list:
     """Admissible series offsets: all roots of the indicial polynomial.
 
-    Rational roots are returned exactly (as Fractions, sorted); the remaining
-    roots numerically via companion-matrix eigenvalues, deduplicated against
-    the exact ones at 1e-10.
+    In the row at output index -m only a_0 survives, multiplied by
+    sum_t A_{m,t} ff(rho, t + m) = ff(rho, m) P_m(rho - m), with A_{m,t} the
+    falling-basis coefficients of the top equation polynomial.  The roots are
+    therefore 0..m-1 together with m + r for every root r of P_m.  Rational
+    roots are returned exactly (as Fractions, sorted); the remaining roots of
+    P_m numerically via companion-matrix eigenvalues.
     """
-    poly = indicial_polynomial(eq)
-    if poly.is_zero:
-        raise ValueError("indicial polynomial vanishes identically")
-    rational, residual = _rational_roots(poly)
+    m = eq.order
+    rational, residual = _rational_roots(eq.coeffs[-1])
     numeric = []
     if residual.degree >= 1:
         arr = np.array([float(c) for c in reversed(residual.coeffs)])
-        for r in np.roots(arr):
-            numeric.append(complex(r))
+        numeric = [complex(r) + m for r in np.roots(arr)]
     numeric.sort(key=lambda r: (round(r.real, 10), round(r.imag, 10)))
-    return sorted(rational) + numeric
+    return sorted([Fraction(k) for k in range(m)] + [r + m for r in rational]) + numeric
 
 
 def _rational_roots(poly: Poly):

@@ -174,3 +174,10 @@ def test_linear_independence_sample_of_offset_solutions():
         [[eval_series(s, z).value for z in points] for s in streams]
     )
     assert abs(np.linalg.det(matrix)) > 1e-9
+
+
+def test_max_modulus_reports_a_pole_on_the_circle():
+    # at z = 1/2 the prefactor's z+1-rho is -1, a pole of the gamma quotient
+    sol = SeriesSolution.from_values([1] + [0] * 20, rho=Fraction(5, 2))
+    with pytest.raises(EvaluationError):
+        max_modulus(sol, 0.5, samples=8)

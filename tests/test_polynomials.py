@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from deltaorder import (
@@ -15,7 +16,7 @@ from deltaorder import (
     to_falling_basis,
 )
 from deltaorder.errors import GammaPoleError
-from deltaorder.polynomials import falling_factorial_poly, format_poly
+from deltaorder.polynomials import _falling_power_mp, falling_factorial_poly, format_poly
 
 from fixtures_equations import random_poly
 
@@ -159,6 +160,18 @@ def test_falling_power_gamma_pole():
         falling_power_eval(-1, Fraction(1, 2))
     with pytest.raises(GammaPoleError):
         falling_power_eval(Fraction(1, 2), Fraction(5, 2))  # z+1-rho = -1
+    with pytest.raises(GammaPoleError):
+        falling_power_eval(-2 + 0j, Fraction(1, 3))  # z+1 = -1
+
+
+def test_falling_power_mp_points_keep_precision():
+    # an mp point next to a pole is no pole: only an exact one counts
+    with mpmath.workprec(200):
+        near = mpmath.mpc(-2, mpmath.mpf(10) ** -40)
+        value = _falling_power_mp(near, Fraction(1, 2))
+        assert mpmath.isfinite(value) and abs(value) > 10**30
+        with pytest.raises(GammaPoleError):
+            _falling_power_mp(mpmath.mpc(-2, 0), Fraction(1, 2))
 
 
 def test_falling_factorial_exact_values():

@@ -1,10 +1,15 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     CoefficientRecurrence,
+    DifferenceEquation,
     NEG_INF,
     Poly,
     adams_polygon,
@@ -17,7 +22,8 @@ from deltaorder import (
     shifted_recurrence,
     sub_one_branches,
 )
-from deltaorder.polynomials import falling_factorial_poly
+from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
+from deltaorder.recurrences import _check_degree_chain
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -95,9 +101,8 @@ def test_shifted_rejects_negative_integer_offset(cubic_eq):
 
 def test_initial_rows_cover_small_indices(cubic_eq):
     rec = derive_recurrence(cubic_eq)
-    # rows below the max window index, in stream-index/value pairs
-    assert len(rec.initial_rows) == rec.max_index
-    row0 = dict(rec.initial_rows[0])
+    # the first row, in stream-index/value pairs
+    row0 = dict(rec.row(0))
     assert row0 == {3: Fraction(90), 2: Fraction(6), 1: Fraction(-1), 0: Fraction(-1)}
 
 
@@ -219,3 +224,99 @@ def test_window_degree_chain_random():
     rng = random.Random(43)
     for _ in range(150):
         derive_recurrence(random_equation(rng))
+
+
+def test_degree_chain_violation_raises(cubic_eq):
+    rec = derive_recurrence(cubic_eq)
+    window = dict(rec.window)
+    window[rec.max_index] = Poly([1])  # beyond the last vertex: must vanish
+    with pytest.raises(ArithmeticError):
+        _check_degree_chain(cubic_eq, CoefficientRecurrence(window=window))
+
+
+# --- properties against the per-term expansion ---------------------------------
+
+_coeffs = st.lists(st.integers(-9, 9), max_size=6)
+_nonzero = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def _equations(draw, max_order=5):
+    order = draw(st.integers(1, max_order))
+    coeffs = [draw(_coeffs) for _ in range(order)]
+    coeffs.append(draw(_coeffs) + [draw(_nonzero)])
+    return DifferenceEquation([Poly(c) for c in coeffs])
+
+
+_offsets = st.fractions(-3, 5, max_denominator=6).filter(
+    lambda r: r.denominator != 1 or r >= 0
+)
+
+
+def _per_term_window_entry(eq, i, rho):
+    """Q_i(n) = sum_{j,t} A_{j,t} C(t, i+j) ff(n - i + rho, t - i), term by term."""
+    out = Poly()
+    for j, p in enumerate(eq.coeffs):
+        for t, a in enumerate(to_falling_basis(p)):
+            c = binomial(t, i + j)
+            if a != 0 and c != 0:
+                out = out + falling_factorial_poly(t - i, offset=rho - i) * (a * c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equations(), _offsets)
+def test_window_entries_match_per_term_sum(eq, rho):
+    rec = shifted_recurrence(eq, rho)
+    expected = {
+        i: _per_term_window_entry(eq, i, rho)
+        for i in range(-eq.order, eq.max_degree + 1)
+    }
+    assert rec.window == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equations())
+def test_indicial_exponents_are_the_roots_of_the_factored_polynomial(eq):
+    m, top = eq.order, eq.coeffs[-1]
+    poly = falling_factorial_poly(m) * top.shifted(-m)
+    roots = indicial_exponents(eq)
+    assert len(roots) == m + top.degree
+    rest = list(reversed(poly.coeffs))  # descending
+    for r in (r for r in roots if isinstance(r, Fraction)):
+        # synthetic division by (x - r): an exact root leaves no remainder,
+        # and deflating once per listing checks the multiplicity
+        for k in range(1, len(rest)):
+            rest[k] += rest[k - 1] * r
+        assert rest.pop() == 0
+    numeric = [r for r in roots if not isinstance(r, Fraction)]
+    assert len(numeric) == len(rest) - 1
+    for r in numeric:
+        value = sum(float(c) * r ** k for k, c in enumerate(reversed(rest)))
+        scale = sum(abs(float(c)) * abs(r) ** k for k, c in enumerate(reversed(rest)))
+        assert abs(value) <= 1e-8 * scale
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_high_order_analysis_finishes_in_time():
+    # the indicial polynomial's constant once carried 59!, whose divisor
+    # search did not finish within a minute
+    eq = normalize_to_delta(parse_equation("D^60 f(z) + z^40 f(z) = 0"))
+    with _deadline(5):
+        polygon = adams_polygon(derive_recurrence(eq))
+        exponents = indicial_exponents(eq)
+    assert sub_one_branches(polygon) == []
+    assert exponents == [Fraction(k) for k in range(60)]
