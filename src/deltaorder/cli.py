@@ -5,7 +5,8 @@ emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
 rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
 2 parse/usage error, 3 degenerate equation, 4 empty solution space,
-5 invalid prescribed order, 6 evaluation failure.
+5 invalid prescribed order, 6 evaluation failure, 7 malformed environment
+setting (DELTAORDER_PRECISION).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .equations import DifferenceEquation, GeneralForm, apply_operator, compose_operators, normalize_to_delta
 from .errors import (
+    ConfigurationError,
     DegenerateEquationError,
     EvaluationError,
     GammaPoleError,
@@ -42,6 +44,7 @@ EXIT_DEGENERATE = 3
 EXIT_EMPTY = 4
 EXIT_ORDER = 5
 EXIT_EVAL = 6
+EXIT_CONFIG = 7
 
 
 class _CommandError(Exception):
@@ -532,6 +535,9 @@ def main(argv=None) -> int:
     except GammaPoleError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     _emit(payload, args.format)
     return 0
 

@@ -28,7 +28,7 @@ from .errors import InvalidOrderError
 from .newton import NewtonAnalysis, analyze
 from .polynomials import Poly, falling_factorial_poly, to_falling_basis
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
-from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
+from .series import RowReduction, SeriesSolution, estimate_chi, verify_recurrence
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,9 @@ def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripRep
         ("recurrence", report.exact, f"max residual {report.max_residual}")
     )
 
-    pins = _free_pins(rec, predicted, rows)
-    solved = solve_series(rec, rows, initial=pins)[0]
+    # the free parameters come from the elimination that the pinned solve finishes
+    reduction = RowReduction(rec, rows)
+    solved = reduction.pin({idx: predicted.coeffs[idx] for idx in reduction.free_ids})
     match = solved.coeffs == predicted.coeffs[: rows + 1]
     stages.append(("series", match, "pinned solve reproduces the prediction"))
 
@@ -182,12 +183,3 @@ def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripRep
         chi_hat=growth.chi_hat,
     )
 
-
-def _free_pins(rec, predicted: SeriesSolution, rows: int) -> dict[int, Fraction]:
-    """Initial data pinning the solver to the predicted stream."""
-    basis = solve_series(rec, max(rec.span, rows))
-    free_indices = set()
-    for sol in basis:
-        prov = sol.provenance or {}
-        free_indices.update(prov.get("free", {}))
-    return {idx: predicted.coeffs[idx] for idx in sorted(free_indices)}

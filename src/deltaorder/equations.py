@@ -25,7 +25,6 @@ from .errors import DegenerateEquationError, InsufficientDataError
 from .polynomials import (
     Poly,
     binomial,
-    falling_factorial,
     iterated_delta,
     to_falling_basis,
 )
@@ -227,6 +226,11 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     coefficients 0..upto of the image series; an all-zero result certifies the
     series solves the equation up to the truncation.
 
+    With rho = r/s, the falling power ff(n + rho, L) is the integer
+    prod_u (n s + r - u s) over s^L.  All weights are brought to the common
+    denominator s^Lmax and summed as one integer per (output, input) pair,
+    so each output coefficient is a single Fraction.
+
     The solution must provide at least ``upto + order + 1`` coefficients.
     """
     rho = solution.rho_offset
@@ -236,21 +240,40 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
         raise InsufficientDataError(
             f"need {needed + 1} series coefficients, have {len(coeffs)}"
         )
-    out = [Fraction(0)] * (upto + 1)
+    # offset -> {falling length L: summed integer weight}
+    weights: dict[int, dict[int, int]] = {}
     for j, p in enumerate(eq.coeffs):
-        if p.is_zero:
-            continue
         for t, coeff_t in enumerate(to_falling_basis(p)):
             if coeff_t == 0:
                 continue
+            if coeff_t.denominator != 1:
+                raise ArithmeticError("canonical equation has a non-integer falling weight")
             for k in range(t + 1):
-                weight = coeff_t * binomial(t, k)
-                offset = t - k - j
-                lo = max(0, -offset)
-                hi = min(needed, upto - offset)
-                for n in range(lo, hi + 1):
-                    a = coeffs[n]
-                    if a == 0:
-                        continue
-                    out[n + offset] += weight * a * falling_factorial(n + rho, j + k)
-    return out
+                by_length = weights.setdefault(t - k - j, {})
+                by_length[j + k] = by_length.get(j + k, 0) + coeff_t.numerator * binomial(t, k)
+    top = max(length for by_length in weights.values() for length in by_length)
+    r, s = rho.numerator, rho.denominator
+    # output index -> [(integer weight, input index)]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(upto + 1)]
+    for n in range(needed + 1):
+        if coeffs[n] == 0:
+            continue
+        # falling[L] = s^(top - L) * prod_{u < L} (n s + r - u s)
+        falling = [1] * (top + 1)
+        for u in range(top):
+            falling[u + 1] = falling[u] * (n * s + r - u * s)
+        if s != 1:
+            falling = [f * s ** (top - length) for length, f in enumerate(falling)]
+        for offset, by_length in weights.items():
+            out = n + offset
+            if 0 <= out <= upto:
+                total = sum(w * falling[length] for length, w in by_length.items())
+                if total:
+                    pairs[out].append((total, n))
+    scale = s**top
+    image = []
+    for terms in pairs:
+        common = math.lcm(*(coeffs[n].denominator for _, n in terms))
+        total = sum(w * coeffs[n].numerator * (common // coeffs[n].denominator) for w, n in terms)
+        image.append(Fraction(total, common * scale))
+    return image

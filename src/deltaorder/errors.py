@@ -37,3 +37,7 @@ class InconsistentSystemError(ValueError):
 
 class InvalidOrderError(ValueError):
     """A prescribed growth order is not a coprime rational in (0, 1)."""
+
+
+class ConfigurationError(ValueError):
+    """An environment setting such as DELTAORDER_PRECISION is malformed."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import GammaPoleError
+from .errors import ConfigurationError, GammaPoleError
 
 Rational = Fraction
 
@@ -39,14 +39,18 @@ def as_rational(value) -> Fraction:
 
 
 def working_precision() -> int:
-    """Evaluation precision in bits (env DELTAORDER_PRECISION, default 128)."""
+    """Evaluation precision in bits (env DELTAORDER_PRECISION, default 128).
+
+    Values below 53 are raised to double precision; a value that is not an
+    integer raises ConfigurationError.
+    """
     raw = os.environ.get("DELTAORDER_PRECISION")
     if raw is None:
         return 128
     try:
         bits = int(raw)
     except ValueError:
-        return 128
+        raise ConfigurationError(f"DELTAORDER_PRECISION={raw!r} is not an integer") from None
     return max(bits, 53)
 
 

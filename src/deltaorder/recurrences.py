@@ -30,7 +30,7 @@ modeled here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -59,16 +59,32 @@ class CoefficientRecurrence:
     polynomial (possibly zero inside the range); the entry at -order is
     nonzero.  ``rho_offset`` is the falling-power offset of the generating
     series; rows start at ``first_row`` (0 for offset zero, else -order).
+    ``scale`` is the lcm of the window's coefficient denominators: 1 at
+    offset zero, a power of 2 at offset 3/2.
     """
 
     window: dict[int, Poly]
     rho_offset: Fraction = Fraction(0)
+    scale: int = field(init=False, compare=False, repr=False)
+    # (back-shift, integer coefficients of scale * Q_i, highest power first)
+    _horner: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.window:
             raise ValueError("empty recurrence window")
         if self.window[min(self.window)].is_zero:
             raise ValueError("vanishing entry at the deepest back-shift")
+        scale = math.lcm(*(c.denominator for q in self.window.values() for c in q.coeffs))
+        # tuples from lists: tuple() of a generator bypasses CPython's tuple
+        # free lists when it allocates but refills them on release, so memory
+        # grew with every recurrence built
+        horner = tuple([
+            (i, tuple([c.numerator * (scale // c.denominator) for c in reversed(q.coeffs)]))
+            for i, q in sorted(self.window.items())
+            if not q.is_zero
+        ])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_horner", horner)
 
     @property
     def order(self) -> int:
@@ -86,22 +102,23 @@ class CoefficientRecurrence:
     def span(self) -> int:
         return self.max_index + self.order
 
-    def row(self, n: int) -> list[tuple[int, Fraction]]:
-        """Exact row at output index n: pairs (stream index, coefficient).
+    def row(self, n: int) -> list[tuple[int, int]]:
+        """Row at output index n, times ``scale``: pairs (stream index, value).
 
-        Stream indices below zero are omitted (those coefficients are zero by
-        convention); zero window values are dropped.
+        Each value is the integer scale * Q_i(n), evaluated by Horner's rule
+        in integers, so the exact row reads sum value * a_index = 0 after
+        division by ``scale``.  Stream indices below zero are omitted (those
+        coefficients are zero by convention); zero window values are dropped.
         """
         out = []
-        for i in range(-self.order, self.max_index + 1):
+        for i, coeffs in self._horner:
             idx = n - i
             if idx < 0:
                 continue
-            q = self.window.get(i)
-            if q is None or q.is_zero:
-                continue
-            value = q(Fraction(n))
-            if value != 0:
+            value = 0
+            for c in coeffs:
+                value = value * n + c
+            if value:
                 out.append((idx, value))
         return out
 
@@ -200,23 +217,32 @@ def _rational_roots(poly: Poly):
         scale = math.lcm(scale, c.denominator)
     ints = [int(c * scale) for c in poly.coeffs]
     while len(ints) > 1:
-        lead, const = ints[-1], ints[0]
-        found = None
-        for num in _divisors(abs(const)):
-            for den in _divisors(abs(lead)):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _eval_int_poly(ints, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        found = _rational_root(ints)
         if found is None:
             break
         roots.append(found)
         ints = _deflate(ints, found)
     return roots, Poly([Fraction(c) for c in ints])
+
+
+def _rational_root(ints):
+    """One rational root of an integer polynomial (no root at zero), or None.
+
+    A linear polynomial gives its root directly; otherwise candidates are
+    num/den with num dividing the constant and den the leading coefficient.
+    """
+    if len(ints) == 2:
+        root = Fraction(-ints[0], ints[1])
+        if _eval_int_poly(ints, root) != 0:
+            raise ArithmeticError(f"linear root {root} does not vanish")
+        return root
+    dens = _divisors(abs(ints[-1]))
+    for num in _divisors(abs(ints[0])):
+        for den in dens:
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if _eval_int_poly(ints, cand) == 0:
+                    return cand
+    return None
 
 
 def _divisors(n: int):

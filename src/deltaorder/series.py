@@ -1,11 +1,16 @@
 """Exact coefficient streams for window recurrences, and growth estimation.
 
-Generation runs an exact incremental row reduction over the rationals: each
-row either determines its deepest stream coefficient (when the window's top
-entry is nonzero at that row) or becomes a linear constraint among the free
-coefficients seen so far.  The result is a basis of the truncated solution
-space, optionally pinned to given initial data, with inhomogeneous
-right-hand sides supported.
+Generation runs an exact incremental row reduction in integer arithmetic,
+fraction-free in the manner of Bareiss (Math. Comp. 22, 1968): rows come
+from the recurrence as integers times its scale, and every stream value is
+an integer affine combination of the free coefficients over one integer
+denominator, with its content divided out.  Each row either determines its
+deepest stream coefficient (when the window's top entry is nonzero at that
+row) or becomes a linear constraint that eliminates a free coefficient.  The
+result is a basis of the truncated solution space, optionally pinned to
+given initial data, with inhomogeneous right-hand sides supported.  A
+Fraction is built once per returned coefficient; verification likewise sums
+integer numerators and builds a Fraction only for a nonzero residual.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -81,26 +86,32 @@ def verify_recurrence(
     """Substitute the stream into rows first_row..rows; exact residuals.
 
     The stream must reach index rows + order.  Returns the first failing row
-    (if any) and the largest absolute residual encountered.
+    (if any) and the largest absolute residual encountered.  Each row sums
+    integer numerators over the lcm of its stream denominators; a residual
+    becomes a Fraction only when that sum is nonzero.
     """
     need = rows + rec.order
     if len(sol.coeffs) < need + 1:
         raise InsufficientDataError(
             f"need {need + 1} coefficients to check {rows} rows"
         )
+    nums = [c.numerator for c in sol.coeffs]
+    dens = [c.denominator for c in sol.coeffs]
     worst = Fraction(0)
     first_bad = None
     for n in range(rec.first_row, rows + 1):
-        total = Fraction(0)
-        for idx, c in rec.row(n):
-            total += c * sol.coeffs[idx]
-        if rhs is not None and n >= 0:
-            total -= as_rational(rhs[n]) if n < len(rhs) else Fraction(0)
-        if total != 0:
+        terms = [(c, idx) for idx, c in rec.row(n) if nums[idx]]
+        target = _rhs_value(rhs, n)
+        common = _lcm(target.denominator, *(dens[idx] for _, idx in terms))
+        total = sum(c * nums[idx] * (common // dens[idx]) for c, idx in terms)
+        if target:
+            total -= rec.scale * target.numerator * (common // target.denominator)
+        if total:
             if first_bad is None:
                 first_bad = n
-            if abs(total) > worst:
-                worst = abs(total)
+            residual = Fraction(abs(total), common * rec.scale)
+            if residual > worst:
+                worst = residual
     return VerificationReport(
         rows_checked=rows + 1 - rec.first_row,
         max_residual=worst,
@@ -108,48 +119,191 @@ def verify_recurrence(
     )
 
 
+def _rhs_value(rhs, n: int):
+    """Right-hand side of row n: a rational, or 0 for rows beyond ``rhs`` and below 0."""
+    return as_rational(rhs[n]) if rhs is not None and 0 <= n < len(rhs) else 0
+
+
+def _lcm(*dens: int) -> int:
+    """lcm of nonzero integers; a value that divides the running lcm costs one division.
+
+    Rows list the deepest stream index first, and in a decaying stream the
+    earlier denominators often divide the later ones, so most steps skip the
+    gcd.
+    """
+    out = 1
+    for d in dens:
+        if out % d:
+            out = math.lcm(out, d)
+    return out
+
+
 # --- exact solver -------------------------------------------------------------
 
 
-class _LinearState:
-    """Stream coefficients as affine combinations of free parameters."""
+def _reduced(den: int, const: int, lin: dict[int, int]):
+    """A stream value (const + sum lin[f]*free_f) / den with its content divided out."""
+    lin = {f: w for f, w in lin.items() if w}
+    g = math.gcd(den, const, *lin.values())
+    if g == 1:
+        return den, const, lin
+    return den // g, const // g, {f: w // g for f, w in lin.items()}
 
-    def __init__(self):
-        self.values: list[tuple[Fraction, dict[int, Fraction]]] = []
+
+def _pivot(const: int, lin: dict[int, int]):
+    """The substitution that solves const + sum lin[f]*free_f = 0 for its newest free.
+
+    Returns (target, const, live, pivot), meaning
+    free_target = -(const + sum live[f]*free_f) / pivot, or None when no
+    free parameter is involved and the constraint holds.
+    """
+    live = {f: w for f, w in lin.items() if w}
+    if not live:
+        if const:
+            raise InconsistentSystemError("rows force a nonzero constant")
+        return None
+    target = max(live)
+    pivot = live.pop(target)
+    return target, const, live, pivot
+
+
+def _substitute(values, target: int, const: int, live: dict[int, int], pivot: int):
+    """Apply the substitution of :func:`_pivot` to every value in place."""
+    for k, (den, vconst, vlin) in enumerate(values):
+        w = vlin.get(target)
+        if w is None:
+            continue
+        g = math.gcd(w, pivot)
+        p, w = pivot // g, w // g
+        nlin = {f: v * p for f, v in vlin.items() if f != target}
+        for f, v in live.items():
+            nlin[f] = nlin.get(f, 0) - w * v
+        values[k] = _reduced(den * p, vconst * p - w * const, nlin)
+
+
+class RowReduction:
+    """Fraction-free elimination of the window rows (after Bareiss).
+
+    Every stream value is an affine combination of free parameters, stored as
+    (den, const, {free id: num}) over integers with its content divided out.
+    A row combines its window entries over the lcm of their denominators and
+    subtracts its right-hand side times the recurrence scale: a nonzero lead
+    value determines the next stream value; a zero lead turns the row into a
+    constraint that eliminates the newest free parameter it involves.
+    ``free_ids`` lists the free parameters that survive all rows.  Fractions
+    are built only for the streams that ``pin`` and ``basis`` return.
+    """
+
+    def __init__(self, rec: CoefficientRecurrence, count: int, rhs=None):
+        if count < rec.span:
+            raise InsufficientDataError(
+                f"truncation {count} is below the window span {rec.span}"
+            )
+        self.rec = rec
+        self.count = count
+        self.inhomogeneous = rhs is not None
+        self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
+        for n in range(rec.first_row, count - rec.order + 1):
+            top = n + rec.order
+            while len(self.values) < top:
+                self._append_free()
+            self._add_row(rec.row(n), top, _rhs_value(rhs, n))
+        while len(self.values) <= count:
+            self._append_free()
 
-    def append_free(self):
+    def _append_free(self):
         fid = len(self.values)
-        self.values.append((Fraction(0), {fid: Fraction(1)}))
+        self.values.append((1, 0, {fid: 1}))
         self.free_ids.append(fid)
 
-    def append_combination(self, const: Fraction, lin: dict[int, Fraction]):
-        self.values.append((const, lin))
-
-    def eliminate(self, const: Fraction, lin: dict[int, Fraction]):
-        """Impose const + sum lin[f]*free_f = 0; drops one free parameter."""
-        live = {f: c for f, c in lin.items() if c != 0}
-        if not live:
-            if const != 0:
-                raise InconsistentSystemError("rows force a nonzero constant")
+    def _add_row(self, row, top: int, target):
+        """Impose sum row_value * a_idx = scale * target on the stream."""
+        lead = 0
+        terms = []
+        for idx, c in row:
+            if idx == top:
+                lead = c
+            else:
+                terms.append((c, self.values[idx]))
+        common = _lcm(target.denominator, *(den for _, (den, _, _) in terms))
+        const = -self.rec.scale * target.numerator * (common // target.denominator)
+        lin: dict[int, int] = {}
+        for c, (den, vconst, vlin) in terms:
+            factor = c * (common // den)
+            const += factor * vconst
+            for f, w in vlin.items():
+                lin[f] = lin.get(f, 0) + factor * w
+        if lead:
+            self.values.append(_reduced(common * lead, -const, {f: -w for f, w in lin.items()}))
             return
-        target = max(live)
-        pivot = live.pop(target)
-        sub_const = -const / pivot
-        sub_lin = {f: -c / pivot for f, c in live.items()}
-        self.free_ids.remove(target)
-        updated = []
-        for vconst, vlin in self.values:
-            w = vlin.get(target)
-            if w is None or w == 0:
-                updated.append((vconst, vlin))
+        step = _pivot(const, lin)
+        if step is not None:
+            self.free_ids.remove(step[0])
+            _substitute(self.values, *step)
+
+    def pin(self, initial: dict) -> SeriesSolution:
+        """The single stream with the given values, remaining freedom zeroed.
+
+        The pins are eliminated in index order, each for its newest free
+        parameter, but only among themselves: the free parameters that
+        survive are zero, the eliminated ones follow by back substitution,
+        and each stream value is then evaluated once.  The reduction itself
+        is left unchanged.  Contradictory pins raise InconsistentSystemError.
+        """
+        pins = {int(k): as_rational(v) for k, v in initial.items()}
+        steps = []
+        for idx, wanted in sorted(pins.items()):
+            if idx > self.count:
+                raise InsufficientDataError(f"pinned index {idx} beyond truncation")
+            den, vconst, vlin = self.values[idx]
+            q = wanted.denominator
+            lin = {f: w * q for f, w in vlin.items()}
+            constraint = [(1, vconst * q - wanted.numerator * den, lin)]
+            for step in steps:
+                _substitute(constraint, *step)
+            step = _pivot(*constraint[0][1:])
+            if step is not None:
+                steps.append(step)
+        free: dict[int, Fraction] = {}
+        for target, const, live, pivot in reversed(steps):
+            known = sum(w * free.get(f, 0) for f, w in live.items())
+            free[target] = -(const + known) / Fraction(pivot)
+        common = math.lcm(*(x.denominator for x in free.values()))
+        scaled = {f: x.numerator * (common // x.denominator) for f, x in free.items()}
+        stream = []
+        for den, vconst, vlin in self.values[: self.count + 1]:
+            total = vconst * common + sum(w * scaled[f] for f, w in vlin.items() if f in scaled)
+            stream.append(Fraction(total, den * common))
+        for idx, wanted in pins.items():
+            if stream[idx] != wanted:
+                raise InconsistentSystemError(
+                    f"initial value at index {idx} is inconsistent with the rows"
+                )
+        return SeriesSolution.from_values(
+            stream,
+            rho=self.rec.rho_offset,
+            provenance={"pinned": {k: str(v) for k, v in sorted(pins.items())}},
+        )
+
+    def basis(self) -> list[SeriesSolution]:
+        """The particular solution (if inhomogeneous), then one stream per free parameter."""
+        values = self.values[: self.count + 1]
+        rho = self.rec.rho_offset
+        solutions = []
+        if self.inhomogeneous:
+            particular = [Fraction(vconst, den) for den, vconst, _ in values]
+            solutions.append(
+                SeriesSolution.from_values(particular, rho=rho, provenance={"particular": True})
+            )
+        for fid in self.free_ids:
+            stream = [Fraction(vlin.get(fid, 0), den) for den, _, vlin in values]
+            if all(v == 0 for v in stream):
                 continue
-            nconst = vconst + w * sub_const
-            nlin = {f: c for f, c in vlin.items() if f != target}
-            for f, c in sub_lin.items():
-                nlin[f] = nlin.get(f, Fraction(0)) + w * c
-            updated.append((nconst, {f: c for f, c in nlin.items() if c != 0}))
-        self.values = updated
+            solutions.append(
+                SeriesSolution.from_values(stream, rho=rho, provenance={"free": {fid: Fraction(1)}})
+            )
+        return solutions
 
 
 def solve_series(
@@ -170,79 +324,10 @@ def solve_series(
 
     An empty list means only the identically-zero stream survives.
     """
-    if count < rec.span:
-        raise InsufficientDataError(
-            f"truncation {count} is below the window span {rec.span}"
-        )
-    state = _LinearState()
-    for n in range(rec.first_row, count - rec.order + 1):
-        top = n + rec.order
-        while len(state.values) < top:
-            state.append_free()
-        const = Fraction(0)
-        if rhs is not None and 0 <= n < len(rhs):
-            const = -as_rational(rhs[n])
-        lin: dict[int, Fraction] = {}
-        lead = Fraction(0)
-        for idx, c in rec.row(n):
-            if idx == top:
-                lead = c
-                continue
-            vconst, vlin = state.values[idx]
-            const += c * vconst
-            for f, w in vlin.items():
-                lin[f] = lin.get(f, Fraction(0)) + c * w
-        if lead != 0:
-            state.append_combination(
-                -const / lead, {f: -w / lead for f, w in lin.items() if w != 0}
-            )
-        else:
-            state.eliminate(const, lin)
-    while len(state.values) <= count:
-        state.append_free()
+    reduction = RowReduction(rec, count, rhs)
     if initial is not None:
-        return [_pin_initial(rec, state, initial, count)]
-    solutions = []
-    if rhs is not None:
-        particular = [vconst for vconst, _ in state.values[: count + 1]]
-        solutions.append(
-            SeriesSolution.from_values(
-                particular, rho=rec.rho_offset, provenance={"particular": True}
-            )
-        )
-    for fid in state.free_ids:
-        stream = [vlin.get(fid, Fraction(0)) for _, vlin in state.values[: count + 1]]
-        if all(v == 0 for v in stream):
-            continue
-        solutions.append(
-            SeriesSolution.from_values(
-                stream, rho=rec.rho_offset, provenance={"free": {fid: Fraction(1)}}
-            )
-        )
-    return solutions
-
-
-def _pin_initial(rec, state, initial, count) -> SeriesSolution:
-    pins = {int(k): as_rational(v) for k, v in initial.items()}
-    for idx, wanted in sorted(pins.items()):
-        if idx > count:
-            raise InsufficientDataError(f"pinned index {idx} beyond truncation")
-        vconst, vlin = state.values[idx]
-        state.eliminate(vconst - wanted, dict(vlin))
-    # zero out any remaining freedom for a deterministic single stream
-    for fid in list(state.free_ids):
-        state.eliminate(Fraction(0), {fid: Fraction(1)})
-    stream = [vconst for vconst, vlin in state.values[: count + 1]]
-    for idx, wanted in pins.items():
-        if stream[idx] != wanted:
-            raise InconsistentSystemError(
-                f"initial value at index {idx} is inconsistent with the rows"
-            )
-    return SeriesSolution.from_values(
-        stream,
-        rho=rec.rho_offset,
-        provenance={"pinned": {k: str(v) for k, v in sorted(pins.items())}},
-    )
+        return [reduction.pin(initial)]
+    return reduction.basis()
 
 
 # --- growth estimation --------------------------------------------------------

@@ -204,3 +204,11 @@ def test_equation_from_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", f"@{path}")
     assert code == 0
     assert json.loads(out)["newton"]["p"] == 2
+
+
+def test_eval_malformed_precision_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("DELTAORDER_PRECISION", "128 bits")
+    code, out, err = run_cli(capsys, "eval", "D f(z) - f(z) = 0", "--at", "1")
+    assert code == 7
+    assert out == ""
+    assert "DELTAORDER_PRECISION" in err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     DifferenceEquation,
@@ -14,6 +16,7 @@ from deltaorder import (
     parse_equation,
 )
 from deltaorder.errors import DegenerateEquationError, InsufficientDataError
+from deltaorder.polynomials import binomial, falling_factorial, to_falling_basis
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -24,6 +27,7 @@ from fixtures_equations import (
     QUARTIC_34_SHIFT_TABLE,
     QUARTIC_34_SHIFTED,
     quartic_34_stream,
+    random_equation,
     random_poly,
     third_order_stream,
 )
@@ -205,3 +209,25 @@ def test_apply_compose_consistency():
             continue
         ratio = nonzero[0][0] / nonzero[0][1]
         assert all(l == ratio * r for l, r in nonzero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    rho=st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]),
+)
+def test_apply_operator_matches_fraction_sum(seed, rho):
+    # the product-rule expansion term by term, in Fractions
+    rng = random.Random(seed)
+    eq = random_equation(rng, max_order=3, max_degree=3)
+    upto = 12
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(upto + eq.order + 1)]
+    expected = [Fraction(0)] * (upto + 1)
+    for j, p in enumerate(eq.coeffs):
+        for t, coeff_t in enumerate(to_falling_basis(p)):
+            for k in range(t + 1):
+                for n, a in enumerate(coeffs):
+                    if 0 <= n + t - k - j <= upto:
+                        term = coeff_t * binomial(t, k) * a * falling_factorial(n + rho, j + k)
+                        expected[n + t - k - j] += term
+    assert apply_operator(eq, SeriesSolution.from_values(coeffs, rho=rho), upto) == expected

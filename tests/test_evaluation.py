@@ -13,7 +13,12 @@ from deltaorder import (
     normalize_to_delta,
     parse_equation,
 )
-from deltaorder.errors import EvaluationError, GammaPoleError, NonConvergenceError
+from deltaorder.errors import (
+    ConfigurationError,
+    EvaluationError,
+    GammaPoleError,
+    NonConvergenceError,
+)
 
 from fixtures_equations import CUBIC_THIRD, quartic_34_stream, third_order_stream
 
@@ -145,7 +150,8 @@ def test_working_precision_env(monkeypatch):
     monkeypatch.setenv("DELTAORDER_PRECISION", "8")
     assert working_precision() == 53  # floored at double precision
     monkeypatch.setenv("DELTAORDER_PRECISION", "garbage")
-    assert working_precision() == 128
+    with pytest.raises(ConfigurationError):
+        working_precision()
 
 
 def test_linear_independence_sample_of_offset_solutions():

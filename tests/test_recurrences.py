@@ -1,3 +1,4 @@
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from deltaorder import (
     shifted_recurrence,
     sub_one_branches,
 )
+from deltaorder.cli import main
 from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
 from deltaorder.recurrences import _check_degree_chain
 
@@ -320,3 +322,14 @@ def test_high_order_analysis_finishes_in_time():
         exponents = indicial_exponents(eq)
     assert sub_one_branches(polygon) == []
     assert exponents == [Fraction(k) for k in range(60)]
+
+
+def test_huge_leading_coefficient_analysis_finishes_in_time(capsys):
+    # the leading coefficient is about 1e18; its divisors were once listed by
+    # trial division, again for every divisor of the constant
+    lead = 1000000007 * 998244353
+    with _deadline(5):
+        code = main(["analyze", "(1000000007*998244353z + 3) D^2 f(z) + z f(z) = 0"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["indicial_exponents"] == ["0", "1", f"{2 * lead - 3}/{lead}"]
