@@ -29,7 +29,7 @@ from .errors import (
     InvalidOrderError,
     ParseError,
 )
-from .evaluation import empirical_order, eval_series, max_modulus
+from .evaluation import MAX_SAMPLES, empirical_order, eval_series, max_modulus
 from .newton import NewtonAnalysis, analyze, verdict
 from .parsing import format_delta_form, format_general, parse_equation
 from .polynomials import Poly, working_precision
@@ -385,10 +385,14 @@ def _cmd_eval(args) -> dict:
             if len(radii) == 1:
                 out["max_modulus"] = {
                     "radius": radii[0],
-                    "value": max_modulus(sol, radii[0], samples=args.samples, prec=prec),
+                    "value": max_modulus(
+                        sol, radii[0], samples=args.samples, tol=args.tol, prec=prec
+                    ),
                 }
             else:
-                fit = empirical_order(sol, radii, samples=args.samples, prec=prec)
+                fit = empirical_order(
+                    sol, radii, samples=args.samples, tol=args.tol, prec=prec
+                )
                 out["growth"] = {
                     "radii": list(fit.radii),
                     "log_max_modulus": list(fit.log_max_modulus),
@@ -500,7 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
     p.add_argument("--at", default=None, help="complex point, e.g. 2.5 or 1+2i")
     p.add_argument("--radii", default=None, help="comma list, e.g. 50,100,200,400")
-    p.add_argument("--samples", type=int, default=64, help="points per circle")
+    p.add_argument(
+        "--samples", type=int, default=64, help=f"points per circle, 8 to {MAX_SAMPLES}"
+    )
     p.add_argument("--tol", type=float, default=1e-12, help="term tolerance")
     add_common(p)
     p.set_defaults(func=_cmd_eval)

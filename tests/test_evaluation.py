@@ -1,7 +1,12 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     SeriesSolution,
@@ -13,12 +18,15 @@ from deltaorder import (
     normalize_to_delta,
     parse_equation,
 )
+from deltaorder.cli import main
 from deltaorder.errors import (
     ConfigurationError,
     EvaluationError,
     GammaPoleError,
     NonConvergenceError,
 )
+from deltaorder.evaluation import MAX_SAMPLES
+from deltaorder.polynomials import _falling_power_mp, falling_power_eval
 
 from fixtures_equations import CUBIC_THIRD, quartic_34_stream, third_order_stream
 
@@ -187,3 +195,231 @@ def test_max_modulus_reports_a_pole_on_the_circle():
     sol = SeriesSolution.from_values([1] + [0] * 20, rho=Fraction(5, 2))
     with pytest.raises(EvaluationError):
         max_modulus(sol, 0.5, samples=8)
+
+
+def test_non_finite_inputs_are_rejected_by_name(cubic_solution):
+    for z in (math.nan, complex(1, math.inf), -math.inf):
+        with pytest.raises(ValueError, match="z must be finite"):
+            eval_series(cubic_solution, z)
+    for tol in (0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be"):
+            eval_series(cubic_solution, 2.5, tol=tol)
+        with pytest.raises(ValueError, match="tol must be"):
+            max_modulus(cubic_solution, 10.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be"):
+            empirical_order(cubic_solution, [50, 100, 200, 400], tol=tol)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            max_modulus(cubic_solution, radius)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radii entries must be finite"):
+            empirical_order(cubic_solution, [50, 100, bad, 400])
+
+
+def test_samples_above_the_bound_are_rejected_before_sampling():
+    # a stream that could not be summed on any circle: sampling would raise NonConvergenceError
+    sol = SeriesSolution.from_values(third_order_stream(4))
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+        max_modulus(sol, 50.0, samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+        empirical_order(sol, [50, 100, 200, 400], samples=10**9)
+
+
+# --- the parent summation loop, verbatim, as the oracle of the libmp kernel ---
+
+
+def _coeff_mpfs(sol: SeriesSolution) -> list:
+    return [
+        mpmath.mpf(c.numerator) / c.denominator if c != 0 else mpmath.mpf(0)
+        for c in sol.coeffs
+    ]
+
+
+def _sum_series(coeffs_mp, base, tol, modulus=None):
+    """Accumulate  sum a_n * ff(base, n)  with the three-term stopping rule.
+
+    A trailing zero run longer than the support modulus marks a finitely
+    supported stream, which sums exactly.
+    """
+    total = mpmath.mpc(0)
+    weight = mpmath.mpc(1)
+    small_run = 0
+    last_mag = None
+    peak = mpmath.mpf(0)
+    terms_used = 0
+    tail = 0.0
+    nonzero_indices = [n for n, c in enumerate(coeffs_mp) if c != 0]
+    if not nonzero_indices:
+        return total, 1, 0.0, peak
+    trailing_zeros = len(coeffs_mp) - 1 - nonzero_indices[-1]
+    finite_support = trailing_zeros >= max(3, modulus or 1)
+    for n, a in enumerate(coeffs_mp):
+        term = a * weight
+        total += term
+        terms_used = n + 1
+        weight = weight * (base - n)
+        if a == 0:
+            if finite_support and n > nonzero_indices[-1]:
+                return total, nonzero_indices[-1] + 1, 0.0, peak
+            continue
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
+        ratio = mag / last_mag if last_mag else mpmath.inf
+        if mag == 0 or (mag <= tol * (abs(total) + 1) and ratio < 0.5):
+            small_run += 1
+        else:
+            small_run = 0
+        if mag > 0:
+            last_mag = mag
+        if small_run >= 3:
+            r = 0.0 if mag == 0 else min(float(ratio), 0.5)
+            tail = float(mag) * r / (1 - r) if r else 0.0
+            return total, terms_used, tail, peak
+    raise NonConvergenceError(
+        f"series did not settle within {len(coeffs_mp)} coefficients"
+    )
+
+
+def _to_mpc(value) -> mpmath.mpc:
+    c = complex(value)
+    return mpmath.mpc(c.real, c.imag)
+
+
+def oracle_eval(sol, z, tol=1e-12, prec=128):
+    with mpmath.workprec(prec):
+        rho = sol.rho_offset
+        prefactor = mpmath.mpc(1)
+        if rho != 0:
+            prefactor = _to_mpc(falling_power_eval(z, rho, prec=prec))
+        base = _to_mpc(z) - mpmath.mpf(rho.numerator) / rho.denominator
+        total, used, tail, peak = _sum_series(
+            _coeff_mpfs(sol), base, mpmath.mpf(tol), sol.support_modulus
+        )
+        value = complex(prefactor * total)
+        log_scale = float(mpmath.log(peak)) if peak > 0 else -math.inf
+    return (value, used, tail, log_scale)
+
+
+def oracle_max_modulus(sol, radius, samples, prec=128):
+    """The maximum over every one of the samples circle points."""
+    with mpmath.workprec(prec):
+        coeffs_mp = _coeff_mpfs(sol)
+        rho = sol.rho_offset
+        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
+        best = mpmath.mpf("-inf")
+        for k in range(samples):
+            z = radius * mpmath.exp(mpmath.mpc(0, 1) * (2 * mpmath.pi * k / samples))
+            prefactor = _falling_power_mp(z, rho) if rho != 0 else mpmath.mpc(1)
+            total = _sum_series(coeffs_mp, z - rho_mp, mpmath.mpf(1e-12), sol.support_modulus)[0]
+            magnitude = abs(prefactor * total)
+            if magnitude > 0:
+                best = max(best, mpmath.log(magnitude))
+        return math.exp(float(best))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (NonConvergenceError, GammaPoleError, EvaluationError) as exc:
+        return type(exc).__name__
+
+
+def _fields(result):
+    if isinstance(result, str):
+        return result
+    return (result.value, result.terms_used, result.tail_bound, result.log_scale)
+
+
+OFFSETS = (Fraction(0), Fraction(3, 2), Fraction(7, 3))
+
+
+@st.composite
+def streams(draw):
+    """Dense, sparse (support modulus 2-4), finitely supported and all-zero streams."""
+    kind = draw(st.sampled_from(("dense", "sparse", "finite", "zero")))
+    count = draw(st.integers(4, 90))
+    # 1/n!^2 decays past the factorial growth of the falling powers; 1/n! only sometimes
+    power = draw(st.sampled_from((1, 2, 2)))
+    step = draw(st.integers(2, 4)) if kind == "sparse" else 1
+    stop = draw(st.integers(1, max(1, count - 4))) if kind == "finite" else count
+    coeffs = []
+    for n in range(count):
+        if kind == "zero" or n % step or n >= stop:
+            coeffs.append(Fraction(0))
+            continue
+        # numerators past 200 bits are rounded before the division, as mpf(num) / den does
+        num = draw(st.one_of(st.integers(-40, 40), st.integers(-(2**260), 2**260)))
+        den = draw(st.integers(1, 12))
+        coeffs.append(Fraction(num, den * math.factorial(n) ** power))
+    return SeriesSolution.from_values(coeffs, rho=draw(st.sampled_from(OFFSETS)))
+
+
+def _off_poles(sol, z) -> bool:
+    # ff(z, rho) has its poles where z + 1 or z + 1 - rho is a non-positive integer
+    if z.imag != 0 or sol.rho_offset == 0:
+        return True
+    return all(
+        not (p <= 0 and p == int(p)) for p in (z.real + 1, z.real + 1 - float(sol.rho_offset))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sol=streams(),
+    re=st.floats(-25, 25),
+    im=st.sampled_from((0.0, 0.0, 0.75, -3.5, 11.25)),
+    tol=st.sampled_from((1e-12, 1e-12, 1e-6, 1e-20)),
+    prec=st.sampled_from((53, 128, 200)),
+)
+def test_eval_series_is_the_parent_loop_bit_for_bit(sol, re, im, tol, prec):
+    z = complex(re, im)
+    if not _off_poles(sol, z):
+        return
+    got = _outcome(eval_series, sol, z, tol=tol, prec=prec)
+    want = _outcome(oracle_eval, sol, z, tol=tol, prec=prec)
+    assert _fields(got) == want
+
+
+@pytest.mark.parametrize("samples", (8, 9, 33, 64))
+def test_max_modulus_equals_the_full_circle_on_fixtures(cubic_solution, samples):
+    quartic = SeriesSolution.from_values(quartic_34_stream(600))
+    shifted = SeriesSolution.from_values(cubic_solution.coeffs[:120], rho=Fraction(3, 2))
+    cases = ((cubic_solution, 20.0), (cubic_solution, 110.0), (quartic, 60.0), (shifted, 30.0))
+    for sol, radius in cases:
+        assert max_modulus(sol, radius, samples=samples) == oracle_max_modulus(sol, radius, samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sol=streams(),
+    radius=st.floats(0.5, 6),
+    samples=st.sampled_from((8, 9, 33, 64)),
+    prec=st.sampled_from((53, 128, 200)),
+)
+def test_max_modulus_matches_the_full_circle_on_draws(sol, radius, samples, prec):
+    got = _outcome(max_modulus, sol, radius, samples=samples, prec=prec)
+    want = _outcome(oracle_max_modulus, sol, radius, samples, prec=prec)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# --- CLI eval output recorded before the libmp kernel, compared byte for byte ---
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+
+
+@pytest.mark.parametrize(
+    "radii, golden", (("50,100,200,400,800", "eval-radii-growth"), ("110", "eval-radii-110"))
+)
+def test_cli_eval_radii_matches_recorded_output(tmp_path, capsys, radii, golden):
+    stream = tmp_path / "stream.json"
+    argv = ["solve", CUBIC_THIRD, "--terms", "200", "--initial", "0=1,1=1,2=1/4"]
+    assert main(argv) == 0
+    stream.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert json.loads(stream.read_text(encoding="utf-8"))["command"] == "solve"
+    assert main(["eval", "--solution", str(stream), "--radii", radii]) == 0
+    got = capsys.readouterr().out
+    assert got == (GOLDEN_DIR / f"{golden}.json").read_text(encoding="utf-8")
