@@ -175,14 +175,11 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
-def _check_radius(radius) -> None:
+def _check_circle(radius, samples: int, tol) -> None:
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
     if radius <= 0:
         raise ValueError("radius must be positive")
-
-
-def _check_circle(samples: int, tol) -> None:
     if samples < 8:
         raise ValueError("at least 8 circle samples are required")
     if samples > MAX_SAMPLES:
@@ -259,8 +256,7 @@ def max_modulus(
     ValueError for a radius that is not positive and finite, fewer than 8 or
     more than MAX_SAMPLES samples, or a tol that is not positive and finite.
     """
-    _check_radius(radius)
-    _check_circle(samples, tol)
+    _check_circle(radius, samples, tol)
     bits = prec if prec is not None else working_precision()
     log_best = _log_max_modulus(sol, _Stream(sol), radius, samples, tol, bits)
     try:
@@ -290,8 +286,7 @@ def empirical_order(
             raise ValueError(f"radii entries must be finite, got {r!r}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    _check_radius(radii[0])
-    _check_circle(samples, tol)
+    _check_circle(radii[0], samples, tol)  # the smallest radius
     bits = prec if prec is not None else working_precision()
     stream = _Stream(sol)
     logm = [_log_max_modulus(sol, stream, r, samples, tol, bits) for r in radii]

@@ -212,3 +212,18 @@ def test_eval_malformed_precision_exit_code(capsys, monkeypatch):
     assert code == 7
     assert out == ""
     assert "DELTAORDER_PRECISION" in err
+
+
+def test_eval_rejects_bad_numeric_arguments_with_exit_six(capsys):
+    base = ("eval", "D f(z) - f(z) = 0", "--terms", "40")
+    cases = (
+        (("--at", "nan"), "z must be finite"),
+        (("--at", "1", "--tol", "0"), "tol must be"),
+        (("--radii", "10,20,inf,40"), "radii entries must be finite"),
+        (("--radii", "110", "--samples", "5000"), "samples must be at most 4096"),
+    )
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 6
+        assert out == ""
+        assert message in err
