@@ -26,7 +26,7 @@ from fractions import Fraction
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
 from .errors import InvalidOrderError
 from .newton import NewtonAnalysis, analyze
-from .polynomials import Poly, falling_factorial_poly, to_falling_basis
+from .polynomials import Poly, common_denominator, expand_newton, falling_factorial_poly, to_falling_basis
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
 from .series import RowReduction, SeriesSolution, estimate_chi, verify_recurrence
 
@@ -67,11 +67,8 @@ def construct_equation(q: int, p: int, series_length: int | None = None) -> Cons
     # ff(n/lam, p) vanishes at n = 0, so there is no constant weight
     if weights_rational[0] != 0:
         raise ArithmeticError("stretched falling power has a constant weight")
-    denom = 1
-    for w in weights_rational:
-        denom = math.lcm(denom, w.denominator)
-    ints = [int(w * denom) for w in weights_rational[1:]]
-    content = math.gcd(denom, math.gcd(*ints) if ints else 0)
+    denom, ints = common_denominator(weights_rational[1:])
+    content = math.gcd(denom, *ints)
     weights = tuple([denom // content] + [w // content for w in ints])  # A_0..A_p
     terms = [
         OperatorTerm(
@@ -108,10 +105,7 @@ def construct_equation(q: int, p: int, series_length: int | None = None) -> Cons
 
 def _stretched_falling(p: int, stretch: Fraction) -> Poly:
     """The polynomial  (stretch*n)(stretch*n - 1)...(stretch*n - p + 1)  in n."""
-    out = Poly([1])
-    for u in range(p):
-        out = out * Poly([-u, stretch])
-    return out
+    return expand_newton([0] * p + [stretch**p], [u / stretch for u in range(p)])
 
 
 def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:

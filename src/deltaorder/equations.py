@@ -25,6 +25,7 @@ from .errors import DegenerateEquationError, InsufficientDataError
 from .polynomials import (
     Poly,
     binomial,
+    common_denominator,
     iterated_delta,
     to_falling_basis,
 )
@@ -110,15 +111,8 @@ class DifferenceEquation:
 
 
 def _canonical_scale(polys: list[Poly]) -> list[Poly]:
-    denom_lcm = 1
-    for p in polys:
-        for c in p.coeffs:
-            denom_lcm = math.lcm(denom_lcm, c.denominator)
-    content = 0
-    for p in polys:
-        for c in p.coeffs:
-            content = math.gcd(content, abs(int(c * denom_lcm)))
-    scale = Fraction(denom_lcm, content if content else 1)
+    denom, ints = common_denominator([c for p in polys for c in p.coeffs])
+    scale = Fraction(denom, math.gcd(*ints) or 1)
     if polys[-1].leading_coefficient < 0:
         scale = -scale
     return [p * scale for p in polys]

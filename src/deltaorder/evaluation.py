@@ -225,8 +225,11 @@ def _log_max_modulus(sol, stream, radius, samples, tol, bits) -> float:
         tol_mp = mpmath.mpf(tol)._mpf_
         best = mpmath.mpf("-inf")
         for k in range(samples // 2 + 1):
-            angle = 2 * mpmath.pi * k / samples
-            z = radius * mpmath.exp(mpmath.mpc(0, 1) * angle)
+            if 2 * k == samples:
+                # exactly on the negative axis: exp(i pi) of a rounded pi is not real
+                z = mpmath.mpc(-radius, 0)
+            else:
+                z = radius * mpmath.exp(mpmath.mpc(0, 1) * (2 * mpmath.pi * k / samples))
             prefactor = mpmath.mpc(1)
             if rho != 0:
                 try:

@@ -2,16 +2,17 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
 operation here is exact.  A polynomial is a dense coefficient tuple in the
-monomial basis; the falling-factorial basis view is obtained through
-Stirling-number triangles that are memoized per process.  Falling powers with
-an arbitrary (non-integer) exponent are evaluated through the gamma function
-in arbitrary precision.
+monomial basis.  Taylor shifts and the falling-factorial basis both go
+through one integer kernel that expands a Newton form; nothing is cached
+between calls.  Falling powers with an arbitrary (non-integer) exponent are
+evaluated through the gamma function in arbitrary precision.
 
 Values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -181,16 +182,7 @@ class Poly:
         offset = as_rational(offset)
         if offset == 0 or self.is_zero:
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            # (z + offset)^k expanded binomially
-            power = Fraction(1)
-            for j in range(k, -1, -1):
-                out[j] += c * math.comb(k, j) * power
-                power *= offset
-        return Poly(out)
+        return expand_newton(self.coeffs, [-offset] * len(self.coeffs))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -248,68 +240,80 @@ def iterated_delta(p: Poly, times: int) -> Poly:
     return out
 
 
-# --- falling-factorial basis -------------------------------------------------
-#
-# z^n      = sum_k stirling2(n, k) * ff(z, k)
-# ff(z, n) = sum_k stirling1(n, k) * z^k      (signed first kind)
-
-_STIRLING2: list[list[int]] = [[1]]
-_STIRLING1: list[list[int]] = [[1]]
+# --- Newton forms and the falling-factorial basis ---------------------------
 
 
-def _stirling2_row(n: int) -> list[int]:
-    while len(_STIRLING2) <= n:
-        prev = _STIRLING2[-1]
-        m = len(_STIRLING2)
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = (prev[k] * k if k < m else 0) + prev[k - 1]
-        _STIRLING2.append(row)
-    return _STIRLING2[n]
+def common_denominator(values) -> tuple[int, list[int]]:
+    """``(den, ints)``: the lcm of the denominators and the numerators over it."""
+    values = [as_rational(v) for v in values]
+    # star-args from a list: a generator's args tuple is resized, which moves it
+    # between CPython's per-size tuple free lists and lets them grow
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _stirling1_row(n: int) -> list[int]:
-    while len(_STIRLING1) <= n:
-        prev = _STIRLING1[-1]
-        m = len(_STIRLING1)
-        row = [0] * (m + 1)
-        for k in range(m + 1):
-            above = prev[k] if k < m else 0
-            left = prev[k - 1] if k >= 1 else 0
-            row[k] = left - (m - 1) * above
-        _STIRLING1.append(row)
-    return _STIRLING1[n]
+def expand_newton(coeffs, nodes) -> Poly:
+    """Monomial form of the Newton sum  sum_u c_u (z - x_0)...(z - x_{u-1}).
+
+    ``nodes`` yields x_0, x_1, ...; only the first len(coeffs) - 1 are read.
+    With c_u = C_u / L and x_k = X_k / S over common denominators, Horner's
+    rule  R <- R (S z - X_u) + C_u S^(top-u)  on integer lists gives
+    L S^top times the sum (von zur Gathen & Gerhard, ISSAC 1997), and each
+    output coefficient becomes one Fraction.  A Taylor shift by a uses the
+    nodes -a, -a, ...; the falling basis uses 0, 1, 2, ....
+    """
+    cs = [as_rational(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return Poly()
+    top = len(cs) - 1
+    scale, ints = common_denominator(cs)
+    step, xs = common_denominator(itertools.islice(nodes, top))
+    if len(xs) < top:
+        raise ValueError(f"a Newton form of degree {top} needs {top} nodes")
+    acc = [ints[top]]
+    power = 1  # step^(top-u)
+    for u in range(top - 1, -1, -1):
+        power *= step
+        x = xs[u]
+        acc = [
+            ints[u] * power - x * acc[0],
+            *[step * a - x * b for a, b in zip(acc, acc[1:])],
+            step * acc[-1],
+        ]
+    den = scale * power
+    return Poly([Fraction(a, den) for a in acc])
 
 
 def to_falling_basis(p: Poly) -> list[Fraction]:
-    """Exact falling-factorial coefficients of ``p`` (index = falling power)."""
+    """Exact falling-factorial coefficients of ``p`` (index = falling power).
+
+    With p = P/L for an integer polynomial P, the coefficient of ff(z, t) is
+    the t-th forward difference of P at 0 over L t!, taken on the integer
+    values P(0), ..., P(deg p).
+    """
     if p.is_zero:
         return []
-    out = [Fraction(0)] * len(p.coeffs)
-    for n, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        row = _stirling2_row(n)
-        for k in range(n + 1):
-            if row[k]:
-                out[k] += c * row[k]
-    while out and out[-1] == 0:
-        out.pop()
+    scale, ints = common_denominator(p.coeffs)
+    values = []
+    for x in range(len(ints)):
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * x + c
+        values.append(acc)
+    out = []
+    den = scale
+    for t in range(len(ints)):
+        out.append(Fraction(values[0], den))
+        values = [b - a for a, b in zip(values, values[1:])]
+        den *= t + 1
     return out
 
 
 def from_falling_basis(coeffs) -> Poly:
     """Inverse of :func:`to_falling_basis`; exact."""
-    cs = [as_rational(c) for c in coeffs]
-    out = [Fraction(0)] * max(len(cs), 1)
-    for n, c in enumerate(cs):
-        if c == 0:
-            continue
-        row = _stirling1_row(n)
-        for k in range(n + 1):
-            if row[k]:
-                out[k] += c * row[k]
-    return Poly(out)
+    return expand_newton(coeffs, itertools.count())
 
 
 def falling_factorial_poly(length: int, offset=0) -> Poly:
@@ -427,7 +431,8 @@ def falling_power_eval(z, rho, prec: int | None = None) -> complex:
     reciprocal rising product for negative ones; otherwise it is the gamma
     quotient Gamma(z+1)/Gamma(z+1-rho) through log-gamma.  Either is computed
     in arbitrary precision and rounded to a double once.  Poles of the
-    quotient raise :class:`GammaPoleError`.
+    quotient (z+1 a non-positive integer) raise :class:`GammaPoleError`; where
+    only z+1-rho is one, the reciprocal gamma vanishes and the value is 0.
     """
     bits = prec if prec is not None else working_precision()
     with mpmath.workprec(bits):
@@ -459,11 +464,11 @@ def _falling_power_mp(z, rho):
     z_exact = _exact(z)
     if z_exact is not None and rho_exact is not None:
         points = (z_exact + 1, z_exact + 1 - rho_exact)
-    for point, label in zip(points, ("z+1", "z+1-rho")):
-        if _is_gamma_pole(point):
-            raise GammaPoleError(
-                f"gamma pole: {label} = {point} is a non-positive integer"
-            )
+    if _is_gamma_pole(points[0]):
+        raise GammaPoleError(f"gamma pole: z+1 = {points[0]} is a non-positive integer")
+    if _is_gamma_pole(points[1]):
+        # 1/Gamma(z+1-rho) vanishes there
+        return mpmath.mpc(0)
     return mpmath.exp(mpmath.loggamma(top) - mpmath.loggamma(bottom))
 
 

@@ -13,10 +13,10 @@ A_{j,t} the falling-basis coefficients of P_j, regrouping by u = t - i gives
     Q_i(n) = sum_u B_{i,u} ff(n + rho - i, u),
     B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j),
 
-so each entry is one falling-basis conversion of scalar sums, shifted by
-rho - i.  With a nonzero offset rho the rows for negative n are genuine
-constraints; their lowest row gives the indicial polynomial
-ff(rho, m) P_m(rho - m), whose roots are the admissible offsets.
+so each entry is one Newton form in n, with the scalar sums as coefficients
+and the nodes i - rho, i - rho + 1, ....  With a nonzero offset rho the rows
+for negative n are genuine constraints; their lowest row gives the indicial
+polynomial ff(rho, m) P_m(rho - m), whose roots are the admissible offsets.
 
 The asymptotic regime of the recurrence is read off a convex broken line
 over the points (index, D - deg Q): each segment carries a rational slope,
@@ -29,6 +29,7 @@ modeled here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +43,8 @@ from .polynomials import (
     Poly,
     as_rational,
     binomial,
-    from_falling_basis,
+    common_denominator,
+    expand_newton,
     to_falling_basis,
 )
 
@@ -130,7 +132,7 @@ def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
         coeffs = falling_coeffs[j]
         for u in range(j, len(coeffs) - i):
             sums[u] += coeffs[u + i] * binomial(u + i, i + j)
-    return from_falling_basis(sums).shifted(rho - i)
+    return expand_newton(sums, itertools.count(i - rho))
 
 
 def derive_recurrence(eq: DifferenceEquation) -> CoefficientRecurrence:
@@ -147,8 +149,8 @@ def shifted_recurrence(eq: DifferenceEquation, rho) -> CoefficientRecurrence:
         Q_i(n) = sum_{j,t} A_{j,t} C(t, i+j) ff(n - i + rho, t - i)
                = sum_u B_{i,u} ff(n + rho - i, u),  u = t - i,
 
-    so it is built as one falling-basis conversion of the scalar sums
-    B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j), shifted by rho - i.  At rho = 0
+    so it is one Newton-form expansion of the scalar sums
+    B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j) at the nodes u + i - rho.  At rho = 0
     this is the plain derivation.  ``rho`` must not be a negative integer
     (the series offset would collide with a falling-power annihilation).
     """
@@ -212,10 +214,7 @@ def _rational_roots(poly: Poly):
     while not poly.is_zero and poly.coeffs[0] == 0:
         roots.append(Fraction(0))
         poly = Poly(poly.coeffs[1:])
-    scale = 1
-    for c in poly.coeffs:
-        scale = math.lcm(scale, c.denominator)
-    ints = [int(c * scale) for c in poly.coeffs]
+    ints = common_denominator(poly.coeffs)[1]
     while len(ints) > 1:
         found = _rational_root(ints)
         if found is None:
@@ -270,10 +269,7 @@ def _deflate(ints, root: Fraction):
     for k in range(len(ints) - 1, 0, -1):
         carry = carry * root + ints[k]
         out[k - 1] = carry
-    scale = 1
-    for c in out:
-        scale = math.lcm(scale, c.denominator)
-    return [int(c * scale) for c in out]
+    return common_denominator(out)[1]
 
 
 # --- convex broken line over the window --------------------------------------

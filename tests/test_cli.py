@@ -227,3 +227,33 @@ def test_eval_rejects_bad_numeric_arguments_with_exit_six(capsys):
         assert code == 6
         assert out == ""
         assert message in err
+
+
+def test_construct_with_coefficients_past_the_int_string_limit(capsys):
+    # the predicted series carries 1/(8t)!, whose denominators pass 4300 digits
+    code, out, _ = run_cli(capsys, "construct", "--order", "1/8")
+    assert code == 0
+    assert json.loads(out)["roundtrip"]["ok"] is True
+
+
+def test_verify_reads_coefficients_past_the_int_string_limit(capsys, tmp_path):
+    # a_n = 1/n!: 1700! has 4755 digits
+    equation = "D f(z) - f(z) = 0"
+    code, out, _ = run_cli(capsys, "solve", equation, "--terms", "1700", "--initial", "0=1")
+    assert code == 0
+    coefficients = json.loads(out)["solutions"][0]["coefficients"]
+    assert max(len(c) for c in coefficients) > 4300
+    path = tmp_path / "stream.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", equation, "--solution", str(path))
+    assert code == 0
+    assert json.loads(out)["exact"] is True
+
+
+def test_eval_at_a_zero_of_the_offset_prefactor(capsys):
+    # z + 1 - rho = 0 is a pole of Gamma(z + 1 - rho): ff(z, 3/2) vanishes at z = 1/2
+    code, out, _ = run_cli(
+        capsys, "eval", CUBIC_THIRD, "--rho", "3/2", "--terms", "80", "--at", "0.5"
+    )
+    assert code == 0
+    assert json.loads(out)["point"]["value"] == [0.0, 0.0]

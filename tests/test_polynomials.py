@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     NEG_INF,
@@ -16,7 +18,13 @@ from deltaorder import (
     to_falling_basis,
 )
 from deltaorder.errors import GammaPoleError
-from deltaorder.polynomials import _falling_power_mp, falling_factorial_poly, format_poly
+from deltaorder.polynomials import (
+    _falling_power_mp,
+    common_denominator,
+    expand_newton,
+    falling_factorial_poly,
+    format_poly,
+)
 
 from fixtures_equations import random_poly
 
@@ -158,8 +166,8 @@ def test_falling_power_difference_rule_general_exponent():
 def test_falling_power_gamma_pole():
     with pytest.raises(GammaPoleError):
         falling_power_eval(-1, Fraction(1, 2))
-    with pytest.raises(GammaPoleError):
-        falling_power_eval(Fraction(1, 2), Fraction(5, 2))  # z+1-rho = -1
+    # z+1-rho = -1: the reciprocal gamma vanishes, so the falling power is zero
+    assert falling_power_eval(Fraction(1, 2), Fraction(5, 2)) == 0
     with pytest.raises(GammaPoleError):
         falling_power_eval(-2 + 0j, Fraction(1, 3))  # z+1 = -1
 
@@ -184,3 +192,70 @@ def test_format_poly():
     assert format_poly(Poly([15, 19, 6])) == "6z^2 + 19z + 15"
     assert format_poly(Poly([Fraction(-1, 2), 0, 1])) == "z^2 - 1/2"
     assert format_poly(Poly()) == "0"
+
+
+# --- the Newton-form kernel against products of linear factors ---------------
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+offsets = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction), rationals)
+# empty (the zero polynomial), constants and trailing zeros included
+coefficient_lists = st.lists(rationals, max_size=9)
+
+
+def _product_oracle(coeffs, nodes) -> Poly:
+    total, basis = Poly(), Poly([1])
+    for c, x in zip(coeffs, nodes):
+        total = total + basis * c
+        basis = basis * Poly([-x, 1])
+    return total
+
+
+def test_common_denominator():
+    assert common_denominator([Fraction(1, 2), Fraction(-2, 3), 4]) == (6, [3, -4, 24])
+    assert common_denominator([]) == (1, [])
+
+
+def test_expand_newton_needs_enough_nodes():
+    with pytest.raises(ValueError):
+        expand_newton([1, 2, 3], [0])
+    assert expand_newton([5, 0, 0], []) == Poly([5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=coefficient_lists, nodes=st.lists(rationals, min_size=9, max_size=9))
+def test_expand_newton_matches_the_product_form(coeffs, nodes):
+    assert expand_newton(coeffs, nodes) == _product_oracle(coeffs, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=coefficient_lists, offset=offsets)
+def test_falling_forms_match_falling_factorial_polys(coeffs, offset):
+    oracle = Poly()
+    for u, c in enumerate(coeffs):
+        oracle = oracle + falling_factorial_poly(u, offset) * c
+    nodes = [k - offset for k in range(len(coeffs))]
+    assert expand_newton(coeffs, nodes) == oracle
+    if offset == 0:
+        assert from_falling_basis(coeffs) == oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=coefficient_lists, a=offsets, b=offsets, x=rationals)
+def test_shift_is_substitution_and_composes(coeffs, a, b, x):
+    p = Poly(coeffs)
+    assert p.shifted(a)(x) == p(x + a)
+    assert p.shifted(a).shifted(b) == p.shifted(a + b)
+    assert p.shifted(a).degree == p.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=coefficient_lists)
+def test_to_falling_basis_inverts_the_falling_form(coeffs):
+    p = Poly(coeffs)
+    falling = to_falling_basis(p)
+    total = Poly()
+    for t, c in enumerate(falling):
+        total = total + falling_factorial_poly(t) * c
+    assert total == p
+    assert len(falling) == len(p.coeffs)
+    assert from_falling_basis(falling) == p

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -322,6 +323,19 @@ def test_high_order_analysis_finishes_in_time():
         exponents = indicial_exponents(eq)
     assert sub_one_branches(polygon) == []
     assert exponents == [Fraction(k) for k in range(60)]
+
+
+def test_high_degree_window_finishes_in_time():
+    # window entries once took 8 s here through Fraction Taylor shifts and
+    # Stirling conversions; the integer Newton-form kernel takes well under 1 s
+    eq = normalize_to_delta(parse_equation("z^150 D f(z) + f(z) = 0"))
+    with _deadline(5):
+        rec = derive_recurrence(eq)
+    assert rec.window[150].is_zero
+    for i in range(-1, 150):
+        entry = rec.window[i]
+        assert entry.degree == 150 - i
+        assert entry.leading_coefficient == math.comb(150, i + 1)
 
 
 def test_huge_leading_coefficient_analysis_finishes_in_time(capsys):
