@@ -25,7 +25,6 @@ from .polynomials import (
     FallingExpansion,
     NEG_INF,
     Poly,
-    Rational,
     falling_factorial,
     falling_power_eval,
     falling_product_expand,
@@ -73,7 +72,6 @@ __all__ = [
     "OrderEntry",
     "Poly",
     "PolygonSegment",
-    "Rational",
     "RoundTripReport",
     "SeriesSolution",
     "VerificationReport",

@@ -4,9 +4,10 @@ All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
 rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
-2 parse/usage error, 3 degenerate equation, 4 empty solution space,
-5 invalid prescribed order, 6 evaluation failure, 7 malformed environment
-setting (DELTAORDER_PRECISION).
+2 parse/usage error (also a negative-integer offset, a negative pin index,
+or --rows below the first row), 3 degenerate equation, 4 empty solution
+space, 5 invalid prescribed order, 6 evaluation failure, 7 malformed
+environment setting (DELTAORDER_PRECISION).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .equations import DifferenceEquation, GeneralForm, apply_operator, compose_operators, normalize_to_delta
+from .equations import DifferenceEquation, apply_operator, compose_operators, normalize_to_delta
 from .errors import (
     ConfigurationError,
     DegenerateEquationError,
@@ -32,9 +33,10 @@ from .errors import (
 from .evaluation import MAX_SAMPLES, empirical_order, eval_series, max_modulus
 from .newton import NewtonAnalysis, analyze, verdict
 from .parsing import format_delta_form, format_general, parse_equation
-from .polynomials import Poly, working_precision
-from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, indicial_exponents, shifted_recurrence, sub_one_branches
-from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
+from .polynomials import working_precision
+from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
+from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
+from .series import GrowthEstimate, SeriesSolution, estimate_chi, solve_series, verify_recurrence
 from .construction import construct_equation, roundtrip_check
 
 SCHEMA = "deltaorder/1"
@@ -53,33 +55,23 @@ class _CommandError(Exception):
         self.code = code
 
 
-# --- serialization helpers ----------------------------------------------------
+# --- serialization ------------------------------------------------------------
 
 
-def _rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _poly_json(p: Poly) -> list[str]:
-    return [_rat(c) for c in p.coeffs]
-
-
-def _complex_json(value: complex) -> list[float]:
-    return [value.real, value.imag]
-
-
-def _root_json(root):
-    if isinstance(root, Fraction):
-        return _rat(root)
-    return _complex_json(complex(root))
+def _encode(value):
+    """JSON form of the values payloads carry as they are: exact rationals and complex numbers."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _equation_json(eq: DifferenceEquation) -> dict:
     return {
         "text": format_delta_form(eq),
         "order": eq.order,
-        "coefficients": [_poly_json(p) for p in eq.coeffs],
+        "coefficients": [p.coeffs for p in eq.coeffs],
     }
 
 
@@ -88,10 +80,10 @@ _VERDICT_KEYS = ("orders", "total_bound", "exists_below_one", "zero_order_possib
 
 
 def _newton_json(analysis: NewtonAnalysis) -> dict:
-    report = _jsonable(verdict(analysis))
+    report = verdict(analysis)
     return {
         "degrees": [None if d == float("-inf") else int(d) for d in analysis.degrees],
-        "s_sequence": list(analysis.s_seq),
+        "s_sequence": analysis.s_seq,
         "p": analysis.p,
         **{key: report[key] for key in _VERDICT_KEYS},
     }
@@ -99,15 +91,15 @@ def _newton_json(analysis: NewtonAnalysis) -> dict:
 
 def _polygon_json(polygon: AdamsPolygon) -> dict:
     return {
-        "points": [list(pt) for pt in polygon.points],
+        "points": polygon.points,
         "segments": [
             {
-                "slope": _rat(seg.slope),
+                "slope": seg.slope,
                 "span": seg.span,
-                "start": list(seg.start),
-                "end": list(seg.end),
-                "char_roots": [_root_json(r) for r in seg.char_roots],
-                "chi": _rat(seg.chi) if seg.chi is not None else None,
+                "start": seg.start,
+                "end": seg.end,
+                "char_roots": seg.char_roots,
+                "chi": seg.chi,
             }
             for seg in polygon.segments
         ],
@@ -117,44 +109,40 @@ def _polygon_json(polygon: AdamsPolygon) -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return _rat(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _chi(sol: SeriesSolution) -> GrowthEstimate | None:
+    """The decay fit of a stream, or None when it has too few nonzero terms to fit."""
+    try:
+        return estimate_chi(sol.coeffs)
+    except InsufficientDataError:
+        return None
 
 
-def _solution_json(sol: SeriesSolution, with_chi: bool) -> dict:
+def _solution_json(sol: SeriesSolution) -> dict:
     data = {
-        "rho": _rat(sol.rho_offset),
+        "rho": sol.rho_offset,
         "support_modulus": sol.support_modulus,
-        "provenance": _jsonable(sol.provenance or {}),
-        "coefficients": [_rat(c) for c in sol.coeffs],
+        "provenance": sol.provenance or {},
+        "coefficients": sol.coeffs,
+        "chi": None,
     }
-    if with_chi:
-        nonzero = sum(1 for c in sol.coeffs if c != 0)
-        if nonzero >= 64:
-            est = estimate_chi(sol.coeffs)
-            data["chi"] = {
-                "chi_hat": est.chi_hat if est.chi_hat != float("inf") else None,
-                "mu": est.model_params[0],
-                "converged": est.converged,
-                "residual": est.residual,
-                "fit_window": list(est.fit_window),
-            }
-        else:
-            data["chi"] = None
+    est = _chi(sol)
+    if est is not None:
+        data["chi"] = {
+            "chi_hat": est.chi_hat if est.chi_hat != float("inf") else None,
+            "mu": est.model_params[0],
+            "converged": est.converged,
+            "residual": est.residual,
+            "fit_window": est.fit_window,
+        }
     return data
 
 
 def _emit(payload: dict, fmt: str):
+    text = json.dumps(payload, indent=2, default=_encode)
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(text)
     else:
-        _emit_human(payload)
+        _emit_human(json.loads(text))
 
 
 def _emit_human(payload: dict, indent: int = 0):
@@ -169,9 +157,7 @@ def _emit_human(payload: dict, indent: int = 0):
                 _emit_human(item, indent + 1)
                 print()
         elif isinstance(value, list) and value and isinstance(value[0], list):
-            rendered = " ".join(
-                "(" + ", ".join(str(x) for x in item) + ")" for item in value
-            )
+            rendered = " ".join("(" + ", ".join(str(x) for x in item) + ")" for item in value)
             print(f"{pad}{key}: {rendered}")
         else:
             print(f"{pad}{key}: {value}")
@@ -180,33 +166,26 @@ def _emit_human(payload: dict, indent: int = 0):
 # --- shared input handling ----------------------------------------------------
 
 
-def _read_equation_text(raw: str) -> str:
-    if raw.startswith("@"):
-        return Path(raw[1:]).read_text(encoding="utf-8")
-    return raw
-
-
-def _parse_general(raw: str) -> GeneralForm:
+def _equation(raw: str) -> DifferenceEquation:
+    """Equation text, or @file, in canonical Delta-form."""
     try:
-        return parse_equation(_read_equation_text(raw))
+        text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw
+        general = parse_equation(text)
     except OSError as exc:
         raise _CommandError(EXIT_PARSE, f"cannot read equation file: {exc}")
     except ParseError as exc:
         raise _CommandError(EXIT_PARSE, f"parse error: {exc}")
-
-
-def _to_delta(general: GeneralForm) -> DifferenceEquation:
     try:
         return normalize_to_delta(general)
     except DegenerateEquationError as exc:
         raise _CommandError(EXIT_DEGENERATE, f"degenerate equation: {exc}")
 
 
-def _parse_rational(text: str, what: str, code: int = EXIT_PARSE) -> Fraction:
+def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CommandError(code, f"invalid {what}: {exc}")
+        raise _CommandError(EXIT_PARSE, f"invalid {what}: {exc}")
 
 
 def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
@@ -236,49 +215,60 @@ def _parse_complex(text: str) -> complex:
 
 
 def _cmd_analyze(args) -> dict:
-    eq = _to_delta(_parse_general(args.equation))
+    eq = _equation(args.equation)
     analysis = analyze(eq)
     rec = derive_recurrence(eq)
     polygon = adams_polygon(rec)
-    branches = sub_one_branches(polygon)
     return {
         "schema": SCHEMA,
         "command": "analyze",
         "equation": _equation_json(eq),
         "newton": _newton_json(analysis),
-        "window": {str(i): _poly_json(q) for i, q in sorted(rec.window.items())},
+        "window": {i: q.coeffs for i, q in sorted(rec.window.items())},
         "polygon": _polygon_json(polygon),
         "branches_below_one": [
-            {"order": _rat(chi), "span": span} for chi, span in branches
+            {"order": chi, "span": span} for chi, span in sub_one_branches(polygon)
         ],
-        "indicial_exponents": [_root_json(r) for r in indicial_exponents(eq)],
+        "indicial_exponents": indicial_exponents(eq),
         "verdict": verdict(analysis)["message"],
     }
+
+
+def _recurrence(eq: DifferenceEquation, rho: Fraction) -> CoefficientRecurrence:
+    try:
+        return shifted_recurrence(eq, rho)
+    except ValueError as exc:
+        raise _CommandError(EXIT_PARSE, str(exc))
+
+
+def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[SeriesSolution]]:
+    """The recurrence at --rho and its streams up to --terms, one stream when --initial pins it."""
+    rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
+    rec = _recurrence(eq, rho)
+    initial = _parse_initial(getattr(args, "initial", None))
+    try:
+        solutions = solve_series(rec, args.terms, initial=initial)
+    except (InconsistentSystemError, InsufficientDataError) as exc:
+        raise _CommandError(EXIT_EMPTY, str(exc))
+    except ValueError as exc:
+        raise _CommandError(EXIT_PARSE, str(exc))
+    if not solutions:
+        raise _CommandError(EXIT_EMPTY, "only the zero stream solves the rows")
+    return rec, solutions
 
 
 def _cmd_solve(args) -> dict:
     if args.terms < 16:
         raise _CommandError(EXIT_PARSE, "--terms must be at least 16")
-    eq = _to_delta(_parse_general(args.equation))
-    rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
-    try:
-        rec = shifted_recurrence(eq, rho)
-    except ValueError as exc:
-        raise _CommandError(EXIT_PARSE, str(exc))
-    initial = _parse_initial(args.initial)
-    try:
-        solutions = solve_series(rec, args.terms, initial=initial)
-    except (InconsistentSystemError, InsufficientDataError) as exc:
-        raise _CommandError(EXIT_EMPTY, str(exc))
-    if not solutions:
-        raise _CommandError(EXIT_EMPTY, "only the zero stream solves the rows")
+    eq = _equation(args.equation)
+    rec, solutions = _solve(args, eq)
     return {
         "schema": SCHEMA,
         "command": "solve",
         "equation": _equation_json(eq),
-        "rho": _rat(rho),
+        "rho": rec.rho_offset,
         "terms": args.terms,
-        "solutions": [_solution_json(s, with_chi=True) for s in solutions],
+        "solutions": [_solution_json(s) for s in solutions],
     }
 
 
@@ -299,13 +289,13 @@ def _cmd_construct(args) -> dict:
     return {
         "schema": SCHEMA,
         "command": "construct",
-        "order": _rat(result.order_value),
+        "order": result.order_value,
         "weights": [str(w) for w in result.weights],
         "template": format_general(result.template),
         "canonical": _equation_json(result.canonical),
         "newton": _newton_json(report.analysis),
         "polygon": _polygon_json(report.polygon),
-        "predicted_series": _solution_json(result.predicted_series, with_chi=True),
+        "predicted_series": _solution_json(result.predicted_series),
         "roundtrip": {
             "ok": report.ok,
             "stages": [
@@ -316,135 +306,113 @@ def _cmd_construct(args) -> dict:
     }
 
 
-def _load_solution(args) -> SeriesSolution:
-    if args.solution:
-        try:
-            payload = json.loads(Path(args.solution).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
-        try:
-            entry = payload["solutions"][args.index]
-            return SeriesSolution.from_values(
-                [Fraction(c) for c in entry["coefficients"]],
-                rho=Fraction(entry["rho"]),
-                provenance=entry.get("provenance"),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
-    if not args.equation:
-        raise _CommandError(EXIT_PARSE, "give an equation or --solution FILE")
-    eq = _to_delta(_parse_general(args.equation))
-    rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
-    rec = shifted_recurrence(eq, rho)
-    initial = _parse_initial(getattr(args, "initial", None))
+def _read_solution(path: str, index: int) -> SeriesSolution:
     try:
-        if initial is not None:
-            return solve_series(rec, args.terms, initial=initial)[0]
-        solutions = solve_series(rec, args.terms)
-    except (InconsistentSystemError, InsufficientDataError) as exc:
-        raise _CommandError(EXIT_EMPTY, str(exc))
-    if not solutions:
-        raise _CommandError(EXIT_EMPTY, "only the zero stream solves the rows")
-    best = None
-    for sol in solutions:
-        nonzero = sum(1 for c in sol.coeffs if c != 0)
-        if nonzero < 64:
-            continue
-        est = estimate_chi(sol.coeffs)
-        if est.chi_hat != float("inf") and (best is None or est.chi_hat < best[0]):
-            best = (est.chi_hat, sol)
-    if best is None:
-        return solutions[0]
-    return best[1]
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
+    try:
+        entry = payload["solutions"][index]
+        return SeriesSolution.from_values(
+            [Fraction(c) for c in entry["coefficients"]],
+            rho=Fraction(entry["rho"]),
+            provenance=entry.get("provenance"),
+        )
+    except (KeyError, IndexError, ValueError) as exc:
+        raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
+
+
+def _load_solution(args, eq: DifferenceEquation | None):
+    """The stream eval and verify work on, and its recurrence when there is an equation.
+
+    A --solution file is read as it is.  Otherwise the equation is solved:
+    pins select one stream; without them the basis stream with the smallest
+    finite fitted chi is taken, or the first stream when no stream has one.
+    """
+    if args.solution:
+        sol = _read_solution(args.solution, args.index)
+        return (None if eq is None else _recurrence(eq, sol.rho_offset)), sol
+    if eq is None:
+        raise _CommandError(EXIT_PARSE, "give an equation or --solution FILE")
+    rec, solutions = _solve(args, eq)
+    fits = [(est.chi_hat, k) for k, s in enumerate(solutions) if (est := _chi(s)) is not None]
+    finite = [fit for fit in fits if fit[0] != float("inf")]
+    return rec, solutions[min(finite)[1] if finite else 0]
 
 
 def _cmd_eval(args) -> dict:
-    sol = _load_solution(args)
+    eq = None if args.solution or not args.equation else _equation(args.equation)
+    _, sol = _load_solution(args, eq)
     prec = working_precision()
     out = {
         "schema": SCHEMA,
         "command": "eval",
-        "rho": _rat(sol.rho_offset),
+        "rho": sol.rho_offset,
         "precision_bits": prec,
     }
-    did_anything = False
+    if args.at is None and not args.radii:
+        raise _CommandError(EXIT_PARSE, "nothing to do: give --at and/or --radii")
     try:
         if args.at is not None:
             z = _parse_complex(args.at)
             result = eval_series(sol, z, tol=args.tol, prec=prec)
             out["point"] = {
-                "z": _complex_json(z),
-                "value": _complex_json(result.value),
+                "z": z,
+                "value": result.value,
                 "terms_used": result.terms_used,
                 "tail_bound": result.tail_bound,
                 "log_scale": result.log_scale,
             }
-            did_anything = True
         if args.radii:
             radii = [float(r) for r in args.radii.split(",")]
             if len(radii) == 1:
-                out["max_modulus"] = {
-                    "radius": radii[0],
-                    "value": max_modulus(
-                        sol, radii[0], samples=args.samples, tol=args.tol, prec=prec
-                    ),
-                }
+                value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol, prec=prec)
+                out["max_modulus"] = {"radius": radii[0], "value": value}
             else:
-                fit = empirical_order(
-                    sol, radii, samples=args.samples, tol=args.tol, prec=prec
-                )
+                fit = empirical_order(sol, radii, samples=args.samples, tol=args.tol, prec=prec)
                 out["growth"] = {
-                    "radii": list(fit.radii),
-                    "log_max_modulus": list(fit.log_max_modulus),
+                    "radii": fit.radii,
+                    "log_max_modulus": fit.log_max_modulus,
                     "rho_hat": fit.rho_hat,
                     "scale_hat": fit.scale_hat,
                     "fit_residual": fit.fit_residual,
                 }
-            did_anything = True
     except (EvaluationError, GammaPoleError, ValueError) as exc:
         raise _CommandError(EXIT_EVAL, f"evaluation failed: {exc}")
-    if not did_anything:
-        raise _CommandError(EXIT_PARSE, "nothing to do: give --at and/or --radii")
     return out
 
 
 def _cmd_verify(args) -> dict:
-    eq = _to_delta(_parse_general(args.equation))
-    sol = _load_solution(args)
-    rho = sol.rho_offset
-    rec = shifted_recurrence(eq, rho)
-    rows = args.rows
+    eq = _equation(args.equation)
+    rec, sol = _load_solution(args, eq)
+    if args.rows is not None and args.rows < rec.first_row:
+        raise _CommandError(EXIT_PARSE, f"--rows must be at least the first row {rec.first_row}")
     max_rows = len(sol.coeffs) - 1 - rec.order
-    if rows is None:
-        rows = max_rows
-    if rows > max_rows:
-        raise _CommandError(
-            EXIT_EVAL, f"solution too short: can check at most {max_rows} rows"
-        )
+    rows = max_rows if args.rows is None else args.rows
+    if not rec.first_row <= rows <= max_rows:
+        raise _CommandError(EXIT_EVAL, f"solution too short: can check at most {max_rows} rows")
     report = verify_recurrence(rec, sol, rows)
     direct = apply_operator(eq, sol, min(rows, 50))
     payload = {
         "schema": SCHEMA,
         "command": "verify",
         "equation": _equation_json(eq),
-        "rho": _rat(rho),
+        "rho": sol.rho_offset,
         "rows_checked": report.rows_checked,
         "exact": report.exact,
-        "max_residual": _rat(report.max_residual),
+        "max_residual": report.max_residual,
         "first_failing_row": report.first_failing_row,
         "direct_image_zero": all(v == 0 for v in direct),
     }
     if not report.exact:
-        raise _CommandError(
-            EXIT_EVAL,
-            f"residual {report.max_residual} at row {report.first_failing_row}",
-        )
+        message = f"residual {report.max_residual} at row {report.first_failing_row}"
+        raise _CommandError(EXIT_EVAL, message)
     return payload
 
 
 def _cmd_compose(args) -> dict:
-    outer = _to_delta(_parse_general(args.outer))
-    inner = _to_delta(_parse_general(args.inner))
+    outer = _equation(args.outer)
+    inner = _equation(args.inner)
     composed = compose_operators(outer, inner)
     analysis = analyze(composed)
     return {
@@ -472,14 +440,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("json", "human"), default="json", help="output style"
-        )
+    def add_stream_source(p, terms: int):
+        p.add_argument("--solution", default=None, help="solution file from 'solve'")
+        p.add_argument("--index", type=int, default=0, help="solution index in the file")
+        p.add_argument("--rho", default=None, help="offset when solving an equation")
+        p.add_argument("--terms", type=int, default=terms, help="coefficients when solving")
 
     p = sub.add_parser("analyze", help="degrees, order list, polygon, indicial data")
     p.add_argument("equation", help="equation text, or @file")
-    add_common(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("solve", help="exact series solutions of the recurrence")
@@ -487,46 +455,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=200, help="largest index generated")
     p.add_argument("--rho", default=None, help="falling-power offset, e.g. 3/2")
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
-    add_common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="equation with a prescribed order in (0,1)")
     p.add_argument("--order", required=True, help="coprime rational q/p, e.g. 3/4")
-    add_common(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("eval", help="numeric evaluation / empirical growth order")
     p.add_argument("equation", nargs="?", default=None, help="equation text, or @file")
-    p.add_argument("--solution", default=None, help="solution file from 'solve'")
-    p.add_argument("--index", type=int, default=0, help="solution index in the file")
-    p.add_argument("--rho", default=None, help="offset when solving an equation")
-    p.add_argument("--terms", type=int, default=400, help="coefficients when solving")
+    add_stream_source(p, terms=400)
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
     p.add_argument("--at", default=None, help="complex point, e.g. 2.5 or 1+2i")
     p.add_argument("--radii", default=None, help="comma list, e.g. 50,100,200,400")
-    p.add_argument(
-        "--samples", type=int, default=64, help=f"points per circle, 8 to {MAX_SAMPLES}"
-    )
+    p.add_argument("--samples", type=int, default=64, help=f"points per circle, 8 to {MAX_SAMPLES}")
     p.add_argument("--tol", type=float, default=1e-12, help="term tolerance")
-    add_common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="substitute a solution stream into the rows")
     p.add_argument("equation", help="equation text, or @file")
-    p.add_argument("--solution", default=None, help="solution file from 'solve'")
-    p.add_argument("--index", type=int, default=0, help="solution index in the file")
-    p.add_argument("--rho", default=None, help="offset when solving an equation")
-    p.add_argument("--terms", type=int, default=200, help="coefficients when solving")
+    add_stream_source(p, terms=200)
     p.add_argument("--rows", type=int, default=None, help="rows to check")
-    add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compose", help="operator product of two equations")
     p.add_argument("outer", help="outer equation text, or @file")
     p.add_argument("inner", help="inner equation text, or @file")
-    add_common(p)
     p.set_defaults(func=_cmd_compose)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "human"), default="json", help="output style")
     return parser
 
 

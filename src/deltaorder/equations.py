@@ -57,10 +57,6 @@ class GeneralForm:
         if not self.terms:
             raise ValueError("an equation needs at least one term")
 
-    @property
-    def max_delta_power(self) -> int:
-        return max(t.delta_power for t in self.terms)
-
 
 class DifferenceEquation:
     """Canonical operator  sum_j P_j(z) Delta^j  acting on f, order >= 1.

@@ -22,8 +22,6 @@ import mpmath
 
 from .errors import ConfigurationError, GammaPoleError
 
-Rational = Fraction
-
 #: Degree of the zero polynomial: ordered below every integer.
 NEG_INF = float("-inf")
 
@@ -77,10 +75,6 @@ class Poly:
     @classmethod
     def constant(cls, value) -> Poly:
         return cls([value])
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> Poly:
-        return cls([0] * power + [coeff])
 
     @classmethod
     def variable(cls) -> Poly:

@@ -249,11 +249,15 @@ class RowReduction:
         parameter, but only among themselves: the free parameters that
         survive are zero, the eliminated ones follow by back substitution,
         and each stream value is then evaluated once.  The reduction itself
-        is left unchanged.  Contradictory pins raise InconsistentSystemError.
+        is left unchanged.  A negative index raises ValueError, one past the
+        truncation InsufficientDataError, contradictory pins
+        InconsistentSystemError.
         """
         pins = {int(k): as_rational(v) for k, v in initial.items()}
         steps = []
         for idx, wanted in sorted(pins.items()):
+            if idx < 0:
+                raise ValueError(f"pinned index {idx} is negative")
             if idx > self.count:
                 raise InsufficientDataError(f"pinned index {idx} beyond truncation")
             den, vconst, vlin = self.values[idx]

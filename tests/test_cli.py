@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder.cli import main
 
-from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT, L8_COEFFS, QUARTIC_34
+from fixtures_equations import CUBIC_THIRD, HALF_ORDER, L3_TEXT, L5_TEXT, L8_COEFFS, QUARTIC_34
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +116,14 @@ def test_solve_with_offset_three_halves(capsys):
     for n in range(30):
         denom = (n + rho + 1) * (2 * n + 2 * rho - 1) * (3 * n + 3 * rho - 1)
         assert coeffs[n + 1] == coeffs[n] / denom
+
+
+def test_solve_fits_chi_from_64_nonzero_coefficients(capsys):
+    # every coefficient of the one stream at offset 3/2 is nonzero
+    for terms, fitted in ((62, False), (63, True)):
+        code, out, _ = run_cli(capsys, "solve", CUBIC_THIRD, "--rho", "3/2", "--terms", str(terms))
+        assert code == 0
+        assert (json.loads(out)["solutions"][0]["chi"] is not None) == fitted
 
 
 def test_construct_round_trip(capsys):
@@ -257,3 +271,133 @@ def test_eval_at_a_zero_of_the_offset_prefactor(capsys):
     )
     assert code == 0
     assert json.loads(out)["point"]["value"] == [0.0, 0.0]
+
+
+def test_negative_integer_offset_exits_two_for_every_command(capsys, tmp_path):
+    # shifted_recurrence rejects the offset, whether from --rho or from a solution file
+    path = tmp_path / "negative-rho.json"
+    path.write_text(json.dumps({"solutions": [{"rho": "-1", "coefficients": ["1"] * 60}]}))
+    cases = (
+        ("solve", CUBIC_THIRD, "--rho=-1", "--terms", "20"),
+        ("eval", CUBIC_THIRD, "--rho=-1", "--at", "1"),
+        ("verify", CUBIC_THIRD, "--rho=-2", "--terms", "50"),
+        ("verify", CUBIC_THIRD, "--solution", str(path)),
+    )
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "offset must not be a negative integer" in err
+
+
+def test_negative_pin_index_exits_two(capsys):
+    for command in (("solve", CUBIC_THIRD), ("eval", CUBIC_THIRD, "--at", "1")):
+        code, out, err = run_cli(capsys, *command, "--terms", "20", "--initial=-1=1")
+        assert code == 2, command
+        assert out == ""
+        assert "pinned index -1 is negative" in err
+
+
+def test_verify_rows_below_the_first_row_exit_two(capsys):
+    code, out, _ = run_cli(capsys, "verify", CUBIC_THIRD, "--terms", "50", "--rows", "0")
+    assert code == 0
+    assert json.loads(out)["rows_checked"] == 1
+    for rows in ("-1", "-5"):
+        code, out, err = run_cli(capsys, "verify", CUBIC_THIRD, "--terms", "50", "--rows", rows)
+        assert code == 2, rows
+        assert out == ""
+        assert "--rows must be at least the first row 0" in err
+
+
+def test_verify_rejects_a_stream_shorter_than_one_row(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": ["1", "2"]}]}))
+    code, out, err = run_cli(capsys, "verify", CUBIC_THIRD, "--solution", str(path))
+    assert code == 6
+    assert out == ""
+    assert "solution too short" in err
+
+
+def test_eval_of_an_equation_takes_the_basis_stream_with_the_smallest_chi(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "solve", CUBIC_THIRD, "--terms", "100")
+    assert code == 0
+    streams = json.loads(out)["solutions"]
+    best = min(range(len(streams)), key=lambda k: streams[k]["chi"]["chi_hat"])
+    assert best != 0
+    path = tmp_path / "basis.json"
+    path.write_text(out, encoding="utf-8")
+    # at z = 3 the series ends after a_3, and each basis stream gives its own value
+    code, direct, _ = run_cli(capsys, "eval", CUBIC_THIRD, "--terms", "100", "--at", "3")
+    assert code == 0
+    code, chosen, _ = run_cli(
+        capsys, "eval", "--solution", str(path), f"--index={best}", "--at", "3"
+    )
+    assert code == 0
+    assert direct == chosen
+
+
+# --- every stream argument gets a documented exit code ------------------------------
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
+
+
+def _main_quietly(argv):
+    """Exit code and stdout of an in-process run; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def half_order_file(tmp_path_factory):
+    """Basis streams of HALF_ORDER at rho 0, then one entry with offset -1."""
+    code, out = _main_quietly(["solve", HALF_ORDER, "--terms", "40"])
+    assert code == 0
+    payload = json.loads(out)
+    payload["solutions"].append({**payload["solutions"][0], "rho": "-1"})
+    path = tmp_path_factory.mktemp("half") / "streams.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+_OFFSETS = st.sampled_from([None, "0", "1/2", "3/2", "1/7", "-1/2", "-1", "-2"])
+_PINS = st.dictionaries(
+    st.one_of(st.integers(-3, -1), st.integers(0, 42)), st.integers(-2, 2), max_size=3
+)
+_ROWS = st.one_of(st.none(), st.integers(-6, -1), st.integers(0, 45))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "eval", "verify"]),
+    from_file=st.booleans(),
+    rho=_OFFSETS,
+    pins=_PINS,
+    rows=_ROWS,
+    index=st.integers(-3, 3),
+    terms=st.integers(-2, 40),
+)
+def test_stream_arguments_exit_with_a_documented_code(
+    half_order_file, command, from_file, rho, pins, rows, index, terms
+):
+    pinned = pins if command != "verify" else {}
+    reads_file = from_file and command != "solve"
+    argv = [command, HALF_ORDER, f"--terms={terms}"]
+    if rho is not None:
+        argv.append(f"--rho={rho}")
+    if pinned:
+        argv.append("--initial=" + ",".join(f"{k}={v}" for k, v in pinned.items()))
+    if reads_file:
+        argv += ["--solution", str(half_order_file), f"--index={index}"]
+    if command == "eval":
+        argv += ["--at", "1"]
+    if command == "verify" and rows is not None:
+        argv.append(f"--rows={rows}")
+    code, out = _main_quietly(argv)
+    assert code in DOCUMENTED_EXIT_CODES
+    # a success must rest neither on a negative pin nor on an empty set of rows
+    if code == 0 and pinned and not reads_file:
+        assert min(pinned) >= 0
+    if code == 0 and command == "verify":
+        assert json.loads(out)["rows_checked"] >= 1

@@ -1,8 +1,10 @@
-"""CLI output against the recorded goldens of the benchmark (perfbench/goldens).
+"""CLI output against recorded goldens.
 
-The goldens are read, never rewritten.  Output is compared byte for byte,
-except the characteristic roots of the construct 3/4 payload: around its
-4-fold root at -1 they carry root-finder round-off, so their float literals
+The JSON goldens are the benchmark's (perfbench/goldens); the ``--format
+human`` goldens are tests/goldens/human-*.txt.  The goldens are read, never
+rewritten.  Output is compared byte for byte, except the characteristic roots
+of the construct 3/4 and analyze payloads: numpy's root finder may scatter a
+multiple root such as the 4-fold -1 of construct 3/4, so their float literals
 are masked and compared within a relative tolerance instead.
 """
 
@@ -13,7 +15,10 @@ import pytest
 
 from deltaorder.cli import main
 
+from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT
+
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
+HUMAN_GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 CUBIC = "(6z^2+19z+15)D^3f(z)+(z+3)D^2f(z)-Df(z)-f(z)=0"
 SOLVE_ARGS = ["solve", CUBIC, "--terms", "200", "--initial", "0=1,1=1,2=1/4"]
 FLOAT_REL_TOL = 1e-6
@@ -68,10 +73,45 @@ def test_construct_half_matches_golden(capsys):
     assert _run(capsys, ["construct", "--order", "1/2"]) == _golden("construct-1-2")
 
 
-def test_construct_three_quarters_matches_golden(capsys):
-    masked, values = _mask_root_floats(_run(capsys, ["construct", "--order", "3/4"]))
-    golden_masked, golden_values = _mask_root_floats(_golden("construct-3-4"))
+def _assert_matches_with_root_tolerance(out: str, label: str, root_floats: int):
+    masked, values = _mask_root_floats(out)
+    golden_masked, golden_values = _mask_root_floats(_golden(label))
     assert masked == golden_masked
-    assert len(values) == len(golden_values) == 14
+    assert len(values) == len(golden_values) == root_floats
     for a, b in zip(values, golden_values):
         assert abs(a - b) <= FLOAT_REL_TOL * max(abs(a), abs(b)) + 1e-12
+
+
+def test_construct_three_quarters_matches_golden(capsys):
+    out = _run(capsys, ["construct", "--order", "3/4"])
+    _assert_matches_with_root_tolerance(out, "construct-3-4", 14)
+
+
+def test_analyze_matches_golden(capsys):
+    _assert_matches_with_root_tolerance(_run(capsys, ["analyze", CUBIC_THIRD]), "analyze", 4)
+
+
+def test_compose_matches_golden(capsys):
+    assert _run(capsys, ["compose", L3_TEXT, L5_TEXT]) == _golden("compose")
+
+
+def test_eval_matches_golden(capsys, solution_file):
+    out = _run(capsys, ["eval", "--solution", str(solution_file), "--at", "2.5"])
+    assert out == _golden("eval")
+
+
+HUMAN_COMMANDS = {
+    "analyze": ["analyze", CUBIC_THIRD],
+    "solve": ["solve", CUBIC_THIRD, "--terms", "70", "--initial", "0=1,1=1,2=1/4"],
+    "construct": ["construct", "--order", "1/2"],
+    "eval": ["eval", "--solution", "{solution}", "--at", "2.5", "--radii", "50,100,200,400"],
+    "verify": ["verify", CUBIC_THIRD, "--solution", "{solution}"],
+    "compose": ["compose", L3_TEXT, L5_TEXT],
+}
+
+
+@pytest.mark.parametrize("command", HUMAN_COMMANDS)
+def test_human_format_matches_golden(capsys, solution_file, command):
+    argv = [arg.replace("{solution}", str(solution_file)) for arg in HUMAN_COMMANDS[command]]
+    out = _run(capsys, argv + ["--format", "human"])
+    assert out == (HUMAN_GOLDEN_DIR / f"human-{command}.txt").read_text(encoding="utf-8")

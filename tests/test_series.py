@@ -125,6 +125,16 @@ def test_verify_detects_perturbation(quartic_rec):
     assert report.max_residual > 0
 
 
+def test_pin_rejects_a_negative_index(cubic_rec):
+    # Python's negative indexing would otherwise pin the last coefficient
+    with pytest.raises(ValueError, match="pinned index -1 is negative") as excinfo:
+        solve_series(cubic_rec, 20, initial={0: 1, -1: 1})
+    assert excinfo.type is ValueError
+    with pytest.raises(InsufficientDataError):
+        solve_series(cubic_rec, 20, initial={21: 1})
+    assert solve_series(cubic_rec, 20, initial={20: 1})[0].coeffs[20] == 1
+
+
 def test_verify_zero_stream(quartic_rec):
     sol = SeriesSolution.from_values([0] * 130)
     report = verify_recurrence(quartic_rec, sol, 100)
