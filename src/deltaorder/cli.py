@@ -4,10 +4,11 @@ All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
 rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
-2 parse/usage error (also a negative-integer offset, a negative pin index,
-or --rows below the first row), 3 degenerate equation, 4 empty solution
-space, 5 invalid prescribed order, 6 evaluation failure, 7 malformed
-environment setting (DELTAORDER_PRECISION).
+2 parse/usage error (also a negative-integer offset, a negative or repeated
+pin index, a negative --index, --initial beside --solution, or --rows below
+the first row), 3 degenerate equation, 4 empty solution space, 5 invalid
+prescribed order, 6 evaluation failure, 7 malformed environment setting
+(DELTAORDER_PRECISION).
 """
 
 from __future__ import annotations
@@ -197,9 +198,12 @@ def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
         if not sep:
             raise _CommandError(EXIT_PARSE, f"initial pin {piece!r} must be idx=value")
         try:
-            pins[int(idx)] = _parse_rational(value, "initial value")
+            key = int(idx)
         except ValueError as exc:
             raise _CommandError(EXIT_PARSE, f"invalid initial pin {piece!r}: {exc}")
+        if key in pins:
+            raise _CommandError(EXIT_PARSE, f"initial pin index {key} is given twice")
+        pins[key] = _parse_rational(value, "initial value")
     return pins
 
 
@@ -307,6 +311,8 @@ def _cmd_construct(args) -> dict:
 
 
 def _read_solution(path: str, index: int) -> SeriesSolution:
+    if index < 0:
+        raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -325,11 +331,14 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
 def _load_solution(args, eq: DifferenceEquation | None):
     """The stream eval and verify work on, and its recurrence when there is an equation.
 
-    A --solution file is read as it is.  Otherwise the equation is solved:
-    pins select one stream; without them the basis stream with the smallest
-    finite fitted chi is taken, or the first stream when no stream has one.
+    A --solution file is read as it is, and pins beside it are rejected.
+    Otherwise the equation is solved: pins select one stream; without them
+    the basis stream with the smallest finite fitted chi is taken, or the
+    first stream when no stream has one.
     """
     if args.solution:
+        if getattr(args, "initial", None):
+            raise _CommandError(EXIT_PARSE, "--initial cannot be combined with --solution")
         sol = _read_solution(args.solution, args.index)
         return (None if eq is None else _recurrence(eq, sol.rho_offset)), sol
     if eq is None:
@@ -341,7 +350,7 @@ def _load_solution(args, eq: DifferenceEquation | None):
 
 
 def _cmd_eval(args) -> dict:
-    eq = None if args.solution or not args.equation else _equation(args.equation)
+    eq = _equation(args.equation) if args.equation else None
     _, sol = _load_solution(args, eq)
     prec = working_precision()
     out = {

@@ -4,13 +4,19 @@ Generation runs an exact incremental row reduction in integer arithmetic,
 fraction-free in the manner of Bareiss (Math. Comp. 22, 1968): rows come
 from the recurrence as integers times its scale, and every stream value is
 an integer affine combination of the free coefficients over one integer
-denominator, with its content divided out.  Each row either determines its
-deepest stream coefficient (when the window's top entry is nonzero at that
-row) or becomes a linear constraint that eliminates a free coefficient.  The
-result is a basis of the truncated solution space, optionally pinned to
-given initial data, with inhomogeneous right-hand sides supported.  A
-Fraction is built once per returned coefficient; verification likewise sums
-integer numerators and builds a Fraction only for a nonzero residual.
+denominator.  Pins enter at creation: a pinned index that no row determines
+is stored as its known value, not as a free coefficient, so a stream pinned
+at every free index is one integer over one denominator per value.  Each
+row either determines its deepest stream coefficient (when the window's top
+entry is nonzero at that row) or becomes a linear constraint that
+eliminates a free coefficient.  A new value's content is divided by its gcd
+with the row's lead value (or the pivot quotient of an elimination), a
+number a few words long, so the content that does not divide it stays; the
+one exact reduction is made when the output Fraction is built.  The result
+is a basis of the truncated solution space, or the stream pinned to given
+initial data, with inhomogeneous right-hand sides supported.  Verification
+likewise sums integer numerators and builds a Fraction only for a nonzero
+residual.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -141,10 +147,19 @@ def _lcm(*dens: int) -> int:
 # --- exact solver -------------------------------------------------------------
 
 
-def _reduced(den: int, const: int, lin: dict[int, int]):
-    """A stream value (const + sum lin[f]*free_f) / den with its content divided out."""
+def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
+    """A stream value (const + sum lin[f]*free_f) / den, its content cut by ``small``.
+
+    ``small`` divides ``den``: it is the row's lead value or the pivot
+    quotient of an elimination, a few words long, so the gcd costs one
+    big-by-small remainder per entry instead of a full gcd with ``den``.
+    Content outside ``small`` stays in the stored value; the Fraction built
+    at output makes the one exact reduction.  A zero value is stored as 0/1.
+    """
     lin = {f: w for f, w in lin.items() if w}
-    g = math.gcd(den, const, *lin.values())
+    if not const and not lin:
+        return 1, 0, lin
+    g = math.gcd(small, const, *lin.values())
     if g == 1:
         return den, const, lin
     return den // g, const // g, {f: w // g for f, w in lin.items()}
@@ -178,23 +193,43 @@ def _substitute(values, target: int, const: int, live: dict[int, int], pivot: in
         nlin = {f: v * p for f, v in vlin.items() if f != target}
         for f, v in live.items():
             nlin[f] = nlin.get(f, 0) - w * v
-        values[k] = _reduced(den * p, vconst * p - w * const, nlin)
+        values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
+
+
+def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
+    """Pins as {index: Fraction}, their indices checked before any row is touched.
+
+    A negative index raises ValueError, one past the truncation
+    InsufficientDataError, the smallest offending index first.
+    """
+    pins = {int(k): as_rational(v) for k, v in initial.items()}
+    for idx in sorted(pins):
+        if idx < 0:
+            raise ValueError(f"pinned index {idx} is negative")
+        if idx > count:
+            raise InsufficientDataError(f"pinned index {idx} beyond truncation")
+    return pins
 
 
 class RowReduction:
     """Fraction-free elimination of the window rows (after Bareiss).
 
     Every stream value is an affine combination of free parameters, stored as
-    (den, const, {free id: num}) over integers with its content divided out.
-    A row combines its window entries over the lcm of their denominators and
-    subtracts its right-hand side times the recurrence scale: a nonzero lead
-    value determines the next stream value; a zero lead turns the row into a
-    constraint that eliminates the newest free parameter it involves.
-    ``free_ids`` lists the free parameters that survive all rows.  Fractions
-    are built only for the streams that ``pin`` and ``basis`` return.
+    (den, const, {free id: num}) over integers.  Pins given at creation enter
+    first: a pinned index that no row determines is stored as its value
+    (q, p, {}) for p/q, not as a free parameter.  A row combines its window
+    entries over the lcm of their denominators and subtracts its right-hand
+    side times the recurrence scale: a nonzero lead value determines the next
+    stream value; a zero lead turns the row into a constraint that eliminates
+    the newest free parameter it involves, and contradicts an absorbed pin
+    when none is left.  Each new value's content is divided by the row's lead
+    or the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
+    free parameters that survive all rows.  Fractions are built only for the
+    streams that ``pin`` and ``basis`` return, and each makes the one exact
+    reduction of its value.
     """
 
-    def __init__(self, rec: CoefficientRecurrence, count: int, rhs=None):
+    def __init__(self, rec: CoefficientRecurrence, count: int, rhs=None, initial=None):
         if count < rec.span:
             raise InsufficientDataError(
                 f"truncation {count} is below the window span {rec.span}"
@@ -202,6 +237,7 @@ class RowReduction:
         self.rec = rec
         self.count = count
         self.inhomogeneous = rhs is not None
+        self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
         for n in range(rec.first_row, count - rec.order + 1):
@@ -213,9 +249,14 @@ class RowReduction:
             self._append_free()
 
     def _append_free(self):
-        fid = len(self.values)
-        self.values.append((1, 0, {fid: 1}))
-        self.free_ids.append(fid)
+        """Append the next value no row determines: its pin, else a new free parameter."""
+        idx = len(self.values)
+        wanted = self.pins.get(idx)
+        if wanted is not None:
+            self.values.append((wanted.denominator, wanted.numerator, {}))
+            return
+        self.values.append((1, 0, {idx: 1}))
+        self.free_ids.append(idx)
 
     def _add_row(self, row, top: int, target):
         """Impose sum row_value * a_idx = scale * target on the stream."""
@@ -235,7 +276,9 @@ class RowReduction:
             for f, w in vlin.items():
                 lin[f] = lin.get(f, 0) + factor * w
         if lead:
-            self.values.append(_reduced(common * lead, -const, {f: -w for f, w in lin.items()}))
+            self.values.append(
+                _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
+            )
             return
         step = _pivot(const, lin)
         if step is not None:
@@ -249,17 +292,13 @@ class RowReduction:
         parameter, but only among themselves: the free parameters that
         survive are zero, the eliminated ones follow by back substitution,
         and each stream value is then evaluated once.  The reduction itself
-        is left unchanged.  A negative index raises ValueError, one past the
-        truncation InsufficientDataError, contradictory pins
-        InconsistentSystemError.
+        is left unchanged.  Pins absorbed at creation pass through as known
+        values.  A negative index raises ValueError, one past the truncation
+        InsufficientDataError, contradictory pins InconsistentSystemError.
         """
-        pins = {int(k): as_rational(v) for k, v in initial.items()}
+        pins = _checked_pins(initial, self.count)
         steps = []
         for idx, wanted in sorted(pins.items()):
-            if idx < 0:
-                raise ValueError(f"pinned index {idx} is negative")
-            if idx > self.count:
-                raise InsufficientDataError(f"pinned index {idx} beyond truncation")
             den, vconst, vlin = self.values[idx]
             q = wanted.denominator
             lin = {f: w * q for f, w in vlin.items()}
@@ -324,11 +363,12 @@ def solve_series(
     free parameter; with a right-hand side, the particular solution (free
     parameters zeroed) followed by the homogeneous basis.  With ``initial``
     the pinned values select a single stream (remaining freedom is zeroed);
-    contradictory pins raise InconsistentSystemError.
+    contradictory pins raise InconsistentSystemError.  The pins enter the
+    row reduction at creation, so their indices are checked before any row.
 
     An empty list means only the identically-zero stream survives.
     """
-    reduction = RowReduction(rec, count, rhs)
+    reduction = RowReduction(rec, count, rhs, initial)
     if initial is not None:
         return [reduction.pin(initial)]
     return reduction.basis()

@@ -3,9 +3,28 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from deltaorder import DifferenceEquation, Poly
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # order-3 equation with a single admissible order 1/3
 CUBIC_THIRD = "(6z^2 + 19z + 15) D^3 f(z) + (z + 3) D^2 f(z) - D f(z) - f(z) = 0"

@@ -298,6 +298,14 @@ def test_negative_pin_index_exits_two(capsys):
         assert "pinned index -1 is negative" in err
 
 
+def test_repeated_pin_index_exits_two(capsys):
+    for command in (("solve", HALF_ORDER), ("eval", HALF_ORDER, "--at", "1")):
+        code, out, err = run_cli(capsys, *command, "--terms", "20", "--initial", "0=1,0=2")
+        assert code == 2, command
+        assert out == ""
+        assert "initial pin index 0 is given twice" in err
+
+
 def test_verify_rows_below_the_first_row_exit_two(capsys):
     code, out, _ = run_cli(capsys, "verify", CUBIC_THIRD, "--terms", "50", "--rows", "0")
     assert code == 0
@@ -334,6 +342,37 @@ def test_eval_of_an_equation_takes_the_basis_stream_with_the_smallest_chi(capsys
     )
     assert code == 0
     assert direct == chosen
+
+
+def test_negative_solution_index_exits_two(capsys, half_order_file):
+    # Python's negative indexing would otherwise take the last stream of the file
+    source = ("--solution", str(half_order_file))
+    for command in (("eval", "--at", "1"), ("verify", HALF_ORDER)):
+        code, out, err = run_cli(capsys, *command, *source, "--index=-1")
+        assert code == 2, command
+        assert out == ""
+        assert "--index must not be negative" in err
+    code, _, _ = run_cli(capsys, "eval", "--at", "1", *source, "--index=1")
+    assert code == 0
+
+
+def test_eval_parses_its_equation_beside_a_solution_file(capsys, half_order_file):
+    source = ("--solution", str(half_order_file))
+    code, out, err = run_cli(capsys, "eval", "garbage(", *source, "--at", "1")
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+    code, _, _ = run_cli(capsys, "eval", HALF_ORDER, *source, "--at", "1")
+    assert code == 0
+
+
+def test_eval_rejects_pins_beside_a_solution_file(capsys, half_order_file):
+    code, out, err = run_cli(
+        capsys, "eval", "--solution", str(half_order_file), "--initial", "0=1", "--at", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--initial cannot be combined with --solution" in err
 
 
 # --- every stream argument gets a documented exit code ------------------------------
@@ -397,7 +436,9 @@ def test_stream_arguments_exit_with_a_documented_code(
     code, out = _main_quietly(argv)
     assert code in DOCUMENTED_EXIT_CODES
     # a success must rest neither on a negative pin nor on an empty set of rows
-    if code == 0 and pinned and not reads_file:
-        assert min(pinned) >= 0
+    if code == 0 and pinned:
+        assert min(pinned) >= 0 and not reads_file
+    if code == 0 and reads_file:
+        assert index >= 0
     if code == 0 and command == "verify":
         assert json.loads(out)["rows_checked"] >= 1

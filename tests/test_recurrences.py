@@ -1,8 +1,6 @@
 import json
 import math
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -31,6 +29,7 @@ from deltaorder.recurrences import _check_degree_chain
 from fixtures_equations import (
     CUBIC_THIRD,
     QUARTIC_34,
+    deadline,
     prod_poly,
     random_equation,
 )
@@ -300,25 +299,11 @@ def test_indicial_exponents_are_the_roots_of_the_factored_polynomial(eq):
         assert abs(value) <= 1e-8 * scale
 
 
-@contextmanager
-def _deadline(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_high_order_analysis_finishes_in_time():
     # the indicial polynomial's constant once carried 59!, whose divisor
     # search did not finish within a minute
     eq = normalize_to_delta(parse_equation("D^60 f(z) + z^40 f(z) = 0"))
-    with _deadline(5):
+    with deadline(5):
         polygon = adams_polygon(derive_recurrence(eq))
         exponents = indicial_exponents(eq)
     assert sub_one_branches(polygon) == []
@@ -329,7 +314,7 @@ def test_high_degree_window_finishes_in_time():
     # window entries once took 8 s here through Fraction Taylor shifts and
     # Stirling conversions; the integer Newton-form kernel takes well under 1 s
     eq = normalize_to_delta(parse_equation("z^150 D f(z) + f(z) = 0"))
-    with _deadline(5):
+    with deadline(5):
         rec = derive_recurrence(eq)
     assert rec.window[150].is_zero
     for i in range(-1, 150):
@@ -342,7 +327,7 @@ def test_huge_leading_coefficient_analysis_finishes_in_time(capsys):
     # the leading coefficient is about 1e18; its divisors were once listed by
     # trial division, again for every divisor of the constant
     lead = 1000000007 * 998244353
-    with _deadline(5):
+    with deadline(5):
         code = main(["analyze", "(1000000007*998244353z + 3) D^2 f(z) + z f(z) = 0"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)

@@ -21,6 +21,7 @@ from deltaorder.errors import InconsistentSystemError, InsufficientDataError
 from fixtures_equations import (
     CUBIC_THIRD,
     QUARTIC_34,
+    deadline,
     fifth_order_stream,
     quartic_34_stream,
     random_equation,
@@ -75,6 +76,16 @@ def test_first_order_recurrence_gives_inverse_factorials():
     assert all(sol.coeffs[n] == Fraction(1, math.factorial(n)) for n in range(121))
     est = estimate_chi(sol.coeffs)
     assert abs(est.chi_hat - 1.0) < 0.02
+
+
+def test_pinned_cubic_at_3200_terms_finishes_in_time(cubic_rec):
+    # pins absorbed at creation and the lead-only content cut: the per-row
+    # full gcds once made this about 18 s
+    initial = {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 4)}
+    with deadline(5):
+        sol = solve_series(cubic_rec, 3200, initial=initial)[0]
+    assert sol.coeffs[:3] == (1, 1, Fraction(1, 4))
+    assert max(c.denominator.bit_length() for c in sol.coeffs) == 106188
 
 
 def test_inconsistent_initial_data(cubic_rec):

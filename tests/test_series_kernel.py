@@ -5,16 +5,23 @@ Fractions, stream values kept as affine combinations of free parameters in
 Fractions, a zero-lead row eliminating its newest free parameter, pins
 eliminated in index order and the remaining freedom zeroed.  The kernel must
 reproduce its streams, provenance and verification reports exactly.
+
+Two properties cover what the oracle cannot see: pins absorbed when the
+reduction is created give what pinning a finished reduction gives, and the
+content left by cutting only the row's lead stays a bounded share of each
+stored denominator.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaorder import CoefficientRecurrence, Poly, SeriesSolution, solve_series, verify_recurrence
-from deltaorder.errors import InconsistentSystemError
+from deltaorder.errors import InconsistentSystemError, InsufficientDataError
 from deltaorder.polynomials import as_rational
+from deltaorder.series import RowReduction
 
 
 def oracle_row(rec, n):
@@ -127,8 +134,8 @@ def oracle_verify(rec, sol, rows, rhs=None):
 def _outcome(solve, *args, **kwargs):
     try:
         return solve(*args, **kwargs)
-    except InconsistentSystemError:
-        return InconsistentSystemError
+    except (InconsistentSystemError, InsufficientDataError, ValueError) as exc:
+        return type(exc)
 
 
 small_rationals = st.builds(
@@ -183,3 +190,60 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
         report = verify_recurrence(rec, sol, rows, rhs=rhs)
         assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, sol, rows, rhs)
         assert report.rows_checked == rows + 1 - rec.first_row
+
+
+@settings(max_examples=200, deadline=None)
+@given(rec=recurrences(), data=st.data())
+def test_pins_absorbed_at_creation_match_pins_applied_late(rec, data):
+    count = rec.span + data.draw(st.integers(0, 12))
+    rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
+    try:
+        late = RowReduction(rec, count, rhs)
+    except InconsistentSystemError:
+        late = None
+    # a solution to copy pins from, so that pins at row-determined indices agree at times
+    reference = None
+    if late is not None:
+        choice = {f: data.draw(small_rationals) for f in late.free_ids}
+        reference = late.pin(choice).coeffs
+    # free and row-determined indices, pinned to the reference or to a random value
+    initial = {}
+    for idx in data.draw(st.lists(st.integers(0, count), min_size=1, max_size=4, unique=True)):
+        copy = reference is not None and data.draw(st.booleans())
+        initial[idx] = reference[idx] if copy else data.draw(small_rationals)
+    outside = st.integers(-2, -1) | st.integers(count + 1, count + 3)
+    for idx in data.draw(st.lists(outside, max_size=2, unique=True)):
+        initial[idx] = data.draw(small_rationals)
+    actual = _outcome(solve_series, rec, count, initial, rhs)
+    if late is not None:
+        expected = _outcome(late.pin, initial)
+        assert actual == (expected if isinstance(expected, type) else [expected])
+        return
+    # rows that contradict each other without pins: a pinned solve checks its indices first
+    bad = [idx for idx in sorted(initial) if not 0 <= idx <= count]
+    if not bad:
+        assert actual is InconsistentSystemError
+    else:
+        assert actual is (ValueError if bad[0] < 0 else InsufficientDataError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rec=recurrences(), data=st.data())
+def test_stored_denominators_stay_near_the_exact_ones(rec, data):
+    # a stored denominator keeps the content that its row's lead did not
+    # cut; it stays within twice the bits of the largest exact denominator
+    # up to its index, plus 32
+    count = rec.span + data.draw(st.integers(0, 60))
+    rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
+    try:
+        unpinned = RowReduction(rec, count, rhs)
+    except InconsistentSystemError:
+        return
+    # pins at every free index, as a pinned solve of the workloads has them
+    initial = {f: data.draw(small_rationals) for f in unpinned.free_ids}
+    for reduction in (unpinned, RowReduction(rec, count, rhs, initial)):
+        exact_bits = 0
+        for den, const, lin in reduction.values:
+            exact = den // math.gcd(den, const, *lin.values())
+            exact_bits = max(exact_bits, exact.bit_length())
+            assert den.bit_length() <= 2 * exact_bits + 32
