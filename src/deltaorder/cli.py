@@ -4,7 +4,8 @@ All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
 rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
-2 parse/usage error (also a negative-integer offset, a negative or repeated
+2 parse/usage error (also a coefficient polynomial of degree above
+``parsing.MAX_DEGREE`` = 500, a negative-integer offset, a negative or repeated
 pin index, a negative --index, --initial beside --solution, or --rows below
 the first row), 3 degenerate equation, 4 empty solution space, 5 invalid
 prescribed order, 6 evaluation failure, 7 malformed environment setting

@@ -110,10 +110,12 @@ def _stretched_falling(p: int, stretch: Fraction) -> Poly:
 
 def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:
     coeffs = [Fraction(0)] * (length + 1)
-    t = 0
-    while q * t <= length:
-        coeffs[q * t] = Fraction(1, math.factorial(p * t))
-        t += 1
+    factorial, k = 1, 0  # factorial == k!, carried from one t to the next
+    for t in range(length // q + 1):
+        while k < p * t:
+            k += 1
+            factorial *= k
+        coeffs[q * t] = Fraction(1, factorial)
     return SeriesSolution.from_values(coeffs, rho=0, provenance={"constructed": True})
 
 

@@ -22,13 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import (
-    Poly,
-    binomial,
-    common_denominator,
-    iterated_delta,
-    to_falling_basis,
-)
+from .polynomials import Poly, _integer_falling_basis, binomial, iterated_delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -107,11 +101,12 @@ class DifferenceEquation:
 
 
 def _canonical_scale(polys: list[Poly]) -> list[Poly]:
-    denom, ints = common_denominator([c for p in polys for c in p.coeffs])
-    scale = Fraction(denom, math.gcd(*ints) or 1)
-    if polys[-1].leading_coefficient < 0:
-        scale = -scale
-    return [p * scale for p in polys]
+    den = math.lcm(*[p.den for p in polys])
+    rows = [[c * (den // p.den) for c in p.nums] for p in polys]
+    content = math.gcd(*[c for row in rows for c in row])
+    if polys[-1].nums[-1] < 0:
+        content = -content
+    return [Poly._from_ints([c // content for c in row]) for row in rows]
 
 
 # --- form conversions ---------------------------------------------------------
@@ -135,22 +130,29 @@ def _shift_table(g: GeneralForm) -> dict[int, Poly]:
 def normalize_to_delta(g: GeneralForm) -> DifferenceEquation:
     """Rewrite a general form as a canonical pure-Delta equation.
 
-    Terms are first expanded into pure shifts of the unknown.  If any shift is
-    negative the whole equation is recentered (z replaced by z + a for the
-    smallest sufficient a >= 0); shifts are then folded back into difference
-    powers through  f(z+k) = sum_j C(k, j) Delta^j f(z).
+    Each term folds straight into difference powers through
+    Delta^k f(z+s) = sum_j C(s, j) Delta^(k+j) f(z).  If a shift is negative
+    the whole equation is recentered (z replaced by z + a) by the smallest
+    a >= 0 that makes every shift of the pure-shift expansion non-negative
+    once cancelling terms are dropped.  A term still below zero after that
+    can only cancel, so the pure shifts are folded in place of the terms.
     """
-    table = _shift_table(g)
-    if not table:
-        raise DegenerateEquationError("all operator terms cancel")
-    recenter = -min(table)
-    if recenter > 0:
-        table = {s + recenter: c.shifted(recenter) for s, c in table.items()}
-    top = max(table)
-    out = [Poly() for _ in range(top + 1)]
-    for s, c in table.items():
+    terms = [(t.coefficient, t.delta_power, t.shift) for t in g.terms if not t.coefficient.is_zero]
+    recenter = 0
+    if any(s < 0 for _, _, s in terms):
+        table = _shift_table(g)
+        if not table:
+            raise DegenerateEquationError("all operator terms cancel")
+        recenter = max(0, -min(table))
+        if any(s + recenter < 0 for _, _, s in terms):
+            terms = [(c, 0, s) for s, c in table.items()]
+    out = [Poly()] * (max((k + s + recenter for _, k, s in terms), default=-1) + 1)
+    for c, k, s in terms:
+        s += recenter
+        if recenter:
+            c = c.shifted(recenter)
         for j in range(s + 1):
-            out[j] = out[j] + c * binomial(s, j)
+            out[k + j] = out[k + j] + c * binomial(s, j)
     return DifferenceEquation(out)
 
 
@@ -233,14 +235,12 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     # offset -> {falling length L: summed integer weight}
     weights: dict[int, dict[int, int]] = {}
     for j, p in enumerate(eq.coeffs):
-        for t, coeff_t in enumerate(to_falling_basis(p)):
+        for t, coeff_t in enumerate(_integer_falling_basis(p)):
             if coeff_t == 0:
                 continue
-            if coeff_t.denominator != 1:
-                raise ArithmeticError("canonical equation has a non-integer falling weight")
             for k in range(t + 1):
                 by_length = weights.setdefault(t - k - j, {})
-                by_length[j + k] = by_length.get(j + k, 0) + coeff_t.numerator * binomial(t, k)
+                by_length[j + k] = by_length.get(j + k, 0) + coeff_t * binomial(t, k)
     top = max(length for by_length in weights.values() for length in by_length)
     r, s = rho.numerator, rho.denominator
     # output index -> [(integer weight, input index)]

@@ -24,6 +24,13 @@ from .polynomials import Poly, format_poly
 
 _DELTA = "Δ"
 
+#: Largest coefficient degree the parser accepts.  The window recurrence
+#: costs about d^3 big-integer operations in the degree d: ``analyze`` on
+#: z^d D f(z) + f(z) = 0 took 4.5 s at d = 400 and 8.8 s at d = 500 on a
+#: shared 2-vCPU host.  A product or power that would exceed the limit is
+#: rejected with ParseError before it is expanded.
+MAX_DEGREE = 500
+
 
 class _Token:
     __slots__ = ("kind", "value", "pos")
@@ -131,7 +138,7 @@ class _Parser:
                 if not self._atom_at(self.index + 1):
                     return total
                 self.advance()
-                total = total * self.parse_poly_factor()
+                total = self._product(total, self.parse_poly_factor(), tok.pos)
                 continue
             if tok.kind == "op" and tok.value == "/":
                 self.advance()
@@ -143,9 +150,18 @@ class _Parser:
             # adjacency means multiplication; function letters are not atoms,
             # so the operator part of a term never gets swallowed
             if self._atom_at(self.index):
-                total = total * self.parse_poly_factor()
+                total = self._product(total, self.parse_poly_factor(), tok.pos)
                 continue
             return total
+
+    @staticmethod
+    def _check_degree(degree, position: int):
+        if degree > MAX_DEGREE:
+            raise ParseError(f"coefficient degree {degree} exceeds the limit {MAX_DEGREE}", position)
+
+    def _product(self, left: Poly, right: Poly, position: int) -> Poly:
+        self._check_degree(left.degree + right.degree, position)
+        return left * right
 
     def parse_poly_factor(self) -> Poly:
         tok = self.peek()
@@ -162,7 +178,10 @@ class _Parser:
             self.fail(f"expected a polynomial, found {tok.value!r}")
         while self.peek().kind == "op" and self.peek().value == "^":
             self.advance()
-            base = base ** self.expect("int").value
+            exponent = self.expect("int")
+            if exponent.value and not base.is_zero:
+                self._check_degree(base.degree * exponent.value, exponent.pos)
+            base = base**exponent.value
         return base
 
     # -- terms and the whole equation

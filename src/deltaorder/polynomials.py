@@ -1,11 +1,13 @@
 """Exact rational polynomials and the forward-difference calculus.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
-operation here is exact.  A polynomial is a dense coefficient tuple in the
-monomial basis.  Taylor shifts and the falling-factorial basis both go
-through one integer kernel that expands a Newton form; nothing is cached
-between calls.  Falling powers with an arbitrary (non-integer) exponent are
-evaluated through the gamma function in arbitrary precision.
+A polynomial is a dense list of integer numerators over one common
+denominator in the monomial basis, so every operation here is exact and
+runs on plain ``int``s.  ``fractions.Fraction`` values appear only at the
+edges: the public ``Poly.coeffs`` tuple, built once on first read, and
+scalar inputs and outputs.  Taylor shifts and the falling-factorial basis
+both go through one integer kernel that expands a Newton form; nothing is
+cached between calls.  Falling powers with an arbitrary (non-integer)
+exponent are evaluated through the gamma function in arbitrary precision.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -56,18 +58,38 @@ def working_precision() -> int:
 class Poly:
     """Univariate polynomial over the rationals (monomial basis).
 
-    ``coeffs[k]`` is the coefficient of ``z**k``; trailing zeros are trimmed,
-    so the zero polynomial has an empty coefficient tuple and degree
-    ``NEG_INF``.
+    The value is held as integer numerators over one positive denominator:
+    ``nums[k] / den`` is the coefficient of ``z**k``, with
+    gcd(den, *nums) = 1 and trailing zeros trimmed.  That pair is canonical,
+    so equality and hashing use it, and ``+``, ``-``, ``*``, ``**`` and
+    :meth:`shifted` work on ``nums`` alone.  The zero polynomial has
+    ``nums == ()`` and degree ``NEG_INF``.  ``coeffs``, the tuple of
+    ``Fraction`` coefficients, is built on its first read and kept.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den, nums = common_denominator(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        _fill(self, den, tuple(nums))
+
+    @classmethod
+    def _from_ints(cls, nums, den: int = 1) -> Poly:
+        """sum_k (nums[k] / den) z^k for integers and a positive ``den``."""
+        top = len(nums)
+        while top and not nums[top - 1]:
+            top -= 1
+        nums = nums[:top]
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
+        poly = object.__new__(cls)
+        _fill(poly, den, tuple(nums))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -78,43 +100,57 @@ class Poly:
 
     @classmethod
     def variable(cls) -> Poly:
-        return cls([0, 1])
+        return cls._from_ints((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` is the exact coefficient of ``z**k``."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = tuple([Fraction(c, den) for c in self.nums])
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     def __add__(self, other) -> Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_ints([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> Poly:
         other = _coerce_poly(other)
@@ -126,43 +162,47 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+        if isinstance(other, int):
+            return Poly._from_ints([c * other for c in self.nums], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return Poly._from_ints([c * p for c in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        terms = [(j, b) for j, b in enumerate(other.nums) if b]
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
+        return Poly._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
+        result = Poly._from_ints((1,))
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __call__(self, value):
         """Evaluate by Horner's rule; exact for rational arguments."""
@@ -176,7 +216,8 @@ class Poly:
         offset = as_rational(offset)
         if offset == 0 or self.is_zero:
             return self
-        return expand_newton(self.coeffs, [-offset] * len(self.coeffs))
+        top = len(self.nums) - 1
+        return _newton_poly(self.den, self.nums, offset.denominator, [-offset.numerator] * top)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -185,11 +226,19 @@ class Poly:
         return format_poly(self)
 
 
+def _fill(poly: Poly, den: int, nums: tuple) -> None:
+    object.__setattr__(poly, "den", den)
+    object.__setattr__(poly, "nums", nums)
+    object.__setattr__(poly, "_coeffs", None)
+
+
 def _coerce_poly(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly([value])
+    if isinstance(value, int):
+        return Poly._from_ints((value,))
+    if isinstance(value, Fraction):
+        return Poly._from_ints((value.numerator,), value.denominator)
     return NotImplemented
 
 
@@ -239,7 +288,7 @@ def iterated_delta(p: Poly, times: int) -> Poly:
 
 def common_denominator(values) -> tuple[int, list[int]]:
     """``(den, ints)``: the lcm of the denominators and the numerators over it."""
-    values = [as_rational(v) for v in values]
+    values = [v if isinstance(v, int) else as_rational(v) for v in values]
     # star-args from a list: a generator's args tuple is resized, which moves it
     # between CPython's per-size tuple free lists and lets them grow
     den = math.lcm(*[v.denominator for v in values])
@@ -250,58 +299,93 @@ def expand_newton(coeffs, nodes) -> Poly:
     """Monomial form of the Newton sum  sum_u c_u (z - x_0)...(z - x_{u-1}).
 
     ``nodes`` yields x_0, x_1, ...; only the first len(coeffs) - 1 are read.
-    With c_u = C_u / L and x_k = X_k / S over common denominators, Horner's
-    rule  R <- R (S z - X_u) + C_u S^(top-u)  on integer lists gives
-    L S^top times the sum (von zur Gathen & Gerhard, ISSAC 1997), and each
-    output coefficient becomes one Fraction.  A Taylor shift by a uses the
-    nodes -a, -a, ...; the falling basis uses 0, 1, 2, ....
+    The sum goes to :func:`_newton_poly` as integers over two common
+    denominators.  A Taylor shift by a uses the nodes -a, -a, ...; the
+    falling basis uses 0, 1, 2, ....
     """
-    cs = [as_rational(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
+    scale, ints = common_denominator(coeffs)
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
         return Poly()
-    top = len(cs) - 1
-    scale, ints = common_denominator(cs)
+    top = len(ints) - 1
     step, xs = common_denominator(itertools.islice(nodes, top))
     if len(xs) < top:
         raise ValueError(f"a Newton form of degree {top} needs {top} nodes")
+    return _newton_poly(scale, ints, step, xs)
+
+
+def _newton_poly(scale: int, ints, step: int, xs) -> Poly:
+    """The Newton sum with c_u = ints[u] / scale and x_k = xs[k] / step.
+
+    ``ints`` has a nonzero last entry and ``xs`` at least len(ints) - 1
+    entries; ``scale`` and ``step`` are positive.  Horner's rule
+    R <- R (S z - X_u) + C_u S^(top-u) on integer lists gives ``scale``
+    S^top times the sum (von zur Gathen & Gerhard, ISSAC 1997), so the
+    result is the integer list over that one denominator.
+    """
+    top = len(ints) - 1
     acc = [ints[top]]
     power = 1  # step^(top-u)
     for u in range(top - 1, -1, -1):
-        power *= step
         x = xs[u]
+        if step == 1:  # integer nodes: no multiplications by the step
+            acc = [ints[u] - x * acc[0], *[a - x * b for a, b in zip(acc, acc[1:])], acc[-1]]
+            continue
+        power *= step
         acc = [
             ints[u] * power - x * acc[0],
             *[step * a - x * b for a, b in zip(acc, acc[1:])],
             step * acc[-1],
         ]
-    den = scale * power
-    return Poly([Fraction(a, den) for a in acc])
+    return Poly._from_ints(acc, scale * power)
+
+
+def _differences_at_zero(nums) -> list[int]:
+    """Forward differences Delta^t P(0), t = 0..deg P, of an integer polynomial.
+
+    They are taken on the integer values P(0), ..., P(deg P).
+    """
+    values = []
+    for x in range(len(nums)):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * x + c
+        values.append(acc)
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
 
 def to_falling_basis(p: Poly) -> list[Fraction]:
     """Exact falling-factorial coefficients of ``p`` (index = falling power).
 
     With p = P/L for an integer polynomial P, the coefficient of ff(z, t) is
-    the t-th forward difference of P at 0 over L t!, taken on the integer
-    values P(0), ..., P(deg p).
+    the t-th forward difference of P at 0 over L t!.
     """
-    if p.is_zero:
-        return []
-    scale, ints = common_denominator(p.coeffs)
-    values = []
-    for x in range(len(ints)):
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * x + c
-        values.append(acc)
     out = []
-    den = scale
-    for t in range(len(ints)):
-        out.append(Fraction(values[0], den))
-        values = [b - a for a, b in zip(values, values[1:])]
-        den *= t + 1
+    den = p.den
+    for t, diff in enumerate(_differences_at_zero(p.nums)):
+        den *= t or 1
+        out.append(Fraction(diff, den))
+    return out
+
+
+def _integer_falling_basis(p: Poly) -> list[int]:
+    """Falling-factorial coefficients of an integer polynomial, as ints.
+
+    The coefficient of ff(z, t) is Delta^t P(0) / t!, which is an integer
+    when P has integer coefficients, so the division is exact.
+    """
+    if p.den != 1:
+        raise ArithmeticError("canonical equation has a non-integer falling weight")
+    out = []
+    factorial = 1
+    for t, diff in enumerate(_differences_at_zero(p.nums)):
+        factorial *= t or 1
+        out.append(diff // factorial)
     return out
 
 

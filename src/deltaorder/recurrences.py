@@ -29,7 +29,6 @@ modeled here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,11 +40,10 @@ from .newton import analyze
 from .polynomials import (
     NEG_INF,
     Poly,
+    _integer_falling_basis,
+    _newton_poly,
     as_rational,
     binomial,
-    common_denominator,
-    expand_newton,
-    to_falling_basis,
 )
 
 #: Fixed note attached to polygon reports: only the main decay term
@@ -76,12 +74,12 @@ class CoefficientRecurrence:
             raise ValueError("empty recurrence window")
         if self.window[min(self.window)].is_zero:
             raise ValueError("vanishing entry at the deepest back-shift")
-        scale = math.lcm(*(c.denominator for q in self.window.values() for c in q.coeffs))
+        scale = math.lcm(*[q.den for q in self.window.values()])
         # tuples from lists: tuple() of a generator bypasses CPython's tuple
         # free lists when it allocates but refills them on release, so memory
         # grew with every recurrence built
         horner = tuple([
-            (i, tuple([c.numerator * (scale // c.denominator) for c in reversed(q.coeffs)]))
+            (i, tuple([c * (scale // q.den) for c in reversed(q.nums)]))
             for i, q in sorted(self.window.items())
             if not q.is_zero
         ])
@@ -126,13 +124,22 @@ class CoefficientRecurrence:
 
 
 def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
-    """Q_i from the scalar sums B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j)."""
-    sums = [Fraction(0)] * (max(len(coeffs) for coeffs in falling_coeffs) - i)
+    """Q_i from the integer sums B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j).
+
+    The nodes i - rho + u go to the Newton kernel as integers over the
+    denominator of rho.
+    """
+    sums = [0] * (max(len(coeffs) for coeffs in falling_coeffs) - i)
     for j in range(max(0, -i), len(falling_coeffs)):
         coeffs = falling_coeffs[j]
         for u in range(j, len(coeffs) - i):
             sums[u] += coeffs[u + i] * binomial(u + i, i + j)
-    return expand_newton(sums, itertools.count(i - rho))
+    while sums and not sums[-1]:
+        sums.pop()
+    if not sums:
+        return Poly()
+    r, s = rho.numerator, rho.denominator
+    return _newton_poly(1, sums, s, [(i + u) * s - r for u in range(len(sums) - 1)])
 
 
 def derive_recurrence(eq: DifferenceEquation) -> CoefficientRecurrence:
@@ -157,7 +164,7 @@ def shifted_recurrence(eq: DifferenceEquation, rho) -> CoefficientRecurrence:
     rho = as_rational(rho)
     if rho.denominator == 1 and rho < 0:
         raise ValueError("offset must not be a negative integer")
-    falling_coeffs = [to_falling_basis(p) for p in eq.coeffs]
+    falling_coeffs = [_integer_falling_basis(p) for p in eq.coeffs]
     window = {
         i: _window_entry(falling_coeffs, i, rho)
         for i in range(-eq.order, eq.max_degree + 1)
@@ -208,39 +215,41 @@ def indicial_exponents(eq: DifferenceEquation) -> list:
 
 
 def _rational_roots(poly: Poly):
-    """All rational roots (with multiplicity) plus the unfactored residual."""
-    roots: list[Fraction] = []
-    # factor out the root at zero first
-    while not poly.is_zero and poly.coeffs[0] == 0:
-        roots.append(Fraction(0))
-        poly = Poly(poly.coeffs[1:])
-    ints = common_denominator(poly.coeffs)[1]
+    """All rational roots (with multiplicity) plus the unfactored residual.
+
+    The residual is the integer polynomial left after exact deflation; its
+    coefficients go to ``np.roots`` unchanged.
+    """
+    ints = list(poly.nums)
+    zeros = next((k for k, c in enumerate(ints) if c), 0)
+    roots = [Fraction(0)] * zeros
+    ints = ints[zeros:]
     while len(ints) > 1:
         found = _rational_root(ints)
         if found is None:
             break
         roots.append(found)
         ints = _deflate(ints, found)
-    return roots, Poly([Fraction(c) for c in ints])
+    return roots, Poly._from_ints(ints)
 
 
 def _rational_root(ints):
     """One rational root of an integer polynomial (no root at zero), or None.
 
     A linear polynomial gives its root directly; otherwise candidates are
-    num/den with num dividing the constant and den the leading coefficient.
+    num/den with num dividing the constant and den the leading coefficient,
+    each tested by the homogeneous form  sum_k c_k num^k den^(deg-k) = 0.
     """
     if len(ints) == 2:
-        root = Fraction(-ints[0], ints[1])
-        if _eval_int_poly(ints, root) != 0:
-            raise ArithmeticError(f"linear root {root} does not vanish")
-        return root
+        return Fraction(-ints[0], ints[1])
     dens = _divisors(abs(ints[-1]))
     for num in _divisors(abs(ints[0])):
         for den in dens:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _eval_int_poly(ints, cand) == 0:
-                    return cand
+            if math.gcd(num, den) != 1:
+                continue
+            for cand in (num, -num):
+                if _homogeneous_value(ints, cand, den) == 0:
+                    return Fraction(cand, den)
     return None
 
 
@@ -256,20 +265,29 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def _eval_int_poly(ints, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _homogeneous_value(ints, num: int, den: int) -> int:
+    """den^deg times the polynomial's value at num/den."""
+    acc = 0
+    power = 1
     for c in reversed(ints):
-        acc = acc * x + c
+        acc = acc * num + c * power
+        power *= den
     return acc
 
 
 def _deflate(ints, root: Fraction):
-    out = [Fraction(0)] * (len(ints) - 1)
-    carry = Fraction(0)
+    """Integer coefficients of P(z) / (z - root) for a rational root num/den.
+
+    P = (den z - num) E with an integer E (Gauss's lemma), found by exact
+    division from the top, and P / (z - root) = den E.
+    """
+    num, den = root.numerator, root.denominator
+    quotient = [0] * (len(ints) - 1)
+    carry = 0
     for k in range(len(ints) - 1, 0, -1):
-        carry = carry * root + ints[k]
-        out[k - 1] = carry
-    return common_denominator(out)[1]
+        carry = (ints[k] + num * carry) // den
+        quotient[k - 1] = carry
+    return [den * e for e in quotient]
 
 
 # --- convex broken line over the window --------------------------------------

@@ -1,14 +1,24 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaorder.cli import main
+from deltaorder.parsing import MAX_DEGREE
 
-from fixtures_equations import CUBIC_THIRD, HALF_ORDER, L3_TEXT, L5_TEXT, L8_COEFFS, QUARTIC_34
+from fixtures_equations import (
+    CUBIC_THIRD,
+    HALF_ORDER,
+    L3_TEXT,
+    L5_TEXT,
+    L8_COEFFS,
+    QUARTIC_34,
+    deadline,
+)
 
 
 def run_cli(capsys, *argv):
@@ -442,3 +452,22 @@ def test_stream_arguments_exit_with_a_documented_code(
         assert index >= 0
     if code == 0 and command == "verify":
         assert json.loads(out)["rows_checked"] >= 1
+
+
+def test_over_limit_degree_exits_two_within_a_second(capsys):
+    # both ran past a 10 s timeout before the parser had a degree limit
+    for text in ("(z+1)^100000 f(z+1) - f(z) = 0", "z^5000 D f(z) + f(z) = 0"):
+        start = time.perf_counter()
+        with deadline(5):
+            code, out, err = run_cli(capsys, "analyze", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"exceeds the limit {MAX_DEGREE}" in err
+
+
+def test_degree_at_the_limit_is_analyzed_within_the_deadline(capsys):
+    # 8.8 s wall for the whole command on a shared 2-vCPU host
+    with deadline(60):
+        code, out, _ = run_cli(capsys, "analyze", f"z^{MAX_DEGREE} D f(z) + f(z) = 0")
+    assert code == 0
+    assert json.loads(out)["indicial_exponents"] == ["0"] + ["1"] * MAX_DEGREE

@@ -100,3 +100,13 @@ def test_all_coprime_pairs_up_to_six():
         result = construct_equation(q, p, series_length=60 * q + p + 1)
         analysis = analyze(result.canonical)
         assert Fraction(q, p) in [e.rho for e in analysis.orders], (q, p)
+
+
+def test_predicted_series_holds_one_over_factorials():
+    from deltaorder.construction import _predicted_series
+
+    for q, p, length in ((3, 2, 40), (1, 5, 12), (7, 3, 6)):
+        expected = [
+            Fraction(1, math.factorial(p * (n // q))) if n % q == 0 else 0 for n in range(length + 1)
+        ]
+        assert list(_predicted_series(q, p, length).coeffs) == expected

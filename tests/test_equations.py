@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from deltaorder import (
     DifferenceEquation,
+    GeneralForm,
+    OperatorTerm,
     Poly,
     SeriesSolution,
     apply_operator,
     compose_operators,
     delta_to_shift,
+    format_delta_form,
     normalize_to_delta,
     parse_equation,
 )
@@ -57,6 +61,80 @@ def test_normalize_degenerate_cancellation():
 def test_normalize_order_zero_is_degenerate():
     with pytest.raises(DegenerateEquationError):
         normalize_to_delta(parse_equation("f(z) = 0"))
+
+
+def test_normalize_recenters_on_the_shifts_that_survive_cancellation():
+    # the cancelling pair at z-1 must not move the origin: recentering on the
+    # raw shifts gives D^2 f(z) + D f(z) = 0, which is D applied to f(z+1)
+    eq = normalize_to_delta(parse_equation("f(z-1) - f(z-1) + D f(z) = 0"))
+    assert eq == DifferenceEquation([Poly(), Poly([1])])
+    assert format_delta_form(eq) == "D f(z) = 0"
+    # here the two terms at z-1 cancel only as pure shifts
+    eq = normalize_to_delta(parse_equation("D f(z-1) + f(z-1) + D f(z) = 0"))
+    assert format_delta_form(eq) == "D f(z) + f(z) = 0"
+
+
+def _shift_table_fold(g: GeneralForm) -> DifferenceEquation:
+    """The pure-shift route: expand into f(z+s), recenter, fold back."""
+    table: dict[int, Poly] = {}
+    for term in g.terms:
+        if term.coefficient.is_zero:
+            continue
+        k, s = term.delta_power, term.shift
+        for t in range(k + 1):
+            c = term.coefficient * ((-1) ** (k - t) * binomial(k, t))
+            table[s + t] = table.get(s + t, Poly()) + c
+    table = {s: c for s, c in table.items() if not c.is_zero}
+    if not table:
+        raise DegenerateEquationError("all operator terms cancel")
+    recenter = -min(table)
+    if recenter > 0:
+        table = {s + recenter: c.shifted(recenter) for s, c in table.items()}
+    out = [Poly() for _ in range(max(table) + 1)]
+    for s, c in table.items():
+        for j in range(s + 1):
+            out[j] = out[j] + c * binomial(s, j)
+    return DifferenceEquation(out)
+
+
+_term_coefficients = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
+_terms = st.builds(
+    OperatorTerm,
+    coefficient=_term_coefficients,
+    delta_power=st.integers(0, 3),
+    shift=st.integers(-3, 3),
+)
+
+
+@st.composite
+def _general_forms(draw):
+    """Terms with negative shifts, plus negated copies that cancel them.
+
+    A copy is either the same term negated or its pure-shift expansion
+    negated, so some terms cancel only after expansion.
+    """
+    terms = draw(st.lists(_terms, min_size=1, max_size=4))
+    for term in draw(st.lists(st.sampled_from(terms), max_size=3)):
+        k = term.delta_power
+        if draw(st.booleans()):
+            terms.append(OperatorTerm(-term.coefficient, k, term.shift))
+            continue
+        for t in range(k + 1):
+            weight = (-1) ** (k - t + 1) * binomial(k, t)
+            terms.append(OperatorTerm(term.coefficient * weight, 0, term.shift + t))
+    return GeneralForm(tuple(draw(st.permutations(terms))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_general_forms())
+def test_normalize_to_delta_matches_the_shift_table_fold(g):
+    try:
+        expected = _shift_table_fold(g)
+    except DegenerateEquationError as exc:
+        with pytest.raises(DegenerateEquationError, match=re.escape(str(exc))):
+            normalize_to_delta(g)
+        return
+    assert normalize_to_delta(g) == expected
 
 
 def test_canonical_scaling_clears_denominators():

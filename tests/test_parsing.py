@@ -13,6 +13,7 @@ from deltaorder import (
     parse_equation,
 )
 from deltaorder.errors import ParseError
+from deltaorder.parsing import MAX_DEGREE
 
 from fixtures_equations import CUBIC_THIRD, random_poly
 
@@ -105,3 +106,19 @@ def test_delta_form_printer_parses_back():
     eq = normalize_to_delta(parse_equation(CUBIC_THIRD))
     again = normalize_to_delta(parse_equation(format_delta_form(eq)))
     assert again == eq
+
+
+def test_degree_limit_is_checked_before_expansion():
+    assert parse_equation(f"z^{MAX_DEGREE} f(z) + D f(z) = 0").terms[0].coefficient.degree == MAX_DEGREE
+    assert parse_equation(f"(z^2)^{MAX_DEGREE // 2} z^0 f(z) = 0").terms[0].coefficient.degree == MAX_DEGREE
+    for text, position in (
+        (f"z^{MAX_DEGREE + 1} f(z) + D f(z) = 0", 2),
+        (f"z^{MAX_DEGREE} z f(z) + D f(z) = 0", 6),
+        (f"z * z^{MAX_DEGREE} f(z) + D f(z) = 0", 2),
+        ("(z + 1)^100000 f(z + 1) - f(z) = 0", 8),
+    ):
+        with pytest.raises(ParseError, match=f"exceeds the limit {MAX_DEGREE}") as err:
+            parse_equation(text)
+        assert err.value.position == position
+    # powers of constants and of zero keep their degree
+    assert parse_equation("2^600 0^700 z f(z) + D f(z) = 0").terms[0].coefficient.is_zero

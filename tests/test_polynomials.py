@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -259,3 +260,95 @@ def test_to_falling_basis_inverts_the_falling_form(coeffs):
     assert total == p
     assert len(falling) == len(p.coeffs)
     assert from_falling_basis(falling) == p
+
+
+# --- integer-backed arithmetic against a plain Fraction-list oracle -----------
+
+scalars = st.one_of(st.integers(-30, 30), rationals)
+
+
+def _trimmed(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _list_add(a, b):
+    a, b = list(a), list(b)
+    size = max(len(a), len(b))
+    return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(size)]
+
+
+def _list_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _list_shift(a, offset):
+    # sum_k a_k (z + offset)^k, expanded by the binomial theorem
+    out = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * Fraction(offset) ** (k - j)
+    return out
+
+
+def _list_eval(a, x):
+    return sum((c * Fraction(x) ** k for k, c in enumerate(a)), Fraction(0))
+
+
+def _assert_canonical(p: Poly, expected):
+    assert list(p.coeffs) == _trimmed(expected)
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    same = Poly(_trimmed(expected))
+    assert p == same and hash(p) == hash(same)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=coefficient_lists,
+    b=coefficient_lists,
+    c=scalars,
+    e=st.integers(0, 4),
+    offset=offsets,
+    x=rationals,
+)
+def test_poly_arithmetic_matches_a_fraction_list_oracle(a, b, c, e, offset, x):
+    p, q = Poly(a), Poly(b)
+    _assert_canonical(p, a)
+    _assert_canonical(p + q, _list_add(a, b))
+    _assert_canonical(p - q, _list_add(a, [-y for y in b]))
+    _assert_canonical(p * q, _list_mul(a, b))
+    _assert_canonical(p * c, [y * c for y in a])
+    _assert_canonical(c * p, [y * c for y in a])
+    _assert_canonical(p + c, _list_add(a, [c]))
+    _assert_canonical(c - p, _list_add([c], [-y for y in a]))
+    power = [Fraction(1)]
+    for _ in range(e):
+        power = _list_mul(power, _trimmed(a))
+    _assert_canonical(p**e, power)
+    _assert_canonical(p.shifted(offset), _list_shift(_trimmed(a), offset))
+    assert p(x) == _list_eval(a, x)
+    if p.is_zero:
+        assert _trimmed(a) == []
+    else:
+        assert p.leading_coefficient == _trimmed(a)[-1]
+
+
+def test_values_built_different_ways_are_equal():
+    half = Poly([Fraction(1, 2)])
+    assert half * 2 == Poly([1]) and hash(half * 2) == hash(Poly([1]))
+    assert Poly(["1/2", 0, 0]) == half == Fraction(1, 2)
+    assert Poly([2, 4]) * Fraction(1, 2) == Poly([1, 2])
+    assert (Poly([2, 4]).den, Poly([2, 4]).nums) == (1, (2, 4))
+    mixed = Poly([Fraction(1, 2), Fraction(1, 3)])
+    assert (mixed.den, mixed.nums) == (6, (3, 2))
+    zero = Poly([0, Fraction(0)]) * Fraction(7, 3)
+    assert (zero.den, zero.nums, zero.coeffs) == (1, (), ())
+    assert Poly([3, 1]) - Poly([3, 1]) == Poly() and hash(Poly([1, 1]) - Poly([1, 1])) == hash(Poly())
+    assert (Poly([-1, 1]) ** 3).shifted(1) == Poly([0, 0, 0, 1])

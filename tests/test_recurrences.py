@@ -24,7 +24,7 @@ from deltaorder import (
 )
 from deltaorder.cli import main
 from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
-from deltaorder.recurrences import _check_degree_chain
+from deltaorder.recurrences import _check_degree_chain, _divisors, _rational_roots
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -275,6 +275,56 @@ def test_window_entries_match_per_term_sum(eq, rho):
         for i in range(-eq.order, eq.max_degree + 1)
     }
     assert rec.window == expected
+
+
+def _fraction_rational_roots(poly: Poly):
+    """Divisor search with Fraction Horner and Fraction deflation."""
+
+    def value(ints, x):
+        acc = Fraction(0)
+        for c in reversed(ints):
+            acc = acc * x + c
+        return acc
+
+    roots = []
+    ints = list(poly.nums)
+    while ints and ints[0] == 0:
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    while len(ints) > 1:
+        candidates = (
+            Fraction(sign * num, den)
+            for num in _divisors(abs(ints[0]))
+            for den in _divisors(abs(ints[-1]))
+            for sign in (1, -1)
+        )
+        root = next((x for x in candidates if value(ints, x) == 0), None)
+        if root is None:
+            break
+        roots.append(root)
+        out, carry = [], Fraction(0)
+        for c in reversed(ints[1:]):
+            carry = carry * root + c
+            out.insert(0, carry)
+        den = math.lcm(*[c.denominator for c in out])
+        ints = [c.numerator * (den // c.denominator) for c in out]
+    return roots, Poly(ints)
+
+
+_linear_factors = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors=_linear_factors, rest=_coeffs, zeros=st.integers(0, 2))
+def test_rational_roots_match_the_fraction_search(factors, rest, zeros):
+    poly = prod_poly([0] * zeros + [1], *[[-a, b] for a, b in factors], rest or [1])
+    if poly.is_zero:
+        return
+    roots, residual = _rational_roots(poly)
+    expected_roots, expected_residual = _fraction_rational_roots(poly)
+    # equal integer residuals give np.roots the same array
+    assert roots == expected_roots
+    assert (residual.den, residual.nums) == (expected_residual.den, expected_residual.nums)
 
 
 @settings(max_examples=60, deadline=None)
