@@ -7,13 +7,22 @@ exact coefficients have not yet taken over.  The stopping rule is heuristic:
 three consecutive nonzero terms below tolerance with the running term ratio
 under one half.
 
-The summation kernel runs on raw ``mpmath.libmp`` values at the ambient
-precision with round-to-nearest, doing the operations of a plain mpc loop in
-the same order, so its results are those of that loop bit for bit.  Each call
-scans the support of the exact coefficients once and converts a coefficient
-to mpf only when the sum reaches it, so a sum that settles after ten terms
-converts ten; the circle samples and radii of one call share the converted
-values, and nothing is kept between calls.
+The summation kernel works on integer mantissas: each real is a pair of
+Python ints (m, e) worth m * 2**e.  Every step forms its exact result and
+rounds it once to the ambient precision, to nearest with ties to even, which
+is what ``mpmath.libmp`` does at round_nearest: ``mpf_add``, ``mpf_mul``,
+``mpf_div`` and ``mpf_sqrt`` are correctly rounded, ``mpf_hypot`` rounds its
+sum of squares toward zero at 4 more bits first, and far-apart operands are
+summed by ``mpf_add``'s nudge rather than an exact shift.  The kernel does the
+operations of a plain mpc loop in the same order, so its results are those
+of that loop bit for bit; raw mpf values appear only at its edges (the
+coefficients, base and tolerance going in, the total and peak coming out).
+Each call scans the support of the exact coefficients once and converts a
+coefficient only when the sum reaches it, so a sum that settles after ten
+terms converts ten; the circle samples and radii of one call share the
+converted values, and nothing is kept between calls.  The circle points,
+prefactors and moduli of the maximum modulus are the libmp operations of the
+mpmath expressions they replaced, in the same order.
 
 The coefficients and the offset are rational, so |f(conj z)| = |f(z)|: the
 maximum modulus is taken over the samples k = 0 .. samples // 2 of the angles
@@ -30,22 +39,22 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath.libmp import (
-    finf,
+    fninf,
     fone,
     from_float,
     from_int,
+    from_man_exp,
     fzero,
     mpc_abs,
-    mpc_add,
+    mpc_exp,
     mpc_mul,
     mpc_mul_mpf,
     mpc_sub_mpf,
-    mpf_add,
     mpf_div,
     mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
+    mpf_log,
+    mpf_mul_int,
+    mpf_pi,
     round_nearest,
     to_float,
 )
@@ -58,12 +67,17 @@ MAX_SAMPLES = 4096
 """Upper bound on the circle samples of ``max_modulus`` and ``empirical_order``."""
 
 _RND = round_nearest
-_HALF = from_float(0.5)
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A single series evaluation with convergence diagnostics."""
+    """A single series evaluation with convergence diagnostics.
+
+    ``tail_bound`` is a geometric estimate of the omitted tail, |last term| r
+    / (1 - r) with r the last term ratio (at most 1/2 when the sum stops): a
+    heuristic, not a rigorous bound on the truncation error.  It is 0.0 for a
+    finitely supported stream and when the last term is zero.
+    """
 
     value: complex
     terms_used: int
@@ -92,17 +106,139 @@ def _rational_mpf(q, prec: int):
     return mpf_div(from_int(q.numerator, prec, _RND), from_int(q.denominator), prec, _RND)
 
 
+# --- integer-mantissa arithmetic ---------------------------------------------
+#
+# A real number is a pair of ints (m, e) worth m * 2**e: the mantissa carries
+# the sign, and zero is m == 0 with any exponent.  Each operation forms its
+# exact result and rounds it once, so it returns the same value as the libmp
+# operation it stands for at round_nearest, whatever trailing zeros the
+# mantissas carry.
+
+
+def _pair(x) -> tuple[int, int]:
+    """The (mantissa, exponent) pair of a finite raw mpf."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _round(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded to prec bits, to nearest with ties to even."""
+    shift = m.bit_length() - prec
+    if shift <= 0:
+        return m, e
+    # floor shifts of a signed m: the rounding is symmetric, so no sign juggling
+    q = m >> (shift - 1)  # the kept bits and the round bit
+    if q & 1 and (q & 2 or m & ((1 << (shift - 1)) - 1)):
+        q += 1
+    return q >> 1, e + shift
+
+
+def _low(m: int, e: int) -> int:
+    """The exponent of the lowest set bit of a nonzero m * 2**e."""
+    return e + (m & -m).bit_length() - 1
+
+
+def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """x + y rounded to prec bits as ``mpf_add`` rounds it.
+
+    The exact sum is rounded, except where the top bits lie more than
+    prec + 4 apart and the lowest set bits more than 100 apart: there
+    ``mpf_add`` rounds the larger operand nudged by a unit prec + 4 bits
+    below its last bit, towards the smaller one, and so does this, without
+    shifting by the gap.  For operands of at most prec + 1 bits that is the
+    correctly rounded sum; for an exact product of two prec-bit values it can
+    differ from it, and ``mpc_mul`` sums such products.
+    """
+    if not ym:
+        return _round(xm, xe, prec)
+    if not xm:
+        return _round(ym, ye, prec)
+    gap = xm.bit_length() + xe - ym.bit_length() - ye
+    if gap > prec + 4 and _low(xm, xe) - _low(ym, ye) > 100:
+        return _round((xm << prec + 4) + (1 if ym > 0 else -1), xe - prec - 4, prec)
+    if -gap > prec + 4 and _low(ym, ye) - _low(xm, xe) > 100:
+        return _round((ym << prec + 4) + (1 if xm > 0 else -1), ye - prec - 4, prec)
+    if xe > ye:
+        return _round((xm << xe - ye) + ym, ye, prec)
+    return _round(xm + (ym << ye - xe), xe, prec)
+
+
+def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """x / y correctly rounded to prec bits, for y nonzero: a quotient of at
+    least prec + 4 bits and a sticky bit for the remainder, as ``mpf_div``."""
+    extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
+    q, r = divmod(abs(xm) << extra, abs(ym))
+    if r:
+        q = (q << 1) | 1
+        extra += 1
+    return _round(-q if (xm < 0) != (ym < 0) else q, xe - ye - extra, prec)
+
+
+def _sqrt(m: int, e: int, prec: int) -> tuple[int, int]:
+    """sqrt(m * 2**e) correctly rounded to prec bits, for m > 0, as ``mpf_sqrt``."""
+    if e & 1:
+        m <<= 1
+        e -= 1
+    shift = max(4, 2 * prec - m.bit_length() + 4)
+    shift += shift & 1
+    m <<= shift
+    root = math.isqrt(m)
+    if root * root != m:
+        root = (root << 1) | 1
+        shift += 2
+    return _round(root, (e - shift) // 2, prec)
+
+
+def _hypot(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """|x + iy| as ``mpf_hypot``: the sum of squares is rounded toward zero at
+    prec + 4 bits (by ``mpf_add``'s rule for far-apart operands) and its
+    square root to nearest at prec bits."""
+    if not ym:
+        return _round(abs(xm), xe, prec)
+    if not xm:
+        return _round(abs(ym), ye, prec)
+    xx, yy, xe, ye = xm * xm, ym * ym, 2 * xe, 2 * ye
+    wp = prec + 4
+    gap = xx.bit_length() + xe - yy.bit_length() - ye
+    # the nudge of a far-apart sum never reaches the kept bits when truncating
+    if gap > wp + 4 and _low(xx, xe) - _low(yy, ye) > 100:
+        s, e = xx, xe
+    elif -gap > wp + 4 and _low(yy, ye) - _low(xx, xe) > 100:
+        s, e = yy, ye
+    elif xe > ye:
+        s, e = (xx << xe - ye) + yy, ye
+    else:
+        s, e = xx + (yy << ye - xe), xe
+    shift = s.bit_length() - wp
+    if shift > 0:
+        s >>= shift
+        e += shift
+    return _sqrt(s, e, prec)
+
+
+def _less(xm: int, xe: int, ym: int, ye: int) -> bool:
+    """x < y for positive x and y."""
+    tx = xm.bit_length() + xe
+    ty = ym.bit_length() + ye
+    if tx != ty:
+        return tx < ty
+    if xe > ye:
+        return (xm << xe - ye) < ym
+    return xm < (ym << ye - xe)
+
+
 class _Stream:
-    """One call's coefficients: the support, scanned once, and mpf values made on first use.
+    """One call's coefficients: the support, scanned once, and mantissas made on first use.
 
     ``last`` is the last nonzero index (None for the zero stream).  The stream
     is finitely supported when at least as many zeros as its support modulus,
     and at least three, follow ``last``; such a stream sums exactly.
-    ``mpfs[n]`` is the raw mpf of a_n, or None for a zero, at the precision of
-    the call.
+    ``pairs[n]`` is the (mantissa, exponent) pair of a_n rounded as
+    ``_rational_mpf`` rounds it, or None for a zero, at the precision of the
+    call.
     """
 
-    __slots__ = ("coeffs", "last", "finite", "mpfs")
+    __slots__ = ("coeffs", "last", "finite", "pairs")
 
     def __init__(self, sol: SeriesSolution):
         coeffs = sol.coeffs
@@ -111,62 +247,80 @@ class _Stream:
         self.finite = self.last is not None and len(coeffs) - 1 - self.last >= max(
             3, sol.support_modulus or 1
         )
-        self.mpfs = []
+        self.pairs = []
 
 
 def _sum_series(stream: _Stream, base, tol):
     """Accumulate  sum a_n * ff(base, n)  with the three-term stopping rule.
 
     ``base`` (mpc) and ``tol`` (mpf) are raw libmp values; returns the raw
-    total, the terms used, the tail bound and the raw peak term modulus.  A
-    zero coefficient only advances the falling-power weight, since adding an
-    exact zero leaves the total as it is.
+    total, the terms used, the tail bound and the raw peak term modulus.  The
+    loop runs on (mantissa, exponent) pairs and rounds each step as the mpc
+    loop does: the term a_n * weight, the total, |term|, the ratio to the last
+    nonzero |term|, the bound tol * (|total| + 1) and the weight update
+    weight * (base - n).  A zero coefficient only advances the falling-power
+    weight, since adding an exact zero leaves the total as it is.
     """
     prec = mpmath.mp.prec
-    total = (fzero, fzero)
-    peak = fzero
     last = stream.last
     if last is None:
-        return total, 1, 0.0, peak
-    coeffs, mpfs = stream.coeffs, stream.mpfs
-    have = len(mpfs)
-    weight = (fone, fzero)
+        return (fzero, fzero), 1, 0.0, fzero
+    coeffs, pairs = stream.coeffs, stream.pairs
+    have = len(pairs)
+    brm, bre = _pair(base[0])
+    bim, bie = _pair(base[1])
+    tolm, tole = _pair(tol)
+    wrm, wre, wim, wie = 1, 0, 0, 0  # the weight ff(base, n)
+    srm, sre, sim, sie = 0, 0, 0, 0  # the total
+    pkm, pke = 0, 0  # the peak |term|
+    lmm = lme = None  # the last nonzero |term|
     small_run = 0
-    last_mag = None
     for n in range(last + 1):
         if n < have:
-            a = mpfs[n]
+            a = pairs[n]
         else:
             c = coeffs[n]
-            a = _rational_mpf(c, prec) if c else None
-            mpfs.append(a)
+            a = _pair(_rational_mpf(c, prec)) if c else None
+            pairs.append(a)
         if a is not None:
-            term = mpc_mul_mpf(weight, a, prec, _RND)
-            total = mpc_add(total, term, prec, _RND)
-            mag = mpc_abs(term, prec, _RND)
-            if mpf_gt(mag, peak):
-                peak = mag
-            if mag == fzero:
+            am, ae = a
+            trm, tre = _round(wrm * am, wre + ae, prec)
+            tim, tie = _round(wim * am, wie + ae, prec)
+            srm, sre = _add(srm, sre, trm, tre, prec)
+            sim, sie = _add(sim, sie, tim, tie, prec)
+            mm, me = _hypot(trm, tre, tim, tie, prec)
+            if not mm:
                 small_run += 1
             else:
-                ratio = mpf_div(mag, last_mag, prec, _RND) if last_mag else finf
-                last_mag = mag
-                # the ratio test first: the bound needs |total|, a square root
-                small = mpf_lt(ratio, _HALF)
-                if small:
-                    scale = mpf_add(mpc_abs(total, prec, _RND), fone, prec, _RND)
-                    small = mpf_le(mag, mpf_mul(tol, scale, prec, _RND))
+                if not pkm or _less(pkm, pke, mm, me):
+                    pkm, pke = mm, me
+                small = False
+                if lmm is not None:
+                    qm, qe = _div(mm, me, lmm, lme, prec)
+                    # the ratio test first (ratio < 1/2 when its top bit lies below
+                    # 2**-1): the bound needs |total|, a square root
+                    if qm.bit_length() + qe < 0:
+                        hm, he = _add(*_hypot(srm, sre, sim, sie, prec), 1, 0, prec)
+                        small = not _less(*_round(tolm * hm, tole + he, prec), mm, me)
+                lmm, lme = mm, me
                 small_run = small_run + 1 if small else 0
             if small_run >= 3:
                 tail = 0.0
-                if mag != fzero:
+                if mm:
                     # this term passed ratio < 1/2, so r <= 1/2
-                    r = to_float(ratio, rnd=_RND)
-                    tail = to_float(mag, rnd=_RND) * r / (1 - r) if r else 0.0
-                return total, n + 1, tail, peak
-        weight = mpc_mul(weight, mpc_sub_mpf(base, from_int(n), prec, _RND), prec, _RND)
+                    r = to_float(from_man_exp(qm, qe), rnd=_RND)
+                    tail = to_float(from_man_exp(mm, me), rnd=_RND) * r / (1 - r) if r else 0.0
+                total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
+                return total, n + 1, tail, from_man_exp(pkm, pke)
+        # weight * (base - n): mpc_mul sums the exact products, then rounds
+        crm, cre = _add(brm, bre, -n, 0, prec)
+        wrm, wre, wim, wie = (
+            *_add(wrm * crm, wre + cre, -wim * bim, wie + bie, prec),
+            *_add(wrm * bim, wre + bie, wim * crm, wie + cre, prec),
+        )
     if stream.finite:
-        return total, last + 1, 0.0, peak
+        total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
+        return total, last + 1, 0.0, from_man_exp(pkm, pke)
     raise NonConvergenceError(f"series did not settle within {len(coeffs)} coefficients")
 
 
@@ -217,32 +371,46 @@ def eval_series(
     return EvalResult(value=value, terms_used=used, tail_bound=tail, log_scale=log_scale)
 
 
-def _log_max_modulus(sol, stream, radius, samples, tol, bits) -> float:
-    """log max |f| over the upper-half circle samples (the lower half mirrors them)."""
+def _circle_point(radius: float, k: int, samples: int, prec: int):
+    """The raw mpc  radius * exp(mpc(0, 1) * (2 * pi * k / samples))  as mpmath computes it.
+
+    The sample on the negative axis is -radius exactly: exp(i pi) of a
+    rounded pi is not real.
+    """
+    if 2 * k == samples:
+        return from_float(-radius, prec, _RND), fzero
+    two_pi = mpf_mul_int(mpf_pi(prec, _RND), 2, prec, _RND)
+    angle = mpf_div(mpf_mul_int(two_pi, k, prec, _RND), from_int(samples), prec, _RND)
+    return mpc_mul_mpf(mpc_exp((fzero, angle), prec, _RND), from_float(radius), prec, _RND)
+
+
+def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:
+    """log max |f| over the upper-half circle samples (the lower half mirrors them).
+
+    Each sample runs the libmp operations of the mpmath expressions
+    log(abs(prefactor * total)) and of the running maximum, in their order.
+    """
     with mpmath.workprec(bits):
         rho = sol.rho_offset
         rho_mp = _rational_mpf(rho, bits)
         tol_mp = mpmath.mpf(tol)._mpf_
-        best = mpmath.mpf("-inf")
+        best = fninf
         for k in range(samples // 2 + 1):
-            if 2 * k == samples:
-                # exactly on the negative axis: exp(i pi) of a rounded pi is not real
-                z = mpmath.mpc(-radius, 0)
-            else:
-                z = radius * mpmath.exp(mpmath.mpc(0, 1) * (2 * mpmath.pi * k / samples))
-            prefactor = mpmath.mpc(1)
+            z = _circle_point(radius, k, samples, bits)
+            prefactor = (fone, fzero)
             if rho != 0:
+                point = mpmath.mp.make_mpc(z)
                 try:
-                    prefactor = _falling_power_mp(z, rho)
+                    prefactor = _falling_power_mp(point, rho)._mpc_
                 except GammaPoleError as exc:
-                    raise EvaluationError(f"gamma pole on the circle at z={z}") from exc
-            total = _sum_series(stream, mpc_sub_mpf(z._mpc_, rho_mp, bits, _RND), tol_mp)[0]
-            magnitude = abs(prefactor * mpmath.mp.make_mpc(total))
-            if magnitude > 0:
-                log_mag = mpmath.log(magnitude)
-                if log_mag > best:
+                    raise EvaluationError(f"gamma pole on the circle at z={point}") from exc
+            total = _sum_series(stream, mpc_sub_mpf(z, rho_mp, bits, _RND), tol_mp)[0]
+            magnitude = mpc_abs(mpc_mul(prefactor, total, bits, _RND), bits, _RND)
+            if magnitude != fzero:
+                log_mag = mpf_log(magnitude, bits, _RND)
+                if mpf_gt(log_mag, best):
                     best = log_mag
-        return float(best)
+        return to_float(best, rnd=_RND)
 
 
 def max_modulus(
@@ -261,7 +429,7 @@ def max_modulus(
     """
     _check_circle(radius, samples, tol)
     bits = prec if prec is not None else working_precision()
-    log_best = _log_max_modulus(sol, _Stream(sol), radius, samples, tol, bits)
+    log_best = _log_max_modulus(sol, _Stream(sol), float(radius), samples, tol, bits)
     try:
         return math.exp(log_best)
     except OverflowError:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder.cli import main
-from deltaorder.parsing import MAX_DEGREE
+from deltaorder.cli import MAX_TERMS, main
+from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -471,3 +471,48 @@ def test_degree_at_the_limit_is_analyzed_within_the_deadline(capsys):
         code, out, _ = run_cli(capsys, "analyze", f"z^{MAX_DEGREE} D f(z) + f(z) = 0")
     assert code == 0
     assert json.loads(out)["indicial_exponents"] == ["0"] + ["1"] * MAX_DEGREE
+
+
+README_PINS = "0=1,1=1,2=1/4"
+
+
+def test_over_limit_order_bits_and_terms_exit_two_within_a_second(capsys):
+    # each ran past a 10 s timeout before these limits
+    cases = (
+        (("analyze", "f(z+3000) - f(z) = 0"), f"exceeds the limit {MAX_ORDER}"),
+        (("analyze", "z^500 D^200 f(z) + f(z) = 0"), f"exceeds the limit {MAX_ORDER}"),
+        (("analyze", "3^10000000 f(z+1) - f(z) = 0"), f"the limit of {MAX_BITS} bits"),
+        (("solve", CUBIC_THIRD, "--terms", "100000", "--initial", README_PINS), f"exceeds the limit {MAX_TERMS}"),
+        (("eval", CUBIC_THIRD, f"--terms={MAX_TERMS + 1}", "--at", "1"), f"exceeds the limit {MAX_TERMS}"),
+        (("verify", CUBIC_THIRD, f"--terms={MAX_TERMS + 1}"), f"exceeds the limit {MAX_TERMS}"),
+    )
+    for argv, message in cases:
+        start = time.perf_counter()
+        with deadline(5):
+            code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+def test_order_and_bits_at_the_limits_are_analyzed_within_the_deadline(capsys):
+    # 0.4 s wall for each command on a shared 2-vCPU host
+    for text in (
+        f"f(z+{MAX_ORDER}) - f(z) = 0",
+        f"D^{MAX_ORDER} f(z) + z^{MAX_ORDER - 1} f(z) = 0",
+        "3^63000 f(z+1) - f(z) = 0",  # 99 849 bits
+    ):
+        with deadline(30):
+            code, out, _ = run_cli(capsys, "analyze", text)
+        assert code == 0
+        assert json.loads(out)["equation"]["order"] == (1 if text.startswith("3^") else MAX_ORDER)
+
+
+def test_terms_at_the_limit_are_solved_within_the_deadline(capsys):
+    # the pinned stream at the limit: about 1 s for the solve and the sum
+    with deadline(30):
+        code, out, _ = run_cli(
+            capsys, "eval", CUBIC_THIRD, f"--terms={MAX_TERMS}", "--initial", README_PINS, "--at", "2.5"
+        )
+    assert code == 0
+    assert json.loads(out)["point"]["value"] == [4.4478842409913515, 0.0]

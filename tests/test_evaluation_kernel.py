@@ -1,0 +1,271 @@
+"""The integer-mantissa primitives of the evaluation kernel against mpmath.libmp.
+
+Each primitive takes and returns (mantissa, exponent) pairs of Python ints.
+It must give the value that the libmp operation it stands for gives at
+round_nearest, whatever trailing zeros its operands carry: ``_round`` and
+the products against ``mpf_mul``, ``_add`` against ``mpf_add`` and
+``mpf_sub`` (far-apart operands and products of 2·prec bits included),
+``_div`` against ``mpf_div``, ``_sqrt`` against ``mpf_sqrt`` and ``_hypot``
+against ``mpf_hypot``.  Results are compared as normalized raw mpf tuples.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_hypot,
+    mpf_lt,
+    mpf_mul,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
+
+from deltaorder import SeriesSolution, eval_series, max_modulus
+from deltaorder.evaluation import (
+    _add,
+    _circle_point,
+    _div,
+    _hypot,
+    _less,
+    _round,
+    _sqrt,
+)
+
+from test_evaluation import _fields, _outcome, oracle_eval, oracle_max_modulus, streams
+
+RND = round_nearest
+
+precisions = st.one_of(st.sampled_from((53, 64, 113, 128, 200, 256)), st.integers(53, 1000))
+
+
+@st.composite
+def mantissas(draw, prec):
+    """Signed mantissas: small, about prec bits, 260 bits and more, and exact ties."""
+    kind = draw(st.sampled_from(("small", "prec", "wide", "tie")))
+    if kind == "small":
+        m = draw(st.integers(1, 1000))
+    elif kind == "prec":
+        m = draw(st.integers(1, 2 ** (prec + 2)))
+    elif kind == "wide":
+        m = draw(st.integers(2**259, 2 ** draw(st.integers(260, 2 * prec + 300))))
+    else:
+        # prec kept bits, then a round bit and nothing below it: halfway between neighbours
+        kept = draw(st.integers(2 ** (prec - 1), 2**prec - 1))
+        m = ((2 * kept + 1) << draw(st.integers(0, 40)))
+    return m if draw(st.booleans()) else -m
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two nonzero operands whose exponents lie 0, a few, over 100 or over prec + 4 bits apart."""
+    prec = draw(precisions)
+    xm = draw(mantissas(prec))
+    ym = draw(mantissas(prec))
+    xe = draw(st.integers(-1200, 1200))
+    gap = draw(
+        st.one_of(
+            st.sampled_from((0, 1, -1, 99, 100, 101, -101)),
+            st.integers(-prec - 10, prec + 10),
+            st.sampled_from((prec + 4, prec + 5, prec + 105, -prec - 105, 5000, -5000)),
+            st.integers(-3000, 3000),
+        )
+    )
+    return prec, xm, xe, ym, xe - gap
+
+
+@st.composite
+def padded(draw, m, e):
+    """The same value with up to 70 trailing zero bits in its mantissa."""
+    t = draw(st.integers(0, 70))
+    return m << t, e - t
+
+
+def mpf(m, e):
+    return from_man_exp(m, e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), case=operand_pairs())
+def test_add_and_sub_match_mpf_add_and_mpf_sub(data, case):
+    prec, xm, xe, ym, ye = case
+    want_add = mpf_add(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    want_sub = mpf_sub(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    xm, xe = data.draw(padded(xm, xe))
+    ym, ye = data.draw(padded(ym, ye))
+    assert mpf(*_add(xm, xe, ym, ye, prec)) == want_add
+    assert mpf(*_add(xm, xe, -ym, ye, prec)) == want_sub
+    assert mpf(*_add(xm, xe, 0, ye, prec)) == mpf_add(mpf(xm, xe), mpf(0, 0), prec, RND)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=operand_pairs())
+def test_sums_of_exact_products_match_mpc_mul(case):
+    # mpc_mul rounds the sum of two exact products of prec-bit parts once
+    prec, xm, xe, ym, ye = case
+    parts = [_round(m, e, prec) for m, e in ((xm, xe), (ym, ye), (xm + 7, ye), (ym - 3, xe))]
+    (am, ae), (bm, be), (cm, ce), (dm, de) = parts
+    want = mpf_sub(mpf_mul(mpf(am, ae), mpf(cm, ce)), mpf_mul(mpf(bm, be), mpf(dm, de)), prec, RND)
+    assert mpf(*_add(am * cm, ae + ce, -bm * dm, be + de, prec)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=operand_pairs())
+def test_round_and_products_match_mpf_mul(data, case):
+    prec, xm, xe, ym, ye = case
+    assert mpf(*_round(xm, xe, prec)) == from_man_exp(xm, xe, prec, RND)
+    want = mpf_mul(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    xm, xe = data.draw(padded(xm, xe))
+    assert mpf(*_round(xm * ym, xe + ye, prec)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=operand_pairs())
+def test_div_matches_mpf_div(data, case):
+    prec, xm, xe, ym, ye = case
+    want = mpf_div(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    xm, xe = data.draw(padded(xm, xe))
+    ym, ye = data.draw(padded(ym, ye))
+    assert mpf(*_div(xm, xe, ym, ye, prec)) == want
+    assert mpf(*_div(0, xe, ym, ye, prec)) == mpf_div(mpf(0, 0), mpf(ym, ye), prec, RND)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=operand_pairs())
+def test_sqrt_and_hypot_match_mpf_sqrt_and_mpf_hypot(data, case):
+    prec, xm, xe, ym, ye = case
+    want_sqrt = mpf_sqrt(mpf(abs(xm), xe), prec, RND)
+    want_hypot = mpf_hypot(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    xm, xe = data.draw(padded(xm, xe))
+    ym, ye = data.draw(padded(ym, ye))
+    assert mpf(*_sqrt(abs(xm), xe, prec)) == want_sqrt
+    assert mpf(*_hypot(xm, xe, ym, ye, prec)) == want_hypot
+    assert mpf(*_hypot(0, 0, ym, ye, prec)) == mpf_hypot(mpf(0, 0), mpf(ym, ye), prec, RND)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=operand_pairs())
+def test_less_matches_mpf_lt(data, case):
+    _, xm, xe, ym, ye = case
+    x, y = mpf(abs(xm), xe), mpf(abs(ym), ye)
+    xm, xe = data.draw(padded(abs(xm), xe))
+    assert _less(xm, xe, abs(ym), ye) == mpf_lt(x, y)
+    assert not _less(xm, xe, xm, xe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prec=precisions,
+    kept=st.integers(0, 2**60),
+    extra=st.integers(17, 200),
+    tiny_low=st.sampled_from((-110, -300, -5, 0)),
+    negative=st.booleans(),
+)
+def test_add_follows_mpf_add_on_wide_operands_near_a_tie(prec, kept, extra, tiny_low, negative):
+    # x has prec kept bits, a clear round bit and `extra` ones below it: just
+    # under halfway.  y lies more than prec + 4 bits below x's top but reaches
+    # past the halfway point, so the exact sum rounds up.  With y's lowest bit
+    # more than 100 bits under x's, mpf_add nudges x instead and rounds down.
+    kept = 2 ** (prec - 1) + kept % 2 ** (prec - 1)
+    xm = (kept << extra + 1) | (2**extra - 1)
+    ym = (2 ** (12 - tiny_low) - 1) if tiny_low else 2**12  # top bit at 2**12
+    ye = tiny_low
+    if negative:
+        xm, ym = -xm, -ym
+    want = mpf_add(mpf(xm, 0), mpf(ym, ye), prec, RND)
+    assert mpf(*_add(xm, 0, ym, ye, prec)) == want
+    if tiny_low < -100:
+        assert want != from_man_exp((xm << -ye) + ym, ye, prec, RND)  # not the exact sum
+
+
+def _sqrt_of_minus_seven(bits: int) -> int:
+    """An odd r with r * r = -7 modulo 2**bits (Hensel lifting from r = 1 modulo 8)."""
+    r = 1
+    for j in range(3, bits):
+        if (r * r + 7) >> j & 1:
+            r += 1 << (j - 1)
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(prec=precisions, high=st.integers(0, 2**40), ym=st.integers(2**61, 2**62).map(lambda m: m | 1))
+def test_hypot_follows_the_far_apart_sum_of_squares(prec, high, ym):
+    # x is odd with prec + 1 bits, so |x| lies halfway between two prec-bit
+    # values, and x * x ends in ...1111001 below the prec + 4 bits the sum of
+    # squares keeps.  y * y (at least 8 units there, its lowest bit 120 bits
+    # lower) would carry into the kept bits and lift the root above the tie;
+    # mpf_hypot's sum takes the far-apart rule, stays below x * x and rounds down.
+    low = prec - 2
+    xm = _sqrt_of_minus_seven(low) + ((2**prec + high) >> low << low)
+    want = mpf_hypot(mpf(xm, 0), mpf(ym, -60), prec, RND)
+    assert mpf(*_hypot(xm, 0, ym, -60, prec)) == want
+    assert want == from_man_exp(xm - 1, 0, prec, RND)  # the value below the tie
+
+
+def test_exact_ties_round_to_even():
+    prec = 53
+    even, odd = 2**52, 2**52 + 1  # 53-bit mantissas, the first even and the second odd
+    assert _round(2 * even + 1, 0, prec) == (even, 1)
+    assert _round(2 * odd + 1, 0, prec) == (odd + 1, 1)
+    assert _round(-(2 * odd + 1), 0, prec) == (-(odd + 1), 1)
+    assert _round(2 * odd + 1, 0, prec) != (odd, 1)
+
+
+def test_far_apart_sum_keeps_the_larger_operand_without_a_huge_shift():
+    # a gap of 10**9 bits: an exact alignment would need a 125 MB integer
+    prec = 128
+    x = _round(3**90, -40, prec)
+    for tiny in (-1, 1):
+        want = mpf_add(mpf(*x), mpf(tiny, -(10**9)), prec, RND)
+        assert mpf(*_add(*x, tiny, -(10**9), prec)) == want
+    assert mpf(*_add(*x, 1, -(10**9), prec)) == mpf(*x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radius=st.one_of(st.floats(0.01, 1e6), st.integers(1, 10**6).map(float)),
+    samples=st.integers(8, 300),
+    prec=st.sampled_from((53, 128, 200, 700)),
+    data=st.data(),
+)
+def test_circle_points_match_the_mpmath_expression(radius, samples, prec, data):
+    k = data.draw(st.integers(0, samples // 2))
+    with mpmath.workprec(prec):
+        if 2 * k == samples:
+            want = mpmath.mpc(-radius, 0)
+        else:
+            want = radius * mpmath.exp(mpmath.mpc(0, 1) * (2 * mpmath.pi * k / samples))
+        assert _circle_point(radius, k, samples, prec) == want._mpc_
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    sol=streams(),
+    re=st.floats(-25, 25),
+    im=st.sampled_from((1e-30, -1e-45, 2.0**-300, 0.75)),
+    prec=st.sampled_from((53, 128, 333, 1000)),
+)
+def test_eval_series_matches_the_mpc_loop_near_the_real_axis_and_at_high_precision(sol, re, im, prec):
+    # a tiny imaginary part keeps the weight's parts far apart, where mpc_mul
+    # rounds products of 2 * prec bits by mpf_add's far-apart rule
+    z = complex(re, im)
+    got = _outcome(eval_series, sol, z, prec=prec)
+    assert _fields(got) == _outcome(oracle_eval, sol, z, prec=prec)
+
+
+@pytest.mark.parametrize("prec", (53, 300))
+def test_max_modulus_equals_the_full_circle_at_other_precisions(prec):
+    sol = SeriesSolution.from_values(
+        [Fraction(1, math.factorial(n) ** 2) for n in range(60)], rho=Fraction(3, 2)
+    )
+    for samples in (9, 33):
+        assert max_modulus(sol, 7.5, samples=samples, prec=prec) == oracle_max_modulus(
+            sol, 7.5, samples, prec=prec
+        )

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from deltaorder import (
     parse_equation,
 )
 from deltaorder.errors import ParseError
-from deltaorder.parsing import MAX_DEGREE
+from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
 
 from fixtures_equations import CUBIC_THIRD, random_poly
 
@@ -122,3 +123,52 @@ def test_degree_limit_is_checked_before_expansion():
         assert err.value.position == position
     # powers of constants and of zero keep their degree
     assert parse_equation("2^600 0^700 z f(z) + D f(z) = 0").terms[0].coefficient.is_zero
+
+
+def test_order_limit_is_checked_before_normalization():
+    # the order counts the largest D power plus shift and the recentering by
+    # the most negative shift
+    for text in (
+        f"f(z+{MAX_ORDER}) - f(z) = 0",
+        f"f(z+{MAX_ORDER // 2}) - f(z-{MAX_ORDER // 2}) = 0",
+        f"D^{MAX_ORDER - 1} f(z+1) + z f(z) = 0",
+        "0 f(z+100000) + D f(z) = 0",  # a zero term normalizes away
+    ):
+        parse_equation(text)
+    for text, position in (
+        (f"f(z+{MAX_ORDER + 1}) - f(z) = 0", 0),
+        (f"f(z+{MAX_ORDER // 2}) - f(z-{MAX_ORDER // 2 + 1}) = 0", 10),
+        (f"z f(z) + D^{MAX_ORDER} f(z+1) = 0", 9),
+        ("f(z+3000) - f(z) = 0", 0),
+        ("z^500 D^200 f(z) + f(z) = 0", 0),
+        ("D^99999999999999999999 f(z) = 0", 0),
+    ):
+        with pytest.raises(ParseError, match=f"difference order .* exceeds the limit {MAX_ORDER}") as err:
+            parse_equation(text)
+        assert err.value.position == position
+
+
+def test_bit_limit_is_checked_before_the_value_is_computed():
+    # 3^63000 has 99 849 bits; the l1 bound of 3^63094 passes 2^100000
+    assert parse_equation("3^63000 f(z+1) - f(z) = 0").terms[0].coefficient.nums[0] == 3**63000
+    assert parse_equation("(1/2)^99999 f(z+1) - f(z) = 0").terms[0].coefficient.den == 2**99999
+    assert parse_equation("(-1)^" + "9" * 400 + " f(z) + D f(z) = 0").terms[0].coefficient.nums == (-1,)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as the CLI does
+    try:
+        assert parse_equation(f"{2**MAX_BITS - 1} f(z) + D f(z) = 0")
+        with pytest.raises(ParseError, match=f"literal exceeds the limit of {MAX_BITS} bits"):
+            parse_equation(f"{2**MAX_BITS} f(z) + D f(z) = 0")
+    finally:
+        sys.set_int_max_str_digits(previous)
+    for text, position in (
+        ("3^63094 f(z+1) - f(z) = 0", 2),
+        ("3^10000000 f(z+1) - f(z) = 0", 2),
+        ("(3^50000 z + 1)(3^50000 z + 1) f(z+1) - f(z) = 0", 15),
+        ("(1/2)^100000 f(z+1) - f(z) = 0", 6),
+        ("1" * 40000 + " f(z) + D f(z) = 0", 0),  # rejected by its digits, before int()
+        ("2^" + "9" * 400 + " f(z) + D f(z) = 0", 2),  # past the float range
+    ):
+        with pytest.raises(ParseError, match=f"exceeds? the limit of {MAX_BITS} bits") as err:
+            parse_equation(text)
+        assert err.value.position == position
