@@ -6,6 +6,12 @@ for transcendental entire solutions, derives the exact coefficient
 recurrence for binomial-series solutions, generates and verifies the series,
 estimates growth numerically, and constructs equations with an entire
 solution of any prescribed rational order in (0, 1).
+
+Importing the package loads neither numpy nor mpmath.  The evaluation names
+(``eval_series``, ``max_modulus``, ``empirical_order``, ``EvalResult``,
+``EmpiricalOrder`` and ``falling_power_eval``) are lazy attributes: the first
+access imports ``deltaorder.evaluation``, and with it mpmath.  numpy is
+imported by the few functions that call it, on their first call.
 """
 
 from .construction import ConstructionResult, RoundTripReport, construct_equation, roundtrip_check
@@ -18,7 +24,6 @@ from .equations import (
     delta_to_shift,
     normalize_to_delta,
 )
-from .evaluation import EmpiricalOrder, EvalResult, empirical_order, eval_series, max_modulus
 from .newton import NewtonAnalysis, OrderEntry, analyze, order_list, s_sequence, verdict
 from .parsing import format_delta_form, format_general, parse_equation
 from .polynomials import (
@@ -26,7 +31,6 @@ from .polynomials import (
     NEG_INF,
     Poly,
     falling_factorial,
-    falling_power_eval,
     falling_product_expand,
     from_falling_basis,
     iterated_delta,
@@ -55,6 +59,21 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# The evaluation layer loads mpmath, so its names are imported on first access.
+_EVALUATION_NAMES = frozenset(
+    ("EmpiricalOrder", "EvalResult", "empirical_order", "eval_series", "falling_power_eval", "max_modulus")
+)
+
+
+def __getattr__(name: str):
+    if name not in _EVALUATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    value = globals()[name] = getattr(evaluation, name)
+    return value
+
 
 __all__ = [
     "AdamsPolygon",

@@ -11,8 +11,16 @@ coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
 pin index, a negative --index, --initial beside --solution, or --rows below
 the first row), 3 degenerate equation, 4 empty solution space, 5 invalid
-prescribed order, 6 evaluation failure, 7 malformed environment setting
-(DELTAORDER_PRECISION).
+prescribed order, 6 evaluation failure (also a characteristic or indicial
+root whose magnitude is outside the double range), 7 malformed environment
+setting (DELTAORDER_PRECISION).
+
+Importing this module loads neither numpy nor mpmath; each command loads
+what it computes with.  ``verify --solution`` and ``compose`` load neither
+and ``eval --solution`` loads mpmath only.  ``analyze`` and ``construct``
+load numpy for their roots; ``solve``, and ``eval`` or ``verify`` solving an
+equation themselves, load it for the chi fit of a stream with 64 nonzero
+coefficients.
 """
 
 from __future__ import annotations
@@ -34,11 +42,11 @@ from .errors import (
     InsufficientDataError,
     InvalidOrderError,
     ParseError,
+    RootRangeError,
 )
-from .evaluation import MAX_SAMPLES, empirical_order, eval_series, max_modulus
 from .newton import NewtonAnalysis, analyze, verdict
 from .parsing import format_delta_form, format_general, parse_equation
-from .polynomials import working_precision
+from .polynomials import MAX_SAMPLES, working_precision
 from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
 from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
 from .series import GrowthEstimate, SeriesSolution, estimate_chi, solve_series, verify_recurrence
@@ -361,6 +369,8 @@ def _load_solution(args, eq: DifferenceEquation | None):
 
 
 def _cmd_eval(args) -> dict:
+    from .evaluation import empirical_order, eval_series, max_modulus
+
     eq = _equation(args.equation) if args.equation else None
     _, sol = _load_solution(args, eq)
     prec = working_precision()
@@ -520,6 +530,9 @@ def main(argv=None) -> int:
         return exc.code
     except GammaPoleError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except RootRangeError as exc:
+        print(f"numeric range: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -41,3 +41,7 @@ class InvalidOrderError(ValueError):
 
 class ConfigurationError(ValueError):
     """An environment setting such as DELTAORDER_PRECISION is malformed."""
+
+
+class RootRangeError(ArithmeticError):
+    """A numeric root lies outside the double range, or the roots lie too far apart to find in doubles."""

@@ -1,5 +1,9 @@
 """Numeric evaluation of binomial series and empirical growth fitting.
 
+This is the one module that imports mpmath, so the package loads it only
+when an evaluation name is first used.  Falling powers with a general
+exponent (the gamma quotient) are evaluated here too.
+
 Partial sums are accumulated in arbitrary-precision floating point (the
 working precision comes from DELTAORDER_PRECISION, default 128 bits), so the
 factorial growth of raw falling powers never overflows even when the decaying
@@ -36,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (
@@ -60,11 +65,8 @@ from mpmath.libmp import (
 )
 
 from .errors import EvaluationError, GammaPoleError, NonConvergenceError
-from .polynomials import _falling_power_mp, falling_power_eval, working_precision
+from .polynomials import MAX_SAMPLES, as_rational, working_precision
 from .series import SeriesSolution
-
-MAX_SAMPLES = 4096
-"""Upper bound on the circle samples of ``max_modulus`` and ``empirical_order``."""
 
 _RND = round_nearest
 
@@ -104,6 +106,87 @@ def _to_mpc(value) -> mpmath.mpc:
 def _rational_mpf(q, prec: int):
     """The raw mpf num/den, the numerator rounded first as ``mpf(num) / den`` does."""
     return mpf_div(from_int(q.numerator, prec, _RND), from_int(q.denominator), prec, _RND)
+
+
+# --- falling powers with general exponent ------------------------------------
+
+
+def _exact(value) -> Fraction | None:
+    """The exact rational behind ``value``, or None for an inexact number."""
+    if isinstance(value, (int, Fraction)):
+        return as_rational(value)
+    if isinstance(value, float) and value.is_integer():
+        return Fraction(int(value))
+    return None
+
+
+def _to_mp(value):
+    """An mp number for ``value``; mp inputs keep their working precision."""
+    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
+        return value
+    exact = _exact(value)
+    if exact is not None:
+        return mpmath.mpf(exact.numerator) / exact.denominator
+    approx = complex(value)
+    if approx.imag == 0:
+        return mpmath.mpf(approx.real)
+    return mpmath.mpc(approx.real, approx.imag)
+
+
+def _is_gamma_pole(point) -> bool:
+    """Whether ``point`` is exactly a non-positive integer."""
+    if isinstance(point, Fraction):
+        return point.denominator == 1 and point <= 0
+    point = mpmath.mpc(point)
+    return point.imag == 0 and point.real <= 0 and mpmath.isint(point.real)
+
+
+def falling_power_eval(z, rho, prec: int | None = None) -> complex:
+    """Evaluate the falling power of ``z`` with general exponent ``rho``.
+
+    For integer exponents this is the product z(z-1)...(z-rho+1), or the
+    reciprocal rising product for negative ones; otherwise it is the gamma
+    quotient Gamma(z+1)/Gamma(z+1-rho) through log-gamma.  Either is computed
+    in arbitrary precision and rounded to a double once.  Poles of the
+    quotient (z+1 a non-positive integer) raise :class:`GammaPoleError`; where
+    only z+1-rho is one, the reciprocal gamma vanishes and the value is 0.
+    """
+    bits = prec if prec is not None else working_precision()
+    with mpmath.workprec(bits):
+        return complex(_falling_power_mp(z, rho))
+
+
+def _falling_power_mp(z, rho):
+    """Falling power as an mp complex in the ambient working precision."""
+    rho_exact = _exact(rho)
+    if rho_exact is not None and rho_exact.denominator == 1:
+        n = int(rho_exact)
+        out = mpmath.mpc(1)
+        base = _to_mp(z)
+        if n >= 0:
+            for u in range(n):
+                out *= base - u
+            return out
+        for u in range(1, -n + 1):
+            factor = base + u
+            if factor == 0:
+                raise GammaPoleError(f"falling power pole at z={z}, exponent={rho}")
+            out *= factor
+        return 1 / out
+    # argument arithmetic stays in working precision (rational offsets must
+    # not collapse to doubles); exact arguments are tested for poles exactly
+    top = _to_mp(z) + 1
+    bottom = top - _to_mp(rho)
+    points = (top, bottom)
+    z_exact = _exact(z)
+    if z_exact is not None and rho_exact is not None:
+        points = (z_exact + 1, z_exact + 1 - rho_exact)
+    if _is_gamma_pole(points[0]):
+        raise GammaPoleError(f"gamma pole: z+1 = {points[0]} is a non-positive integer")
+    if _is_gamma_pole(points[1]):
+        # 1/Gamma(z+1-rho) vanishes there
+        return mpmath.mpc(0)
+    return mpmath.exp(mpmath.loggamma(top) - mpmath.loggamma(bottom))
 
 
 # --- integer-mantissa arithmetic ---------------------------------------------

@@ -29,13 +29,14 @@ modeled here.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .equations import DifferenceEquation
+from .errors import RootRangeError
 from .newton import analyze
 from .polynomials import (
     NEG_INF,
@@ -44,6 +45,7 @@ from .polynomials import (
     _newton_poly,
     as_rational,
     binomial,
+    fraction_log_abs,
 )
 
 #: Fixed note attached to polygon reports: only the main decay term
@@ -208,8 +210,7 @@ def indicial_exponents(eq: DifferenceEquation) -> list:
     rational, residual = _rational_roots(eq.coeffs[-1])
     numeric = []
     if residual.degree >= 1:
-        arr = np.array([float(c) for c in reversed(residual.coeffs)])
-        numeric = [complex(r) + m for r in np.roots(arr)]
+        numeric = [r + m for r in _numeric_roots(residual.coeffs[::-1])]
     numeric.sort(key=lambda r: (round(r.real, 10), round(r.imag, 10)))
     return sorted([Fraction(k) for k in range(m)] + [r + m for r in rational]) + numeric
 
@@ -218,7 +219,7 @@ def _rational_roots(poly: Poly):
     """All rational roots (with multiplicity) plus the unfactored residual.
 
     The residual is the integer polynomial left after exact deflation; its
-    coefficients go to ``np.roots`` unchanged.
+    roots are found numerically by ``_numeric_roots``.
     """
     ints = list(poly.nums)
     zeros = next((k for k, c in enumerate(ints) if c), 0)
@@ -389,23 +390,81 @@ def _characteristic_roots(on_line, right_x: int, leading):
         w = -exps[0] / exps[span]
         if span == 1:
             return [w]
-        mag = abs(w) ** (1.0 / span)
+        mag = _root_magnitude(w, span)
         phase = 0.0 if w > 0 else math.pi
         two_pi = 2 * math.pi
         roots = [
             complex(
-                mag * np.cos((phase + two_pi * k) / span),
-                mag * np.sin((phase + two_pi * k) / span),
+                mag * math.cos((phase + two_pi * k) / span),
+                mag * math.sin((phase + two_pi * k) / span),
             )
             for k in range(span)
         ]
     else:
-        arr = np.zeros(span + 1)
-        for e, c in exps.items():
-            arr[span - e] = float(c)
-        roots = [complex(r) for r in np.roots(arr)]
-    roots.sort(key=lambda r: (round(abs(r), 10), round(np.angle(r), 10)))
+        roots = _numeric_roots([exps.get(span - i, 0) for i in range(span + 1)])
+    roots.sort(key=lambda r: (round(abs(r), 10), round(math.atan2(r.imag, r.real), 10)))
     return roots
+
+
+def _root_magnitude(w: Fraction, span: int) -> float:
+    """|w| ** (1/span), through log|w| when |w| is not a normal double."""
+    try:
+        size = float(abs(w))
+    except OverflowError:
+        size = math.inf
+    if sys.float_info.min <= size < math.inf:
+        return size ** (1.0 / span)
+    log_mag = fraction_log_abs(w) / span
+    try:
+        mag = math.exp(log_mag)
+    except OverflowError:
+        mag = math.inf
+    if not 0 < mag < math.inf:
+        raise RootRangeError(f"a root of magnitude 10^{log_mag / math.log(10):.1f} is outside the double range")
+    return mag
+
+
+def _numeric_roots(coeffs) -> list[complex]:
+    """Companion-matrix roots of the rational polynomial with ``coeffs``, highest power first.
+
+    Coefficients that all fit a double go to ``np.roots`` as their floats.
+    Otherwise the variable is scaled by 2**s, s near the mean log2 of the root
+    magnitudes, and the coefficients by one common power of two, so that they
+    fit; the roots found are scaled back by 2**s.
+    """
+    import numpy as np
+
+    spread = "the roots lie too far apart to be found in double precision"
+    outside = "a root is outside the double range"
+    s = 0
+    try:
+        floats = [float(c) for c in coeffs]
+    except OverflowError:
+        exact = [Fraction(c) for c in coeffs]
+        n = len(exact) - 1
+        s = round((_log2(exact[-1]) - _log2(exact[0])) / n)
+        exact = [c * Fraction(2) ** (s * (n - k)) for k, c in enumerate(exact)]
+        shift = max(_log2(c) for c in exact if c) - 1000  # the largest lands near 2**1000
+        floats = [float(c / Fraction(2) ** shift) for c in exact]
+    if floats[0] == 0 or floats[-1] == 0:
+        raise RootRangeError(spread)
+    try:
+        roots = [complex(r) for r in np.roots(floats)]
+    except np.linalg.LinAlgError:  # the companion matrix overflowed
+        raise RootRangeError(spread) from None
+    if s:
+        try:
+            roots = [complex(math.ldexp(r.real, s), math.ldexp(r.imag, s)) for r in roots]
+        except OverflowError:
+            raise RootRangeError(outside) from None
+    if not all(cmath.isfinite(r) and r for r in roots):
+        raise RootRangeError(outside)
+    return roots
+
+
+def _log2(x: Fraction) -> int:
+    """log2|x| within one, for a nonzero rational."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
 
 
 def degree_profile(rec: CoefficientRecurrence, mu) -> list:

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InconsistentSystemError, InsufficientDataError
 from .polynomials import as_rational, fraction_log_abs
 from .recurrences import CoefficientRecurrence
@@ -412,6 +410,8 @@ def estimate_chi(coeffs, min_terms: int = 64) -> GrowthEstimate:
             f"need at least {min_terms} nonzero coefficients, have {len(indexed)}"
         )
     tail = indexed[len(indexed) // 2 :]
+    import numpy as np
+
     ns = np.array([float(n) for n, _ in tail])
     ys = np.array([-logmag for _, logmag in tail])
     logn = np.log(ns)

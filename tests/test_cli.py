@@ -516,3 +516,17 @@ def test_terms_at_the_limit_are_solved_within_the_deadline(capsys):
         )
     assert code == 0
     assert json.loads(out)["point"]["value"] == [4.4478842409913515, 0.0]
+
+
+def test_characteristic_roots_past_the_double_range(capsys):
+    # coefficient ratios past 2**1024 once raised OverflowError out of the polygon;
+    # the characteristic root is the 3-fold and 2-fold -1 of the unscaled equations
+    for text in ("3^700 z^3 D f(z) + f(z) = 0", "3^700 z^2 D f(z) + f(z) = 0"):
+        code, out, _ = run_cli(capsys, "analyze", text)
+        assert code == 0
+        (segment,) = json.loads(out)["polygon"]["segments"]
+        assert all(abs(complex(*root) + 1) < 1e-4 for root in segment["char_roots"])
+    # a root of magnitude 3^750 has no double: a documented code and one line
+    code, out, err = run_cli(capsys, "analyze", "f(z+2) + 3^1500 z^2 f(z) = 0")
+    assert (code, out) == (6, "")
+    assert err == "numeric range: a root of magnitude 10^357.8 is outside the double range\n"

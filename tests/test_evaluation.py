@@ -25,8 +25,7 @@ from deltaorder.errors import (
     GammaPoleError,
     NonConvergenceError,
 )
-from deltaorder.evaluation import MAX_SAMPLES
-from deltaorder.polynomials import _falling_power_mp, falling_power_eval
+from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp, falling_power_eval
 
 from fixtures_equations import CUBIC_THIRD, quartic_34_stream, third_order_stream
 

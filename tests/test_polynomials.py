@@ -19,8 +19,8 @@ from deltaorder import (
     to_falling_basis,
 )
 from deltaorder.errors import GammaPoleError
+from deltaorder.evaluation import _falling_power_mp
 from deltaorder.polynomials import (
-    _falling_power_mp,
     common_denominator,
     expand_newton,
     falling_factorial_poly,

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,14 @@ from deltaorder import (
 )
 from deltaorder.cli import main
 from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
-from deltaorder.recurrences import _check_degree_chain, _divisors, _rational_roots
+from deltaorder.errors import RootRangeError
+from deltaorder.recurrences import (
+    _characteristic_roots,
+    _check_degree_chain,
+    _divisors,
+    _numeric_roots,
+    _rational_roots,
+)
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -382,3 +390,80 @@ def test_huge_leading_coefficient_analysis_finishes_in_time(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["indicial_exponents"] == ["0", "1", f"{2 * lead - 3}/{lead}"]
+
+
+# --- characteristic roots past the double range -------------------------------
+
+
+def _segments(text):
+    return adams_polygon(derive_recurrence(normalize_to_delta(parse_equation(text)))).segments
+
+
+def _numpy_two_term_roots(w: Fraction, span: int) -> list[complex]:
+    """The two-term roots as numpy's cos, sin and angle gave them: the reference."""
+    mag = abs(w) ** (1.0 / span)
+    phase = 0.0 if w > 0 else math.pi
+    roots = [
+        complex(mag * np.cos((phase + 2 * math.pi * k) / span), mag * np.sin((phase + 2 * math.pi * k) / span))
+        for k in range(span)
+    ]
+    return sorted(roots, key=lambda r: (round(abs(r), 10), round(np.angle(r), 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.integers(1, 10**12),
+    st.integers(2, 24),
+)
+def test_two_term_roots_match_the_numpy_reference(num, den, span):
+    w = Fraction(num, den)
+    roots = _characteristic_roots([(0, 0), (span, 0)], span, {0: Fraction(1), span: -w})
+    assert roots == _numpy_two_term_roots(w, span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**15), 10**15), min_size=2, max_size=9).filter(lambda c: c[0] and c[-1]))
+def test_numeric_roots_of_double_sized_coefficients_are_np_roots(coeffs):
+    expected = [complex(r) for r in np.roots([float(c) for c in coeffs])]
+    assert _numeric_roots([Fraction(c) for c in coeffs]) == expected
+
+
+def test_numeric_roots_past_the_double_range():
+    # (g - 3^600)(g - 5^400): the coefficients pass 2^1024, the roots do not
+    a, b = 3**600, 5**400
+    small, large = sorted(_numeric_roots([1, -(a + b), a * b]), key=abs)
+    assert small.imag == large.imag == 0
+    assert abs(small.real / float(b) - 1) < 1e-12 and abs(large.real / float(a) - 1) < 1e-12
+    # g^3 + 3^1400: cube roots of -3^1400, magnitude 3^(1400/3)
+    cube = _numeric_roots([Fraction(1), 0, 0, Fraction(3**1400)])
+    assert all(abs(abs(r) / 3 ** (1400 / 3) - 1) < 1e-12 for r in cube)
+    with pytest.raises(RootRangeError, match="outside the double range"):
+        _numeric_roots([1, -(2**1500 + 3), 3 * 2**1500])  # a root at 2^1500
+    with pytest.raises(RootRangeError, match="too far apart"):
+        _numeric_roots([1, 3**3000, 1])
+
+
+def test_huge_coefficient_ratios_keep_the_unscaled_roots():
+    # the polygon of a constant multiple of P_m has the same characteristic roots
+    for power in (2, 3):
+        plain = _segments(f"z^{power} D f(z) + f(z) = 0")
+        scaled = _segments(f"3^700 z^{power} D f(z) + f(z) = 0")
+        assert [s.span for s in scaled] == [s.span for s in plain]
+        for seg, ref in zip(scaled, plain):
+            assert all(abs(r - q) < 1e-12 for r, q in zip(seg.char_roots, ref.char_roots))
+
+
+def test_two_term_roots_in_the_log_domain():
+    # |w| = 3^800 and 3^-800 do not fit a double; the square roots 3^(+-400) do
+    for text, magnitude in (
+        ("f(z+2) + 3^800 z^2 f(z) = 0", 3.0**400),
+        ("3^800 f(z+2) + z^2 f(z) = 0", 3.0**-400),
+    ):
+        flat = next(seg for seg in _segments(text) if seg.slope == 0)
+        assert len(flat.char_roots) == 2
+        assert all(abs(abs(r) / magnitude - 1) < 1e-12 for r in flat.char_roots)
+    with pytest.raises(RootRangeError, match="10\\^357.8 is outside the double range"):
+        _segments("f(z+2) + 3^1500 z^2 f(z) = 0")
+    with pytest.raises(RootRangeError, match="10\\^-357.8 is outside the double range"):
+        _segments("3^1500 f(z+2) + z^2 f(z) = 0")
