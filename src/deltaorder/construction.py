@@ -15,6 +15,10 @@ The canonical form recenters the template (the maximal back-shift is p, so
 the recentering is z -> z+p) and folds the shifts into pure difference
 powers; the recentered equation has the same solutions, in particular the
 predicted series.
+
+The round trip runs the analyzer on the canonical form.  Its series stage
+pins the prediction at the indices that no recurrence row determines and
+solves one pinned stream, which must reproduce the prediction.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
-from .errors import InvalidOrderError
+from .errors import InconsistentSystemError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
 from .polynomials import Poly, common_denominator, expand_newton, falling_factorial_poly, to_falling_basis
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
-from .series import RowReduction, SeriesSolution, estimate_chi, verify_recurrence
+from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,12 @@ def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripRep
 
     Checks, in order: the prescribed order appears in the admissible order
     list; the window recurrence of the canonical form is satisfied exactly by
-    the predicted series over ``rows`` rows; the solver pinned to the
-    predicted free data reproduces the series; the polygon exposes a slope
-    p/q branch; and the fitted decay of the prediction lands within 0.01 of
-    q/p.  Each stage reports pass/fail with a detail string.
+    the predicted series over ``rows`` rows; the solver, pinned to the
+    predicted values at every index up to ``rows`` that no row determines
+    (``CoefficientRecurrence.undetermined``), reproduces the series, a
+    zero-lead row that the pins contradict failing the stage; the polygon
+    exposes a slope p/q branch; and the fitted decay of the prediction lands
+    within 0.01 of q/p.  Each stage reports pass/fail with a detail string.
     """
     target = result.order_value
     stages = []
@@ -157,10 +163,15 @@ def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripRep
         ("recurrence", report.exact, f"max residual {report.max_residual}")
     )
 
-    # the free parameters come from the elimination that the pinned solve finishes
-    reduction = RowReduction(rec, rows)
-    solved = reduction.pin({idx: predicted.coeffs[idx] for idx in reduction.free_ids})
-    match = solved.coeffs == predicted.coeffs[: rows + 1]
+    # pinned where no row decides, the solve carries no free parameter; a
+    # zero-lead row that the prediction violates contradicts its pins
+    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(rows)}
+    try:
+        solved = solve_series(rec, rows, initial=pins)[0]
+    except InconsistentSystemError:
+        match = False
+    else:
+        match = solved.coeffs == predicted.coeffs[: rows + 1]
     stages.append(("series", match, "pinned solve reproduces the prediction"))
 
     polygon = adams_polygon(rec)

@@ -104,6 +104,27 @@ class CoefficientRecurrence:
     def span(self) -> int:
         return self.max_index + self.order
 
+    def undetermined(self, count: int) -> list[int]:
+        """Stream indices 0..count that no row up to index count determines.
+
+        Index t is determined by row t - order when that row exists
+        (t - order >= ``first_row``) and the deepest entry Q_{-order} does
+        not vanish there.  The rest are the indices a row reduction leaves
+        to pins or free parameters, in increasing order.
+        """
+        deepest = self._horner[0][1]  # Q_{-order}, nonzero by construction
+        out = []
+        for t in range(count + 1):
+            n = t - self.order
+            if n >= self.first_row:
+                value = 0
+                for c in deepest:
+                    value = value * n + c
+                if value:
+                    continue
+            out.append(t)
+        return out
+
     def row(self, n: int) -> list[tuple[int, int]]:
         """Row at output index n, times ``scale``: pairs (stream index, value).
 

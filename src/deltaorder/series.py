@@ -224,7 +224,8 @@ class RowReduction:
     or the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
     free parameters that survive all rows.  Fractions are built only for the
     streams that ``pin`` and ``basis`` return, and each makes the one exact
-    reduction of its value.
+    reduction of its value.  :func:`solve_series` is its only caller in the
+    package.
     """
 
     def __init__(self, rec: CoefficientRecurrence, count: int, rhs=None, initial=None):

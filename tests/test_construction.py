@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from deltaorder import (
     roundtrip_check,
     sub_one_branches,
 )
-from deltaorder.errors import InvalidOrderError
+from deltaorder.errors import InconsistentSystemError, InvalidOrderError
+from deltaorder.series import solve_series
 
 from fixtures_equations import HALF_ORDER
 
@@ -110,3 +112,39 @@ def test_predicted_series_holds_one_over_factorials():
             Fraction(1, math.factorial(p * (n // q))) if n % q == 0 else 0 for n in range(length + 1)
         ]
         assert list(_predicted_series(q, p, length).coeffs) == expected
+
+
+def _with_coefficient(result, idx, value):
+    coeffs = list(result.predicted_series.coeffs)
+    coeffs[idx] = Fraction(value)
+    series = dataclasses.replace(result.predicted_series, coeffs=tuple(coeffs))
+    return dataclasses.replace(result, predicted_series=series)
+
+
+def _stage(report, name):
+    return next(ok for stage, ok, _ in report.stages if stage == name)
+
+
+def test_corrupted_prediction_fails_the_series_stage():
+    result = construct_equation(1, 2)
+    assert derive_recurrence(result.canonical).undetermined(200) == [0, 1]
+    # a row-determined value, then a pinned one
+    for idx, value in ((50, result.predicted_series.coeffs[50] * 2), (1, Fraction(1, 7))):
+        report = roundtrip_check(_with_coefficient(result, idx, value))
+        assert report.ok is False
+        assert _stage(report, "series") is False, (idx, report.stages)
+
+
+def test_prediction_violating_a_zero_lead_row_fails_the_series_stage():
+    # rows read (n+1) a_n + (n+1)(n-3) a_{n+1} = 0: row 3 has a zero lead and
+    # forces a_3 = 0, hence a_0 = 0, which the prediction a_0 = 1 contradicts
+    canonical = normalize_to_delta(parse_equation("(z-3) D f(z) + f(z) = 0"))
+    result = dataclasses.replace(construct_equation(1, 2), canonical=canonical)
+    rec = derive_recurrence(canonical)
+    assert rec.undetermined(200) == [0, 4]
+    pins = {idx: result.predicted_series.coeffs[idx] for idx in (0, 4)}
+    with pytest.raises(InconsistentSystemError):
+        solve_series(rec, 200, initial=pins)
+    report = roundtrip_check(result)
+    assert report.ok is False
+    assert _stage(report, "series") is False

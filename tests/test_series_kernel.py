@@ -6,10 +6,11 @@ Fractions, a zero-lead row eliminating its newest free parameter, pins
 eliminated in index order and the remaining freedom zeroed.  The kernel must
 reproduce its streams, provenance and verification reports exactly.
 
-Two properties cover what the oracle cannot see: pins absorbed when the
-reduction is created give what pinning a finished reduction gives, and the
-content left by cutting only the row's lead stays a bounded share of each
-stored denominator.
+Three properties cover what the oracle cannot see: pins absorbed when the
+reduction is created give what pinning a finished reduction gives; pins at
+every index that no row determines give the stream of an elimination pinned
+at its surviving free parameters; and the content left by cutting only the
+row's lead stays a bounded share of each stored denominator.
 """
 
 import math
@@ -147,14 +148,17 @@ nonzero_rationals = st.builds(
 
 
 @st.composite
-def recurrences(draw):
+def recurrences(draw, min_roots=0):
     rho = draw(st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]))
     order = draw(st.integers(1, 3))
     max_index = draw(st.integers(0, 3))
     first_row = 0 if rho == 0 else -order
-    # the deepest entry may vanish at a few rows, which makes them constraints
+    # the deepest entry may vanish at a few rows, which makes them constraints;
+    # ``min_roots`` non-negative roots make sure that some rows do
     lead = Poly([draw(nonzero_rationals)])
-    for root in draw(st.lists(st.integers(first_row, first_row + 8), max_size=2)):
+    roots = draw(st.lists(st.integers(first_row, first_row + 8), max_size=2))
+    roots += draw(st.lists(st.integers(0, 8), min_size=min_roots, max_size=min_roots))
+    for root in roots:
         lead = lead * Poly([-root, 1])
     window = {-order: lead}
     for i in range(-order + 1, max_index + 1):
@@ -225,6 +229,22 @@ def test_pins_absorbed_at_creation_match_pins_applied_late(rec, data):
         assert actual is InconsistentSystemError
     else:
         assert actual is (ValueError if bad[0] < 0 else InsufficientDataError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rec=recurrences(min_roots=1), data=st.data())
+def test_pins_at_the_undetermined_indices_reproduce_the_eliminated_stream(rec, data):
+    # the stream of an elimination pinned at its surviving free parameters is
+    # the stream pinned at every index that no row determines; rows reach
+    # past the drawn roots 0..8, and about 40% of the draws eliminate
+    count = rec.span + data.draw(st.integers(8, 20))
+    reduction = RowReduction(rec, count)
+    undetermined = rec.undetermined(count)
+    assert set(reduction.free_ids) <= set(undetermined)
+    reference = reduction.pin({f: data.draw(small_rationals) for f in reduction.free_ids})
+    pins = {idx: reference.coeffs[idx] for idx in undetermined}
+    assert RowReduction(rec, count, initial=pins).free_ids == []
+    assert solve_series(rec, count, initial=pins)[0].coeffs == reference.coeffs
 
 
 @settings(max_examples=150, deadline=None)
