@@ -21,18 +21,14 @@ from .equations import (
     OperatorTerm,
     apply_operator,
     compose_operators,
-    delta_to_shift,
     normalize_to_delta,
 )
 from .newton import NewtonAnalysis, OrderEntry, analyze, order_list, s_sequence, verdict
 from .parsing import format_delta_form, format_general, parse_equation
 from .polynomials import (
-    FallingExpansion,
     NEG_INF,
     Poly,
     falling_factorial,
-    falling_product_expand,
-    from_falling_basis,
     iterated_delta,
     poly_delta,
     to_falling_basis,
@@ -43,7 +39,6 @@ from .recurrences import (
     CoefficientRecurrence,
     PolygonSegment,
     adams_polygon,
-    degree_profile,
     derive_recurrence,
     indicial_exponents,
     shifted_recurrence,
@@ -82,7 +77,6 @@ __all__ = [
     "DifferenceEquation",
     "EmpiricalOrder",
     "EvalResult",
-    "FallingExpansion",
     "GeneralForm",
     "GrowthEstimate",
     "NEG_INF",
@@ -99,18 +93,14 @@ __all__ = [
     "apply_operator",
     "compose_operators",
     "construct_equation",
-    "degree_profile",
-    "delta_to_shift",
     "derive_recurrence",
     "empirical_order",
     "estimate_chi",
     "eval_series",
     "falling_factorial",
     "falling_power_eval",
-    "falling_product_expand",
     "format_delta_form",
     "format_general",
-    "from_falling_basis",
     "indicial_exponents",
     "iterated_delta",
     "max_modulus",

@@ -9,11 +9,11 @@ polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
 coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
-pin index, a negative --index, --initial beside --solution, or --rows below
-the first row), 3 degenerate equation, 4 empty solution space, 5 invalid
-prescribed order, 6 evaluation failure (also a characteristic or indicial
-root whose magnitude is outside the double range), 7 malformed environment
-setting (DELTAORDER_PRECISION).
+pin index, a negative --index or --terms, --initial beside --solution, or
+--rows below the first row), 3 degenerate equation, 4 empty solution space,
+5 invalid prescribed order, 6 evaluation failure (also a characteristic or
+indicial root whose magnitude is outside the double range), 7 malformed
+environment setting (DELTAORDER_PRECISION).
 
 Importing this module loads neither numpy nor mpmath; each command loads
 what it computes with.  ``verify --solution`` and ``compose`` load neither
@@ -264,6 +264,8 @@ def _recurrence(eq: DifferenceEquation, rho: Fraction) -> CoefficientRecurrence:
 
 def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[SeriesSolution]]:
     """The recurrence at --rho and its streams up to --terms, one stream when --initial pins it."""
+    if args.terms < 0:
+        raise _CommandError(EXIT_PARSE, f"--terms must not be negative, got {args.terms}")
     if args.terms > MAX_TERMS:
         raise _CommandError(EXIT_PARSE, f"--terms {args.terms} exceeds the limit {MAX_TERMS}")
     rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)

@@ -8,10 +8,12 @@ Two presentations of a linear difference operator are supported:
   P_m(z) Delta^m f(z) + ... + P_0(z) f(z) = 0 with primitive integer
   coefficients and a positive leading coefficient on P_m.
 
-Conversions between the two use the standard shift/difference binomial
-identities.  Composition treats operators as elements of the noncommutative
-ring generated by multiplication-by-z and the forward difference, with the
-rewrite rule  Delta (P f) = P(z+1) Delta f + (Delta P) f.
+The conversion from the first to the second uses the standard
+shift/difference binomial identities.  Composition treats operators as
+elements of the noncommutative ring generated by multiplication-by-z and the
+forward difference, with the rewrite rule
+
+    Delta (P f) = P(z+1) Delta f + (Delta P) f.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import Poly, _integer_falling_basis, binomial, iterated_delta
+from .polynomials import Poly, _integer_falling_basis, binomial, poly_delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -156,21 +158,6 @@ def normalize_to_delta(g: GeneralForm) -> DifferenceEquation:
     return DifferenceEquation(out)
 
 
-def delta_to_shift(eq: DifferenceEquation) -> GeneralForm:
-    """Expand every difference power into pure shifts (inverse conversion).
-
-    The returned terms carry exact integer coefficient polynomials, ordered by
-    descending shift; no rescaling is applied.
-    """
-    powers = tuple(OperatorTerm(coefficient=p, delta_power=k) for k, p in enumerate(eq.coeffs))
-    table = _shift_table(GeneralForm(terms=powers))
-    terms = [
-        OperatorTerm(coefficient=table[s], delta_power=0, shift=s)
-        for s in sorted(table, reverse=True)
-    ]
-    return GeneralForm(terms=tuple(terms))
-
-
 # --- operator algebra ---------------------------------------------------------
 
 
@@ -192,17 +179,21 @@ def compose_operators(outer, inner) -> DifferenceEquation:
     (index = difference power) are accepted alongside equations, which allows
     order-0 factors such as plain multiplication by a polynomial.
     """
+    outer = _operator_coeffs(outer)
+    # differences[j][t] = Delta^t B_j, up to the outer order or the first zero
+    differences = []
+    for b in _operator_coeffs(inner):
+        table = []
+        while not b.is_zero and len(table) < len(outer):
+            table.append(b)
+            b = poly_delta(b)
+        differences.append(table)
     out: dict[int, Poly] = {}
-    for i, a in enumerate(_operator_coeffs(outer)):
+    for i, a in enumerate(outer):
         if a.is_zero:
             continue
-        for j, b in enumerate(_operator_coeffs(inner)):
-            if b.is_zero:
-                continue
-            for t in range(i + 1):
-                piece = iterated_delta(b, t)
-                if piece.is_zero:
-                    continue
+        for j, table in enumerate(differences):
+            for t, piece in enumerate(table[: i + 1]):
                 piece = piece.shifted(i - t) * (a * binomial(i, t))
                 key = i - t + j
                 out[key] = out.get(key, Poly()) + piece

@@ -4,11 +4,11 @@ A polynomial is a dense list of integer numerators over one common
 denominator in the monomial basis, so every operation here is exact and
 runs on plain ``int``s.  ``fractions.Fraction`` values appear only at the
 edges: the public ``Poly.coeffs`` tuple, built once on first read, and
-scalar inputs and outputs.  Taylor shifts and the falling-factorial basis
-both go through one integer kernel that expands a Newton form; nothing is
-cached between calls.  Falling powers with an arbitrary (non-integer)
-exponent are evaluated in ``evaluation``, which owns mpmath, so importing this
-module loads no numeric library.
+scalar inputs and outputs.  Taylor shifts and expansions out of the
+falling-factorial basis go through one integer kernel that expands a Newton
+form, and the one conversion into that basis takes integer forward
+differences; nothing is cached between calls.  Everything here is exact,
+and the module imports only the standard library.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError
@@ -39,7 +38,7 @@ def as_rational(value) -> Fraction:
 
 
 def working_precision() -> int:
-    """Evaluation precision in bits (env DELTAORDER_PRECISION, default 128).
+    """Numeric working precision in bits (env DELTAORDER_PRECISION, default 128).
 
     Values below 53 are raised to double precision; a value that is not an
     integer raises ConfigurationError.
@@ -57,8 +56,8 @@ def working_precision() -> int:
 MAX_SAMPLES = 4096
 """Upper bound on the circle samples of ``max_modulus`` and ``empirical_order``.
 
-It sits beside ``working_precision`` so that the CLI's help text reads it
-without loading the evaluation layer.
+It sits beside ``working_precision``, in a module that imports only the
+standard library, so that the CLI's help text reads it for free.
 """
 
 
@@ -348,21 +347,27 @@ def _newton_poly(scale: int, ints, step: int, xs) -> Poly:
     return Poly._from_ints(acc, scale * power)
 
 
-def _differences_at_zero(nums) -> list[int]:
-    """Forward differences Delta^t P(0), t = 0..deg P, of an integer polynomial.
+def _integer_falling_basis(p: Poly) -> list[int]:
+    """Falling-factorial coefficients of an integer polynomial, as ints.
 
-    They are taken on the integer values P(0), ..., P(deg P).
+    The coefficient of ff(z, t) is Delta^t P(0) / t!, which is an integer
+    when P has integer coefficients, so the division is exact.  The
+    differences are taken on the integer values P(0), ..., P(deg P).
     """
+    if p.den != 1:
+        raise ArithmeticError("canonical equation has a non-integer falling weight")
     values = []
-    for x in range(len(nums)):
+    for x in range(len(p.nums)):
         acc = 0
-        for c in reversed(nums):
+        for c in reversed(p.nums):
             acc = acc * x + c
         values.append(acc)
     out = []
+    factorial = 1
     while values:
-        out.append(values[0])
+        out.append(values[0] // factorial)
         values = [b - a for a, b in zip(values, values[1:])]
+        factorial *= len(out)
     return out
 
 
@@ -370,35 +375,9 @@ def to_falling_basis(p: Poly) -> list[Fraction]:
     """Exact falling-factorial coefficients of ``p`` (index = falling power).
 
     With p = P/L for an integer polynomial P, the coefficient of ff(z, t) is
-    the t-th forward difference of P at 0 over L t!.
+    that of P over L; the inverse is ``expand_newton(coeffs, itertools.count())``.
     """
-    out = []
-    den = p.den
-    for t, diff in enumerate(_differences_at_zero(p.nums)):
-        den *= t or 1
-        out.append(Fraction(diff, den))
-    return out
-
-
-def _integer_falling_basis(p: Poly) -> list[int]:
-    """Falling-factorial coefficients of an integer polynomial, as ints.
-
-    The coefficient of ff(z, t) is Delta^t P(0) / t!, which is an integer
-    when P has integer coefficients, so the division is exact.
-    """
-    if p.den != 1:
-        raise ArithmeticError("canonical equation has a non-integer falling weight")
-    out = []
-    factorial = 1
-    for t, diff in enumerate(_differences_at_zero(p.nums)):
-        factorial *= t or 1
-        out.append(diff // factorial)
-    return out
-
-
-def from_falling_basis(coeffs) -> Poly:
-    """Inverse of :func:`to_falling_basis`; exact."""
-    return expand_newton(coeffs, itertools.count())
+    return [Fraction(c, p.den) for c in _integer_falling_basis(Poly._from_ints(p.nums))]
 
 
 def falling_factorial_poly(length: int, offset=0) -> Poly:
@@ -427,57 +406,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@dataclass(frozen=True)
-class FallingExpansion:
-    """Expansion of ff(z, m) * ff(z, rho) over falling powers z^(rho + offset).
-
-    ``terms`` pairs each rational coefficient with its non-negative exponent
-    offset, so the represented value is  sum_j coeff_j * ff(z, rho + offset_j).
-    """
-
-    rho: Fraction
-    terms: tuple[tuple[Fraction, int], ...]
-
-    def evaluate(self, z, prec: int | None = None) -> complex:
-        """Sum the expansion at z, accumulating in working precision.
-
-        The terms can cancel heavily, so the conversion to a double happens
-        only after the full sum.
-        """
-        import mpmath
-
-        from .evaluation import _falling_power_mp
-
-        bits = prec if prec is not None else working_precision()
-        with mpmath.workprec(bits):
-            total = mpmath.mpc(0)
-            for coeff, offset in self.terms:
-                if coeff == 0:
-                    continue
-                scale = mpmath.mpf(coeff.numerator) / coeff.denominator
-                total += scale * _falling_power_mp(z, self.rho + offset)
-            return complex(total)
-
-
-def falling_product_expand(m: int, rho) -> FallingExpansion:
-    """Expand ff(z, m) * ff(z, rho) exactly.
-
-    The product of an integer falling power with a general falling power is
-    again a combination of general falling powers:
-
-        ff(z, m) * ff(z, rho) = sum_j C(m, j) ff(rho, j) ff(z, rho + m - j)
-
-    All m+1 terms are returned, including any that vanish.
-    """
-    if m < 0:
-        raise ValueError("integer falling power must have non-negative order")
-    rho = as_rational(rho)
-    terms = tuple(
-        (binomial(m, j) * falling_factorial(rho, j), m - j) for j in range(m + 1)
-    )
-    return FallingExpansion(rho=rho, terms=terms)
 
 
 def fraction_log_abs(x) -> float:

@@ -39,7 +39,6 @@ from .equations import DifferenceEquation
 from .errors import RootRangeError
 from .newton import analyze
 from .polynomials import (
-    NEG_INF,
     Poly,
     _integer_falling_basis,
     _newton_poly,
@@ -486,27 +485,6 @@ def _numeric_roots(coeffs) -> list[complex]:
 def _log2(x: Fraction) -> int:
     """log2|x| within one, for a nonzero rational."""
     return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def degree_profile(rec: CoefficientRecurrence, mu) -> list:
-    """Degrees after the factorial-power substitution: deg Q + i*mu per index.
-
-    Entries are exact rationals over the shifted index 0..span; zero window
-    entries give NEG_INF.  At mu equal to the reciprocal of an admissible
-    order, exactly the two predicted indices tie for the strict maximum.
-    """
-    mu = as_rational(mu)
-    if mu <= 0:
-        raise ValueError("substitution exponent must be positive")
-    base = min(rec.window)
-    out = []
-    for i in range(rec.span + 1):
-        q = rec.window.get(base + i, Poly())
-        if q.is_zero:
-            out.append(NEG_INF)
-        else:
-            out.append(q.degree + i * mu)
-    return out
 
 
 def sub_one_branches(polygon: AdamsPolygon) -> list[tuple[Fraction, int]]:

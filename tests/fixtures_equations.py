@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from deltaorder import DifferenceEquation, Poly
+from deltaorder import DifferenceEquation, GeneralForm, OperatorTerm, Poly
 
 
 @contextmanager
@@ -135,3 +136,34 @@ def random_equation(
     coeffs = [random_poly(rng, max_degree) for _ in range(order)]
     coeffs.append(random_poly(rng, max_degree, allow_zero=False))
     return DifferenceEquation(coeffs)
+
+
+def pure_shift_form(eq: DifferenceEquation) -> GeneralForm:
+    """``eq`` with pure shifts:  Delta^k f(z) = sum_t C(k, t) (-1)^(k-t) f(z + t)."""
+    table: dict[int, Poly] = {}
+    for k, p in enumerate(eq.coeffs):
+        for t in range(k + 1):
+            table[t] = table.get(t, Poly()) + p * ((-1) ** (k - t) * math.comb(k, t))
+    return GeneralForm(tuple(OperatorTerm(c, 0, s) for s, c in sorted(table.items(), reverse=True)))
+
+
+def falling_product_sum(z, m: int, rho: Fraction, prec: int = 128) -> complex:
+    """sum_j C(m, j) ff(rho, j) ff(z, rho + m - j), the product rule's side of
+
+        ff(z, m) ff(z, rho) = sum_j C(m, j) ff(rho, j) ff(z, rho + m - j).
+
+    The terms can cancel heavily, so they are summed at ``prec`` bits and
+    rounded to a double only at the end.
+    """
+    import mpmath
+
+    from deltaorder import falling_factorial
+    from deltaorder.evaluation import _falling_power_mp
+
+    with mpmath.workprec(prec):
+        total = mpmath.mpc(0)
+        for j in range(m + 1):
+            weight = math.comb(m, j) * falling_factorial(rho, j)
+            if weight:
+                total += mpmath.mpf(weight.numerator) / weight.denominator * _falling_power_mp(z, rho + m - j)
+        return complex(total)

@@ -366,6 +366,16 @@ def test_negative_solution_index_exits_two(capsys, half_order_file):
     assert code == 0
 
 
+def test_negative_terms_exit_two(capsys):
+    # a negative truncation used to reach the solver and exit 4 as an empty solution space
+    for command in (("eval", CUBIC_THIRD, "--at", "1"), ("verify", CUBIC_THIRD)):
+        for terms in ("-1", "-5"):
+            code, out, err = run_cli(capsys, *command, f"--terms={terms}")
+            assert code == 2, command
+            assert out == ""
+            assert f"--terms must not be negative, got {terms}" in err
+
+
 def test_eval_parses_its_equation_beside_a_solution_file(capsys, half_order_file):
     source = ("--solution", str(half_order_file))
     code, out, err = run_cli(capsys, "eval", "garbage(", *source, "--at", "1")

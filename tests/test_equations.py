@@ -14,7 +14,6 @@ from deltaorder import (
     SeriesSolution,
     apply_operator,
     compose_operators,
-    delta_to_shift,
     format_delta_form,
     normalize_to_delta,
     parse_equation,
@@ -30,6 +29,7 @@ from fixtures_equations import (
     QUARTIC_34,
     QUARTIC_34_SHIFT_TABLE,
     QUARTIC_34_SHIFTED,
+    pure_shift_form,
     quartic_34_stream,
     random_equation,
     random_poly,
@@ -143,16 +143,18 @@ def test_canonical_scaling_clears_denominators():
 
 
 def test_delta_to_shift_quartic_display():
+    # the pure-shift display of QUARTIC_34 normalizes back to its Delta-form
     eq = normalize_to_delta(parse_equation(QUARTIC_34))
-    table = {t.shift: t.coefficient for t in delta_to_shift(eq).terms}
-    for shift, coeffs in QUARTIC_34_SHIFT_TABLE.items():
-        assert table[shift] == Poly(coeffs)
+    display = {s: Poly(coeffs) for s, coeffs in QUARTIC_34_SHIFT_TABLE.items()}
+    assert normalize_to_delta(GeneralForm(tuple(OperatorTerm(c, 0, s) for s, c in display.items()))) == eq
+    assert {t.shift: t.coefficient for t in pure_shift_form(eq).terms} == display
 
 
 def test_delta_to_shift_single_difference():
     eq = normalize_to_delta(parse_equation("D f(z) - f(z) = 0"))
-    table = {t.shift: t.coefficient for t in delta_to_shift(eq).terms}
-    assert table == {1: Poly([1]), 0: Poly([-2])}
+    shifts = GeneralForm((OperatorTerm(Poly([1]), 0, 1), OperatorTerm(Poly([-2]), 0, 0)))
+    assert normalize_to_delta(shifts) == eq
+    assert {t.shift: t.coefficient for t in pure_shift_form(eq).terms} == {1: Poly([1]), 0: Poly([-2])}
 
 
 def test_shift_round_trip_random():
@@ -161,7 +163,7 @@ def test_shift_round_trip_random():
         coeffs = [random_poly(rng, 4) for _ in range(rng.randint(1, 5))]
         coeffs.append(random_poly(rng, 4, allow_zero=False))
         eq = DifferenceEquation(coeffs)
-        assert normalize_to_delta(delta_to_shift(eq)) == eq
+        assert normalize_to_delta(pure_shift_form(eq)) == eq
 
 
 def test_compose_difference_squares():

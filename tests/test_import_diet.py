@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this test process has long
 loaded both libraries.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -75,3 +76,46 @@ def test_every_public_name_resolves():
     assert namespace["eval_series"] is deltaorder.evaluation.eval_series
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         deltaorder.no_such_name
+
+
+PUBLIC_NAMES = {
+    "AdamsPolygon", "CoefficientRecurrence", "ConstructionResult", "DifferenceEquation",
+    "EmpiricalOrder", "EvalResult", "GeneralForm", "GrowthEstimate", "NEG_INF",
+    "NewtonAnalysis", "OperatorTerm", "OrderEntry", "Poly", "PolygonSegment",
+    "RoundTripReport", "SeriesSolution", "VerificationReport", "adams_polygon", "analyze",
+    "apply_operator", "compose_operators", "construct_equation", "derive_recurrence",
+    "empirical_order", "estimate_chi", "eval_series", "falling_factorial",
+    "falling_power_eval", "format_delta_form", "format_general", "indicial_exponents",
+    "iterated_delta", "max_modulus", "normalize_to_delta", "order_list", "parse_equation",
+    "poly_delta", "roundtrip_check", "s_sequence", "shifted_recurrence", "solve_series",
+    "sub_one_branches", "to_falling_basis", "verdict", "verify_recurrence",
+    "working_precision",
+}
+
+
+def test_the_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 46
+    assert len(deltaorder.__all__) == len(set(deltaorder.__all__))
+    assert set(deltaorder.__all__) == PUBLIC_NAMES
+
+
+EXACT_MODULES = ("polynomials", "equations", "parsing", "newton", "recurrences", "series", "construction")
+
+
+def _imported_names(tree):
+    """Every module and name an import statement anywhere in ``tree`` reaches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            for alias in node.names:
+                yield base + alias.name if base.endswith(".") else f"{base}.{alias.name}"
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_never_import_the_evaluation_layer(module):
+    tree = ast.parse((SRC / "deltaorder" / f"{module}.py").read_text(encoding="utf-8"))
+    parts = [name.split(".") for name in _imported_names(tree)]
+    assert not [p for p in parts if p[0] == "mpmath" or "evaluation" in p], module

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,6 @@ from deltaorder import (
     Poly,
     falling_factorial,
     falling_power_eval,
-    falling_product_expand,
-    from_falling_basis,
     iterated_delta,
     poly_delta,
     to_falling_basis,
@@ -27,7 +26,7 @@ from deltaorder.polynomials import (
     format_poly,
 )
 
-from fixtures_equations import random_poly
+from fixtures_equations import falling_product_sum, random_poly
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -92,56 +91,24 @@ def test_falling_basis_of_square():
 
 def test_falling_power_in_monomials():
     assert falling_factorial_poly(2) == Poly([0, -1, 1])
-    assert from_falling_basis([0, 0, 1]) == Poly([0, -1, 1])
+    assert expand_newton([0, 0, 1], itertools.count()) == Poly([0, -1, 1])
 
 
 def test_falling_basis_round_trip():
     rng = random.Random(3)
     for _ in range(50):
         p = random_poly(rng, 8)
-        assert from_falling_basis(to_falling_basis(p)) == p
+        assert expand_newton(to_falling_basis(p), itertools.count()) == p
     for _ in range(20):
         p = random_poly(rng, 12)
-        assert from_falling_basis(to_falling_basis(p)) == p
-
-
-def test_falling_product_expand_one():
-    rho = Fraction(5, 7)
-    expansion = falling_product_expand(1, rho)
-    assert expansion.terms == ((Fraction(1), 1), (rho, 0))
-
-
-def test_falling_product_expand_integer_offset_truncates():
-    expansion = falling_product_expand(2, 0)
-    assert expansion.terms == ((Fraction(1), 2), (Fraction(0), 1), (Fraction(0), 0))
-
-
-def test_falling_product_expand_pascal_step():
-    # the coefficients for m+1 follow from those for m by
-    # c_{m+1}(j) = c_m(j) + (rho - (j-1)) * c_m(j-1)
-    rng = random.Random(4)
-    for _ in range(30):
-        m = rng.randint(0, 6)
-        rho = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        small = {
-            offset: coeff for coeff, offset in falling_product_expand(m, rho).terms
-        }
-        for coeff, offset in falling_product_expand(m + 1, rho).terms:
-            j = m + 1 - offset
-            expect = Fraction(0)
-            if j <= m:
-                expect += small[m - j]
-            if j >= 1:
-                expect += small[m - (j - 1)] * (rho - (j - 1))
-            assert coeff == expect
+        assert expand_newton(to_falling_basis(p), itertools.count()) == p
 
 
 def test_falling_product_expand_matches_gamma_eval():
     rho = Fraction(1, 2)
-    expansion = falling_product_expand(3, rho)
     for z in (2.3, 5 + 1j):
         direct = falling_power_eval(z, 3) * falling_power_eval(z, rho)
-        expanded = expansion.evaluate(z)
+        expanded = falling_product_sum(z, 3, rho)
         assert abs(expanded - direct) / abs(direct) < 1e-9
 
 
@@ -237,7 +204,7 @@ def test_falling_forms_match_falling_factorial_polys(coeffs, offset):
     nodes = [k - offset for k in range(len(coeffs))]
     assert expand_newton(coeffs, nodes) == oracle
     if offset == 0:
-        assert from_falling_basis(coeffs) == oracle
+        assert expand_newton(coeffs, itertools.count()) == oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,7 +226,7 @@ def test_to_falling_basis_inverts_the_falling_form(coeffs):
         total = total + falling_factorial_poly(t) * c
     assert total == p
     assert len(falling) == len(p.coeffs)
-    assert from_falling_basis(falling) == p
+    assert expand_newton(falling, itertools.count()) == p
 
 
 # --- integer-backed arithmetic against a plain Fraction-list oracle -----------

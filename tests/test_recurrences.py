@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from deltaorder import (
     CoefficientRecurrence,
     DifferenceEquation,
-    NEG_INF,
     Poly,
     adams_polygon,
     analyze,
-    degree_profile,
     derive_recurrence,
     indicial_exponents,
     normalize_to_delta,
@@ -195,27 +193,6 @@ def test_two_term_segment_roots_are_span_th_roots():
             assert mags[-1] - mags[0] < 1e-9
             assert len({round(complex(r).real, 9) + 1j * round(complex(r).imag, 9)
                         for r in seg.char_roots}) == seg.span
-
-
-def test_degree_profile_ties_at_predicted_indices(quartic_eq, cubic_eq):
-    rec4 = derive_recurrence(quartic_eq)
-    profile = degree_profile(rec4, Fraction(4, 3))
-    finite = [x for x in profile if x != NEG_INF]
-    top = max(finite)
-    assert [i for i, x in enumerate(profile) if x == top] == [3, 6]
-
-    rec3 = derive_recurrence(cubic_eq)
-    profile3 = degree_profile(rec3, Fraction(3))
-    top3 = max(x for x in profile3 if x != NEG_INF)
-    assert [i for i, x in enumerate(profile3) if x == top3] == [2, 3]
-
-
-def test_degree_profile_large_exponent_peaks_at_leading_entry(quartic_eq):
-    rec = derive_recurrence(quartic_eq)
-    profile = degree_profile(rec, Fraction(100))
-    finite = [x for x in profile if x != NEG_INF]
-    assert profile[0] != max(finite)
-    assert profile.index(max(finite)) == len([x for x in profile if x != NEG_INF]) - 1
 
 
 def test_newton_adams_consistency_random():
