@@ -9,11 +9,12 @@ polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
 coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
-pin index, a negative --index or --terms, --initial beside --solution, or
---rows below the first row), 3 degenerate equation, 4 empty solution space,
-5 invalid prescribed order, 6 evaluation failure (also a characteristic or
-indicial root whose magnitude is outside the double range), 7 malformed
-environment setting (DELTAORDER_PRECISION).
+pin index, a negative --index or --terms, --terms below the window span,
+--initial beside --solution, a --radii entry that is not a number, a
+malformed --solution file, or --rows below the first row), 3 degenerate
+equation, 4 empty solution space, 5 invalid prescribed order, 6 evaluation
+failure (also a characteristic or indicial root whose magnitude is outside
+the double range), 7 malformed environment setting (DELTAORDER_PRECISION).
 
 Importing this module loads neither numpy nor mpmath; each command loads
 what it computes with.  ``verify --solution`` and ``compose`` load neither
@@ -224,6 +225,13 @@ def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
     return pins
 
 
+def _parse_radii(text: str) -> list[float]:
+    try:
+        return [float(r) for r in text.split(",")]
+    except ValueError as exc:
+        raise _CommandError(EXIT_PARSE, f"invalid radii {text!r}: {exc}")
+
+
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
@@ -271,6 +279,8 @@ def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[Se
     rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
     rec = _recurrence(eq, rho)
     initial = _parse_initial(getattr(args, "initial", None))
+    if args.terms < rec.span:
+        raise _CommandError(EXIT_PARSE, f"truncation {args.terms} is below the window span {rec.span}")
     try:
         solutions = solve_series(rec, args.terms, initial=initial)
     except (InconsistentSystemError, InsufficientDataError) as exc:
@@ -345,7 +355,7 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
             rho=Fraction(entry["rho"]),
             provenance=entry.get("provenance"),
         )
-    except (KeyError, IndexError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
 
 
@@ -384,9 +394,10 @@ def _cmd_eval(args) -> dict:
     }
     if args.at is None and not args.radii:
         raise _CommandError(EXIT_PARSE, "nothing to do: give --at and/or --radii")
+    z = None if args.at is None else _parse_complex(args.at)
+    radii = _parse_radii(args.radii) if args.radii else None
     try:
-        if args.at is not None:
-            z = _parse_complex(args.at)
+        if z is not None:
             result = eval_series(sol, z, tol=args.tol, prec=prec)
             out["point"] = {
                 "z": z,
@@ -395,8 +406,7 @@ def _cmd_eval(args) -> dict:
                 "tail_bound": result.tail_bound,
                 "log_scale": result.log_scale,
             }
-        if args.radii:
-            radii = [float(r) for r in args.radii.split(",")]
+        if radii:
             if len(radii) == 1:
                 value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol, prec=prec)
                 out["max_modulus"] = {"radius": radii[0], "value": value}

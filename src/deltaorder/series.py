@@ -4,17 +4,19 @@ Generation runs an exact incremental row reduction in integer arithmetic,
 fraction-free in the manner of Bareiss (Math. Comp. 22, 1968): rows come
 from the recurrence as integers times its scale, and every stream value is
 an integer affine combination of the free coefficients over one integer
-denominator.  Pins enter at creation: a pinned index that no row determines
-is stored as its known value, not as a free coefficient, so a stream pinned
-at every free index is one integer over one denominator per value.  Each
-row either determines its deepest stream coefficient (when the window's top
-entry is nonzero at that row) or becomes a linear constraint that
-eliminates a free coefficient.  A new value's content is divided by its gcd
-with the row's lead value (or the pivot quotient of an elimination), a
+denominator.  Each row either determines its deepest stream coefficient
+(when the window's top entry is nonzero at that row) or becomes a linear
+constraint that eliminates the newest free coefficient it involves.  Pins
+enter where their index is created: a pinned index that no row determines
+is stored as its known value, not as a free coefficient, and a pinned index
+that a row determines becomes a constraint, eliminated like a zero-lead
+row, as soon as its value is made.  A new value's content is divided by its
+gcd with the row's lead value (or the pivot quotient of an elimination), a
 number a few words long, so the content that does not divide it stays; the
 one exact reduction is made when the output Fraction is built.  The result
 is a basis of the truncated solution space, or the stream pinned to given
-initial data, with inhomogeneous right-hand sides supported.  Verification
+initial data: the surviving free coefficients zeroed, as in the particular
+solution of an inhomogeneous right-hand side.  Verification
 likewise sums integer numerators and builds a Fraction only for a nonzero
 residual.
 
@@ -163,37 +165,6 @@ def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
     return den // g, const // g, {f: w // g for f, w in lin.items()}
 
 
-def _pivot(const: int, lin: dict[int, int]):
-    """The substitution that solves const + sum lin[f]*free_f = 0 for its newest free.
-
-    Returns (target, const, live, pivot), meaning
-    free_target = -(const + sum live[f]*free_f) / pivot, or None when no
-    free parameter is involved and the constraint holds.
-    """
-    live = {f: w for f, w in lin.items() if w}
-    if not live:
-        if const:
-            raise InconsistentSystemError("rows force a nonzero constant")
-        return None
-    target = max(live)
-    pivot = live.pop(target)
-    return target, const, live, pivot
-
-
-def _substitute(values, target: int, const: int, live: dict[int, int], pivot: int):
-    """Apply the substitution of :func:`_pivot` to every value in place."""
-    for k, (den, vconst, vlin) in enumerate(values):
-        w = vlin.get(target)
-        if w is None:
-            continue
-        g = math.gcd(w, pivot)
-        p, w = pivot // g, w // g
-        nlin = {f: v * p for f, v in vlin.items() if f != target}
-        for f, v in live.items():
-            nlin[f] = nlin.get(f, 0) - w * v
-        values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
-
-
 def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
     """Pins as {index: Fraction}, their indices checked before any row is touched.
 
@@ -210,20 +181,23 @@ def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
 
 
 class RowReduction:
-    """Fraction-free elimination of the window rows (after Bareiss).
+    """Fraction-free elimination of the window rows and pins (after Bareiss).
 
     Every stream value is an affine combination of free parameters, stored as
-    (den, const, {free id: num}) over integers.  Pins given at creation enter
-    first: a pinned index that no row determines is stored as its value
-    (q, p, {}) for p/q, not as a free parameter.  A row combines its window
+    (den, const, {free id: num}) over integers.  A row combines its window
     entries over the lcm of their denominators and subtracts its right-hand
     side times the recurrence scale: a nonzero lead value determines the next
-    stream value; a zero lead turns the row into a constraint that eliminates
-    the newest free parameter it involves, and contradicts an absorbed pin
-    when none is left.  Each new value's content is divided by the row's lead
-    or the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
-    free parameters that survive all rows.  Fractions are built only for the
-    streams that ``pin`` and ``basis`` return, and each makes the one exact
+    stream value; a zero lead turns the row into a constraint for
+    :meth:`_eliminate`.  Pins given at creation enter where their index is
+    made: a pinned index that no row determines is stored as its value
+    (q, p, {}) for p/q, not as a free parameter; a row-determined one adds
+    the constraint "value = pin" to the same elimination.  Each constraint
+    removes the newest free parameter it involves, so the eliminated set is
+    the set of leading columns of all constraints together, whatever order
+    they arrive in.  Each new value's content is divided by the row's lead or
+    the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
+    free parameters that survive.  Fractions are built only for the streams
+    that ``zeroed`` and ``basis`` return, and each makes the one exact
     reduction of its value.  :func:`solve_series` is its only caller in the
     package.
     """
@@ -234,7 +208,6 @@ class RowReduction:
                 f"truncation {count} is below the window span {rec.span}"
             )
         self.rec = rec
-        self.count = count
         self.inhomogeneous = rhs is not None
         self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
@@ -274,72 +247,56 @@ class RowReduction:
             const += factor * vconst
             for f, w in vlin.items():
                 lin[f] = lin.get(f, 0) + factor * w
-        if lead:
-            self.values.append(
-                _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
-            )
+        if not lead:
+            self._eliminate(const, lin)
             return
-        step = _pivot(const, lin)
-        if step is not None:
-            self.free_ids.remove(step[0])
-            _substitute(self.values, *step)
-
-    def pin(self, initial: dict) -> SeriesSolution:
-        """The single stream with the given values, remaining freedom zeroed.
-
-        The pins are eliminated in index order, each for its newest free
-        parameter, but only among themselves: the free parameters that
-        survive are zero, the eliminated ones follow by back substitution,
-        and each stream value is then evaluated once.  The reduction itself
-        is left unchanged.  Pins absorbed at creation pass through as known
-        values.  A negative index raises ValueError, one past the truncation
-        InsufficientDataError, contradictory pins InconsistentSystemError.
-        """
-        pins = _checked_pins(initial, self.count)
-        steps = []
-        for idx, wanted in sorted(pins.items()):
-            den, vconst, vlin = self.values[idx]
+        den, vconst, vlin = _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
+        self.values.append((den, vconst, vlin))
+        wanted = self.pins.get(top)
+        if wanted is not None:
             q = wanted.denominator
-            lin = {f: w * q for f, w in vlin.items()}
-            constraint = [(1, vconst * q - wanted.numerator * den, lin)]
-            for step in steps:
-                _substitute(constraint, *step)
-            step = _pivot(*constraint[0][1:])
-            if step is not None:
-                steps.append(step)
-        free: dict[int, Fraction] = {}
-        for target, const, live, pivot in reversed(steps):
-            known = sum(w * free.get(f, 0) for f, w in live.items())
-            free[target] = -(const + known) / Fraction(pivot)
-        common = math.lcm(*(x.denominator for x in free.values()))
-        scaled = {f: x.numerator * (common // x.denominator) for f, x in free.items()}
-        stream = []
-        for den, vconst, vlin in self.values[: self.count + 1]:
-            total = vconst * common + sum(w * scaled[f] for f, w in vlin.items() if f in scaled)
-            stream.append(Fraction(total, den * common))
-        for idx, wanted in pins.items():
-            if stream[idx] != wanted:
-                raise InconsistentSystemError(
-                    f"initial value at index {idx} is inconsistent with the rows"
-                )
+            self._eliminate(vconst * q - wanted.numerator * den, {f: w * q for f, w in vlin.items()})
+
+    def _eliminate(self, const: int, lin: dict[int, int]):
+        """Impose const + sum lin[f]*free_f = 0 by solving it for its newest free parameter.
+
+        Every stored value that involves that parameter is rewritten over the
+        pivot quotient.  With no free parameter left, a nonzero constant
+        raises InconsistentSystemError.
+        """
+        live = {f: w for f, w in lin.items() if w}
+        if not live:
+            if const:
+                raise InconsistentSystemError("rows force a nonzero constant")
+            return
+        target = max(live)
+        pivot = live.pop(target)
+        self.free_ids.remove(target)
+        for k, (den, vconst, vlin) in enumerate(self.values):
+            w = vlin.get(target)
+            if w is None:
+                continue
+            g = math.gcd(w, pivot)
+            p, w = pivot // g, w // g
+            nlin = {f: v * p for f, v in vlin.items() if f != target}
+            for f, v in live.items():
+                nlin[f] = nlin.get(f, 0) - w * v
+            self.values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
+
+    def zeroed(self, provenance: dict) -> SeriesSolution:
+        """The stream with every surviving free parameter zero: each value's constant over its denominator."""
         return SeriesSolution.from_values(
-            stream,
+            [Fraction(vconst, den) for den, vconst, _ in self.values],
             rho=self.rec.rho_offset,
-            provenance={"pinned": {k: str(v) for k, v in sorted(pins.items())}},
+            provenance=provenance,
         )
 
     def basis(self) -> list[SeriesSolution]:
         """The particular solution (if inhomogeneous), then one stream per free parameter."""
-        values = self.values[: self.count + 1]
         rho = self.rec.rho_offset
-        solutions = []
-        if self.inhomogeneous:
-            particular = [Fraction(vconst, den) for den, vconst, _ in values]
-            solutions.append(
-                SeriesSolution.from_values(particular, rho=rho, provenance={"particular": True})
-            )
+        solutions = [self.zeroed({"particular": True})] if self.inhomogeneous else []
         for fid in self.free_ids:
-            stream = [Fraction(vlin.get(fid, 0), den) for den, _, vlin in values]
+            stream = [Fraction(vlin.get(fid, 0), den) for den, _, vlin in self.values]
             if all(v == 0 for v in stream):
                 continue
             solutions.append(
@@ -361,16 +318,23 @@ def solve_series(
     the solution space: for a homogeneous system one stream per surviving
     free parameter; with a right-hand side, the particular solution (free
     parameters zeroed) followed by the homogeneous basis.  With ``initial``
-    the pinned values select a single stream (remaining freedom is zeroed);
-    contradictory pins raise InconsistentSystemError.  The pins enter the
-    row reduction at creation, so their indices are checked before any row.
+    the pinned values select a single stream (remaining freedom is zeroed,
+    as in the particular solution); contradictory pins raise
+    InconsistentSystemError.  The pins enter the row reduction where their
+    indices are made, through the elimination that zero-lead rows use, and
+    their indices are checked before any row.
 
     An empty list means only the identically-zero stream survives.
     """
     reduction = RowReduction(rec, count, rhs, initial)
-    if initial is not None:
-        return [reduction.pin(initial)]
-    return reduction.basis()
+    if initial is None:
+        return reduction.basis()
+    pins = reduction.pins
+    solution = reduction.zeroed({"pinned": {k: str(v) for k, v in sorted(pins.items())}})
+    for idx, wanted in pins.items():
+        if solution.coeffs[idx] != wanted:
+            raise RuntimeError(f"pinned value at index {idx} was not reproduced")
+    return [solution]
 
 
 # --- growth estimation --------------------------------------------------------

@@ -376,6 +376,49 @@ def test_negative_terms_exit_two(capsys):
             assert f"--terms must not be negative, got {terms}" in err
 
 
+def test_terms_below_the_window_span_exit_two(capsys):
+    # the truncation used to reach the solver and exit 4 as an empty solution space
+    text = "z^40 D f(z) + f(z) = 0"
+    for command in (("solve", text), ("eval", text, "--at", "1"), ("verify", text)):
+        code, out, err = run_cli(capsys, *command, "--terms", "20")
+        assert code == 2, command
+        assert out == ""
+        assert "truncation 20 is below the window span 41" in err
+    code, _, _ = run_cli(capsys, "solve", text, "--terms", "41")
+    assert code == 0
+
+
+def test_eval_malformed_radii_exit_two(capsys):
+    # the list used to be read inside the evaluation and exit 6
+    code, out, err = run_cli(capsys, "eval", "D f(z) - f(z) = 0", "--terms", "40", "--radii", "10,20,x")
+    assert code == 2
+    assert out == ""
+    assert "invalid radii '10,20,x'" in err
+
+
+_STREAM = {"rho": "0", "coefficients": ["1", "1/2"]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"solutions": [{**_STREAM, "coefficients": ["1", "1/0"]}]},
+        {"solutions": [{**_STREAM, "rho": "1/0"}]},
+        {"solutions": [{**_STREAM, "coefficients": 5}]},
+        [_STREAM],
+    ],
+    ids=["zero-denominator-coefficient", "zero-denominator-rho", "scalar-coefficients", "top-level-list"],
+)
+def test_malformed_solution_file_exits_two(capsys, tmp_path, payload):
+    # each used to end in a ZeroDivisionError or TypeError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "1")
+    assert code == 2
+    assert out == ""
+    assert "malformed solution file" in err
+
+
 def test_eval_parses_its_equation_beside_a_solution_file(capsys, half_order_file):
     source = ("--solution", str(half_order_file))
     code, out, err = run_cli(capsys, "eval", "garbage(", *source, "--at", "1")

@@ -119,3 +119,11 @@ def test_exact_modules_never_import_the_evaluation_layer(module):
     tree = ast.parse((SRC / "deltaorder" / f"{module}.py").read_text(encoding="utf-8"))
     parts = [name.split(".") for name in _imported_names(tree)]
     assert not [p for p in parts if p[0] == "mpmath" or "evaluation" in p], module
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "deltaorder").glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_relies_on_assert(path):
+    # an assert vanishes under python -O; invariants are raised exceptions
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"

@@ -6,11 +6,12 @@ Fractions, a zero-lead row eliminating its newest free parameter, pins
 eliminated in index order and the remaining freedom zeroed.  The kernel must
 reproduce its streams, provenance and verification reports exactly.
 
-Three properties cover what the oracle cannot see: pins absorbed when the
-reduction is created give what pinning a finished reduction gives; pins at
-every index that no row determines give the stream of an elimination pinned
-at its surviving free parameters; and the content left by cutting only the
-row's lead stays a bounded share of each stored denominator.
+Three properties cover what the oracle cannot see: pins at free and at
+row-determined indices, imposed as the reduction creates their indices, give
+the oracle's stream of pins applied after every row; pins at every index that
+no row determines leave no free parameter and give the stream of pins at the
+surviving free parameters; and the content left by cutting only the row's
+lead stays a bounded share of each stored denominator.
 """
 
 import math
@@ -19,10 +20,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder import CoefficientRecurrence, Poly, SeriesSolution, solve_series, verify_recurrence
+from deltaorder import (
+    CoefficientRecurrence,
+    Poly,
+    SeriesSolution,
+    derive_recurrence,
+    normalize_to_delta,
+    parse_equation,
+    solve_series,
+    verify_recurrence,
+)
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError
 from deltaorder.polynomials import as_rational
 from deltaorder.series import RowReduction
+
+from fixtures_equations import CUBIC_THIRD
 
 
 def oracle_row(rec, n):
@@ -201,15 +213,14 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
 def test_pins_absorbed_at_creation_match_pins_applied_late(rec, data):
     count = rec.span + data.draw(st.integers(0, 12))
     rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
-    try:
-        late = RowReduction(rec, count, rhs)
-    except InconsistentSystemError:
-        late = None
     # a solution to copy pins from, so that pins at row-determined indices agree at times
-    reference = None
-    if late is not None:
-        choice = {f: data.draw(small_rationals) for f in late.free_ids}
-        reference = late.pin(choice).coeffs
+    try:
+        free_ids = RowReduction(rec, count, rhs).free_ids
+    except InconsistentSystemError:
+        reference = None
+    else:
+        choice = {f: data.draw(small_rationals) for f in free_ids}
+        reference = oracle_solve(rec, count, initial=choice, rhs=rhs)[0].coeffs
     # free and row-determined indices, pinned to the reference or to a random value
     initial = {}
     for idx in data.draw(st.lists(st.integers(0, count), min_size=1, max_size=4, unique=True)):
@@ -219,32 +230,39 @@ def test_pins_absorbed_at_creation_match_pins_applied_late(rec, data):
     for idx in data.draw(st.lists(outside, max_size=2, unique=True)):
         initial[idx] = data.draw(small_rationals)
     actual = _outcome(solve_series, rec, count, initial, rhs)
-    if late is not None:
-        expected = _outcome(late.pin, initial)
-        assert actual == (expected if isinstance(expected, type) else [expected])
-        return
-    # rows that contradict each other without pins: a pinned solve checks its indices first
+    # a pinned solve checks its indices before any row, even rows that contradict each other
     bad = [idx for idx in sorted(initial) if not 0 <= idx <= count]
-    if not bad:
-        assert actual is InconsistentSystemError
-    else:
+    if bad:
         assert actual is (ValueError if bad[0] < 0 else InsufficientDataError)
+    else:
+        assert actual == _outcome(oracle_solve, rec, count, initial=initial, rhs=rhs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rec=recurrences(min_roots=1), data=st.data())
 def test_pins_at_the_undetermined_indices_reproduce_the_eliminated_stream(rec, data):
-    # the stream of an elimination pinned at its surviving free parameters is
-    # the stream pinned at every index that no row determines; rows reach
-    # past the drawn roots 0..8, and about 40% of the draws eliminate
+    # the stream pinned at the surviving free parameters is the stream pinned
+    # at every index that no row determines; rows reach past the drawn roots
+    # 0..8, and about 40% of the draws eliminate
     count = rec.span + data.draw(st.integers(8, 20))
     reduction = RowReduction(rec, count)
     undetermined = rec.undetermined(count)
     assert set(reduction.free_ids) <= set(undetermined)
-    reference = reduction.pin({f: data.draw(small_rationals) for f in reduction.free_ids})
+    choice = {f: data.draw(small_rationals) for f in reduction.free_ids}
+    reference = oracle_solve(rec, count, initial=choice)[0]
     pins = {idx: reference.coeffs[idx] for idx in undetermined}
     assert RowReduction(rec, count, initial=pins).free_ids == []
     assert solve_series(rec, count, initial=pins)[0].coeffs == reference.coeffs
+
+
+def test_a_pin_at_a_row_determined_index_eliminates_at_creation():
+    # a_5 is determined by a row, yet pinning it takes up the free a_2
+    rec = derive_recurrence(normalize_to_delta(parse_equation(CUBIC_THIRD)))
+    initial = {0: Fraction(1), 1: Fraction(0), 5: Fraction(1)}
+    assert RowReduction(rec, 80).free_ids == [0, 1, 2]
+    assert 5 not in rec.undetermined(80)
+    assert RowReduction(rec, 80, initial=initial).free_ids == []
+    assert solve_series(rec, 80, initial=initial) == oracle_solve(rec, 80, initial=initial)
 
 
 @settings(max_examples=150, deadline=None)
