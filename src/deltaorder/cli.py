@@ -9,19 +9,21 @@ polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
 coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
-pin index, a negative --index or --terms, --terms below the window span,
---initial beside --solution, a --radii entry that is not a number, a
-malformed --solution file, or --rows below the first row), 3 degenerate
-equation, 4 empty solution space, 5 invalid prescribed order, 6 evaluation
-failure (also a characteristic or indicial root whose magnitude is outside
-the double range), 7 malformed environment setting (DELTAORDER_PRECISION).
+pin index, a pin index past --terms, a negative --index or --terms, --terms
+below the window span, --initial beside --solution, a --radii entry that is
+not a number, a malformed --solution file, or --rows below the first row),
+3 degenerate equation, 4 empty solution space, 5 invalid prescribed order,
+6 evaluation failure (also more than ``polynomials.MAX_RADII`` = 16 radii,
+and a characteristic or indicial root whose magnitude is outside the double
+range), 7 malformed environment setting (a DELTAORDER_PRECISION that is not
+an integer or exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
 
 Importing this module loads neither numpy nor mpmath; each command loads
 what it computes with.  ``verify --solution`` and ``compose`` load neither
 and ``eval --solution`` loads mpmath only.  ``analyze`` and ``construct``
 load numpy for their roots; ``solve``, and ``eval`` or ``verify`` solving an
-equation themselves, load it for the chi fit of a stream with 64 nonzero
-coefficients.
+equation themselves, load it for the chi fit of a stream with
+``series.MIN_CHI_TERMS`` = 64 nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .newton import NewtonAnalysis, analyze, verdict
 from .parsing import format_delta_form, format_general, parse_equation
-from .polynomials import MAX_SAMPLES, working_precision
+from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
 from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
 from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
 from .series import GrowthEstimate, SeriesSolution, estimate_chi, solve_series, verify_recurrence
@@ -94,17 +96,12 @@ def _equation_json(eq: DifferenceEquation) -> dict:
     }
 
 
-# the verdict fields in CLI order
-_VERDICT_KEYS = ("orders", "total_bound", "exists_below_one", "zero_order_possible", "message")
-
-
 def _newton_json(analysis: NewtonAnalysis) -> dict:
-    report = verdict(analysis)
     return {
         "degrees": [None if d == float("-inf") else int(d) for d in analysis.degrees],
         "s_sequence": analysis.s_seq,
         "p": analysis.p,
-        **{key: report[key] for key in _VERDICT_KEYS},
+        **verdict(analysis),
     }
 
 
@@ -281,6 +278,8 @@ def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[Se
     initial = _parse_initial(getattr(args, "initial", None))
     if args.terms < rec.span:
         raise _CommandError(EXIT_PARSE, f"truncation {args.terms} is below the window span {rec.span}")
+    if initial and max(initial) > args.terms:
+        raise _CommandError(EXIT_PARSE, f"pinned index {max(initial)} beyond truncation")
     try:
         solutions = solve_series(rec, args.terms, initial=initial)
     except (InconsistentSystemError, InsufficientDataError) as exc:
@@ -384,8 +383,8 @@ def _cmd_eval(args) -> dict:
     from .evaluation import empirical_order, eval_series, max_modulus
 
     eq = _equation(args.equation) if args.equation else None
+    prec = working_precision()  # before solving, so a precision over its limit costs nothing
     _, sol = _load_solution(args, eq)
-    prec = working_precision()
     out = {
         "schema": SCHEMA,
         "command": "eval",
@@ -398,7 +397,7 @@ def _cmd_eval(args) -> dict:
     radii = _parse_radii(args.radii) if args.radii else None
     try:
         if z is not None:
-            result = eval_series(sol, z, tol=args.tol, prec=prec)
+            result = eval_series(sol, z, tol=args.tol)
             out["point"] = {
                 "z": z,
                 "value": result.value,
@@ -408,10 +407,10 @@ def _cmd_eval(args) -> dict:
             }
         if radii:
             if len(radii) == 1:
-                value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol, prec=prec)
+                value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol)
                 out["max_modulus"] = {"radius": radii[0], "value": value}
             else:
-                fit = empirical_order(sol, radii, samples=args.samples, tol=args.tol, prec=prec)
+                fit = empirical_order(sol, radii, samples=args.samples, tol=args.tol)
                 out["growth"] = {
                     "radii": fit.radii,
                     "log_max_modulus": fit.log_max_modulus,
@@ -508,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_stream_source(p, terms=400)
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
     p.add_argument("--at", default=None, help="complex point, e.g. 2.5 or 1+2i")
-    p.add_argument("--radii", default=None, help="comma list, e.g. 50,100,200,400")
+    p.add_argument("--radii", default=None, help=f"comma list of at most {MAX_RADII}, e.g. 50,100,200,400")
     p.add_argument("--samples", type=int, default=64, help=f"points per circle, 8 to {MAX_SAMPLES}")
     p.add_argument("--tol", type=float, default=1e-12, help="term tolerance")
     p.set_defaults(func=_cmd_eval)

@@ -34,6 +34,12 @@ from .polynomials import Poly, common_denominator, expand_newton, falling_factor
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
 from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
 
+#: Recurrence rows that the round trip checks and solves.  The predicted
+#: series of q/p runs to index ROUNDTRIP_ROWS * q + p + 1: past the deepest
+#: index ROUNDTRIP_ROWS + p that the rows reach, with ROUNDTRIP_ROWS + 1
+#: nonzero coefficients on its support q*N for the growth fit.
+ROUNDTRIP_ROWS = 200
+
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -51,13 +57,12 @@ class ConstructionResult:
         return Fraction(self.q, self.p)
 
 
-def construct_equation(q: int, p: int, series_length: int | None = None) -> ConstructionResult:
+def construct_equation(q: int, p: int) -> ConstructionResult:
     """Generate an equation with an entire solution of order exactly q/p.
 
-    ``series_length`` controls how many predicted coefficients are attached
-    (default: enough for a 200-step verification and growth fit).  The
-    predicted series is verified against the canonical equation on a short
-    prefix before being returned.
+    The predicted series carries enough coefficients for the round trip's
+    ``ROUNDTRIP_ROWS`` rows and growth fit.  It is verified against the
+    canonical equation on a short prefix before being returned.
     """
     if not (isinstance(q, int) and isinstance(p, int)):
         raise InvalidOrderError("order must be given as integers q and p")
@@ -91,10 +96,8 @@ def construct_equation(q: int, p: int, series_length: int | None = None) -> Cons
     )
     template = GeneralForm(terms=tuple(terms))
     canonical = normalize_to_delta(template)
-    if series_length is None:
-        series_length = 200 * q + p + 1
-    predicted = _predicted_series(q, p, series_length)
-    residual = apply_operator(canonical, predicted, min(40, series_length - p))
+    predicted = _predicted_series(q, p, ROUNDTRIP_ROWS * q + p + 1)
+    residual = apply_operator(canonical, predicted, 40)
     if any(v != 0 for v in residual):
         raise ArithmeticError("predicted series fails the generated equation")
     return ConstructionResult(
@@ -134,17 +137,17 @@ class RoundTripReport:
     chi_hat: float
 
 
-def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripReport:
+def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     """Run the full analyzer pipeline against a construction.
 
     Checks, in order: the prescribed order appears in the admissible order
     list; the window recurrence of the canonical form is satisfied exactly by
-    the predicted series over ``rows`` rows; the solver, pinned to the
-    predicted values at every index up to ``rows`` that no row determines
-    (``CoefficientRecurrence.undetermined``), reproduces the series, a
-    zero-lead row that the pins contradict failing the stage; the polygon
-    exposes a slope p/q branch; and the fitted decay of the prediction lands
-    within 0.01 of q/p.  Each stage reports pass/fail with a detail string.
+    the predicted series over ``ROUNDTRIP_ROWS`` rows; the solver, pinned to
+    the predicted values at every index up to ``ROUNDTRIP_ROWS`` that no row
+    determines (``CoefficientRecurrence.undetermined``), reproduces the
+    series, a zero-lead row that the pins contradict failing the stage; the
+    polygon exposes a slope p/q branch; and the fitted decay of the
+    prediction lands within 0.01 of q/p.  Each stage reports pass/fail with a detail string.
     """
     target = result.order_value
     stages = []
@@ -154,24 +157,24 @@ def roundtrip_check(result: ConstructionResult, rows: int = 200) -> RoundTripRep
     stages.append(("newton", target in listed, f"orders {listed}"))
 
     rec = derive_recurrence(result.canonical)
-    need = rows + rec.order
+    need = ROUNDTRIP_ROWS + rec.order
     predicted = result.predicted_series
     if len(predicted.coeffs) <= need:
         predicted = _predicted_series(result.q, result.p, need)
-    report = verify_recurrence(rec, predicted, rows)
+    report = verify_recurrence(rec, predicted, ROUNDTRIP_ROWS)
     stages.append(
         ("recurrence", report.exact, f"max residual {report.max_residual}")
     )
 
     # pinned where no row decides, the solve carries no free parameter; a
     # zero-lead row that the prediction violates contradicts its pins
-    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(rows)}
+    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(ROUNDTRIP_ROWS)}
     try:
-        solved = solve_series(rec, rows, initial=pins)[0]
+        solved = solve_series(rec, ROUNDTRIP_ROWS, initial=pins)[0]
     except InconsistentSystemError:
         match = False
     else:
-        match = solved.coeffs == predicted.coeffs[: rows + 1]
+        match = solved.coeffs == predicted.coeffs[: ROUNDTRIP_ROWS + 1]
     stages.append(("series", match, "pinned solve reproduces the prediction"))
 
     polygon = adams_polygon(rec)

@@ -65,7 +65,7 @@ from mpmath.libmp import (
 )
 
 from .errors import EvaluationError, GammaPoleError, NonConvergenceError
-from .polynomials import MAX_SAMPLES, as_rational, working_precision
+from .polynomials import MAX_RADII, MAX_SAMPLES, as_rational, working_precision
 from .series import SeriesSolution
 
 _RND = round_nearest
@@ -141,18 +141,17 @@ def _is_gamma_pole(point) -> bool:
     return point.imag == 0 and point.real <= 0 and mpmath.isint(point.real)
 
 
-def falling_power_eval(z, rho, prec: int | None = None) -> complex:
+def falling_power_eval(z, rho) -> complex:
     """Evaluate the falling power of ``z`` with general exponent ``rho``.
 
     For integer exponents this is the product z(z-1)...(z-rho+1), or the
     reciprocal rising product for negative ones; otherwise it is the gamma
     quotient Gamma(z+1)/Gamma(z+1-rho) through log-gamma.  Either is computed
-    in arbitrary precision and rounded to a double once.  Poles of the
+    at the working precision and rounded to a double once.  Poles of the
     quotient (z+1 a non-positive integer) raise :class:`GammaPoleError`; where
     only z+1-rho is one, the reciprocal gamma vanishes and the value is 0.
     """
-    bits = prec if prec is not None else working_precision()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(working_precision()):
         return complex(_falling_power_mp(z, rho))
 
 
@@ -424,9 +423,7 @@ def _check_circle(radius, samples: int, tol) -> None:
     _check_tol(tol)
 
 
-def eval_series(
-    sol: SeriesSolution, z, tol: float = 1e-12, prec: int | None = None
-) -> EvalResult:
+def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     """Evaluate a series at a complex point.
 
     A nonzero offset rho contributes the prefactor ff(z, rho) (a gamma
@@ -438,12 +435,12 @@ def eval_series(
     if not cmath.isfinite(complex(z)):
         raise ValueError(f"z must be finite, got {z!r}")
     _check_tol(tol)
-    bits = prec if prec is not None else working_precision()
+    bits = working_precision()
     with mpmath.workprec(bits):
         rho = sol.rho_offset
         prefactor = mpmath.mpc(1)
         if rho != 0:
-            prefactor = _to_mpc(falling_power_eval(z, rho, prec=bits))
+            prefactor = _to_mpc(falling_power_eval(z, rho))
         base = mpc_sub_mpf(_to_mpc(z)._mpc_, _rational_mpf(rho, bits), bits, _RND)
         total, used, tail, peak = _sum_series(_Stream(sol), base, mpmath.mpf(tol)._mpf_)
         try:
@@ -496,13 +493,7 @@ def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:
         return to_float(best, rnd=_RND)
 
 
-def max_modulus(
-    sol: SeriesSolution,
-    radius: float,
-    samples: int = 64,
-    tol: float = 1e-12,
-    prec: int | None = None,
-) -> float:
+def max_modulus(sol: SeriesSolution, radius: float, samples: int = 64, tol: float = 1e-12) -> float:
     """Maximum of |f| over equally spaced points on the circle |z| = radius.
 
     Deterministic for fixed inputs; overflows to inf only past the double
@@ -511,22 +502,15 @@ def max_modulus(
     more than MAX_SAMPLES samples, or a tol that is not positive and finite.
     """
     _check_circle(radius, samples, tol)
-    bits = prec if prec is not None else working_precision()
-    log_best = _log_max_modulus(sol, _Stream(sol), float(radius), samples, tol, bits)
+    log_best = _log_max_modulus(sol, _Stream(sol), float(radius), samples, tol, working_precision())
     try:
         return math.exp(log_best)
     except OverflowError:
         return math.inf
 
 
-def empirical_order(
-    sol: SeriesSolution,
-    radii,
-    samples: int = 64,
-    tol: float = 1e-12,
-    prec: int | None = None,
-) -> EmpiricalOrder:
-    """Fit log log M(r) against log r over at least four increasing radii.
+def empirical_order(sol: SeriesSolution, radii, samples: int = 64, tol: float = 1e-12) -> EmpiricalOrder:
+    """Fit log log M(r) against log r over 4 to MAX_RADII increasing radii.
 
     The slope estimates the growth order; the scale constant is read off the
     final radius.  Non-monotone max-modulus values are rejected.  The
@@ -535,13 +519,15 @@ def empirical_order(
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("at least four radii are required")
+    if len(radii) > MAX_RADII:
+        raise ValueError(f"at most {MAX_RADII} radii are allowed, got {len(radii)}")
     for r in radii:
         if not math.isfinite(r):
             raise ValueError(f"radii entries must be finite, got {r!r}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     _check_circle(radii[0], samples, tol)  # the smallest radius
-    bits = prec if prec is not None else working_precision()
+    bits = working_precision()
     stream = _Stream(sol)
     logm = [_log_max_modulus(sol, stream, r, samples, tol, bits) for r in radii]
     if any(b <= a for a, b in zip(logm, logm[1:])):

@@ -124,7 +124,7 @@ def analyze(eq: DifferenceEquation) -> NewtonAnalysis:
 
 
 def verdict(analysis: NewtonAnalysis) -> dict:
-    """Human-facing summary of an analysis.
+    """Human-facing summary of an analysis, its keys in the order the CLI prints them.
 
     ``exists_below_one`` mirrors p >= 2; the total bound caps the number of
     independent sub-1 entire solutions; order zero is impossible, which the
@@ -142,12 +142,12 @@ def verdict(analysis: NewtonAnalysis) -> dict:
     else:
         message = "no transcendental entire solution of order below 1 exists"
     return {
-        "exists_below_one": analysis.exists_sub1,
-        "total_bound": analysis.total_bound,
         "orders": [
             {"rho": entry.rho, "max_count": entry.max_count}
             for entry in analysis.orders
         ],
+        "total_bound": analysis.total_bound,
+        "exists_below_one": analysis.exists_sub1,
         "zero_order_possible": False,
         "message": message,
     }

@@ -15,10 +15,9 @@ gcd with the row's lead value (or the pivot quotient of an elimination), a
 number a few words long, so the content that does not divide it stays; the
 one exact reduction is made when the output Fraction is built.  The result
 is a basis of the truncated solution space, or the stream pinned to given
-initial data: the surviving free coefficients zeroed, as in the particular
-solution of an inhomogeneous right-hand side.  Verification
-likewise sums integer numerators and builds a Fraction only for a nonzero
-residual.
+initial data with the surviving free coefficients zeroed.  The rows are
+homogeneous, as the equations are.  Verification likewise sums integer
+numerators and builds a Fraction only for a nonzero residual.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -86,9 +85,7 @@ class VerificationReport:
         return self.first_failing_row is None
 
 
-def verify_recurrence(
-    rec: CoefficientRecurrence, sol: SeriesSolution, rows: int, rhs=None
-) -> VerificationReport:
+def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int) -> VerificationReport:
     """Substitute the stream into rows first_row..rows; exact residuals.
 
     The stream must reach index rows + order.  Returns the first failing row
@@ -107,11 +104,8 @@ def verify_recurrence(
     first_bad = None
     for n in range(rec.first_row, rows + 1):
         terms = [(c, idx) for idx, c in rec.row(n) if nums[idx]]
-        target = _rhs_value(rhs, n)
-        common = _lcm(target.denominator, *(dens[idx] for _, idx in terms))
+        common = _lcm(*[dens[idx] for _, idx in terms])
         total = sum(c * nums[idx] * (common // dens[idx]) for c, idx in terms)
-        if target:
-            total -= rec.scale * target.numerator * (common // target.denominator)
         if total:
             if first_bad is None:
                 first_bad = n
@@ -125,17 +119,13 @@ def verify_recurrence(
     )
 
 
-def _rhs_value(rhs, n: int):
-    """Right-hand side of row n: a rational, or 0 for rows beyond ``rhs`` and below 0."""
-    return as_rational(rhs[n]) if rhs is not None and 0 <= n < len(rhs) else 0
-
-
 def _lcm(*dens: int) -> int:
     """lcm of nonzero integers; a value that divides the running lcm costs one division.
 
     Rows list the deepest stream index first, and in a decaying stream the
     earlier denominators often divide the later ones, so most steps skip the
-    gcd.
+    gcd.  Callers spread a list, not a generator: a generator's args tuple is
+    resized as it fills, which lets CPython's per-size tuple free lists grow.
     """
     out = 1
     for d in dens:
@@ -185,16 +175,15 @@ class RowReduction:
 
     Every stream value is an affine combination of free parameters, stored as
     (den, const, {free id: num}) over integers.  A row combines its window
-    entries over the lcm of their denominators and subtracts its right-hand
-    side times the recurrence scale: a nonzero lead value determines the next
-    stream value; a zero lead turns the row into a constraint for
-    :meth:`_eliminate`.  Pins given at creation enter where their index is
-    made: a pinned index that no row determines is stored as its value
-    (q, p, {}) for p/q, not as a free parameter; a row-determined one adds
-    the constraint "value = pin" to the same elimination.  Each constraint
-    removes the newest free parameter it involves, so the eliminated set is
-    the set of leading columns of all constraints together, whatever order
-    they arrive in.  Each new value's content is divided by the row's lead or
+    entries over the lcm of their denominators: a nonzero lead value
+    determines the next stream value; a zero lead turns the row into a
+    constraint for :meth:`_eliminate`.  Pins given at creation enter where
+    their index is made: a pinned index that no row determines is stored as
+    its value (q, p, {}) for p/q, not as a free parameter; a row-determined
+    one adds the constraint "value = pin" to the same elimination.  Each
+    constraint removes the newest free parameter it involves, so the
+    eliminated set is the set of leading columns of all constraints
+    together, whatever order they arrive in.  Each new value's content is divided by the row's lead or
     the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
     free parameters that survive.  Fractions are built only for the streams
     that ``zeroed`` and ``basis`` return, and each makes the one exact
@@ -202,13 +191,12 @@ class RowReduction:
     package.
     """
 
-    def __init__(self, rec: CoefficientRecurrence, count: int, rhs=None, initial=None):
+    def __init__(self, rec: CoefficientRecurrence, count: int, initial=None):
         if count < rec.span:
             raise InsufficientDataError(
                 f"truncation {count} is below the window span {rec.span}"
             )
         self.rec = rec
-        self.inhomogeneous = rhs is not None
         self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
@@ -216,7 +204,7 @@ class RowReduction:
             top = n + rec.order
             while len(self.values) < top:
                 self._append_free()
-            self._add_row(rec.row(n), top, _rhs_value(rhs, n))
+            self._add_row(rec.row(n), top)
         while len(self.values) <= count:
             self._append_free()
 
@@ -230,8 +218,8 @@ class RowReduction:
         self.values.append((1, 0, {idx: 1}))
         self.free_ids.append(idx)
 
-    def _add_row(self, row, top: int, target):
-        """Impose sum row_value * a_idx = scale * target on the stream."""
+    def _add_row(self, row, top: int):
+        """Impose sum row_value * a_idx = 0 on the stream."""
         lead = 0
         terms = []
         for idx, c in row:
@@ -239,8 +227,8 @@ class RowReduction:
                 lead = c
             else:
                 terms.append((c, self.values[idx]))
-        common = _lcm(target.denominator, *(den for _, (den, _, _) in terms))
-        const = -self.rec.scale * target.numerator * (common // target.denominator)
+        common = _lcm(*[den for _, (den, _, _) in terms])
+        const = 0
         lin: dict[int, int] = {}
         for c, (den, vconst, vlin) in terms:
             factor = c * (common // den)
@@ -292,9 +280,9 @@ class RowReduction:
         )
 
     def basis(self) -> list[SeriesSolution]:
-        """The particular solution (if inhomogeneous), then one stream per free parameter."""
+        """One stream per surviving free parameter, skipping streams that vanish."""
         rho = self.rec.rho_offset
-        solutions = [self.zeroed({"particular": True})] if self.inhomogeneous else []
+        solutions = []
         for fid in self.free_ids:
             stream = [Fraction(vlin.get(fid, 0), den) for den, _, vlin in self.values]
             if all(v == 0 for v in stream):
@@ -306,27 +294,22 @@ class RowReduction:
 
 
 def solve_series(
-    rec: CoefficientRecurrence,
-    count: int,
-    initial: dict[int, Fraction] | None = None,
-    rhs=None,
+    rec: CoefficientRecurrence, count: int, initial: dict[int, Fraction] | None = None
 ) -> list[SeriesSolution]:
     """Generate the truncated solution space of a recurrence, exactly.
 
     ``count`` is the largest stream index (a_0..a_count are produced) and
     must cover the window span.  Without ``initial`` the result is a basis of
-    the solution space: for a homogeneous system one stream per surviving
-    free parameter; with a right-hand side, the particular solution (free
-    parameters zeroed) followed by the homogeneous basis.  With ``initial``
-    the pinned values select a single stream (remaining freedom is zeroed,
-    as in the particular solution); contradictory pins raise
-    InconsistentSystemError.  The pins enter the row reduction where their
-    indices are made, through the elimination that zero-lead rows use, and
-    their indices are checked before any row.
+    the solution space, one stream per surviving free parameter.  With
+    ``initial`` the pinned values select a single stream (remaining freedom
+    is zeroed); contradictory pins raise InconsistentSystemError.  The pins
+    enter the row reduction where their indices are made, through the
+    elimination that zero-lead rows use, and their indices are checked
+    before any row.
 
     An empty list means only the identically-zero stream survives.
     """
-    reduction = RowReduction(rec, count, rhs, initial)
+    reduction = RowReduction(rec, count, initial)
     if initial is None:
         return reduction.basis()
     pins = reduction.pins
@@ -356,23 +339,22 @@ class GrowthEstimate:
     converged: bool
 
 
-def estimate_chi(coeffs, min_terms: int = 64) -> GrowthEstimate:
+#: Nonzero coefficients that ``estimate_chi`` needs for a fit.
+MIN_CHI_TERMS = 64
+
+
+def estimate_chi(coeffs) -> GrowthEstimate:
     """Fit -log|a_n| = mu*n*log n + beta*n + gamma*log n + delta, trailing half.
 
-    Zero coefficients are skipped (arithmetic-progression supports are fine);
-    at least ``min_terms`` nonzero terms are required.  A non-positive fitted
+    The coefficients are exact (ints or Fractions).  Zero coefficients are
+    skipped (arithmetic-progression supports are fine); at least
+    ``MIN_CHI_TERMS`` nonzero terms are required.  A non-positive fitted
     slope is reported as chi_hat = inf with converged False.
     """
-    indexed = []
-    for n, c in enumerate(coeffs):
-        if isinstance(c, Fraction):
-            if c != 0:
-                indexed.append((n, fraction_log_abs(c)))
-        elif c:
-            indexed.append((n, math.log(abs(c))))
-    if len(indexed) < min_terms:
+    indexed = [(n, fraction_log_abs(c)) for n, c in enumerate(coeffs) if c]
+    if len(indexed) < MIN_CHI_TERMS:
         raise InsufficientDataError(
-            f"need at least {min_terms} nonzero coefficients, have {len(indexed)}"
+            f"need at least {MIN_CHI_TERMS} nonzero coefficients, have {len(indexed)}"
         )
     tail = indexed[len(indexed) // 2 :]
     import numpy as np

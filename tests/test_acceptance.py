@@ -137,7 +137,7 @@ def test_criterion_05_constructor_round_trip():
         ]
         for q, p in pairs:
             result = construct_equation(q, p)
-            report = roundtrip_check(result, rows=200)
+            report = roundtrip_check(result)
             assert report.ok, (q, p, report.stages)
             assert abs(report.chi_hat - q / p) < 0.01, (q, p, report.chi_hat)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from deltaorder.cli import MAX_TERMS, main
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
+from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -306,6 +307,43 @@ def test_negative_pin_index_exits_two(capsys):
         assert code == 2, command
         assert out == ""
         assert "pinned index -1 is negative" in err
+
+
+def test_pin_index_past_the_truncation_exits_two(capsys):
+    # the pin used to reach the solver and exit 4 as an empty solution space
+    for command in (("solve", CUBIC_THIRD), ("eval", CUBIC_THIRD, "--at", "1")):
+        code, out, err = run_cli(capsys, *command, "--terms", "80", "--initial", "0=1,81=1")
+        assert code == 2, command
+        assert out == ""
+        assert "pinned index 81 beyond truncation" in err
+        code, _, _ = run_cli(capsys, *command, "--terms", "80", "--initial", "0=1,80=1")
+        assert code == 0, command
+
+
+def test_eval_precision_above_the_limit_exits_seven(capsys, monkeypatch):
+    # 100 000 bits ran past a 60 s timeout on one radius; the limit is read before solving
+    monkeypatch.setenv("DELTAORDER_PRECISION", str(MAX_PRECISION + 1))
+    start = time.perf_counter()
+    with deadline(5):
+        code, out, err = run_cli(capsys, "eval", CUBIC_THIRD, "--terms", "400", "--radii", "10")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (7, "")
+    assert f"exceeds the limit {MAX_PRECISION}" in err
+    monkeypatch.setenv("DELTAORDER_PRECISION", str(MAX_PRECISION))
+    code, out, _ = run_cli(capsys, "eval", "D f(z) - f(z) = 0", "--terms", "40", "--at", "1")
+    assert code == 0
+    assert json.loads(out)["precision_bits"] == MAX_PRECISION
+
+
+def test_eval_more_radii_than_the_limit_exits_six(capsys):
+    base = ("eval", CUBIC_THIRD, "--terms", "200", "--initial", README_PINS, "--samples", "8")
+    radii = ",".join(str(10 * r) for r in range(1, MAX_RADII + 2))
+    code, out, err = run_cli(capsys, *base, "--radii", radii)
+    assert (code, out) == (6, "")
+    assert f"at most {MAX_RADII} radii are allowed, got {MAX_RADII + 1}" in err
+    code, out, _ = run_cli(capsys, *base, "--radii", radii.rpartition(",")[0])
+    assert code == 0
+    assert len(json.loads(out)["growth"]["radii"]) == MAX_RADII
 
 
 def test_repeated_pin_index_exits_two(capsys):

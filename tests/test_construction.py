@@ -34,7 +34,7 @@ def test_rejects_bad_orders():
 
 def test_half_order_weights():
     # the profile (2n)(2n - 1) = 4 ff(n,2) + 2 ff(n,1) gives weights 4, 2, 1
-    result = construct_equation(1, 2, series_length=80)
+    result = construct_equation(1, 2)
     assert result.weights == (1, 2, 4)
     assert result.template.terms[0].coefficient == Poly([0, -4, 4])
     assert result.template.terms[0].delta_power == 2
@@ -45,12 +45,12 @@ def test_half_order_weights():
 
 def test_weight_ratio_is_order_power():
     for q, p in ((1, 2), (3, 4), (2, 5), (5, 6)):
-        result = construct_equation(q, p, series_length=4 * p)
+        result = construct_equation(q, p)
         assert Fraction(result.weights[0], result.weights[-1]) == Fraction(q, p) ** p
 
 
 def test_predicted_series_pattern():
-    result = construct_equation(3, 4, series_length=60)
+    result = construct_equation(3, 4)
     coeffs = result.predicted_series.coeffs
     assert result.predicted_series.support_modulus == 3
     for t in range(0, 20):
@@ -80,7 +80,7 @@ def test_half_order_family_agrees_with_fixture():
     # the independent second-order fixture has the same admissible order as
     # the generated half-order equation
     fixture = analyze(normalize_to_delta(parse_equation(HALF_ORDER)))
-    generated = analyze(construct_equation(1, 2, series_length=80).canonical)
+    generated = analyze(construct_equation(1, 2).canonical)
     assert [e.rho for e in fixture.orders] == [e.rho for e in generated.orders] == [
         Fraction(1, 2)
     ]
@@ -99,7 +99,7 @@ def test_all_coprime_pairs_up_to_six():
     ]
     assert len(pairs) == 11
     for q, p in pairs:
-        result = construct_equation(q, p, series_length=60 * q + p + 1)
+        result = construct_equation(q, p)
         analysis = analyze(result.canonical)
         assert Fraction(q, p) in [e.rho for e in analysis.orders], (q, p)
 

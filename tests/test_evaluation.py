@@ -1,7 +1,9 @@
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -25,7 +27,7 @@ from deltaorder.errors import (
     GammaPoleError,
     NonConvergenceError,
 )
-from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp, falling_power_eval
+from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp
 
 from fixtures_equations import CUBIC_THIRD, quartic_34_stream, third_order_stream
 
@@ -285,12 +287,17 @@ def _to_mpc(value) -> mpmath.mpc:
     return mpmath.mpc(c.real, c.imag)
 
 
+def precision(bits):
+    """DELTAORDER_PRECISION set to ``bits`` for the duration of a with-block."""
+    return mock.patch.dict(os.environ, {"DELTAORDER_PRECISION": str(bits)})
+
+
 def oracle_eval(sol, z, tol=1e-12, prec=128):
     with mpmath.workprec(prec):
         rho = sol.rho_offset
         prefactor = mpmath.mpc(1)
         if rho != 0:
-            prefactor = _to_mpc(falling_power_eval(z, rho, prec=prec))
+            prefactor = _to_mpc(_falling_power_mp(z, rho))
         base = _to_mpc(z) - mpmath.mpf(rho.numerator) / rho.denominator
         total, used, tail, peak = _sum_series(
             _coeff_mpfs(sol), base, mpmath.mpf(tol), sol.support_modulus
@@ -382,7 +389,8 @@ def test_eval_series_matches_the_mpc_loop_bit_for_bit(sol, re, im, tol, prec):
     z = complex(re, im)
     if not _off_poles(sol, z):
         return
-    got = _outcome(eval_series, sol, z, tol=tol, prec=prec)
+    with precision(prec):
+        got = _outcome(eval_series, sol, z, tol=tol)
     want = _outcome(oracle_eval, sol, z, tol=tol, prec=prec)
     assert _fields(got) == want
 
@@ -407,7 +415,8 @@ def test_max_modulus_equals_the_full_circle_on_fixtures(cubic_solution, samples)
     prec=st.sampled_from((53, 128, 200)),
 )
 def test_max_modulus_matches_the_full_circle_on_draws(sol, radius, samples, prec):
-    got = _outcome(max_modulus, sol, radius, samples=samples, prec=prec)
+    with precision(prec):
+        got = _outcome(max_modulus, sol, radius, samples=samples)
     want = _outcome(oracle_max_modulus, sol, radius, samples, prec=prec)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want

@@ -39,7 +39,7 @@ from deltaorder.evaluation import (
     _sqrt,
 )
 
-from test_evaluation import _fields, _outcome, oracle_eval, oracle_max_modulus, streams
+from test_evaluation import _fields, _outcome, oracle_eval, oracle_max_modulus, precision, streams
 
 RND = round_nearest
 
@@ -256,7 +256,8 @@ def test_eval_series_matches_the_mpc_loop_near_the_real_axis_and_at_high_precisi
     # a tiny imaginary part keeps the weight's parts far apart, where mpc_mul
     # rounds products of 2 * prec bits by mpf_add's far-apart rule
     z = complex(re, im)
-    got = _outcome(eval_series, sol, z, prec=prec)
+    with precision(prec):
+        got = _outcome(eval_series, sol, z)
     assert _fields(got) == _outcome(oracle_eval, sol, z, prec=prec)
 
 
@@ -266,6 +267,6 @@ def test_max_modulus_equals_the_full_circle_at_other_precisions(prec):
         [Fraction(1, math.factorial(n) ** 2) for n in range(60)], rho=Fraction(3, 2)
     )
     for samples in (9, 33):
-        assert max_modulus(sol, 7.5, samples=samples, prec=prec) == oracle_max_modulus(
-            sol, 7.5, samples, prec=prec
-        )
+        with precision(prec):
+            got = max_modulus(sol, 7.5, samples=samples)
+        assert got == oracle_max_modulus(sol, 7.5, samples, prec=prec)

@@ -5,6 +5,7 @@ loaded both libraries.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -97,6 +98,64 @@ def test_the_public_surface_is_pinned():
     assert len(PUBLIC_NAMES) == 46
     assert len(deltaorder.__all__) == len(set(deltaorder.__all__))
     assert set(deltaorder.__all__) == PUBLIC_NAMES
+
+
+# the parameter names of every callable in __all__; classes by their constructor
+PUBLIC_SIGNATURES = {
+    "AdamsPolygon": ("points", "segments", "normalization_degree", "normalization_index", "note"),
+    "CoefficientRecurrence": ("window", "rho_offset"),
+    "ConstructionResult": ("q", "p", "weights", "template", "canonical", "predicted_series"),
+    "DifferenceEquation": ("coeffs",),
+    "EmpiricalOrder": ("radii", "log_max_modulus", "rho_hat", "scale_hat", "fit_residual"),
+    "EvalResult": ("value", "terms_used", "tail_bound", "log_scale"),
+    "GeneralForm": ("terms",),
+    "GrowthEstimate": ("chi_hat", "fit_window", "model_params", "residual", "converged"),
+    "NewtonAnalysis": ("degrees", "s_seq", "p", "orders", "total_bound", "exists_sub1"),
+    "OperatorTerm": ("coefficient", "delta_power", "shift"),
+    "OrderEntry": ("rho", "max_count"),
+    "Poly": ("coeffs",),
+    "PolygonSegment": ("slope", "span", "start", "end", "char_roots", "chi"),
+    "RoundTripReport": ("ok", "stages", "analysis", "polygon", "chi_hat"),
+    "SeriesSolution": ("rho_offset", "coeffs", "support_modulus", "provenance"),
+    "VerificationReport": ("rows_checked", "max_residual", "first_failing_row"),
+    "adams_polygon": ("rec",),
+    "analyze": ("eq",),
+    "apply_operator": ("eq", "solution", "upto"),
+    "compose_operators": ("outer", "inner"),
+    "construct_equation": ("q", "p"),
+    "derive_recurrence": ("eq",),
+    "empirical_order": ("sol", "radii", "samples", "tol"),
+    "estimate_chi": ("coeffs",),
+    "eval_series": ("sol", "z", "tol"),
+    "falling_factorial": ("x", "length"),
+    "falling_power_eval": ("z", "rho"),
+    "format_delta_form": ("eq",),
+    "format_general": ("g",),
+    "indicial_exponents": ("eq",),
+    "iterated_delta": ("p", "times"),
+    "max_modulus": ("sol", "radius", "samples", "tol"),
+    "normalize_to_delta": ("g",),
+    "order_list": ("degrees", "s_seq"),
+    "parse_equation": ("text",),
+    "poly_delta": ("p",),
+    "roundtrip_check": ("result",),
+    "s_sequence": ("degrees",),
+    "shifted_recurrence": ("eq", "rho"),
+    "solve_series": ("rec", "count", "initial"),
+    "sub_one_branches": ("polygon",),
+    "to_falling_basis": ("p",),
+    "verdict": ("analysis",),
+    "verify_recurrence": ("rec", "sol", "rows"),
+    "working_precision": (),
+}
+
+
+def test_public_signatures_are_pinned():
+    # a parameter comes back only with an edit here: each one needs two callers that vary it
+    callables = {name for name in deltaorder.__all__ if callable(getattr(deltaorder, name))}
+    assert callables == set(PUBLIC_SIGNATURES)
+    for name, params in PUBLIC_SIGNATURES.items():
+        assert tuple(inspect.signature(getattr(deltaorder, name)).parameters) == params, name
 
 
 EXACT_MODULES = ("polynomials", "equations", "parsing", "newton", "recurrences", "series", "construction")

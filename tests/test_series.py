@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from deltaorder import (
-    CoefficientRecurrence,
-    Poly,
     SeriesSolution,
     derive_recurrence,
     estimate_chi,
@@ -203,48 +201,3 @@ def test_estimate_chi_nondecaying_sentinel():
     est = estimate_chi([Fraction(1)] * 200)
     assert est.chi_hat == math.inf
     assert not est.converged
-
-
-def test_inhomogeneous_coupler_brackets():
-    # fifth-order window driven by the third-order stream: the quotient
-    # against the driver stays bounded, so the coupled solution inherits
-    # the driver's growth order
-    weight = (
-        Poly([0, 1]) * Poly([-1, 2]) * Poly([-3, 2]) * Poly([-1, 3]) * Poly([-4, 3])
-    )
-    rec = CoefficientRecurrence(window={0: weight, 1: Poly([-1])})
-    count = 500
-    alpha = third_order_stream(count + 1)
-
-    rhs_shift = [alpha[n - 1] if n >= 1 else Fraction(0) for n in range(count + 1)]
-    first = solve_series(rec, count, rhs=rhs_shift)[0].coeffs
-    ratios = [
-        float((2 * n - 1) * (3 * n - 1) * first[n] / alpha[n])
-        for n in range(10, count + 1)
-    ]
-    assert all(0.8 <= r <= 1.6 for r in ratios)
-
-    rhs_diag = [n * alpha[n] for n in range(count + 1)]
-    second = solve_series(rec, count, rhs=rhs_diag)[0].coeffs
-    ratios2 = [
-        float((2 * n - 1) * (3 * n - 1) * second[n] / alpha[n])
-        for n in range(10, count + 1)
-    ]
-    assert all(0.0 < r <= 0.01 for r in ratios2)
-
-    total = [a + b for a, b in zip(first, second)]
-    assert abs(estimate_chi(total).chi_hat - 1 / 3) < 0.01
-
-
-def test_inhomogeneous_returns_particular_and_basis():
-    weight = (
-        Poly([0, 1]) * Poly([-1, 2]) * Poly([-3, 2]) * Poly([-1, 3]) * Poly([-4, 3])
-    )
-    rec = CoefficientRecurrence(window={0: weight, 1: Poly([-1])})
-    alpha = third_order_stream(101)
-    rhs = [alpha[n - 1] if n >= 1 else Fraction(0) for n in range(101)]
-    sols = solve_series(rec, 100, rhs=rhs)
-    assert sols[0].provenance == {"particular": True}
-    assert len(sols) == 2
-    report = verify_recurrence(rec, sols[0], 90, rhs=rhs)
-    assert report.exact

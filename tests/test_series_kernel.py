@@ -31,7 +31,6 @@ from deltaorder import (
     verify_recurrence,
 )
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError
-from deltaorder.polynomials import as_rational
 from deltaorder.series import RowReduction
 
 from fixtures_equations import CUBIC_THIRD
@@ -83,14 +82,13 @@ class OracleState:
         self.values = updated
 
 
-def oracle_solve(rec, count, initial=None, rhs=None):
+def oracle_solve(rec, count, initial=None):
     state = OracleState()
     for n in range(rec.first_row, count - rec.order + 1):
         top = n + rec.order
         while len(state.values) < top:
             state.append_free()
-        const = -as_rational(rhs[n]) if rhs is not None and 0 <= n < len(rhs) else Fraction(0)
-        lin, lead = {}, Fraction(0)
+        const, lin, lead = Fraction(0), {}, Fraction(0)
         for idx, c in oracle_row(rec, n):
             if idx == top:
                 lead = c
@@ -118,11 +116,6 @@ def oracle_solve(rec, count, initial=None, rhs=None):
         pinned = {k: str(v) for k, v in sorted(initial.items())}
         return [SeriesSolution.from_values(stream, rho=rho, provenance={"pinned": pinned})]
     solutions = []
-    if rhs is not None:
-        particular = [vconst for vconst, _ in state.values[: count + 1]]
-        solutions.append(
-            SeriesSolution.from_values(particular, rho=rho, provenance={"particular": True})
-        )
     for fid in state.free_ids:
         stream = [vlin.get(fid, Fraction(0)) for _, vlin in state.values[: count + 1]]
         if any(stream):
@@ -132,12 +125,10 @@ def oracle_solve(rec, count, initial=None, rhs=None):
     return solutions
 
 
-def oracle_verify(rec, sol, rows, rhs=None):
+def oracle_verify(rec, sol, rows):
     worst, first_bad = Fraction(0), None
     for n in range(rec.first_row, rows + 1):
         total = sum((c * sol.coeffs[idx] for idx, c in oracle_row(rec, n)), Fraction(0))
-        if rhs is not None and 0 <= n < len(rhs):
-            total -= as_rational(rhs[n])
         if total != 0:
             first_bad = n if first_bad is None else first_bad
             worst = max(worst, abs(total))
@@ -184,7 +175,6 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
     count = rec.span + data.draw(st.integers(0, 12))
     for n in range(rec.first_row, count + 1):
         assert rec.row(n) == [(idx, c * rec.scale) for idx, c in oracle_row(rec, n)]
-    rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
     if data.draw(st.booleans()):
         # pins on the first few indices usually hit free parameters and agree
         highest = data.draw(st.sampled_from([min(rec.order, count), count]))
@@ -192,8 +182,8 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
         initial = {idx: data.draw(small_rationals) for idx in indices}
     else:
         initial = None
-    expected = _outcome(oracle_solve, rec, count, initial=initial, rhs=rhs)
-    actual = _outcome(solve_series, rec, count, initial=initial, rhs=rhs)
+    expected = _outcome(oracle_solve, rec, count, initial=initial)
+    actual = _outcome(solve_series, rec, count, initial=initial)
     assert actual == expected
     if expected is InconsistentSystemError:
         return
@@ -203,8 +193,8 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
     noise = data.draw(st.lists(small_rationals, min_size=count + 1, max_size=count + 1))
     streams.append(SeriesSolution.from_values(noise, rho=rec.rho_offset))
     for sol in streams:
-        report = verify_recurrence(rec, sol, rows, rhs=rhs)
-        assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, sol, rows, rhs)
+        report = verify_recurrence(rec, sol, rows)
+        assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, sol, rows)
         assert report.rows_checked == rows + 1 - rec.first_row
 
 
@@ -212,30 +202,23 @@ def test_integer_kernel_matches_fraction_oracle(rec, data):
 @given(rec=recurrences(), data=st.data())
 def test_pins_absorbed_at_creation_match_pins_applied_late(rec, data):
     count = rec.span + data.draw(st.integers(0, 12))
-    rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
     # a solution to copy pins from, so that pins at row-determined indices agree at times
-    try:
-        free_ids = RowReduction(rec, count, rhs).free_ids
-    except InconsistentSystemError:
-        reference = None
-    else:
-        choice = {f: data.draw(small_rationals) for f in free_ids}
-        reference = oracle_solve(rec, count, initial=choice, rhs=rhs)[0].coeffs
+    choice = {f: data.draw(small_rationals) for f in RowReduction(rec, count).free_ids}
+    reference = oracle_solve(rec, count, initial=choice)[0].coeffs
     # free and row-determined indices, pinned to the reference or to a random value
     initial = {}
     for idx in data.draw(st.lists(st.integers(0, count), min_size=1, max_size=4, unique=True)):
-        copy = reference is not None and data.draw(st.booleans())
-        initial[idx] = reference[idx] if copy else data.draw(small_rationals)
+        initial[idx] = reference[idx] if data.draw(st.booleans()) else data.draw(small_rationals)
     outside = st.integers(-2, -1) | st.integers(count + 1, count + 3)
     for idx in data.draw(st.lists(outside, max_size=2, unique=True)):
         initial[idx] = data.draw(small_rationals)
-    actual = _outcome(solve_series, rec, count, initial, rhs)
-    # a pinned solve checks its indices before any row, even rows that contradict each other
+    actual = _outcome(solve_series, rec, count, initial)
+    # a pinned solve checks its indices before any row, even rows that contradict its pins
     bad = [idx for idx in sorted(initial) if not 0 <= idx <= count]
     if bad:
         assert actual is (ValueError if bad[0] < 0 else InsufficientDataError)
     else:
-        assert actual == _outcome(oracle_solve, rec, count, initial=initial, rhs=rhs)
+        assert actual == _outcome(oracle_solve, rec, count, initial=initial)
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,14 +255,10 @@ def test_stored_denominators_stay_near_the_exact_ones(rec, data):
     # cut; it stays within twice the bits of the largest exact denominator
     # up to its index, plus 32
     count = rec.span + data.draw(st.integers(0, 60))
-    rhs = data.draw(st.none() | st.lists(small_rationals, max_size=count + 2))
-    try:
-        unpinned = RowReduction(rec, count, rhs)
-    except InconsistentSystemError:
-        return
+    unpinned = RowReduction(rec, count)
     # pins at every free index, as a pinned solve of the workloads has them
     initial = {f: data.draw(small_rationals) for f in unpinned.free_ids}
-    for reduction in (unpinned, RowReduction(rec, count, rhs, initial)):
+    for reduction in (unpinned, RowReduction(rec, count, initial)):
         exact_bits = 0
         for den, const, lin in reduction.values:
             exact = den // math.gcd(den, const, *lin.values())
