@@ -254,7 +254,7 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     scale = s**top
     image = []
     for terms in pairs:
-        common = math.lcm(*(coeffs[n].denominator for _, n in terms))
+        common = math.lcm(*[coeffs[n].denominator for _, n in terms])
         total = sum(w * coeffs[n].numerator * (common // coeffs[n].denominator) for w, n in terms)
         image.append(Fraction(total, common * scale))
     return image

@@ -8,22 +8,31 @@ Grammar (whitespace-insensitive)::
                 (adjacency multiplies), integer powers with '^', division
                 by integer literals, parentheses
 
-``D`` and the UTF-8 difference symbol are interchangeable; ``fn`` is any
-single letter other than ``z``/``D`` (the same letter throughout an
-equation).  The right-hand side must be literally 0.  The canonical printer
-emits this grammar with function letter ``f``.
+``int`` is a run of decimal digits (``str.isdecimal``, the digits ``int()``
+reads; superscripts such as ``²`` are rejected), and ``^`` is
+left-associative: ``2^3^2`` is 64.  ``D`` and the UTF-8 difference symbol are
+interchangeable; ``fn`` is any single letter other than ``z``/``D`` (the same
+letter throughout an equation).  The right-hand side must be literally 0.
+The canonical printer emits this grammar with function letter ``f``.
+
+Cost model: a coefficient sum builds one ``Poly``, adding its summands'
+numerators over the lcm of their denominators; a power of a monomial
+c z^k is c^e z^(ke) in closed form; a product with a constant factor scales
+the other operand's numerators.  A sum of n monomials c z^k thus builds about
+3n values (the integer, the power, their product) and one for the sum.  The
+degree and bit limits are checked before each product or power is expanded.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm
 from .errors import ParseError
 from .polynomials import Poly, format_poly
 
 _DELTA = "Δ"
+_Z = Poly([0, 1])  # shared: Poly values are immutable
 
 #: Largest coefficient degree the parser accepts.  The window recurrence
 #: costs about d^3 big-integer operations in the degree d: ``analyze`` on
@@ -71,6 +80,12 @@ class _Token:
         return f"_Token({self.kind}, {self.value!r}, {self.pos})"
 
 
+# character -> (token kind, token value)
+_PUNCTUATION = {ch: ("op", ch) for ch in "+-*/^"}
+_PUNCTUATION.update({"(": ("lparen", "("), ")": ("rparen", ")"), "=": ("equals", "=")})
+_PUNCTUATION["−"] = ("op", "-")  # unicode minus
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -80,9 +95,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; '²' is not one
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > _MAX_DIGITS:
                 raise ParseError(f"integer literal exceeds the limit of {MAX_BITS} bits", i)
@@ -100,13 +115,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("letter", ch, i))
             i += 1
             continue
-        if ch in "+-*/^()=":
-            kind = {"(": "lparen", ")": "rparen", "=": "equals"}.get(ch, "op")
-            tokens.append(_Token(kind, ch, i))
-            i += 1
-            continue
-        if ch == "−":  # unicode minus
-            tokens.append(_Token("op", "-", i))
+        if ch in _PUNCTUATION:
+            kind, value = _PUNCTUATION[ch]
+            tokens.append(_Token(kind, value, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
@@ -148,11 +159,20 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().value in "+-":
             if self.advance().value == "-":
                 sign = -sign
-        total = self.parse_poly_product() * sign
+        terms = [(sign, self.parse_poly_product())]
         while self.peek().kind == "op" and self.peek().value in "+-":
             sign = 1 if self.advance().value == "+" else -1
-            total = total + self.parse_poly_product() * sign
-        return total
+            terms.append((sign, self.parse_poly_product()))
+        if len(terms) == 1:
+            return terms[0][1] if sign > 0 else -terms[0][1]
+        # one Poly for the whole sum, over the lcm of the summands' denominators
+        den = math.lcm(*[p.den for _, p in terms])
+        out = [0] * max(len(p.nums) for _, p in terms)
+        for sign, p in terms:
+            scale = sign * (den // p.den)
+            for k, c in enumerate(p.nums):
+                out[k] += scale * c
+        return Poly._from_ints(out, den)
 
     def _atom_at(self, index: int) -> bool:
         tok = self.tokens[index]
@@ -177,7 +197,7 @@ class _Parser:
                 denom = self.expect("int").value
                 if denom == 0:
                     self.fail("division by zero")
-                total = total * Fraction(1, denom)
+                total = Poly._from_ints(total.nums, total.den * denom)
                 continue
             # adjacency means multiplication; function letters are not atoms,
             # so the operator part of a term never gets swallowed
@@ -200,14 +220,14 @@ class _Parser:
     def parse_poly_factor(self) -> Poly:
         tok = self.peek()
         if tok.kind == "int":
-            base = Poly.constant(self.advance().value)
+            base = Poly._from_ints((self.advance().value,))
         elif tok.kind == "lparen":
             self.advance()
             base = self.parse_poly_sum()
             self.expect("rparen")
         elif tok.kind == "letter" and tok.value == "z":
             self.advance()
-            base = Poly.variable()
+            base = _Z
         else:
             self.fail(f"expected a polynomial, found {tok.value!r}")
         while self.peek().kind == "op" and self.peek().value == "^":
@@ -228,9 +248,11 @@ class _Parser:
     # -- terms and the whole equation
 
     def parse_term(self, sign: int) -> OperatorTerm:
-        coefficient = Poly.constant(sign)
+        coefficient = Poly._from_ints((sign,))
         if self._atom_at(self.index):
-            coefficient = self.parse_poly_sum() * sign
+            coefficient = self.parse_poly_sum()
+            if sign < 0:
+                coefficient = -coefficient
         tok = self.peek()
         if tok.kind == "op" and tok.value == "*":
             self.advance()
@@ -310,7 +332,7 @@ def _term_text(term: OperatorTerm, leading: bool) -> str:
     if sign == "-":
         coeff = -coeff
     parts = []
-    if coeff != Poly.constant(1):
+    if coeff != 1:
         if coeff.degree <= 0:
             parts.append(format_poly(coeff))
         else:

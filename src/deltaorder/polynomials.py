@@ -114,14 +114,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def constant(cls, value) -> Poly:
-        return cls([value])
-
-    @classmethod
-    def variable(cls) -> Poly:
-        return cls._from_ints((0, 1))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """``coeffs[k]`` is the exact coefficient of ``z**k``."""
@@ -191,19 +183,33 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
+        den = self.den * other.den
+        if len(other.nums) == 1:  # a constant factor scales the numerators
+            c = other.nums[0]
+            return Poly._from_ints([a * c for a in self.nums], den)
+        if len(self.nums) == 1:
+            c = self.nums[0]
+            return Poly._from_ints([b * c for b in other.nums], den)
         out = [0] * (len(self.nums) + len(other.nums) - 1)
         terms = [(j, b) for j, b in enumerate(other.nums) if b]
         for i, a in enumerate(self.nums):
             if a:
                 for j, b in terms:
                     out[i + j] += a * b
-        return Poly._from_ints(out, self.den * other.den)
+        return Poly._from_ints(out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:
             raise ValueError("negative polynomial power")
+        nums = self.nums
+        if exponent and nums and not any(nums[:-1]):
+            # a monomial (c/den) z^k: its power is c^e z^(ke) over den^e, still
+            # in lowest terms since gcd(c, den) = 1
+            powered = [0] * ((len(nums) - 1) * exponent)
+            powered.append(nums[-1] ** exponent)
+            return Poly._from_ints(powered, self.den**exponent)
         result = Poly._from_ints((1,))
         base = self
         e = exponent

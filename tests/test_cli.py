@@ -52,6 +52,12 @@ def test_analyze_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_superscript_digit_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "z² f(z) + f(z+1) = 0")
+    assert (code, out) == (2, "")
+    assert "unexpected character '²'" in err and "Traceback" not in err
+
+
 def test_analyze_degenerate_exit_code(capsys):
     code, out, err = run_cli(capsys, "analyze", "f(z) = 0")
     assert code == 3

@@ -13,6 +13,7 @@ from deltaorder import (
     normalize_to_delta,
     parse_equation,
 )
+from deltaorder import polynomials
 from deltaorder.errors import ParseError
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
 
@@ -172,3 +173,41 @@ def test_bit_limit_is_checked_before_the_value_is_computed():
         with pytest.raises(ParseError, match=f"exceeds? the limit of {MAX_BITS} bits") as err:
             parse_equation(text)
         assert err.value.position == position
+
+
+def test_superscript_digits_are_rejected_where_they_stand():
+    # str.isdigit() accepts '²' but int() does not; the tokenizer reads
+    # exactly the decimal digits
+    for text, position in (("z² f(z) + f(z+1) = 0", 1), ("z^² f(z) = 0", 2), ("3² f(z) = 0", 1)):
+        with pytest.raises(ParseError, match="unexpected character '²'") as err:
+            parse_equation(text)
+        assert err.value.position == position
+    assert parse_equation("٣z f(z) + D f(z) = 0").terms[0].coefficient == Poly([0, 3])
+
+
+def _monomial_sum(n: int) -> str:
+    """An n-term sum of monomials c z^k with degrees 9, 8, ..., 0 in turn."""
+    terms = []
+    for i in range(n):
+        k, c = 9 - i % 10, 2 + i % 7
+        terms.append(f"{c}z^{k}" if k > 1 else f"{c}z" if k == 1 else f"{c}")
+    return "(" + " - ".join(terms) + ") D f(z) + f(z) = 0"
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_a_sum_of_monomials_builds_a_few_polys_per_term(monkeypatch, n):
+    # each term builds its integer, its closed-form power and their product;
+    # the sum and the equation's two sign constants add five more.  A product
+    # per token (powers by repeated squaring, one Poly per '+') built about
+    # nine per term.
+    built = []
+    fill = polynomials._fill
+
+    def counting_fill(poly, den, nums):
+        built.append(nums)
+        fill(poly, den, nums)
+
+    monkeypatch.setattr(polynomials, "_fill", counting_fill)
+    general = parse_equation(_monomial_sum(n))
+    assert len(general.terms[0].coefficient.nums) == 10
+    assert len(built) <= 3 * n + 5

@@ -319,3 +319,29 @@ def test_values_built_different_ways_are_equal():
     assert (zero.den, zero.nums, zero.coeffs) == (1, (), ())
     assert Poly([3, 1]) - Poly([3, 1]) == Poly() and hash(Poly([1, 1]) - Poly([1, 1])) == hash(Poly())
     assert (Poly([-1, 1]) ** 3).shifted(1) == Poly([0, 0, 0, 1])
+
+
+def _repeated_product(base: Poly, exponent: int) -> Poly:
+    out = Poly([1])
+    for _ in range(exponent):
+        out = out * base
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=st.one_of(st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]), rationals),
+    k=st.integers(0, 6),
+    e=st.integers(0, 12),
+    general=coefficient_lists,
+)
+def test_closed_form_powers_match_repeated_products(c, k, e, general):
+    # monomials c z^k, with zero, unit, negative and rational c, take the
+    # closed form; general polynomials take repeated squaring
+    for base in (Poly([0] * k + [c]), Poly(general)):
+        power = base**e
+        assert power == _repeated_product(base, e)
+        assert power.den > 0 and math.gcd(power.den, *power.nums) == 1
+        assert not power.nums or power.nums[-1] != 0
+    monomial = Poly([0] * k + [c]) ** e
+    assert monomial == Poly([0] * (k * e) + [c**e])
