@@ -12,7 +12,9 @@ coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
 pin index, a pin index past --terms, a negative --index or --terms, --terms
 below the window span, --initial beside --solution, a --radii entry that is
 not a number, a malformed --solution file, or --rows below the first row),
-3 degenerate equation, 4 empty solution space, 5 invalid prescribed order,
+3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
+(also a q/p whose denominator is above
+``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
 6 evaluation failure (also more than ``polynomials.MAX_RADII`` = 16 radii,
 and a characteristic or indicial root whose magnitude is outside the double
 range), 7 malformed environment setting (a DELTAORDER_PRECISION that is not

@@ -16,9 +16,13 @@ the recentering is z -> z+p) and folds the shifts into pure difference
 powers; the recentered equation has the same solutions, in particular the
 predicted series.
 
-The round trip runs the analyzer on the canonical form.  Its series stage
-pins the prediction at the indices that no recurrence row determines and
-solves one pinned stream, which must reproduce the prediction.
+The round trip runs the analyzer on the canonical form and checks the
+window rows in one pass: pinned to the prediction at the indices that no
+row determines, one solve runs rows first_row..ROUNDTRIP_ROWS, and it
+reproduces the prediction exactly when the prediction satisfies every one
+of those rows.  That verdict decides both the recurrence and the series
+stage; only a prediction that fails is substituted into the rows again, to
+report its residual.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrenc
 #: index ROUNDTRIP_ROWS + p that the rows reach, with ROUNDTRIP_ROWS + 1
 #: nonzero coefficients on its support q*N for the growth fit.
 ROUNDTRIP_ROWS = 200
+
+#: Largest denominator p of an order q/p that ``construct_equation`` accepts;
+#: it admits 100/101.  Rows up to ROUNDTRIP_ROWS reach index ROUNDTRIP_ROWS + p,
+#: which covers the window span 2p while p <= ROUNDTRIP_ROWS.  On a shared
+#: 2-vCPU host ``deltaorder construct`` took 8.9 s at 1/64, 33.5 s at 1/101
+#: and 74.7 s at 1/128 (3.8, 11.8 and 20.9 s at (p-1)/p), most of it
+#: printing the predicted series; construction and round trip of 1/101 take
+#: about 5 s in process.
+MAX_ORDER_DENOMINATOR = 101
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,9 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
 
     The predicted series carries enough coefficients for the round trip's
     ``ROUNDTRIP_ROWS`` rows and growth fit.  It is verified against the
-    canonical equation on a short prefix before being returned.
+    canonical equation on a short prefix before being returned.  An order
+    outside (0, 1), not in lowest terms, or with p above
+    ``MAX_ORDER_DENOMINATOR`` raises InvalidOrderError before any work.
     """
     if not (isinstance(q, int) and isinstance(p, int)):
         raise InvalidOrderError("order must be given as integers q and p")
@@ -70,6 +85,8 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
         raise InvalidOrderError(f"order {q}/{p} is not in (0, 1)")
     if math.gcd(q, p) != 1:
         raise InvalidOrderError(f"order {q}/{p} is not in lowest terms")
+    if p > MAX_ORDER_DENOMINATOR:
+        raise InvalidOrderError(f"order {q}/{p}: denominator {p} exceeds the limit {MAX_ORDER_DENOMINATOR}")
     lam = Fraction(q, p)
     profile = _stretched_falling(p, 1 / lam)
     weights_rational = to_falling_basis(profile)
@@ -141,13 +158,19 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     """Run the full analyzer pipeline against a construction.
 
     Checks, in order: the prescribed order appears in the admissible order
-    list; the window recurrence of the canonical form is satisfied exactly by
-    the predicted series over ``ROUNDTRIP_ROWS`` rows; the solver, pinned to
-    the predicted values at every index up to ``ROUNDTRIP_ROWS`` that no row
-    determines (``CoefficientRecurrence.undetermined``), reproduces the
-    series, a zero-lead row that the pins contradict failing the stage; the
+    list; the window rows of the canonical form up to ``ROUNDTRIP_ROWS``
+    hold exactly on the predicted series, and the solver reproduces it; the
     polygon exposes a slope p/q branch; and the fitted decay of the
-    prediction lands within 0.01 of q/p.  Each stage reports pass/fail with a detail string.
+    prediction lands within 0.01 of q/p.  Each stage reports pass/fail with
+    a detail string.
+
+    The two row stages share one pass.  The solver, pinned to the predicted
+    values at every index up to ``ROUNDTRIP_ROWS + order`` that no row
+    determines (``CoefficientRecurrence.undetermined``), runs exactly the
+    rows that verification would check and carries no free parameter, so it
+    reproduces the prediction if and only if the prediction satisfies them;
+    a zero-lead row that the pins contradict fails it.  When it does,
+    ``verify_recurrence`` fills in the recurrence stage's residual.
     """
     target = result.order_value
     stages = []
@@ -157,24 +180,25 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     stages.append(("newton", target in listed, f"orders {listed}"))
 
     rec = derive_recurrence(result.canonical)
-    need = ROUNDTRIP_ROWS + rec.order
+    count = ROUNDTRIP_ROWS + rec.order
     predicted = result.predicted_series
-    if len(predicted.coeffs) <= need:
-        predicted = _predicted_series(result.q, result.p, need)
-    report = verify_recurrence(rec, predicted, ROUNDTRIP_ROWS)
-    stages.append(
-        ("recurrence", report.exact, f"max residual {report.max_residual}")
-    )
-
-    # pinned where no row decides, the solve carries no free parameter; a
-    # zero-lead row that the prediction violates contradicts its pins
-    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(ROUNDTRIP_ROWS)}
+    if len(predicted.coeffs) <= count:
+        predicted = _predicted_series(result.q, result.p, count)
+    # pinned where no row decides, the solve carries no free parameter and
+    # runs rows first_row..ROUNDTRIP_ROWS; a zero-lead row that the
+    # prediction violates contradicts its pins
+    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(count)}
     try:
-        solved = solve_series(rec, ROUNDTRIP_ROWS, initial=pins)[0]
+        solved = solve_series(rec, count, initial=pins)[0]
     except InconsistentSystemError:
         match = False
     else:
-        match = solved.coeffs == predicted.coeffs[: ROUNDTRIP_ROWS + 1]
+        match = solved.coeffs == predicted.coeffs[: count + 1]
+    if match:
+        stages.append(("recurrence", True, "max residual 0"))
+    else:
+        report = verify_recurrence(rec, predicted, ROUNDTRIP_ROWS)
+        stages.append(("recurrence", report.exact, f"max residual {report.max_residual}"))
     stages.append(("series", match, "pinned solve reproduces the prediction"))
 
     polygon = adams_polygon(rec)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import Poly, _integer_falling_basis, binomial, poly_delta
+from .polynomials import Poly, _integer_falling_basis, binomial, poly_delta, row_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -211,8 +211,9 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
 
     With rho = r/s, the falling power ff(n + rho, L) is the integer
     prod_u (n s + r - u s) over s^L.  All weights are brought to the common
-    denominator s^Lmax and summed as one integer per (output, input) pair,
-    so each output coefficient is a single Fraction.
+    denominator s^Lmax and summed as one integer per (output, input) pair;
+    each output sums its pairs shallowest input first over the lcm of their
+    denominators (:func:`polynomials.row_sum`) and is a single Fraction.
 
     The solution must provide at least ``upto + order + 1`` coefficients.
     """
@@ -253,8 +254,8 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
                     pairs[out].append((total, n))
     scale = s**top
     image = []
+    steps: dict = {}
     for terms in pairs:
-        common = math.lcm(*[coeffs[n].denominator for _, n in terms])
-        total = sum(w * coeffs[n].numerator * (common // coeffs[n].denominator) for w, n in terms)
+        common, total = row_sum([(w, coeffs[n].numerator, coeffs[n].denominator) for w, n in terms], steps)
         image.append(Fraction(total, common * scale))
     return image

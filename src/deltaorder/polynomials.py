@@ -7,8 +7,10 @@ edges: the public ``Poly.coeffs`` tuple, built once on first read, and
 scalar inputs and outputs.  Taylor shifts and expansions out of the
 falling-factorial basis go through one integer kernel that expands a Newton
 form, and the one conversion into that basis takes integer forward
-differences; nothing is cached between calls.  Everything here is exact,
-and the module imports only the standard library.
+differences; nothing is cached between calls.  The exact row sums that the
+solver, verification and operator application share sum over quotients of
+neighbouring denominators, which their callers keep per stream.  Everything
+here is exact, and the module imports only the standard library.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -306,6 +308,81 @@ def iterated_delta(p: Poly, times: int) -> Poly:
         if out.is_zero:
             break
         out = poly_delta(out)
+    return out
+
+
+# --- exact row sums ----------------------------------------------------------
+
+
+def row_quotients(dens: list[int], steps: dict) -> tuple[int, list[int], bool]:
+    """``(common, quotients, nested)`` for summing a row of fractions over its lcm.
+
+    ``dens`` are the row's positive denominators, shallowest stream index
+    first.  While each is a multiple of the one before (a nested row, as in
+    a decaying stream), ``quotients[i]`` is dens[i] // dens[i-1] (dens[0]
+    for the first) and the row sums by Horner's rule,
+    ``total = total * q + c * num``: each product spans one step of the row,
+    a few words.  At the first denominator that does not divide, the row
+    falls back to ``quotients[i] = common // dens[i]`` and
+    ``total += c * num * q``, each quotient as wide as the row's spread.
+    Either way ``common`` is the lcm of ``dens`` (1 for none).
+
+    The test of a step is a division of the deeper denominator, whose cost
+    grows with its full width.  Neighbouring rows share most of their steps,
+    so callers that sum many rows of one stream pass the same ``steps``
+    dict, which keeps each step's quotient (0 for a step that does not
+    divide) under its pair of denominators.
+    """
+    common = 1
+    quotients = []
+    for d in dens:
+        if common == 1:
+            q = d
+        else:
+            key = (common, d)
+            q = steps.get(key)
+            if q is None:
+                q, r = divmod(d, common)
+                if r:
+                    q = 0
+                steps[key] = q
+            if not q:
+                common = _lcm(dens)
+                return common, [common // d for d in dens], False
+        quotients.append(q)
+        common = d
+    return common, quotients, True
+
+
+def row_sum(terms: list[tuple[int, int, int]], steps: dict) -> tuple[int, int]:
+    """``(common, total)`` with sum c * num / den = total / common, common the lcm of the dens.
+
+    ``terms`` are (c, num, den) integer triples, den positive and the
+    shallowest stream index first; ``steps`` is as in :func:`row_quotients`.
+    """
+    common, quotients, nested = row_quotients([den for _, _, den in terms], steps)
+    total = 0
+    if nested:
+        for (c, num, _), q in zip(terms, quotients):
+            total = total * q + c * num
+    else:
+        for (c, num, _), q in zip(terms, quotients):
+            total += c * num * q
+    return common, total
+
+
+def _lcm(dens: list[int]) -> int:
+    """lcm of positive integers, taken from the last (deepest) one down.
+
+    A value that divides the running lcm skips the gcd but still costs a
+    division of the running lcm by it, whose quotient is as wide as the
+    spread of the row; that spread, not the gcds, is what an un-nested row
+    pays for.
+    """
+    out = 1
+    for d in reversed(dens):
+        if out % d:
+            out = math.lcm(out, d)
     return out
 
 

@@ -16,8 +16,20 @@ number a few words long, so the content that does not divide it stays; the
 one exact reduction is made when the output Fraction is built.  The result
 is a basis of the truncated solution space, or the stream pinned to given
 initial data with the surviving free coefficients zeroed.  The rows are
-homogeneous, as the equations are.  Verification likewise sums integer
-numerators and builds a Fraction only for a nonzero residual.
+homogeneous, as the equations are.
+
+A row of the reduction and a row of verification are both sums over one
+common denominator, taken from the shallowest stream index up
+(:func:`polynomials.row_quotients`).  In a decaying stream each
+denominator is a multiple of the one before, so a row sums by Horner's rule
+over the quotients of neighbouring denominators, each a few words long: a
+row of k terms costs about k products of its running total by a few words,
+and the division that finds a quotient is made once per pair of
+neighbouring denominators, not once per row (the reduction makes it again
+after an elimination rewrites stored values).  A row whose denominators do
+not nest, as in streams pinned to unrelated rationals, falls back to the
+lcm, and every quotient there is as wide as the row's spread of
+denominators.  Verification builds a Fraction only for a nonzero residual.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -31,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, InsufficientDataError
-from .polynomials import as_rational, fraction_log_abs
+from .polynomials import as_rational, fraction_log_abs, row_quotients, row_sum
 from .recurrences import CoefficientRecurrence
 
 
@@ -102,10 +114,11 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     dens = [c.denominator for c in sol.coeffs]
     worst = Fraction(0)
     first_bad = None
+    steps: dict = {}
     for n in range(rec.first_row, rows + 1):
-        terms = [(c, idx) for idx, c in rec.row(n) if nums[idx]]
-        common = _lcm(*[dens[idx] for _, idx in terms])
-        total = sum(c * nums[idx] * (common // dens[idx]) for c, idx in terms)
+        # rows list the deepest index first; the sum runs shallowest first
+        terms = [(c, nums[idx], dens[idx]) for idx, c in reversed(rec.row(n)) if nums[idx]]
+        common, total = row_sum(terms, steps)
         if total:
             if first_bad is None:
                 first_bad = n
@@ -117,21 +130,6 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
         max_residual=worst,
         first_failing_row=first_bad,
     )
-
-
-def _lcm(*dens: int) -> int:
-    """lcm of nonzero integers; a value that divides the running lcm costs one division.
-
-    Rows list the deepest stream index first, and in a decaying stream the
-    earlier denominators often divide the later ones, so most steps skip the
-    gcd.  Callers spread a list, not a generator: a generator's args tuple is
-    resized as it fills, which lets CPython's per-size tuple free lists grow.
-    """
-    out = 1
-    for d in dens:
-        if out % d:
-            out = math.lcm(out, d)
-    return out
 
 
 # --- exact solver -------------------------------------------------------------
@@ -200,6 +198,9 @@ class RowReduction:
         self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
+        # row_quotients' kept steps; cleared by each elimination, so that it
+        # holds no denominator that the elimination replaced
+        self.steps: dict = {}
         for n in range(rec.first_row, count - rec.order + 1):
             top = n + rec.order
             while len(self.values) < top:
@@ -222,19 +223,26 @@ class RowReduction:
         """Impose sum row_value * a_idx = 0 on the stream."""
         lead = 0
         terms = []
-        for idx, c in row:
+        # shallowest index first; zero values (stored 0/1) would break the nesting
+        for idx, c in reversed(row):
             if idx == top:
                 lead = c
-            else:
-                terms.append((c, self.values[idx]))
-        common = _lcm(*[den for _, (den, _, _) in terms])
+            elif (value := self.values[idx])[1] or value[2]:
+                terms.append((c, value))
+        common, quotients, nested = row_quotients([den for _, (den, _, _) in terms], self.steps)
         const = 0
         lin: dict[int, int] = {}
-        for c, (den, vconst, vlin) in terms:
-            factor = c * (common // den)
-            const += factor * vconst
+        for (c, (_, vconst, vlin)), q in zip(terms, quotients):
+            if nested:
+                if q != 1:
+                    const *= q
+                    for f in lin:
+                        lin[f] *= q
+            else:
+                c *= q
+            const += c * vconst
             for f, w in vlin.items():
-                lin[f] = lin.get(f, 0) + factor * w
+                lin[f] = lin.get(f, 0) + c * w
         if not lead:
             self._eliminate(const, lin)
             return
@@ -260,6 +268,7 @@ class RowReduction:
         target = max(live)
         pivot = live.pop(target)
         self.free_ids.remove(target)
+        self.steps.clear()
         for k, (den, vconst, vlin) in enumerate(self.values):
             w = vlin.get(target)
             if w is None:
@@ -313,7 +322,7 @@ def solve_series(
     if initial is None:
         return reduction.basis()
     pins = reduction.pins
-    solution = reduction.zeroed({"pinned": {k: str(v) for k, v in sorted(pins.items())}})
+    solution = reduction.zeroed({"pinned": dict(sorted(pins.items()))})
     for idx, wanted in pins.items():
         if solution.coeffs[idx] != wanted:
             raise RuntimeError(f"pinned value at index {idx} was not reproduced")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaorder.cli import MAX_TERMS, main
+from deltaorder.construction import MAX_ORDER_DENOMINATOR
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
 from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
 
@@ -156,6 +157,22 @@ def test_construct_invalid_orders(capsys):
     for bad in ("1/1", "2/6", "5/4", "x/y"):
         code, _, err = run_cli(capsys, "construct", "--order", bad)
         assert code == 5, bad
+
+
+def test_construct_past_the_old_row_count_passes_its_round_trip(capsys):
+    # the window span 202 of 100/101 is past ROUNDTRIP_ROWS = 200
+    code, out, err = run_cli(capsys, "construct", "--order", "100/101")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["roundtrip"]["ok"] is True
+
+
+def test_construct_denominator_above_the_limit_exits_5(capsys):
+    p = MAX_ORDER_DENOMINATOR + 1
+    for order in (f"1/{p}", f"{p - 1}/{p}", "1/1000000000"):
+        with deadline(5):
+            code, out, err = run_cli(capsys, "construct", "--order", order)
+        assert (code, out) == (5, ""), order
+        assert f"exceeds the limit {MAX_ORDER_DENOMINATOR}" in err and "Traceback" not in err
 
 
 def test_eval_pole_exit_code(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from deltaorder import (
     roundtrip_check,
     sub_one_branches,
 )
+from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS
 from deltaorder.errors import InconsistentSystemError, InvalidOrderError
-from deltaorder.series import solve_series
+from deltaorder.series import solve_series, verify_recurrence
 
-from fixtures_equations import HALF_ORDER
+from fixtures_equations import HALF_ORDER, deadline
 
 
 def test_rejects_bad_orders():
@@ -148,3 +150,45 @@ def test_prediction_violating_a_zero_lead_row_fails_the_series_stage():
     report = roundtrip_check(result)
     assert report.ok is False
     assert _stage(report, "series") is False
+
+
+def _detail(report, name):
+    return next(detail for stage, _, detail in report.stages if stage == name)
+
+
+def test_a_value_only_the_last_rows_reach_fails_both_stages():
+    # a_{ROUNDTRIP_ROWS + order} enters row ROUNDTRIP_ROWS alone; the pinned
+    # solve runs to that index, so the series stage sees the corruption too
+    result = construct_equation(1, 2)
+    rec = derive_recurrence(result.canonical)
+    idx = ROUNDTRIP_ROWS + rec.order
+    corrupted = _with_coefficient(result, idx, result.predicted_series.coeffs[idx] * 2)
+    report = roundtrip_check(corrupted)
+    assert report.ok is False
+    assert _stage(report, "recurrence") is False and _stage(report, "series") is False
+    verdict = verify_recurrence(rec, corrupted.predicted_series, ROUNDTRIP_ROWS)
+    assert verdict.first_failing_row == ROUNDTRIP_ROWS and verdict.max_residual > 0
+    assert _detail(report, "recurrence") == f"max residual {verdict.max_residual}"
+
+
+def test_the_largest_admitted_one_over_p_is_built_and_checked_within_the_deadline():
+    # about 5 s on a shared 2-vCPU host; rows reach index ROUNDTRIP_ROWS + p,
+    # past the window span 2p.  Its pins reach 1/10100!, 36 060 digits, past
+    # the interpreter's default int string limit, which nothing here may need
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with deadline(30):
+            result = construct_equation(1, MAX_ORDER_DENOMINATOR)
+            report = roundtrip_check(result)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert report.ok, report.stages
+    assert derive_recurrence(result.canonical).span == 2 * MAX_ORDER_DENOMINATOR
+
+
+def test_a_denominator_above_the_limit_is_rejected_before_any_work():
+    with deadline(5):
+        for q, p in ((1, MAX_ORDER_DENOMINATOR + 1), (1, 10**9), (10**9 - 1, 10**9)):
+            with pytest.raises(InvalidOrderError, match="exceeds the limit"):
+                construct_equation(q, p)

@@ -24,6 +24,8 @@ from deltaorder.polynomials import (
     expand_newton,
     falling_factorial_poly,
     format_poly,
+    row_quotients,
+    row_sum,
 )
 
 from fixtures_equations import falling_product_sum, random_poly
@@ -345,3 +347,41 @@ def test_closed_form_powers_match_repeated_products(c, k, e, general):
         assert not power.nums or power.nums[-1] != 0
     monomial = Poly([0] * k + [c]) ** e
     assert monomial == Poly([0] * (k * e) + [c**e])
+
+
+@st.composite
+def row_terms(draw):
+    # a nested chain of small quotients from 1 or a small start, at times with
+    # one link replaced by a denominator that need not divide; zero numerators
+    # and negative coefficients throughout, single-term rows included
+    den = draw(st.sampled_from([1, 1, 2, 6]))
+    dens = []
+    for _ in range(draw(st.integers(1, 8))):
+        dens.append(den)
+        den *= draw(st.sampled_from([1, 2, 3, 10, 2**61 - 1]))
+    if len(dens) > 1 and draw(st.booleans()):
+        dens[draw(st.integers(1, len(dens) - 1))] = draw(st.integers(1, 10**6))
+    return [
+        (draw(st.integers(-50, 50)), draw(st.just(0) | st.integers(-(10**30), 10**30)), d)
+        for d in dens
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(row_terms(), min_size=1, max_size=4))
+def test_row_sum_matches_the_lcm_and_the_fraction_sum(rows):
+    # the rows share one steps dict and are summed twice, as the callers
+    # sum the rows of one stream: a kept quotient serves every later row
+    steps = {}
+    for terms in rows + rows:
+        dens = [den for _, _, den in terms]
+        common = math.lcm(*dens)
+        exact = sum((Fraction(c * num, den) for c, num, den in terms), Fraction(0))
+        assert row_sum(terms, steps) == (common, exact * common)
+        nested = all(later % earlier == 0 for earlier, later in zip(dens, dens[1:]))
+        assert row_quotients(dens, steps)[::2] == (common, nested)
+
+
+def test_row_sum_of_no_terms_is_zero_over_one():
+    assert row_sum([], {}) == (1, 0)
+    assert row_quotients([], {}) == (1, [], True)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,20 @@ def test_inconsistent_initial_data(cubic_rec):
             30,
             initial={0: Fraction(1), 1: Fraction(0), 2: Fraction(0), 3: Fraction(1)},
         )
+
+
+def test_pins_past_the_int_string_limit_solve_in_process(cubic_rec):
+    # the provenance keeps the pins as Fractions: nothing converts a pin of
+    # 5000 digits to a decimal string, at the interpreter's default limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        pin = Fraction(1, 10**5000)
+        (sol,) = solve_series(cubic_rec, 5, initial={0: pin})
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert sol.coeffs[0] == pin
+    assert sol.provenance == {"pinned": {0: pin}}
 
 
 def test_zero_dimensional_space_is_empty():

@@ -14,9 +14,11 @@ surviving free parameters; and the content left by cutting only the row's
 lead stays a bounded share of each stored denominator.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from deltaorder import (
     CoefficientRecurrence,
     Poly,
     SeriesSolution,
+    construct_equation,
     derive_recurrence,
     normalize_to_delta,
     parse_equation,
@@ -31,9 +34,10 @@ from deltaorder import (
     verify_recurrence,
 )
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError
+from deltaorder.polynomials import row_quotients
 from deltaorder.series import RowReduction
 
-from fixtures_equations import CUBIC_THIRD
+from fixtures_equations import CUBIC_THIRD, QUARTIC_34
 
 
 def oracle_row(rec, n):
@@ -113,7 +117,7 @@ def oracle_solve(rec, count, initial=None):
         stream = [vconst for vconst, _ in state.values[: count + 1]]
         if any(stream[idx] != wanted for idx, wanted in initial.items()):
             raise InconsistentSystemError("pins contradict the rows")
-        pinned = {k: str(v) for k, v in sorted(initial.items())}
+        pinned = dict(sorted(initial.items()))
         return [SeriesSolution.from_values(stream, rho=rho, provenance={"pinned": pinned})]
     solutions = []
     for fid in state.free_ids:
@@ -264,3 +268,39 @@ def test_stored_denominators_stay_near_the_exact_ones(rec, data):
             exact = den // math.gcd(den, const, *lin.values())
             exact_bits = max(exact_bits, exact.bit_length())
             assert den.bit_length() <= 2 * exact_bits + 32
+
+
+def _verify_stream(kind):
+    if kind == "construct 1/5":
+        built = construct_equation(1, 5)
+        return derive_recurrence(built.canonical), built.predicted_series
+    text, pins = {
+        "quartic34 pinned": (QUARTIC_34, {0: Fraction(3, 7), 1: Fraction(-2), 2: Fraction(5, 9), 3: Fraction(1, 4)}),
+        "cubic pinned": (CUBIC_THIRD, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 4)}),
+    }[kind]
+    rec = derive_recurrence(normalize_to_delta(parse_equation(text)))
+    return rec, solve_series(rec, 90, initial=pins)[0]
+
+
+@pytest.mark.parametrize(
+    "kind, nested", [("quartic34 pinned", False), ("cubic pinned", True), ("construct 1/5", True)]
+)
+def test_verify_matches_the_fraction_oracle_on_corrupted_streams(kind, nested):
+    rec, sol = _verify_stream(kind)
+    rows = 60
+    # the row sums take the nested branch on most rows of the cubic and the
+    # construction, and the lcm fallback on most rows of QUARTIC_34
+    nested_rows = sum(
+        row_quotients([sol.coeffs[idx].denominator for idx, _ in reversed(rec.row(n)) if sol.coeffs[idx]], {})[2]
+        for n in range(rec.first_row, rows + 1)
+    )
+    assert (nested_rows > (rows + 1) * 3 // 4) is nested, nested_rows
+    assert verify_recurrence(rec, sol, rows).exact
+    for corrupt in ({40: 2}, {12: Fraction(1, 3), 55: -1}, {rows + rec.order: 5}):
+        coeffs = list(sol.coeffs)
+        for idx, factor in corrupt.items():
+            coeffs[idx] = coeffs[idx] * factor if coeffs[idx] else Fraction(1, 7)
+        bad = dataclasses.replace(sol, coeffs=tuple(coeffs))
+        report = verify_recurrence(rec, bad, rows)
+        assert report.first_failing_row is not None
+        assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, bad, rows)
