@@ -22,10 +22,14 @@ an integer or exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
 
 Importing this module loads neither numpy nor mpmath; each command loads
 what it computes with.  ``verify --solution`` and ``compose`` load neither
-and ``eval --solution`` loads mpmath only.  ``analyze`` and ``construct``
-load numpy for their roots; ``solve``, and ``eval`` or ``verify`` solving an
-equation themselves, load it for the chi fit of a stream with
-``series.MIN_CHI_TERMS`` = 64 nonzero coefficients.
+and ``eval --solution`` loads mpmath only.  ``analyze`` finds quadratic
+roots in closed form, so it loads numpy only where a characteristic
+polynomial of three or more terms, or the part of the indicial polynomial
+without rational roots, has degree three or more; the README cubic needs
+none.  ``construct`` loads numpy for the chi fit of its round trip, and
+``solve``, and ``eval`` or ``verify`` solving an equation themselves, load
+it for the chi fit of a stream with ``series.MIN_CHI_TERMS`` = 64 nonzero
+coefficients.
 """
 
 from __future__ import annotations

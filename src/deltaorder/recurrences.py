@@ -51,6 +51,8 @@ from .polynomials import (
 #: n^(-mu n) e^(mu n) gamma^n is computed per branch.
 UNMODELED_FACTORS_NOTE = "subexponential factors of each branch are not modeled"
 
+_OUTSIDE = "a root is outside the double range"
+
 
 @dataclass(frozen=True)
 class CoefficientRecurrence:
@@ -224,13 +226,17 @@ def indicial_exponents(eq: DifferenceEquation) -> list:
     falling-basis coefficients of the top equation polynomial.  The roots are
     therefore 0..m-1 together with m + r for every root r of P_m.  Rational
     roots are returned exactly (as Fractions, sorted); the remaining roots of
-    P_m numerically via companion-matrix eigenvalues.
+    P_m as complex doubles, in closed form when two remain and as
+    companion-matrix eigenvalues when more do.
     """
     m = eq.order
     rational, residual = _rational_roots(eq.coeffs[-1])
     numeric = []
-    if residual.degree >= 1:
-        numeric = [r + m for r in _numeric_roots(residual.coeffs[::-1])]
+    if residual.degree == 2:
+        numeric = _as_doubles(_quadratic_roots(*residual.coeffs[::-1])[0])
+    elif residual.degree >= 1:
+        numeric = _numeric_roots(residual.coeffs[::-1])
+    numeric = [r + m for r in numeric]
     numeric.sort(key=lambda r: (round(r.real, 10), round(r.imag, 10)))
     return sorted([Fraction(k) for k in range(m)] + [r + m for r in rational]) + numeric
 
@@ -257,12 +263,20 @@ def _rational_roots(poly: Poly):
 def _rational_root(ints):
     """One rational root of an integer polynomial (no root at zero), or None.
 
-    A linear polynomial gives its root directly; otherwise candidates are
-    num/den with num dividing the constant and den the leading coefficient,
-    each tested by the homogeneous form  sum_k c_k num^k den^(deg-k) = 0.
+    A linear polynomial gives its root directly and a quadratic its closed
+    form, whose discriminant decides whether the roots are rational.
+    Otherwise candidates are num/den with num dividing the constant and den
+    the leading coefficient, each tested by the homogeneous form
+    sum_k c_k num^k den^(deg-k) = 0.  Every branch returns the root that
+    search meets first: smallest |num|, then den, positive first.
     """
     if len(ints) == 2:
         return Fraction(-ints[0], ints[1])
+    if len(ints) == 3:
+        parts, exact = _quadratic_roots(ints[2], ints[1], ints[0])
+        if not exact:
+            return None
+        return min((re for re, _ in parts), key=lambda r: (abs(r.numerator), r.denominator, r < 0))
     dens = _divisors(abs(ints[-1]))
     for num in _divisors(abs(ints[0])):
         for den in dens:
@@ -402,7 +416,13 @@ def _lower_hull(points):
 
 
 def _characteristic_roots(on_line, right_x: int, leading):
-    """Roots of  sum c_i gamma^(right - i)  over the on-segment points."""
+    """Roots of  sum c_i gamma^(right - i)  over the on-segment points, as complex doubles.
+
+    A two-term segment gives the span-th roots of one ratio, a three-term
+    span-2 segment the closed form of ``_quadratic_roots``, and any other
+    segment the companion-matrix eigenvalues of ``_numeric_roots``.  A span-1
+    root stays an exact Fraction.
+    """
     exps = {right_x - x: leading[x] for x, _ in on_line}
     span = max(exps)
     if len(exps) == 2 and set(exps) == {0, span}:
@@ -420,6 +440,8 @@ def _characteristic_roots(on_line, right_x: int, leading):
             )
             for k in range(span)
         ]
+    elif span == 2:
+        roots = _as_doubles(_quadratic_roots(exps[2], exps[1], exps[0])[0])
     else:
         roots = _numeric_roots([exps.get(span - i, 0) for i in range(span + 1)])
     roots.sort(key=lambda r: (round(abs(r), 10), round(math.atan2(r.imag, r.real), 10)))
@@ -455,7 +477,6 @@ def _numeric_roots(coeffs) -> list[complex]:
     import numpy as np
 
     spread = "the roots lie too far apart to be found in double precision"
-    outside = "a root is outside the double range"
     s = 0
     try:
         floats = [float(c) for c in coeffs]
@@ -476,9 +497,48 @@ def _numeric_roots(coeffs) -> list[complex]:
         try:
             roots = [complex(math.ldexp(r.real, s), math.ldexp(r.imag, s)) for r in roots]
         except OverflowError:
-            raise RootRangeError(outside) from None
+            raise RootRangeError(_OUTSIDE) from None
+    return _as_doubles([(r.real, r.imag) for r in roots])
+
+
+def _quadratic_roots(a, b, c) -> tuple[list[tuple[Fraction, Fraction]], bool]:
+    """(real, imaginary) parts of both roots of  a x^2 + b x + c, and whether they are exact.
+
+    The coefficients are rationals with a and c nonzero.  The discriminant
+    D = b^2 - 4ac is exact.  With |D| = num/den in lowest terms, the integer
+    num den 4^k is zero or has at least 133 bits, and its ``math.isqrt`` over
+    den 2^k is sqrt|D|: exact when num den is a square, i.e. when |D| is the
+    square of a rational, and otherwise below it by less than 2^-66
+    relative.  For D >= 0 the roots are q/a and c/q with
+    q = -(b + sign(b) sqrt D)/2, whose two terms never cancel; they are
+    exact, and rational, when sqrt D is.  For D < 0 they are the conjugates
+    -b/(2a) +- i sqrt|D|/(2a).
+    """
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    disc = b * b - 4 * a * c
+    square = abs(disc.numerator) * disc.denominator
+    k = max(0, 67 - square.bit_length() // 2)
+    scaled = square << 2 * k
+    root = math.isqrt(scaled)
+    sqrt_disc = Fraction(root, disc.denominator << k)
+    if disc < 0:
+        re, im = -b / (2 * a), sqrt_disc / (2 * a)
+        return [(re, im), (re, -im)], False
+    q = -(b - sqrt_disc if b < 0 else b + sqrt_disc) / 2
+    return [(q / a, Fraction(0)), (c / q, Fraction(0))], root * root == scaled
+
+
+def _as_doubles(parts) -> list[complex]:
+    """Complex doubles of roots given by (real, imaginary) parts.
+
+    A root that rounds to zero or infinity there raises RootRangeError.
+    """
+    try:
+        roots = [complex(re, im) for re, im in parts]
+    except OverflowError:
+        raise RootRangeError(_OUTSIDE) from None
     if not all(cmath.isfinite(r) and r for r in roots):
-        raise RootRangeError(outside)
+        raise RootRangeError(_OUTSIDE)
     return roots
 
 

@@ -360,12 +360,12 @@ def estimate_chi(coeffs) -> GrowthEstimate:
     ``MIN_CHI_TERMS`` nonzero terms are required.  A non-positive fitted
     slope is reported as chi_hat = inf with converged False.
     """
-    indexed = [(n, fraction_log_abs(c)) for n, c in enumerate(coeffs) if c]
-    if len(indexed) < MIN_CHI_TERMS:
+    nonzero = [(n, c) for n, c in enumerate(coeffs) if c]
+    if len(nonzero) < MIN_CHI_TERMS:
         raise InsufficientDataError(
-            f"need at least {MIN_CHI_TERMS} nonzero coefficients, have {len(indexed)}"
+            f"need at least {MIN_CHI_TERMS} nonzero coefficients, have {len(nonzero)}"
         )
-    tail = indexed[len(indexed) // 2 :]
+    tail = [(n, fraction_log_abs(c)) for n, c in nonzero[len(nonzero) // 2 :]]
     import numpy as np
 
     ns = np.array([float(n) for n, _ in tail])

@@ -58,11 +58,12 @@ def test_importing_the_cli_loads_neither_library():
 @pytest.mark.parametrize(
     "argv, loaded",
     [
+        (("analyze", CUBIC_THIRD), []),
         (("verify", CUBIC_THIRD, "--solution", "stream.json"), []),
         (("compose", L3_TEXT, L5_TEXT), []),
         (("eval", "--solution", "stream.json", "--at", "2.5"), ["mpmath"]),
     ],
-    ids=["verify", "compose", "eval"],
+    ids=["analyze", "verify", "compose", "eval"],
 )
 def test_commands_load_only_what_they_compute_with(stream_dir, argv, loaded):
     assert probe(*argv, cwd=stream_dir) == loaded

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltaorder import (
@@ -25,10 +25,12 @@ from deltaorder.cli import main
 from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
 from deltaorder.errors import RootRangeError
 from deltaorder.recurrences import (
+    _as_doubles,
     _characteristic_roots,
     _check_degree_chain,
     _divisors,
     _numeric_roots,
+    _quadratic_roots,
     _rational_roots,
 )
 
@@ -369,6 +371,21 @@ def test_huge_leading_coefficient_analysis_finishes_in_time(capsys):
     assert payload["indicial_exponents"] == ["0", "1", f"{2 * lead - 3}/{lead}"]
 
 
+def test_huge_leading_coefficient_quadratic_analysis_finishes_in_time(capsys):
+    # the divisors of the same lead were once listed for a quadratic P_m, which
+    # ran past 15 s; its discriminant -12 lead shows at once that no root is rational
+    lead = 1000000007 * 998244353
+    with deadline(5):
+        code = main(["analyze", "(1000000007*998244353z^2 + 3) D^2 f(z) + z f(z) = 0"])
+    assert code == 0
+    exponents = json.loads(capsys.readouterr().out)["indicial_exponents"]
+    assert exponents[:2] == ["0", "1"]
+    roots = [complex(*r) for r in exponents[2:]]
+    im = math.sqrt(3 / lead)
+    assert [r.real for r in roots] == [2.0, 2.0]
+    assert [r.imag for r in roots] == pytest.approx([-im, im], rel=1e-12)
+
+
 # --- characteristic roots past the double range -------------------------------
 
 
@@ -404,6 +421,67 @@ def test_two_term_roots_match_the_numpy_reference(num, den, span):
 def test_numeric_roots_of_double_sized_coefficients_are_np_roots(coeffs):
     expected = [complex(r) for r in np.roots([float(c) for c in coeffs])]
     assert _numeric_roots([Fraction(c) for c in coeffs]) == expected
+
+
+# rationals from small to past the double range, and factors to scale a polynomial by
+_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**400), 10**400).filter(bool) | st.integers(-50, 50).filter(bool),
+    st.integers(1, 10**400) | st.integers(1, 50),
+)
+_scales = st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(3**700), Fraction(1, 7**400)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _scales, st.booleans())
+def test_rational_quadratic_roots_are_exact(r, s, scale, double):
+    sympy = pytest.importorskip("sympy")
+    if double:
+        s = r
+    c, b, a = (scale * k for k in prod_poly([-r.numerator, r.denominator], [-s.numerator, s.denominator]).coeffs)
+    parts, exact = _quadratic_roots(a, b, c)
+    assert exact
+    assert all(im == 0 for _, im in parts)
+    # sympy's closed form: sympy.roots factors the coefficients' gcd, which does not finish at these sizes
+    expected = sympy.polys.polyroots.roots_quadratic(sympy.Poly([a, b, c], sympy.Symbol("x"), domain="QQ"))
+    assert sorted(re for re, _ in parts) == sorted(Fraction(int(k.p), int(k.q)) for k in expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).filter(bool),
+    _scales,
+)
+def test_separated_quadratic_roots_agree_with_np_roots(a, b, c, scale):
+    expected = sorted((complex(r) for r in np.roots([a, b, c])), key=lambda r: (r.real, r.imag))
+    big, small = max(map(abs, expected)), min(map(abs, expected))
+    # np.roots loses digits on close or far-apart roots: no reference there
+    assume(abs(expected[0] - expected[1]) >= 1e-3 * big and big <= 1e6 * small)
+    parts, _ = _quadratic_roots(scale * a, scale * b, scale * c)
+    found = sorted(_as_doubles(parts), key=lambda r: (r.real, r.imag))
+    for root, ref in zip(found, expected):
+        assert abs(root - ref) <= 1e-9 * abs(ref)
+
+
+def test_quadratic_roots_keep_the_small_root_of_a_far_apart_pair():
+    # x^2 - 2e30 x + 3: the textbook (2e30 - sqrt(4e60 - 12))/2 cancels every digit
+    small, large = sorted(_as_doubles(_quadratic_roots(1, -2 * 10**30, 3)[0]), key=abs)
+    assert (small, large) == (1.5e-30, 2e30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1100, 5000), st.integers(1, 10**6), st.booleans(), st.booleans())
+def test_quadratic_roots_outside_the_double_range_raise(bits, other, tiny, negative):
+    # (x - R)(x - other) with R = +-2^bits, or its reciprocal polynomial for R = 2^-bits
+    root = -(2**bits) if negative else 2**bits
+    c, b, a = prod_poly([-root, 1], [-other, 1]).coeffs
+    if tiny:
+        a, c = c, a
+    on_line = [(0, 0), (1, 0), (2, 0)]
+    with pytest.raises(RootRangeError, match="a root is outside the double range"):
+        _characteristic_roots(on_line, 2, {0: a, 1: b, 2: c})
 
 
 def test_numeric_roots_past_the_double_range():
