@@ -12,8 +12,21 @@ is stored as its known value, not as a free coefficient, and a pinned index
 that a row determines becomes a constraint, eliminated like a zero-lead
 row, as soon as its value is made.  A new value's content is divided by its
 gcd with the row's lead value (or the pivot quotient of an elimination), a
-number a few words long, so the content that does not divide it stays; the
-one exact reduction is made when the output Fraction is built.  The result
+number a few words long, so the content that does not divide it stays.
+
+The exact reduction is made once, at output, and without a full-width gcd
+where that pays.  Every stored denominator is built from three kinds of
+atoms: each row's nonzero lead, each elimination's pivot and each pin
+denominator.  A new value's denominator is the row's common denominator,
+whose primes come from earlier denominators, times its lead, and an
+elimination multiplies by a divisor of its pivot; so every prime of every
+stored denominator divides an atom.  The output therefore reduces each value
+over R = lcm(atoms), taken once per solve: gcd(num mod R, R) names the
+primes that value can lose, small gcds taken over remainders peel them off,
+and the Fraction is built without a second gcd (:func:`reduced_fraction`).
+Where the output numerators stay below ``ATOM_REDUCTION_BITS``, or R is not
+``ATOM_WIDTH_RATIO`` times narrower than the widest stored denominator, the
+full gcd of ``Fraction(num, den)`` is cheaper and is kept.  The result
 is a basis of the truncated solution space, or the stream pinned to given
 initial data with the surviving free coefficients zeroed.  The rows are
 homogeneous, as the equations are.
@@ -38,6 +51,7 @@ log n, and 1 over the trailing half of the nonzero subsequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,8 +155,9 @@ def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
     ``small`` divides ``den``: it is the row's lead value or the pivot
     quotient of an elimination, a few words long, so the gcd costs one
     big-by-small remainder per entry instead of a full gcd with ``den``.
-    Content outside ``small`` stays in the stored value; the Fraction built
-    at output makes the one exact reduction.  A zero value is stored as 0/1.
+    Content outside ``small`` stays in the stored value, and its primes all
+    divide the reduction's atoms, over whose lcm the output reduces it
+    (:meth:`RowReduction._builder`).  A zero value is stored as 0/1.
     """
     lin = {f: w for f, w in lin.items() if w}
     if not const and not lin:
@@ -151,6 +166,62 @@ def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
     if g == 1:
         return den, const, lin
     return den // g, const // g, {f: w // g for f, w in lin.items()}
+
+
+#: Widest output numerator, in bits, from which a solve reduces its output
+#: over the lcm of its atoms; below it ``Fraction(num, den)`` makes its own
+#: gcd, which costs little next to a narrow numerator.
+ATOM_REDUCTION_BITS = 1024
+#: The atoms' lcm must be this many times narrower than the widest stored
+#: denominator for the reduction over it to pay.
+ATOM_WIDTH_RATIO = 4
+
+
+if hasattr(Fraction, "_from_coprime_ints"):
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """The Fraction num/den without a gcd: num and den coprime, den positive."""
+        return Fraction._from_coprime_ints(num, den)
+
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """The Fraction num/den without a gcd: num and den coprime, den positive."""
+        return Fraction(num, den, _normalize=False)
+
+
+_ZERO = Fraction(0)
+
+
+def reduced_fraction(num: int, den: int, radix: int) -> Fraction:
+    """``Fraction(num, den)`` for a nonzero den each of whose primes divides ``radix``.
+
+    A common factor of num and den is made of primes of ``radix``, all of
+    which divide r = gcd(num, radix).  Each step divides num and den by
+    h = gcd(r, num, den), taken over remainders mod r, and squares h into
+    the next r, so a prime that divides more times than r holds is peeled
+    off in a few steps; h = 1 leaves them coprime.
+    """
+    if den < 0:
+        num, den = -num, -den
+    if not num:
+        return _ZERO
+    r = math.gcd(num % radix, radix)
+    while r > 1:
+        h = math.gcd(r, num % r, den % r)
+        if h == 1:
+            break
+        num //= h
+        den //= h
+        r = h * h
+    return _coprime_fraction(num, den)
+
+
+def _lcm_tree(atoms: list[int]) -> int:
+    """Positive lcm of nonzero integers, 16 at a time, so each level's operands are of one width."""
+    while len(atoms) > 16:
+        atoms = [math.lcm(*atoms[i : i + 16]) for i in range(0, len(atoms), 16)]
+    return math.lcm(*atoms)
 
 
 def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
@@ -181,11 +252,14 @@ class RowReduction:
     one adds the constraint "value = pin" to the same elimination.  Each
     constraint removes the newest free parameter it involves, so the
     eliminated set is the set of leading columns of all constraints
-    together, whatever order they arrive in.  Each new value's content is divided by the row's lead or
-    the pivot quotient only (see :func:`_reduced`).  ``free_ids`` lists the
-    free parameters that survive.  Fractions are built only for the streams
-    that ``zeroed`` and ``basis`` return, and each makes the one exact
-    reduction of its value.  :func:`solve_series` is its only caller in the
+    together, whatever order they arrive in.  Each new value's content is
+    divided by the row's lead or the pivot quotient only (see
+    :func:`_reduced`).  ``free_ids`` lists the free parameters that survive.
+    ``atoms`` lists the leads, pivots and pin denominators, which every prime
+    of every stored denominator divides.  Fractions are built only for the
+    streams that ``zeroed`` and ``basis`` return, each value reduced once,
+    over the atoms' lcm where that is measured to pay, else by
+    ``Fraction(num, den)``.  :func:`solve_series` is its only caller in the
     package.
     """
 
@@ -198,6 +272,8 @@ class RowReduction:
         self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
+        # every prime of every stored denominator divides one of these
+        self.atoms: list[int] = []
         # row_quotients' kept steps; cleared by each elimination, so that it
         # holds no denominator that the elimination replaced
         self.steps: dict = {}
@@ -215,6 +291,7 @@ class RowReduction:
         wanted = self.pins.get(idx)
         if wanted is not None:
             self.values.append((wanted.denominator, wanted.numerator, {}))
+            self.atoms.append(wanted.denominator)
             return
         self.values.append((1, 0, {idx: 1}))
         self.free_ids.append(idx)
@@ -246,6 +323,7 @@ class RowReduction:
         if not lead:
             self._eliminate(const, lin)
             return
+        self.atoms.append(lead)
         den, vconst, vlin = _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
         self.values.append((den, vconst, vlin))
         wanted = self.pins.get(top)
@@ -267,6 +345,7 @@ class RowReduction:
             return
         target = max(live)
         pivot = live.pop(target)
+        self.atoms.append(pivot)
         self.free_ids.remove(target)
         self.steps.clear()
         for k, (den, vconst, vlin) in enumerate(self.values):
@@ -280,10 +359,26 @@ class RowReduction:
                 nlin[f] = nlin.get(f, 0) - w * v
             self.values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
 
+    def _builder(self, nums):
+        """How the output Fractions of numerators ``nums`` are built, decided once per solve.
+
+        ``Fraction`` itself below ``ATOM_REDUCTION_BITS`` or where the atoms'
+        lcm is not ``ATOM_WIDTH_RATIO`` times narrower than the widest
+        stored denominator; else :func:`reduced_fraction` over that lcm.
+        """
+        if max((num.bit_length() for num in nums), default=0) < ATOM_REDUCTION_BITS:
+            return Fraction
+        widest = max(den.bit_length() for den, _, _ in self.values)
+        radix = _lcm_tree(self.atoms)
+        if radix.bit_length() * ATOM_WIDTH_RATIO > widest:
+            return Fraction
+        return functools.partial(reduced_fraction, radix=radix)
+
     def zeroed(self, provenance: dict) -> SeriesSolution:
         """The stream with every surviving free parameter zero: each value's constant over its denominator."""
+        build = self._builder([vconst for _, vconst, _ in self.values])
         return SeriesSolution.from_values(
-            [Fraction(vconst, den) for den, vconst, _ in self.values],
+            [build(vconst, den) for den, vconst, _ in self.values],
             rho=self.rec.rho_offset,
             provenance=provenance,
         )
@@ -291,9 +386,10 @@ class RowReduction:
     def basis(self) -> list[SeriesSolution]:
         """One stream per surviving free parameter, skipping streams that vanish."""
         rho = self.rec.rho_offset
+        build = self._builder([w for _, _, vlin in self.values for w in vlin.values()])
         solutions = []
         for fid in self.free_ids:
-            stream = [Fraction(vlin.get(fid, 0), den) for den, _, vlin in self.values]
+            stream = [build(vlin.get(fid, 0), den) for den, _, vlin in self.values]
             if all(v == 0 for v in stream):
                 continue
             solutions.append(

@@ -87,6 +87,16 @@ def test_pinned_cubic_at_3200_terms_finishes_in_time(cubic_rec):
     assert max(c.denominator.bit_length() for c in sol.coeffs) == 106188
 
 
+def test_wide_coefficient_basis_finishes_in_time():
+    # 1585-bit window entries: the output's full gcds once made this about 12 s
+    rec = derive_recurrence(normalize_to_delta(parse_equation("3^1000 f(z+1) - f(z) = 0")))
+    with deadline(5):
+        (sol,) = solve_series(rec, 200)
+    # f(z) = c^z with c = 3^-1000 has a_n = (c - 1)^n / n!
+    step = Fraction(1, 3**1000) - 1
+    assert all(sol.coeffs[n] == step**n / math.factorial(n) for n in (0, 1, 2, 57, 200))
+
+
 def test_inconsistent_initial_data(cubic_rec):
     # row 0 reads 90 a_3 + 6 a_2 - a_1 - a_0 = 0, so these pins contradict
     with pytest.raises(InconsistentSystemError):

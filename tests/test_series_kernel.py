@@ -12,10 +12,15 @@ the oracle's stream of pins applied after every row; pins at every index that
 no row determines leave no free parameter and give the stream of pins at the
 surviving free parameters; and the content left by cutting only the row's
 lead stays a bounded share of each stored denominator.
+
+The last four check the output reduction over the lcm of the reduction's
+atoms against ``Fraction(num, den)``, field by field: on solves forced onto
+it, far below the widths where the solver takes it, and on the helper alone.
 """
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -35,7 +40,8 @@ from deltaorder import (
 )
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError
 from deltaorder.polynomials import row_quotients
-from deltaorder.series import RowReduction
+from deltaorder import series
+from deltaorder.series import RowReduction, reduced_fraction
 
 from fixtures_equations import CUBIC_THIRD, QUARTIC_34
 
@@ -304,3 +310,99 @@ def test_verify_matches_the_fraction_oracle_on_corrupted_streams(kind, nested):
         report = verify_recurrence(rec, bad, rows)
         assert report.first_failing_row is not None
         assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, bad, rows)
+
+
+# --- output reduction over the atoms' lcm ---------------------------------------
+
+
+def _fields(values):
+    return [(v.numerator, v.denominator) for v in values]
+
+
+@contextmanager
+def _atom_path_forced():
+    # both constants at 0 send every solve down the path, however narrow
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "ATOM_REDUCTION_BITS", 0)
+        patch.setattr(series, "ATOM_WIDTH_RATIO", 0)
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(rec=recurrences(min_roots=1), data=st.data())
+def test_atom_reduction_matches_fraction_on_forced_solves(rec, data):
+    # negative leads, zero-lead rows, and pins over one denominator: small
+    # primes that the leads' values carry too, or primes only the pins bring
+    count = rec.span + data.draw(st.integers(0, 24))
+    if data.draw(st.booleans()):
+        indices = data.draw(st.lists(st.integers(0, count), min_size=1, max_size=4, unique=True))
+        den = data.draw(st.sampled_from([1, 2, 4, 6, 8, 9, 12, 27, 35, 97, 101 * 103]))
+        initial = {idx: Fraction(data.draw(st.integers(-40, 40)), den) for idx in indices}
+    else:
+        initial = None
+    try:
+        reduction = RowReduction(rec, count, initial)
+    except InconsistentSystemError:
+        return
+    if initial is None:
+        expected = [[Fraction(vlin.get(f, 0), den) for den, _, vlin in reduction.values] for f in reduction.free_ids]
+        expected = [stream for stream in expected if any(stream)]
+        nums = [w for _, _, vlin in reduction.values for w in vlin.values()]
+    else:
+        expected = [[Fraction(vconst, den) for den, vconst, _ in reduction.values]]
+        nums = [vconst for _, vconst, _ in reduction.values]
+    with _atom_path_forced():
+        assert reduction._builder(nums) is not Fraction
+        actual = reduction.basis() if initial is None else [reduction.zeroed({})]
+    assert [_fields(sol.coeffs) for sol in actual] == [_fields(stream) for stream in expected]
+
+
+def test_atom_reduction_cancels_the_primes_of_pins_at_free_indices():
+    # a_{n+2} = a_{n+1} + a_n has leads 1: with a_0 = 1/97 and a_1 = 96/97
+    # only the pin denominator names the 97 that a_2 = 97/97 cancels
+    rec = CoefficientRecurrence(window={-2: Poly([1]), -1: Poly([-1]), 0: Poly([-1])})
+    reduction = RowReduction(rec, 6, {0: Fraction(1, 97), 1: Fraction(96, 97)})
+    with _atom_path_forced():
+        coeffs = reduction.zeroed({}).coeffs
+    assert _fields(coeffs) == _fields([Fraction(vconst, den) for den, vconst, _ in reduction.values])
+    assert coeffs[2] == 1
+
+
+@st.composite
+def smooth_fractions(draw):
+    """(num, den, radix): den's primes all divide radix, num shares part of den's content."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3, unique=True))
+    # prime powers split across atoms: 4 and 6 cover 2^2 * 3 together
+    atoms = draw(
+        st.sampled_from([[4, 6]])
+        | st.lists(st.builds(lambda p, e: p**e, st.sampled_from(primes), st.integers(1, 3)), min_size=1, max_size=4)
+    )
+    radix = math.lcm(*atoms)
+    smooth = [p for p in (2, 3, 5, 7, 11) if radix % p == 0]
+    power = st.builds(lambda p, e: p**e, st.sampled_from(smooth), st.integers(0, 12))
+    content = math.prod(draw(st.lists(power, max_size=4)))
+    rest = math.prod(draw(st.lists(power, max_size=3)))
+    # a stored denominator keeps only part of its content
+    den = content * rest // draw(st.sampled_from([d for d in range(1, 50) if content % d == 0]))
+    num = content * draw(st.integers(-(10**6), 10**6))
+    sign = draw(st.sampled_from([1, -1]))
+    return num, sign * den, radix
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=smooth_fractions())
+def test_reduced_fraction_matches_fraction(case):
+    num, den, radix = case
+    got, want = reduced_fraction(num, den, radix), Fraction(num, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+def test_reduced_fraction_peels_powers_past_the_radix():
+    # the content 2^5 * 3 over radix lcm(4, 6) = 12: one step removes 12, the
+    # next 8 of the squared 144; zero and a negative denominator keep
+    # Fraction's normal form
+    assert _fields([reduced_fraction(-2**9 * 3 * 5, 2**5 * 3**2, 12)]) == _fields([Fraction(-2**9 * 15, 2**5 * 9)])
+    assert _fields([reduced_fraction(0, -(2**40), 12)]) == [(0, 1)]
+    assert _fields([reduced_fraction(7, -12, 12)]) == [(-7, 12)]
