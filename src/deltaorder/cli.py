@@ -282,15 +282,11 @@ def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[Se
     rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
     rec = _recurrence(eq, rho)
     initial = _parse_initial(getattr(args, "initial", None))
-    if args.terms < rec.span:
-        raise _CommandError(EXIT_PARSE, f"truncation {args.terms} is below the window span {rec.span}")
-    if initial and max(initial) > args.terms:
-        raise _CommandError(EXIT_PARSE, f"pinned index {max(initial)} beyond truncation")
     try:
         solutions = solve_series(rec, args.terms, initial=initial)
-    except (InconsistentSystemError, InsufficientDataError) as exc:
+    except InconsistentSystemError as exc:
         raise _CommandError(EXIT_EMPTY, str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # InsufficientDataError too: a truncation below the span, a pin past it
         raise _CommandError(EXIT_PARSE, str(exc))
     if not solutions:
         raise _CommandError(EXIT_EMPTY, "only the zero stream solves the rows")

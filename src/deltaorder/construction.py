@@ -8,8 +8,8 @@ forces the series coefficients to satisfy  g(n) a_n = a_{n-q}  on the support
 n in q*N, where g collects the A-weights.  Choosing the weights so that
 g(qt) = ff(pt, p) makes the surviving coefficients exactly a_0/(pt)!, whose
 decay corresponds to growth order q/p.  The weights come from expanding
-ff(n*p/q, p) over falling powers of n (A_0 = 1, then cleared to primitive
-integers).
+ff(n*p/q, p) = (p/q)^p prod_u (n - uq/p) over falling powers of n, on
+integer lists (A_0 = 1, then cleared to primitive integers).
 
 The canonical form recenters the template (the maximal back-shift is p, so
 the recentering is z -> z+p) and folds the shifts into pure difference
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
-from .errors import InconsistentSystemError, InvalidOrderError
+from .errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
-from .polynomials import Poly, common_denominator, expand_newton, falling_factorial_poly, to_falling_basis
+from .polynomials import Poly, _integer_falling_basis, _newton_poly, falling_factorial_poly
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
 from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
 
@@ -87,15 +87,14 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
         raise InvalidOrderError(f"order {q}/{p} is not in lowest terms")
     if p > MAX_ORDER_DENOMINATOR:
         raise InvalidOrderError(f"order {q}/{p}: denominator {p} exceeds the limit {MAX_ORDER_DENOMINATOR}")
-    lam = Fraction(q, p)
-    profile = _stretched_falling(p, 1 / lam)
-    weights_rational = to_falling_basis(profile)
-    # ff(n/lam, p) vanishes at n = 0, so there is no constant weight
-    if weights_rational[0] != 0:
-        raise ArithmeticError("stretched falling power has a constant weight")
-    denom, ints = common_denominator(weights_rational[1:])
-    content = math.gcd(denom, *ints)
-    weights = tuple([denom // content] + [w // content for w in ints])  # A_0..A_p
+    # ff(np/q, p) = (p/q)^p P(n) / den with P(n) / den = prod_u (n - uq/p),
+    # so A_j is proportional to p^p times the coefficient of ff(n, j) in P;
+    # P(0) = 0, so there is no constant weight
+    product = _newton_poly(1, [0] * p + [1], p, [u * q for u in range(p)])
+    basis = _integer_falling_basis(Poly._from_ints(product.nums))
+    raw = [q**p * product.den] + [p**p * c for c in basis[1:]]
+    content = math.gcd(*raw)
+    weights = tuple(w // content for w in raw)  # A_0..A_p
     terms = [
         OperatorTerm(
             coefficient=falling_factorial_poly(j) * weights[j],
@@ -125,11 +124,6 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
         canonical=canonical,
         predicted_series=predicted,
     )
-
-
-def _stretched_falling(p: int, stretch: Fraction) -> Poly:
-    """The polynomial  (stretch*n)(stretch*n - 1)...(stretch*n - p + 1)  in n."""
-    return expand_newton([0] * p + [stretch**p], [u / stretch for u in range(p)])
 
 
 def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:
@@ -183,7 +177,9 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     count = ROUNDTRIP_ROWS + rec.order
     predicted = result.predicted_series
     if len(predicted.coeffs) <= count:
-        predicted = _predicted_series(result.q, result.p, count)
+        raise InsufficientDataError(
+            f"the round trip needs {count + 1} predicted coefficients, have {len(predicted.coeffs)}"
+        )
     # pinned where no row decides, the solve carries no free parameter and
     # runs rows first_row..ROUNDTRIP_ROWS; a zero-lead row that the
     # prediction violates contradicts its pins

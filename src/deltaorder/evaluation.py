@@ -15,18 +15,21 @@ The summation kernel works on integer mantissas: each real is a pair of
 Python ints (m, e) worth m * 2**e.  Every step forms its exact result and
 rounds it once to the ambient precision, to nearest with ties to even, which
 is what ``mpmath.libmp`` does at round_nearest: ``mpf_add``, ``mpf_mul``,
-``mpf_div`` and ``mpf_sqrt`` are correctly rounded, ``mpf_hypot`` rounds its
-sum of squares toward zero at 4 more bits first, and far-apart operands are
-summed by ``mpf_add``'s nudge rather than an exact shift.  The kernel does the
-operations of a plain mpc loop in the same order, so its results are those
-of that loop bit for bit; raw mpf values appear only at its edges (the
+``mpf_div`` and ``mpf_sqrt`` are correctly rounded and ``mpf_hypot`` rounds
+its sum of squares toward zero at 4 more bits first.  Operands whose top bits
+lie more than prec + 4 apart are handed to ``mpf_add`` and ``mpf_hypot``
+themselves, which sum them by a nudge rather than an exact shift.  The kernel
+does the operations of a plain mpc loop in the same order, so its results are
+those of that loop bit for bit; raw mpf values appear only at its edges (the
 coefficients, base and tolerance going in, the total and peak coming out).
 Each call scans the support of the exact coefficients once and converts a
 coefficient only when the sum reaches it, so a sum that settles after ten
 terms converts ten; the circle samples and radii of one call share the
-converted values, and nothing is kept between calls.  The circle points,
-prefactors and moduli of the maximum modulus are the libmp operations of the
-mpmath expressions they replaced, in the same order.
+converted values, and nothing is kept between calls.  ``eval_series`` and
+each circle sample of the maximum modulus evaluate f(z) by one routine: the
+prefactor ff(z, rho) at the working precision, the sum at z - rho, and their
+product.  The circle points and moduli of the maximum modulus are the libmp
+operations of the mpmath expressions they replaced, in the same order.
 
 The coefficients and the offset are rational, so |f(conj z)| = |f(z)|: the
 maximum modulus is taken over the samples k = 0 .. samples // 2 of the angles
@@ -45,7 +48,6 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import (
     fninf,
-    fone,
     from_float,
     from_int,
     from_man_exp,
@@ -55,8 +57,10 @@ from mpmath.libmp import (
     mpc_mul,
     mpc_mul_mpf,
     mpc_sub_mpf,
+    mpf_add,
     mpf_div,
     mpf_gt,
+    mpf_hypot,
     mpf_log,
     mpf_mul_int,
     mpf_pi,
@@ -215,31 +219,22 @@ def _round(m: int, e: int, prec: int) -> tuple[int, int]:
     return q >> 1, e + shift
 
 
-def _low(m: int, e: int) -> int:
-    """The exponent of the lowest set bit of a nonzero m * 2**e."""
-    return e + (m & -m).bit_length() - 1
-
-
 def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     """x + y rounded to prec bits as ``mpf_add`` rounds it.
 
     The exact sum is rounded, except where the top bits lie more than
-    prec + 4 apart and the lowest set bits more than 100 apart: there
-    ``mpf_add`` rounds the larger operand nudged by a unit prec + 4 bits
-    below its last bit, towards the smaller one, and so does this, without
-    shifting by the gap.  For operands of at most prec + 1 bits that is the
-    correctly rounded sum; for an exact product of two prec-bit values it can
-    differ from it, and ``mpc_mul`` sums such products.
+    prec + 4 apart: such a pair goes to ``mpf_add`` itself, which nudges the
+    larger operand instead when the lowest set bits also lie more than 100
+    apart.  For operands of at most prec + 1 bits the nudge gives the
+    correctly rounded sum; for an exact product of two prec-bit values it
+    can differ from it, and ``mpc_mul`` sums such products.
     """
     if not ym:
         return _round(xm, xe, prec)
     if not xm:
         return _round(ym, ye, prec)
-    gap = xm.bit_length() + xe - ym.bit_length() - ye
-    if gap > prec + 4 and _low(xm, xe) - _low(ym, ye) > 100:
-        return _round((xm << prec + 4) + (1 if ym > 0 else -1), xe - prec - 4, prec)
-    if -gap > prec + 4 and _low(ym, ye) - _low(xm, xe) > 100:
-        return _round((ym << prec + 4) + (1 if xm > 0 else -1), ye - prec - 4, prec)
+    if abs(xm.bit_length() + xe - ym.bit_length() - ye) > prec + 4:
+        return _pair(mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
     if xe > ye:
         return _round((xm << xe - ye) + ym, ye, prec)
     return _round(xm + (ym << ye - xe), xe, prec)
@@ -273,24 +268,21 @@ def _sqrt(m: int, e: int, prec: int) -> tuple[int, int]:
 
 def _hypot(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     """|x + iy| as ``mpf_hypot``: the sum of squares is rounded toward zero at
-    prec + 4 bits (by ``mpf_add``'s rule for far-apart operands) and its
-    square root to nearest at prec bits."""
+    wp = prec + 4 bits and its square root to nearest at prec bits.  Squares
+    whose top bits lie more than wp + 4 apart go to ``mpf_hypot`` itself,
+    whose sum of squares follows ``mpf_add``'s rule for far-apart operands."""
     if not ym:
         return _round(abs(xm), xe, prec)
     if not xm:
         return _round(abs(ym), ye, prec)
-    xx, yy, xe, ye = xm * xm, ym * ym, 2 * xe, 2 * ye
+    xx, yy = xm * xm, ym * ym
     wp = prec + 4
-    gap = xx.bit_length() + xe - yy.bit_length() - ye
-    # the nudge of a far-apart sum never reaches the kept bits when truncating
-    if gap > wp + 4 and _low(xx, xe) - _low(yy, ye) > 100:
-        s, e = xx, xe
-    elif -gap > wp + 4 and _low(yy, ye) - _low(xx, xe) > 100:
-        s, e = yy, ye
-    elif xe > ye:
-        s, e = (xx << xe - ye) + yy, ye
+    if abs(xx.bit_length() + 2 * xe - yy.bit_length() - 2 * ye) > wp + 4:
+        return _pair(mpf_hypot(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
+    if xe > ye:
+        s, e = (xx << 2 * (xe - ye)) + yy, 2 * ye
     else:
-        s, e = xx + (yy << ye - xe), xe
+        s, e = xx + (yy << 2 * (ye - xe)), 2 * xe
     shift = s.bit_length() - wp
     if shift > 0:
         s >>= shift
@@ -406,6 +398,22 @@ def _sum_series(stream: _Stream, base, tol):
     raise NonConvergenceError(f"series did not settle within {len(coeffs)} coefficients")
 
 
+def _value_at(stream: _Stream, rho: Fraction, z, point, tol):
+    """f(z) = ff(z, rho) * sum a_n ff(z - rho, n) as a raw mpc, and ``_sum_series``' diagnostics.
+
+    The prefactor sees ``z`` (an exact rational is tested for poles exactly)
+    and comes first, so a pole raises GammaPoleError before any term is
+    summed; the sum runs at the raw mpc ``point`` minus rho, to the raw mpf ``tol``.
+    """
+    prec = mpmath.mp.prec
+    prefactor = mpmath.mpc(_falling_power_mp(z, rho))._mpc_ if rho else None
+    base = mpc_sub_mpf(point, _rational_mpf(rho, prec), prec, _RND)
+    total, used, tail, peak = _sum_series(stream, base, tol)
+    if prefactor is not None:
+        total = mpc_mul(prefactor, total, prec, _RND)
+    return total, used, tail, peak
+
+
 def _check_tol(tol) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -435,16 +443,11 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     if not cmath.isfinite(complex(z)):
         raise ValueError(f"z must be finite, got {z!r}")
     _check_tol(tol)
-    bits = working_precision()
-    with mpmath.workprec(bits):
-        rho = sol.rho_offset
-        prefactor = mpmath.mpc(1)
-        if rho != 0:
-            prefactor = _to_mpc(falling_power_eval(z, rho))
-        base = mpc_sub_mpf(_to_mpc(z)._mpc_, _rational_mpf(rho, bits), bits, _RND)
-        total, used, tail, peak = _sum_series(_Stream(sol), base, mpmath.mpf(tol)._mpf_)
+    with mpmath.workprec(working_precision()):
+        stream, tol_mp = _Stream(sol), mpmath.mpf(tol)._mpf_
+        value, used, tail, peak = _value_at(stream, sol.rho_offset, z, _to_mpc(z)._mpc_, tol_mp)
         try:
-            value = complex(prefactor * mpmath.mp.make_mpc(total))
+            value = complex(mpmath.mp.make_mpc(value))
         except OverflowError as exc:
             raise EvaluationError("value exceeds the double range") from exc
         log_scale = float(mpmath.log(mpmath.mp.make_mpf(peak))) if peak != fzero else -math.inf
@@ -468,24 +471,19 @@ def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:
     """log max |f| over the upper-half circle samples (the lower half mirrors them).
 
     Each sample runs the libmp operations of the mpmath expressions
-    log(abs(prefactor * total)) and of the running maximum, in their order.
+    log(abs(f(z))) and of the running maximum, in their order.
     """
     with mpmath.workprec(bits):
-        rho = sol.rho_offset
-        rho_mp = _rational_mpf(rho, bits)
         tol_mp = mpmath.mpf(tol)._mpf_
         best = fninf
         for k in range(samples // 2 + 1):
-            z = _circle_point(radius, k, samples, bits)
-            prefactor = (fone, fzero)
-            if rho != 0:
-                point = mpmath.mp.make_mpc(z)
-                try:
-                    prefactor = _falling_power_mp(point, rho)._mpc_
-                except GammaPoleError as exc:
-                    raise EvaluationError(f"gamma pole on the circle at z={point}") from exc
-            total = _sum_series(stream, mpc_sub_mpf(z, rho_mp, bits, _RND), tol_mp)[0]
-            magnitude = mpc_abs(mpc_mul(prefactor, total, bits, _RND), bits, _RND)
+            point = _circle_point(radius, k, samples, bits)
+            z = mpmath.mp.make_mpc(point)
+            try:
+                value = _value_at(stream, sol.rho_offset, z, point, tol_mp)[0]
+            except GammaPoleError as exc:
+                raise EvaluationError(f"gamma pole on the circle at z={z}") from exc
+            magnitude = mpc_abs(value, bits, _RND)
             if magnitude != fzero:
                 log_mag = mpf_log(magnitude, bits, _RND)
                 if mpf_gt(log_mag, best):

@@ -418,7 +418,8 @@ def _lower_hull(points):
 def _characteristic_roots(on_line, right_x: int, leading):
     """Roots of  sum c_i gamma^(right - i)  over the on-segment points, as complex doubles.
 
-    A two-term segment gives the span-th roots of one ratio, a three-term
+    A two-term segment gives the span-th roots of one ratio, exact on the
+    axes and through cos and sin of the angle elsewhere, a three-term
     span-2 segment the closed form of ``_quadratic_roots``, and any other
     segment the companion-matrix eigenvalues of ``_numeric_roots``.  A span-1
     root stays an exact Fraction.
@@ -433,13 +434,17 @@ def _characteristic_roots(on_line, right_x: int, leading):
         mag = _root_magnitude(w, span)
         phase = 0.0 if w > 0 else math.pi
         two_pi = 2 * math.pi
-        roots = [
-            complex(
-                mag * math.cos((phase + two_pi * k) / span),
-                mag * math.sin((phase + two_pi * k) / span),
-            )
-            for k in range(span)
-        ]
+        roots = []
+        for k in range(span):
+            # root k lies at the angle pi (2k + [w < 0]) / span, on an axis
+            # when that is a whole number of quarter turns
+            quarter, off = divmod(2 * (2 * k + (w < 0)), span)
+            if off:
+                angle = (phase + two_pi * k) / span
+                roots.append(complex(mag * math.cos(angle), mag * math.sin(angle)))
+            else:
+                x, y = ((1, 0), (0, 1), (-1, 0), (0, -1))[quarter]
+                roots.append(complex(x * mag, y * mag))
     elif span == 2:
         roots = _as_doubles(_quadratic_roots(exps[2], exps[1], exps[0])[0])
     else:

@@ -17,8 +17,8 @@ from deltaorder import (
     sub_one_branches,
 )
 from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS
-from deltaorder.errors import InconsistentSystemError, InvalidOrderError
-from deltaorder.series import solve_series, verify_recurrence
+from deltaorder.errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
+from deltaorder.series import SeriesSolution, solve_series, verify_recurrence
 
 from fixtures_equations import HALF_ORDER, deadline
 
@@ -49,6 +49,20 @@ def test_weight_ratio_is_order_power():
     for q, p in ((1, 2), (3, 4), (2, 5), (5, 6)):
         result = construct_equation(q, p)
         assert Fraction(result.weights[0], result.weights[-1]) == Fraction(q, p) ** p
+
+
+def test_weights_satisfy_the_defining_identity():
+    # g(qt) = sum_{j>=1} A_j ff(qt, j) equals A_0 ff(pt, p), with primitive weights and A_0 > 0
+    for p in range(2, 13):
+        for q in range(1, p):
+            if math.gcd(q, p) != 1:
+                continue
+            weights = construct_equation(q, p).weights
+            assert len(weights) == p + 1
+            assert math.gcd(*weights) == 1 and weights[0] > 0, (q, p)
+            for t in range(5):
+                lhs = sum(a * math.perm(q * t, j) for j, a in enumerate(weights) if j)
+                assert lhs == weights[0] * math.perm(p * t, p), (q, p, t)
 
 
 def test_predicted_series_pattern():
@@ -150,6 +164,14 @@ def test_prediction_violating_a_zero_lead_row_fails_the_series_stage():
     report = roundtrip_check(result)
     assert report.ok is False
     assert _stage(report, "series") is False
+
+
+def test_a_prediction_shorter_than_the_rows_is_rejected():
+    # the check used to re-predict the series from q and p, checking another one than given
+    result = construct_equation(1, 2)
+    short = SeriesSolution.from_values(result.predicted_series.coeffs[:150])
+    with pytest.raises(InsufficientDataError, match="needs 203 predicted coefficients, have 150"):
+        roundtrip_check(dataclasses.replace(result, predicted_series=short))
 
 
 def _detail(report, name):

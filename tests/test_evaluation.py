@@ -86,6 +86,22 @@ def test_offset_prefactor_and_pole(cubic_solution):
         eval_series(shifted, -1)
 
 
+@pytest.mark.parametrize("z", (0.75, 0.5 + 1j))
+def test_offset_value_is_the_truncated_sum_at_four_times_the_precision(cubic_solution, z):
+    # a prefactor rounded to a double first put both values one unit off in
+    # the last place: 0.14158460554238178 and -0.4272319947072938+0.10160700856378128j
+    shifted = SeriesSolution.from_values(cubic_solution.coeffs[:80], rho=Fraction(3, 2))
+    result = eval_series(shifted, z)
+    with mpmath.workprec(4 * 128):
+        point = mpmath.mpc(z)
+        base, weight, total = point - mpmath.mpf(3) / 2, 1, 0
+        for n, a in enumerate(shifted.coeffs[: result.terms_used]):
+            total += mpmath.mpf(a.numerator) / a.denominator * weight
+            weight *= base - n
+        want = complex(mpmath.gamma(point + 1) / mpmath.gamma(base + 1) * total)
+    assert result.value == want
+
+
 def test_max_modulus_constant_series():
     sol = SeriesSolution.from_values([1] + [0] * 20)
     for radius in (1.0, 10.0, 250.0):
@@ -297,7 +313,7 @@ def oracle_eval(sol, z, tol=1e-12, prec=128):
         rho = sol.rho_offset
         prefactor = mpmath.mpc(1)
         if rho != 0:
-            prefactor = _to_mpc(_falling_power_mp(z, rho))
+            prefactor = mpmath.mpc(_falling_power_mp(z, rho))
         base = _to_mpc(z) - mpmath.mpf(rho.numerator) / rho.denominator
         total, used, tail, peak = _sum_series(
             _coeff_mpfs(sol), base, mpmath.mpf(tol), sol.support_modulus

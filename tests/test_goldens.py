@@ -6,8 +6,17 @@ rewritten.  Output is compared byte for byte, except the characteristic roots
 of the construct 3/4 and analyze payloads: numpy's root finder may scatter a
 multiple root such as the 4-fold -1 of construct 3/4, so their float literals
 are masked and compared within a relative tolerance instead.
+
+tests/goldens/manifest.json holds the exit code and the sha256 of stdout of
+``construct --order q/p`` for every coprime q/p with p <= 8, its char_roots
+floats masked as above.  ``python tests/test_goldens.py`` prints it anew.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+import math
 import re
 from pathlib import Path
 
@@ -15,7 +24,7 @@ import pytest
 
 from deltaorder.cli import main
 
-from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT
+from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT, deadline
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 HUMAN_GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -115,3 +124,29 @@ def test_human_format_matches_golden(capsys, solution_file, command):
     argv = [arg.replace("{solution}", str(solution_file)) for arg in HUMAN_COMMANDS[command]]
     out = _run(capsys, argv + ["--format", "human"])
     assert out == (HUMAN_GOLDEN_DIR / f"human-{command}.txt").read_text(encoding="utf-8")
+
+
+MANIFEST = HUMAN_GOLDEN_DIR / "manifest.json"
+MANIFEST_COMMANDS = [
+    ["construct", "--order", f"{q}/{p}"] for p in range(2, 9) for q in range(1, p) if math.gcd(q, p) == 1
+]
+
+
+def _manifest_entry(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digest = hashlib.sha256(_mask_root_floats(out.getvalue())[0].encode("utf-8")).hexdigest()
+    return {"argv": argv, "exit": code, "stdout_sha256": digest}
+
+
+def test_construct_orders_match_the_manifest():
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in manifest] == MANIFEST_COMMANDS
+    with deadline(30):  # about 1.3 s on a shared 2-vCPU host
+        for entry in manifest:
+            assert _manifest_entry(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    print(json.dumps([_manifest_entry(argv) for argv in MANIFEST_COMMANDS], indent=1))

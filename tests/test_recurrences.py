@@ -394,13 +394,17 @@ def _segments(text):
 
 
 def _numpy_two_term_roots(w: Fraction, span: int) -> list[complex]:
-    """The two-term roots as numpy's cos, sin and angle gave them: the reference."""
+    """The two-term roots as numpy's cos, sin and angle gave them, with cos and
+    sin rounded to -1, 0 or 1 at whole quarter turns: the reference."""
     mag = abs(w) ** (1.0 / span)
     phase = 0.0 if w > 0 else math.pi
-    roots = [
-        complex(mag * np.cos((phase + 2 * math.pi * k) / span), mag * np.sin((phase + 2 * math.pi * k) / span))
-        for k in range(span)
-    ]
+    roots = []
+    for k in range(span):
+        angle = (phase + 2 * math.pi * k) / span
+        cos, sin = np.cos(angle), np.sin(angle)
+        if Fraction(2 * (2 * k + (w < 0)), span).denominator == 1:
+            cos, sin = int(round(cos)), int(round(sin))
+        roots.append(complex(mag * cos, mag * sin))
     return sorted(roots, key=lambda r: (round(abs(r), 10), round(np.angle(r), 10)))
 
 
@@ -414,6 +418,18 @@ def test_two_term_roots_match_the_numpy_reference(num, den, span):
     w = Fraction(num, den)
     roots = _characteristic_roots([(0, 0), (span, 0)], span, {0: Fraction(1), span: -w})
     assert roots == _numpy_two_term_roots(w, span)
+
+
+def test_two_term_roots_on_the_axes_are_exact():
+    # D^2 f + 4 f = 0: the roots +-2i came out as (-3.67e-16, -2.0) and (1.22e-16, 2.0)
+    eq = normalize_to_delta(parse_equation("f(z+2) - 2 f(z+1) + 5 f(z) = 0"))
+    roots = [seg.char_roots for seg in adams_polygon(derive_recurrence(eq)).segments]
+    assert roots == [(complex(0.0, -2.0), complex(0.0, 2.0))]
+    assert all(math.copysign(1, r.real) == 1 for r in roots[0])
+    # a root on the negative real axis is exactly real and sorts at angle +pi
+    cube = _characteristic_roots([(0, 0), (3, 0)], 3, {0: Fraction(1), 3: Fraction(8)})
+    assert cube[2] == complex(-2.0, 0.0)
+    assert [round(math.atan2(r.imag, r.real), 3) for r in cube] == [-1.047, 1.047, 3.142]
 
 
 @settings(max_examples=200, deadline=None)
