@@ -16,17 +16,19 @@ not a number, a malformed --solution file, or --rows below the first row),
 (also a q/p whose denominator is above
 ``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
 6 evaluation failure (also more than ``polynomials.MAX_RADII`` = 16 radii,
-and a characteristic or indicial root whose magnitude is outside the double
-range), 7 malformed environment setting (a DELTAORDER_PRECISION that is not
-an integer or exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
+a characteristic or indicial root whose magnitude is outside the double
+range, and a rational-root search of the indicial polynomial that would
+exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
+environment setting (a DELTAORDER_PRECISION that is not an integer or
+exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
 
 Importing this module loads neither numpy nor mpmath; each command loads
 what it computes with.  ``verify --solution`` and ``compose`` load neither
-and ``eval --solution`` loads mpmath only.  ``analyze`` finds quadratic
-roots in closed form, so it loads numpy only where a characteristic
-polynomial of three or more terms, or the part of the indicial polynomial
-without rational roots, has degree three or more; the README cubic needs
-none.  ``construct`` loads numpy for the chi fit of its round trip, and
+and ``eval --solution`` loads mpmath only.  ``analyze`` finds two-term and
+quadratic roots in closed form, so it loads numpy only where a
+characteristic polynomial, or the part of the indicial polynomial without
+rational roots, has three or more terms and degree three or more; the
+README cubic needs none.  ``construct`` loads numpy for the chi fit of its round trip, and
 ``solve``, and ``eval`` or ``verify`` solving an equation themselves, load
 it for the chi fit of a stream with ``series.MIN_CHI_TERMS`` = 64 nonzero
 coefficients.

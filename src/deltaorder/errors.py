@@ -44,4 +44,4 @@ class ConfigurationError(ValueError):
 
 
 class RootRangeError(ArithmeticError):
-    """A numeric root lies outside the double range, or the roots lie too far apart to find in doubles."""
+    """A root outside the double range, roots too far apart for doubles, or a rational-root search past its limit."""

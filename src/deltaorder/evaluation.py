@@ -189,7 +189,9 @@ def _falling_power_mp(z, rho):
     if _is_gamma_pole(points[1]):
         # 1/Gamma(z+1-rho) vanishes there
         return mpmath.mpc(0)
-    return mpmath.exp(mpmath.loggamma(top) - mpmath.loggamma(bottom))
+    value = mpmath.exp(mpmath.loggamma(top) - mpmath.loggamma(bottom))
+    # a real quotient: loggamma of a negative real carries an imaginary part k pi
+    return value.real if mpmath.im(top) == 0 and mpmath.im(bottom) == 0 else value
 
 
 # --- integer-mantissa arithmetic ---------------------------------------------

@@ -1,24 +1,21 @@
 """Admissible sub-1 growth orders from coefficient degrees alone.
 
 Given the degrees d_0..d_m of the coefficient polynomials, a strictly
-decreasing vertex chain of indices is built.  The first vertex is the least
-index attaining the global maximum degree.  From a vertex s, the candidates
-are the indices k < s with d_k strictly below d_s and d_k - k strictly above
-d_s - s; each candidate determines a slope
-
-    mu(k) = (s - k) / ((d_k - k) - (d_s - s))  > 1,
-
-and the next vertex is the candidate of minimal slope, ties broken toward
-the smallest index (so collinear runs are swallowed whole).  This is a
-convex-hull wrapping step: the chain slopes strictly increase, hence the
-admissible orders 1/mu lie in (0, 1) and strictly decrease, and the chain
-coincides exactly with the steep part of the convex broken line of the
-derived coefficient recurrence.
+decreasing vertex chain of indices is built.  The first vertex s_0 is the
+least index attaining the global maximum degree.  The chain is the
+positive-slope prefix of the upper convex hull of the points (-k, d_k - k),
+k <= s_0 with d_k finite: from a vertex s the hull goes to the index k < s
+of maximal slope ((d_k - k) - (d_s - s)) / (s - k) = 1/mu(k), the smallest
+such k on ties (so collinear runs are swallowed whole).  Every slope is
+below one, since d_k < d_{s_0} for k < s_0, so the chain slopes mu > 1
+strictly increase, the admissible orders 1/mu lie in (0, 1) and strictly
+decrease, and the chain coincides exactly with the steep part of the convex
+broken line of the derived coefficient recurrence.
 
 Two plausible simpler rules fail: maximizing d_k over all k < s can select
 a candidate that violates the d_k - k condition, and maximizing d_k over
 only the valid candidates can produce a non-convex chain whose order list
-is not decreasing.  The wrapping rule reproduces every worked case of both.
+is not decreasing.  The hull reproduces every worked case of both.
 
 A chain of length one means no transcendental entire solution of order
 below one exists at all, and order exactly zero can never occur.
@@ -78,21 +75,24 @@ def s_sequence(degrees) -> tuple[int, ...]:
         raise ValueError("all coefficients vanish")
     if d[-1] == NEG_INF:
         raise ValueError("the top coefficient must be nonzero")
-    top = max(x for x in d if x != NEG_INF)
-    s = [min(k for k, x in enumerate(d) if x == top)]
-    while True:
-        cur = s[-1]
-        base = d[cur] - cur
-        candidates = [
-            k
-            for k in range(cur)
-            if d[k] != NEG_INF and d[k] < d[cur] and d[k] - k > base
-        ]
-        if not candidates:
-            return tuple(s)
-        s.append(
-            min(candidates, key=lambda k: (Fraction(cur - k, (d[k] - k) - base), k))
-        )
+    first = d.index(max(x for x in d if x != NEG_INF))
+    # the upper hull of (-k, d_k - k) is the lower hull of (-k, k - d_k), whose
+    # slopes increase: its falling edges are a prefix
+    hull = lower_hull([(-k, k - d[k]) for k in range(first, -1, -1) if d[k] != NEG_INF])
+    return (first, *(-x for (_, y0), (x, y) in zip(hull, hull[1:]) if y < y0))
+
+
+def lower_hull(points) -> list[tuple[int, int]]:
+    """Lower convex hull of points sorted by x (monotone chain), collinear points dropped."""
+    hull: list[tuple[int, int]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) > 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    return hull
 
 
 def order_list(degrees, s_seq: tuple[int, ...]) -> tuple[OrderEntry, ...]:

@@ -37,21 +37,19 @@ from fractions import Fraction
 
 from .equations import DifferenceEquation
 from .errors import RootRangeError
-from .newton import analyze
-from .polynomials import (
-    Poly,
-    _integer_falling_basis,
-    _newton_poly,
-    as_rational,
-    binomial,
-    fraction_log_abs,
-)
+from .newton import lower_hull, s_sequence
+from .polynomials import Poly, _integer_falling_basis, _newton_poly, as_rational, binomial
 
 #: Fixed note attached to polygon reports: only the main decay term
 #: n^(-mu n) e^(mu n) gamma^n is computed per branch.
 UNMODELED_FACTORS_NOTE = "subexponential factors of each branch are not modeled"
 
 _OUTSIDE = "a root is outside the double range"
+
+#: Most steps of one rational-root search at degree 3 or more, counted as trial
+#: divisions and as Horner steps over the candidate roots.  At the limit they
+#: took 0.1 s, and 0.9 s at degree 500, on a shared 2-vCPU host.
+MAX_DIVISOR_SEARCH = 2**20
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,8 @@ def _check_degree_chain(eq: DifferenceEquation, rec: CoefficientRecurrence):
     A violation means the derivation itself is wrong, so it raises
     ArithmeticError rather than returning a window that would mislead.
     """
-    analysis = analyze(eq)
-    d, s = analysis.degrees, analysis.s_seq
+    d = eq.degrees()
+    s = s_sequence(d)
     first, last = s[0], s[-1]
     for k, q in rec.window.items():
         if k > d[last] - last and not q.is_zero:
@@ -226,17 +224,12 @@ def indicial_exponents(eq: DifferenceEquation) -> list:
     falling-basis coefficients of the top equation polynomial.  The roots are
     therefore 0..m-1 together with m + r for every root r of P_m.  Rational
     roots are returned exactly (as Fractions, sorted); the remaining roots of
-    P_m as complex doubles, in closed form when two remain and as
-    companion-matrix eigenvalues when more do.
+    P_m, those of the residual left by deflation, as the complex doubles of
+    ``_roots``.
     """
     m = eq.order
     rational, residual = _rational_roots(eq.coeffs[-1])
-    numeric = []
-    if residual.degree == 2:
-        numeric = _as_doubles(_quadratic_roots(*residual.coeffs[::-1])[0])
-    elif residual.degree >= 1:
-        numeric = _numeric_roots(residual.coeffs[::-1])
-    numeric = [r + m for r in numeric]
+    numeric = [r + m for r in _roots(residual.coeffs[::-1])] if residual.degree >= 1 else []
     numeric.sort(key=lambda r: (round(r.real, 10), round(r.imag, 10)))
     return sorted([Fraction(k) for k in range(m)] + [r + m for r in rational]) + numeric
 
@@ -245,7 +238,7 @@ def _rational_roots(poly: Poly):
     """All rational roots (with multiplicity) plus the unfactored residual.
 
     The residual is the integer polynomial left after exact deflation; its
-    roots are found numerically by ``_numeric_roots``.
+    roots are found numerically by ``_roots``.
     """
     ints = list(poly.nums)
     zeros = next((k for k, c in enumerate(ints) if c), 0)
@@ -268,7 +261,10 @@ def _rational_root(ints):
     Otherwise candidates are num/den with num dividing the constant and den
     the leading coefficient, each tested by the homogeneous form
     sum_k c_k num^k den^(deg-k) = 0.  Every branch returns the root that
-    search meets first: smallest |num|, then den, positive first.
+    search meets first: smallest |num|, then den, positive first.  A search
+    whose trial divisions (up to the square roots of the lead and the
+    constant), or whose Horner steps over the candidates, would exceed
+    ``MAX_DIVISOR_SEARCH`` raises RootRangeError before it starts.
     """
     if len(ints) == 2:
         return Fraction(-ints[0], ints[1])
@@ -277,8 +273,12 @@ def _rational_root(ints):
         if not exact:
             return None
         return min((re for re, _ in parts), key=lambda r: (abs(r.numerator), r.denominator, r < 0))
-    dens = _divisors(abs(ints[-1]))
-    for num in _divisors(abs(ints[0])):
+    lead, const = abs(ints[-1]), abs(ints[0])
+    few = math.isqrt(lead) + math.isqrt(const) <= MAX_DIVISOR_SEARCH
+    dens, nums = (_divisors(lead), _divisors(const)) if few else ((), ())
+    if not few or 2 * len(nums) * len(dens) * len(ints) > MAX_DIVISOR_SEARCH:
+        raise RootRangeError(f"the divisor search for rational roots exceeds the limit of {MAX_DIVISOR_SEARCH} steps")
+    for num in nums:
         for den in dens:
             if math.gcd(num, den) != 1:
                 continue
@@ -289,15 +289,8 @@ def _rational_root(ints):
 
 
 def _divisors(n: int):
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 def _homogeneous_value(ints, num: int, den: int) -> int:
@@ -372,7 +365,7 @@ def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:
     norm_index = min(i for i, q in entries if q.degree == top_degree)
     points = tuple((i, top_degree - int(q.degree)) for i, q in entries)
     leading = {i: q.leading_coefficient for i, q in entries}
-    hull = _lower_hull(points)
+    hull = lower_hull(points)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
@@ -401,109 +394,104 @@ def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:
     )
 
 
-def _lower_hull(points):
-    hull: list[tuple[int, int]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            cross = (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox)
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
 def _characteristic_roots(on_line, right_x: int, leading):
-    """Roots of  sum c_i gamma^(right - i)  over the on-segment points, as complex doubles.
-
-    A two-term segment gives the span-th roots of one ratio, exact on the
-    axes and through cos and sin of the angle elsewhere, a three-term
-    span-2 segment the closed form of ``_quadratic_roots``, and any other
-    segment the companion-matrix eigenvalues of ``_numeric_roots``.  A span-1
-    root stays an exact Fraction.
-    """
+    """Roots of  sum c_i gamma^(right - i)  over the on-segment points, sorted by modulus and angle."""
     exps = {right_x - x: leading[x] for x, _ in on_line}
     span = max(exps)
-    if len(exps) == 2 and set(exps) == {0, span}:
-        # two-term segment: the span-th roots of -B/A, A at the left end
-        w = -exps[0] / exps[span]
-        if span == 1:
-            return [w]
-        mag = _root_magnitude(w, span)
-        phase = 0.0 if w > 0 else math.pi
-        two_pi = 2 * math.pi
-        roots = []
-        for k in range(span):
-            # root k lies at the angle pi (2k + [w < 0]) / span, on an axis
-            # when that is a whole number of quarter turns
-            quarter, off = divmod(2 * (2 * k + (w < 0)), span)
-            if off:
-                angle = (phase + two_pi * k) / span
-                roots.append(complex(mag * math.cos(angle), mag * math.sin(angle)))
-            else:
-                x, y = ((1, 0), (0, 1), (-1, 0), (0, -1))[quarter]
-                roots.append(complex(x * mag, y * mag))
-    elif span == 2:
-        roots = _as_doubles(_quadratic_roots(exps[2], exps[1], exps[0])[0])
-    else:
-        roots = _numeric_roots([exps.get(span - i, 0) for i in range(span + 1)])
-    roots.sort(key=lambda r: (round(abs(r), 10), round(math.atan2(r.imag, r.real), 10)))
+    roots = _roots([exps.get(span - i, 0) for i in range(span + 1)])
+    if span > 1:  # a span-1 root is an exact Fraction
+        roots.sort(key=lambda r: (round(abs(r), 10), round(math.atan2(r.imag, r.real), 10)))
     return roots
 
 
-def _root_magnitude(w: Fraction, span: int) -> float:
-    """|w| ** (1/span), through log|w| when |w| is not a normal double."""
-    try:
-        size = float(abs(w))
-    except OverflowError:
-        size = math.inf
-    if sys.float_info.min <= size < math.inf:
-        return size ** (1.0 / span)
-    log_mag = fraction_log_abs(w) / span
-    try:
-        mag = math.exp(log_mag)
-    except OverflowError:
-        mag = math.inf
-    if not 0 < mag < math.inf:
-        raise RootRangeError(f"a root of magnitude 10^{log_mag / math.log(10):.1f} is outside the double range")
-    return mag
+def _roots(coeffs) -> list:
+    """Roots of the rational polynomial with ``coeffs``, highest power first, both ends nonzero.
+
+    A two-term polynomial a x^n + b has the n-th roots of w = -b/a: w itself,
+    an exact Fraction, at n = 1, and otherwise complex doubles of magnitude
+    |w|^(1/n), exact in direction where a root lies on an axis.  Any other
+    quadratic takes the closed form of ``_quadratic_roots``, and any other
+    polynomial the companion-matrix eigenvalues of ``_numeric_roots``.  The
+    two-term and companion branches share the rescale of ``_double_range``.
+    """
+    n = len(coeffs) - 1
+    if any(coeffs[1:-1]):
+        return _as_doubles(_quadratic_roots(*coeffs)[0]) if n == 2 else _numeric_roots(coeffs)
+    w = -Fraction(coeffs[-1]) / coeffs[0]
+    if n == 1:
+        return [w]
+    s, monic = _double_range([1] + [0] * (n - 1) + [-w])
+    w = -monic[-1] / monic[0]
+    mag = abs(w) ** (1.0 / n)
+    phase = 0.0 if w > 0 else math.pi
+    roots = []
+    for k in range(n):
+        # root k lies at the angle pi (2k + [w < 0]) / n, on an axis when
+        # that is a whole number of quarter turns
+        quarter, off = divmod(2 * (2 * k + (w < 0)), n)
+        if off:
+            angle = (phase + 2 * math.pi * k) / n
+            roots.append(complex(mag * math.cos(angle), mag * math.sin(angle)))
+        else:
+            x, y = ((1, 0), (0, 1), (-1, 0), (0, -1))[quarter]
+            roots.append(complex(x * mag, y * mag))
+    return _scaled_back(roots, s)
 
 
 def _numeric_roots(coeffs) -> list[complex]:
     """Companion-matrix roots of the rational polynomial with ``coeffs``, highest power first.
 
-    Coefficients that all fit a double go to ``np.roots`` as their floats.
-    Otherwise the variable is scaled by 2**s, s near the mean log2 of the root
-    magnitudes, and the coefficients by one common power of two, so that they
-    fit; the roots found are scaled back by 2**s.
+    ``np.roots`` takes the floats of the coefficients, rescaled by
+    ``_double_range`` where they do not fit a double.
     """
     import numpy as np
 
     spread = "the roots lie too far apart to be found in double precision"
-    s = 0
-    try:
-        floats = [float(c) for c in coeffs]
-    except OverflowError:
-        exact = [Fraction(c) for c in coeffs]
-        n = len(exact) - 1
-        s = round((_log2(exact[-1]) - _log2(exact[0])) / n)
-        exact = [c * Fraction(2) ** (s * (n - k)) for k, c in enumerate(exact)]
-        shift = max(_log2(c) for c in exact if c) - 1000  # the largest lands near 2**1000
-        floats = [float(c / Fraction(2) ** shift) for c in exact]
+    s, floats = _double_range(coeffs)
     if floats[0] == 0 or floats[-1] == 0:
         raise RootRangeError(spread)
     try:
         roots = [complex(r) for r in np.roots(floats)]
     except np.linalg.LinAlgError:  # the companion matrix overflowed
         raise RootRangeError(spread) from None
-    if s:
+    return _as_doubles([(r.real, r.imag) for r in _scaled_back(roots, s)])
+
+
+def _double_range(coeffs):
+    """(s, the floats of the coefficients in y = x / 2**s): s = 0 where every nonzero one is a normal double.
+
+    Otherwise s is near the mean log2 of the root magnitudes, and the
+    coefficients in y share one power of two that puts the largest near 2**1000.
+    """
+    try:
+        floats = [float(c) for c in coeffs]
+        if all(not c or abs(f) >= sys.float_info.min for c, f in zip(coeffs, floats)):
+            return 0, floats
+    except OverflowError:
+        pass
+    exact = [Fraction(c) for c in coeffs]
+    n = len(exact) - 1
+    s = round((_log2(exact[-1]) - _log2(exact[0])) / n)
+    exact = [c * Fraction(2) ** (s * (n - k)) for k, c in enumerate(exact)]
+    shift = max(_log2(c) for c in exact if c) - 1000
+    return s, [float(c / Fraction(2) ** shift) for c in exact]
+
+
+def _scaled_back(roots, s: int) -> list[complex]:
+    """The roots 2**s y from the roots y of ``_double_range``'s polynomial in y."""
+    if not s:
+        return roots
+    out = []
+    for r in roots:
         try:
-            roots = [complex(math.ldexp(r.real, s), math.ldexp(r.imag, s)) for r in roots]
+            x = complex(math.ldexp(r.real, s), math.ldexp(r.imag, s))
         except OverflowError:
-            raise RootRangeError(_OUTSIDE) from None
-    return _as_doubles([(r.real, r.imag) for r in roots])
+            x = 0j  # past the largest double: rejected like a root that underflows to zero
+        if r and not x:
+            exponent = math.log10(abs(r)) + s * math.log10(2)
+            raise RootRangeError(f"a root of magnitude 10^{exponent:.1f} is outside the double range")
+        out.append(x)
+    return out
 
 
 def _quadratic_roots(a, b, c) -> tuple[list[tuple[Fraction, Fraction]], bool]:

@@ -102,6 +102,18 @@ def test_offset_value_is_the_truncated_sum_at_four_times_the_precision(cubic_sol
     assert result.value == want
 
 
+@pytest.mark.parametrize("z", (0.25, -0.75, -3.25, -10.6))
+def test_offset_value_at_a_real_point_is_real(cubic_solution, z):
+    # Gamma(z+1)/Gamma(z-1/2) through loggamma of a negative real once left an
+    # imaginary part near 1e-40: eval printed [-0.17203129833310343, 3.2394200140455114e-40] at 0.25
+    shifted = SeriesSolution.from_values(cubic_solution.coeffs[:80], rho=Fraction(3, 2))
+    assert eval_series(shifted, z).value.imag == 0.0
+    with mpmath.workprec(512):
+        want = mpmath.gamma(mpmath.mpf(z) + 1) / mpmath.gamma(mpmath.mpf(z) - mpmath.mpf(1) / 2)
+        assert mpmath.im(_falling_power_mp(z, Fraction(3, 2))) == 0
+        assert abs(_falling_power_mp(z, Fraction(3, 2)) / want - 1) < mpmath.mpf(2) ** -500
+
+
 def test_max_modulus_constant_series():
     sol = SeriesSolution.from_values([1] + [0] * 20)
     for radius in (1.0, 10.0, 250.0):

@@ -7,9 +7,13 @@ of the construct 3/4 and analyze payloads: numpy's root finder may scatter a
 multiple root such as the 4-fold -1 of construct 3/4, so their float literals
 are masked and compared within a relative tolerance instead.
 
-tests/goldens/manifest.json holds the exit code and the sha256 of stdout of
-``construct --order q/p`` for every coprime q/p with p <= 8, its char_roots
-floats masked as above.  ``python tests/test_goldens.py`` prints it anew.
+tests/goldens/manifest.json holds the exit code and the sha256 of stdout,
+and of stderr where there is any, of ``construct --order q/p`` for every
+coprime q/p with p <= 8, its char_roots floats masked as above, and of the
+README commands, their ``--format human`` forms, one command per exit code 2
+to 6 and one ``analyze`` per root branch, whose floats are masked only where
+numpy's root finder gives them.  ``python tests/test_goldens.py`` prints it
+anew.
 """
 
 import contextlib
@@ -36,15 +40,23 @@ FLOAT_REL_TOL = 1e-6
 _FLOAT = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?[eE][+-]?\d+|-?(?:0|[1-9]\d*)\.\d+")
 
 
-def _mask_root_floats(text: str):
-    """The text with the float literals inside "char_roots" arrays masked as '#', and the floats."""
+def _mask_root_floats(text: str, keys=("char_roots",)):
+    """The text with the float literals under ``keys`` masked as '#', and the floats.
+
+    A key's value is its JSON array, or the rest of its line in ``--format human``.
+    """
     pieces, floats, pos = [], [], 0
-    for match in re.finditer(r'"char_roots": \[', text):
-        depth = 0
-        for end in range(match.end() - 1, len(text)):
-            depth += {"[": 1, "]": -1}.get(text[end], 0)
-            if depth == 0:
-                break
+    names = "|".join(keys)
+    for match in re.finditer(rf'"(?:{names})": \[|^ *(?:{names}): ', text, re.MULTILINE):
+        if match.group().endswith(": "):
+            end = text.find("\n", match.end())
+            end = len(text) if end < 0 else end
+        else:
+            depth = 0
+            for end in range(match.end() - 1, len(text)):
+                depth += {"[": 1, "]": -1}.get(text[end], 0)
+                if depth == 0:
+                    break
         pieces.append(text[pos : match.end()])
         pieces.append(_FLOAT.sub("#", text[match.end() : end]))
         floats += [float(token) for token in _FLOAT.findall(text, match.end(), end)]
@@ -127,26 +139,75 @@ def test_human_format_matches_golden(capsys, solution_file, command):
 
 
 MANIFEST = HUMAN_GOLDEN_DIR / "manifest.json"
-MANIFEST_COMMANDS = [
+CONSTRUCT_ORDERS = [
     ["construct", "--order", f"{q}/{p}"] for p in range(2, 9) for q in range(1, p) if math.gcd(q, p) == 1
 ]
+# the README's commands but construct 3/4, one of the orders above; "{solution}"
+# stands for the README's stream.json, recorded as perfbench/goldens/solve.json
+README_COMMANDS = [
+    ["analyze", CUBIC_THIRD],
+    SOLVE_ARGS,
+    ["solve", CUBIC, "--rho", "3/2"],
+    ["eval", "--solution", "{solution}", "--at", "2.5"],
+    ["eval", "--solution", "{solution}", "--radii", "50,100,200,400,800"],
+    ["eval", "--solution", "{solution}", "--radii", "110", "--samples", "128"],
+    ["verify", CUBIC, "--solution", "{solution}"],
+    ["eval", CUBIC, "--terms", "120", "--initial", "0=1,1=1,2=1/4", "--at", "1.5"],
+    ["compose", L3_TEXT, L5_TEXT],
+]
+# (argv, the keys whose floats numpy's root finder gives, masked)
+MANIFEST_COMMANDS = (
+    [(argv, ("char_roots",)) for argv in CONSTRUCT_ORDERS]
+    + [(argv, ()) for argv in README_COMMANDS]
+    + [(argv + ["--format", "human"], ()) for argv in README_COMMANDS]
+    + [
+        (["construct", "--order", "3/4", "--format", "human"], ("char_roots",)),
+        (["analyze", "(z D f(z) = 0"], ()),  # exit 2
+        (["analyze", "f(z) = 0"], ()),  # exit 3
+        (["solve", CUBIC, "--rho", "1/7", "--terms", "40"], ()),  # exit 4
+        (["construct", "--order", "2/4"], ()),  # exit 5
+        (["analyze", "f(z+2) + 3^1500 z^2 f(z) = 0"], ()),  # exit 6
+        # one analyze per root branch: two-term on the axes, quadratic, companion, binomial, out of range
+        (["analyze", "f(z+2) - 2 f(z+1) + 5 f(z) = 0"], ()),
+        (["analyze", "(z^2 + z + 1) D f(z) + f(z) = 0"], ()),
+        (["analyze", "(z^3 + z + 1) D f(z) + f(z) = 0"], ("char_roots", "indicial_exponents")),
+        (["analyze", "(z^3 - 2) D f(z) + f(z) = 0"], ("char_roots",)),
+        (["analyze", "f(z+2) + 3^800 z^2 f(z) = 0"], ()),
+        (["eval", CUBIC, "--rho", "3/2", "--at", "0.25"], ()),
+    ]
+)
 
 
-def _manifest_entry(argv) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    digest = hashlib.sha256(_mask_root_floats(out.getvalue())[0].encode("utf-8")).hexdigest()
-    return {"argv": argv, "exit": code, "stdout_sha256": digest}
+def _manifest_entry(argv, masked) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    run = [arg.replace("{solution}", str(GOLDEN_DIR / "solve.json")) for arg in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(run)
+    entry = {"argv": argv, "exit": code, "stdout_sha256": _sha256(_mask_root_floats(out.getvalue(), masked)[0])}
+    if err.getvalue():
+        entry["stderr_sha256"] = _sha256(err.getvalue())
+    return entry
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_manifest(part: slice):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in manifest] == [argv for argv, _ in MANIFEST_COMMANDS]
+    with deadline(30):
+        for entry, (argv, masked) in zip(manifest[part], MANIFEST_COMMANDS[part]):
+            assert _manifest_entry(argv, masked) == entry
 
 
 def test_construct_orders_match_the_manifest():
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in manifest] == MANIFEST_COMMANDS
-    with deadline(30):  # about 1.3 s on a shared 2-vCPU host
-        for entry in manifest:
-            assert _manifest_entry(entry["argv"]) == entry
+    _check_manifest(slice(len(CONSTRUCT_ORDERS)))  # about 1.3 s on a shared 2-vCPU host
+
+
+def test_commands_match_the_manifest():
+    _check_manifest(slice(len(CONSTRUCT_ORDERS), None))  # about 1 s on a shared 2-vCPU host
 
 
 if __name__ == "__main__":
-    print(json.dumps([_manifest_entry(argv) for argv in MANIFEST_COMMANDS], indent=1))
+    print(json.dumps([_manifest_entry(argv, masked) for argv, masked in MANIFEST_COMMANDS], indent=1))

@@ -69,6 +69,19 @@ def test_commands_load_only_what_they_compute_with(stream_dir, argv, loaded):
     assert probe(*argv, cwd=stream_dir) == loaded
 
 
+def test_two_term_indicial_roots_load_neither_library():
+    # the residual z^3 - 2 went to np.roots; its roots are now the cube roots of 2
+    code = (
+        "import json, sys\n"
+        "import deltaorder as do\n"
+        "do.indicial_exponents(do.normalize_to_delta(do.parse_equation('(z^3 - 2) D f(z) + f(z) = 0')))\n"
+        "print(json.dumps([m for m in ('numpy', 'mpmath') if m in sys.modules]))\n"
+    )
+    done = run([sys.executable, "-c", code])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
 def test_every_public_name_resolves():
     for name in deltaorder.__all__:
         assert getattr(deltaorder, name) is not None, name

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import NEG_INF, analyze, normalize_to_delta, order_list, parse_equation, s_sequence, verdict
 
@@ -33,6 +35,43 @@ def test_s_sequence_requires_nonzero_top():
         s_sequence([1, NEG_INF])
     with pytest.raises(ValueError):
         s_sequence([NEG_INF, NEG_INF])
+
+
+def _gift_wrapped_chain(degrees) -> tuple[int, ...]:
+    """The chain by gift wrapping, the reference: from vertex s, the candidate
+    k < s with d_k < d_s and d_k - k > d_s - s of least slope
+    (s - k) / ((d_k - k) - (d_s - s)), ties to the smallest index."""
+    d = list(degrees)
+    top = max(x for x in d if x != NEG_INF)
+    s = [min(k for k, x in enumerate(d) if x == top)]
+    while True:
+        cur = s[-1]
+        base = d[cur] - cur
+        candidates = [k for k in range(cur) if d[k] != NEG_INF and d[k] < d[cur] and d[k] - k > base]
+        if not candidates:
+            return tuple(s)
+        s.append(min(candidates, key=lambda k: (Fraction(cur - k, (d[k] - k) - base), k)))
+
+
+@st.composite
+def _degree_vectors(draw):
+    """Degrees 0..7 or absent, a finite top, and one run of indices whose
+    points (-k, d_k - k) lie on one line."""
+    n = draw(st.integers(2, 17))
+    d = draw(st.lists(st.sampled_from([NEG_INF, *range(8)]), min_size=n, max_size=n))
+    start, stride = draw(st.integers(0, n - 1)), draw(st.integers(1, 3))
+    base, rise = draw(st.integers(0, 7)), draw(st.integers(0, 3))
+    for j, k in enumerate(range(start, n, stride)):
+        d[k] = base + rise * j
+    if d[-1] == NEG_INF:
+        d[-1] = draw(st.integers(0, 7))
+    return d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_degree_vectors())
+def test_s_sequence_is_the_gift_wrapped_chain(degrees):
+    assert s_sequence(degrees) == _gift_wrapped_chain(degrees)
 
 
 def test_order_list_values():

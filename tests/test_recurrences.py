@@ -25,6 +25,7 @@ from deltaorder.cli import main
 from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
 from deltaorder.errors import RootRangeError
 from deltaorder.recurrences import (
+    MAX_DIVISOR_SEARCH,
     _as_doubles,
     _characteristic_roots,
     _check_degree_chain,
@@ -384,6 +385,72 @@ def test_huge_leading_coefficient_quadratic_analysis_finishes_in_time(capsys):
     im = math.sqrt(3 / lead)
     assert [r.real for r in roots] == [2.0, 2.0]
     assert [r.imag for r in roots] == pytest.approx([-im, im], rel=1e-12)
+
+
+def test_cubic_with_a_huge_prime_power_lead_is_rejected_within_the_deadline(capsys):
+    # trial division up to sqrt(1000003^40) ran past a 10 s timeout
+    with deadline(5):
+        code = main(["analyze", "(1000003^40 z^3 + 1) D f(z) + f(z) = 0"])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert f"exceeds the limit of {MAX_DIVISOR_SEARCH} steps" in err
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101]
+_LARGE_PRIMES = [65537, 1000003, 998244353, 1000000007, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1]
+_prime_products = (
+    st.tuples(
+        st.lists(st.sampled_from(_SMALL_PRIMES), max_size=6), st.lists(st.sampled_from(_LARGE_PRIMES), max_size=3)
+    )
+    .map(lambda parts: math.prod(parts[0] + parts[1]))
+    .filter(lambda n: n < 2**256)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    lead=_prime_products,
+    constant=_prime_products,
+    middle=st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+    negative=st.booleans(),
+)
+def test_divisor_search_returns_or_is_rejected_in_time(lead, constant, middle, negative):
+    top = Poly([-constant if negative else constant, *middle, lead])
+    eq = DifferenceEquation([Poly([1]), top])
+    with deadline(5):
+        try:
+            indicial_exponents(eq)
+        except RootRangeError as exc:
+            assert "divisor search" in str(exc)
+
+
+_binomial_coefficients = st.integers(-(2**24), 2**24).filter(bool) | st.integers(-30, 30).filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _binomial_coefficients,
+    _binomial_coefficients,
+    st.integers(2, 9),
+    st.integers(1, 3),
+    st.sampled_from([1, 3**800, 3**1500, Fraction(1, 3**1500)]),
+)
+def test_binomial_indicial_residual_has_the_characteristic_roots(a, b, n, m, wide):
+    # a wide quadratic's roots need the rescale or lie past the double range;
+    # the divisor search rejects a wide polynomial of higher degree
+    assume(n == 2 or wide == 1)
+    eq = DifferenceEquation([Poly([1])] * m + [Poly([b * wide] + [0] * (n - 1) + [a])])
+    top = eq.coeffs[-1]
+    assume(not _rational_roots(top)[0])
+    try:
+        # the segment polynomial a g^n + b, the left point's coefficient at g^n
+        roots = _characteristic_roots([(0, 0), (n, 0)], n, {0: top.nums[-1], n: top.nums[0]})
+    except RootRangeError:
+        with pytest.raises(RootRangeError):
+            indicial_exponents(eq)
+        return
+    expected = sorted((r + m for r in roots), key=lambda r: (round(r.real, 10), round(r.imag, 10)))
+    assert indicial_exponents(eq) == [Fraction(k) for k in range(m)] + expected
 
 
 # --- characteristic roots past the double range -------------------------------
