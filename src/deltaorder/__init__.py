@@ -8,9 +8,9 @@ estimates growth numerically, and constructs equations with an entire
 solution of any prescribed rational order in (0, 1).
 
 Importing the package loads neither numpy nor mpmath.  The evaluation names
-(``eval_series``, ``max_modulus``, ``empirical_order``, ``EvalResult``,
-``EmpiricalOrder`` and ``falling_power_eval``) are lazy attributes: the first
-access imports ``deltaorder.evaluation``, and with it mpmath.  numpy is
+(``eval_series``, ``max_modulus``, ``empirical_order``, ``EvalResult`` and
+``EmpiricalOrder``) are lazy attributes: the first access imports
+``deltaorder.evaluation``, and with it mpmath.  numpy is
 imported by the few functions that call it, on their first call.
 """
 
@@ -25,15 +25,7 @@ from .equations import (
 )
 from .newton import NewtonAnalysis, OrderEntry, analyze, order_list, s_sequence, verdict
 from .parsing import format_delta_form, format_general, parse_equation
-from .polynomials import (
-    NEG_INF,
-    Poly,
-    falling_factorial,
-    iterated_delta,
-    poly_delta,
-    to_falling_basis,
-    working_precision,
-)
+from .polynomials import NEG_INF, Poly, poly_delta, working_precision
 from .recurrences import (
     AdamsPolygon,
     CoefficientRecurrence,
@@ -57,7 +49,7 @@ __version__ = "0.1.0"
 
 # The evaluation layer loads mpmath, so its names are imported on first access.
 _EVALUATION_NAMES = frozenset(
-    ("EmpiricalOrder", "EvalResult", "empirical_order", "eval_series", "falling_power_eval", "max_modulus")
+    ("EmpiricalOrder", "EvalResult", "empirical_order", "eval_series", "max_modulus")
 )
 
 
@@ -97,12 +89,9 @@ __all__ = [
     "empirical_order",
     "estimate_chi",
     "eval_series",
-    "falling_factorial",
-    "falling_power_eval",
     "format_delta_form",
     "format_general",
     "indicial_exponents",
-    "iterated_delta",
     "max_modulus",
     "normalize_to_delta",
     "order_list",
@@ -113,7 +102,6 @@ __all__ = [
     "shifted_recurrence",
     "solve_series",
     "sub_one_branches",
-    "to_falling_basis",
     "verdict",
     "verify_recurrence",
     "working_precision",

@@ -7,11 +7,13 @@ rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
 2 parse/usage error (also an input over a declared limit: a coefficient
 polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
-coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, or --terms above
+coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, parentheses
+nested deeper than ``parsing.MAX_NESTING`` = 100, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
 pin index, a pin index past --terms, a negative --index or --terms, --terms
 below the window span, --initial beside --solution, a --radii entry that is
-not a number, a malformed --solution file, or --rows below the first row),
+not a number, an unreadable or malformed --solution file (rationals in it
+are strings or integers), or --rows below the first row),
 3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
 (also a q/p whose denominator is above
 ``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
@@ -349,14 +351,16 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
     try:
         entry = payload["solutions"][index]
+        coeffs, rho = entry["coefficients"], entry["rho"]
+        # type(), not isinstance: a JSON boolean is no integer, and a float is no exact rational
+        if type(coeffs) is not list or any(type(c) not in (str, int) for c in [*coeffs, rho]):
+            raise TypeError("coefficients must list rational strings or integers, and rho be one")
         return SeriesSolution.from_values(
-            [Fraction(c) for c in entry["coefficients"]],
-            rho=Fraction(entry["rho"]),
-            provenance=entry.get("provenance"),
+            [Fraction(c) for c in coeffs], rho=Fraction(rho), provenance=entry.get("provenance")
         )
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")

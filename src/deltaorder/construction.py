@@ -34,7 +34,7 @@ from fractions import Fraction
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
 from .errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
-from .polynomials import Poly, _integer_falling_basis, _newton_poly, falling_factorial_poly
+from .polynomials import Poly, _integer_falling_basis, _newton_poly
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
 from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
 
@@ -97,7 +97,7 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
     weights = tuple(w // content for w in raw)  # A_0..A_p
     terms = [
         OperatorTerm(
-            coefficient=falling_factorial_poly(j) * weights[j],
+            coefficient=_newton_poly(1, [0] * j + [weights[j]], 1, range(j)),
             delta_power=j,
             shift=-j,
         )
@@ -105,7 +105,7 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
     ]
     terms.append(
         OperatorTerm(
-            coefficient=falling_factorial_poly(q) * (-weights[0]),
+            coefficient=_newton_poly(1, [0] * q + [-weights[0]], 1, range(q)),
             delta_power=0,
             shift=-q,
         )

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import Poly, _integer_falling_basis, binomial, poly_delta, row_sum
+from .polynomials import Poly, _integer_falling_basis, poly_delta, row_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -123,7 +123,7 @@ def _shift_table(g: GeneralForm) -> dict[int, Poly]:
         k, s = term.delta_power, term.shift
         for t in range(k + 1):
             sign = 1 if (k - t) % 2 == 0 else -1
-            c = term.coefficient * (sign * binomial(k, t))
+            c = term.coefficient * (sign * math.comb(k, t))
             key = s + t
             table[key] = table.get(key, Poly()) + c
     return {s: c for s, c in table.items() if not c.is_zero}
@@ -154,7 +154,7 @@ def normalize_to_delta(g: GeneralForm) -> DifferenceEquation:
         if recenter:
             c = c.shifted(recenter)
         for j in range(s + 1):
-            out[k + j] = out[k + j] + c * binomial(s, j)
+            out[k + j] = out[k + j] + c * math.comb(s, j)
     return DifferenceEquation(out)
 
 
@@ -194,7 +194,7 @@ def compose_operators(outer, inner) -> DifferenceEquation:
             continue
         for j, table in enumerate(differences):
             for t, piece in enumerate(table[: i + 1]):
-                piece = piece.shifted(i - t) * (a * binomial(i, t))
+                piece = piece.shifted(i - t) * (a * math.comb(i, t))
                 key = i - t + j
                 out[key] = out.get(key, Poly()) + piece
     coeffs = [out.get(k, Poly()) for k in range(max(out, default=0) + 1)]
@@ -232,7 +232,7 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
                 continue
             for k in range(t + 1):
                 by_length = weights.setdefault(t - k - j, {})
-                by_length[j + k] = by_length.get(j + k, 0) + coeff_t * binomial(t, k)
+                by_length[j + k] = by_length.get(j + k, 0) + coeff_t * math.comb(t, k)
     top = max(length for by_length in weights.values() for length in by_length)
     r, s = rho.numerator, rho.denominator
     # output index -> [(integer weight, input index)]

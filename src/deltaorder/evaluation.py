@@ -145,22 +145,13 @@ def _is_gamma_pole(point) -> bool:
     return point.imag == 0 and point.real <= 0 and mpmath.isint(point.real)
 
 
-def falling_power_eval(z, rho) -> complex:
-    """Evaluate the falling power of ``z`` with general exponent ``rho``.
-
-    For integer exponents this is the product z(z-1)...(z-rho+1), or the
-    reciprocal rising product for negative ones; otherwise it is the gamma
-    quotient Gamma(z+1)/Gamma(z+1-rho) through log-gamma.  Either is computed
-    at the working precision and rounded to a double once.  Poles of the
-    quotient (z+1 a non-positive integer) raise :class:`GammaPoleError`; where
-    only z+1-rho is one, the reciprocal gamma vanishes and the value is 0.
-    """
-    with mpmath.workprec(working_precision()):
-        return complex(_falling_power_mp(z, rho))
-
-
 def _falling_power_mp(z, rho):
-    """Falling power as an mp complex in the ambient working precision."""
+    """ff(z, rho) = Gamma(z+1)/Gamma(z+1-rho) as an mp number at the ambient precision.
+
+    It goes through log-gamma, but an integer rho takes the product z(z-1)...(z-rho+1),
+    or the reciprocal rising product when negative.  A pole of the quotient (z+1 a
+    non-positive integer) raises :class:`GammaPoleError`; where only z+1-rho is one, it is 0.
+    """
     rho_exact = _exact(rho)
     if rho_exact is not None and rho_exact.denominator == 1:
         n = int(rho_exact)

@@ -6,7 +6,7 @@ Grammar (whitespace-insensitive)::
     term     := poly '*'? ('D' ('^' int)?)? fn '(' 'z' (('+'|'-') int)? ')'
     poly     := usual arithmetic over rationals and z: sums, products
                 (adjacency multiplies), integer powers with '^', division
-                by integer literals, parentheses
+                by integer literals, parentheses (at most MAX_NESTING deep)
 
 ``int`` is a run of decimal digits (``str.isdecimal``, the digits ``int()``
 reads; superscripts such as ``²`` are rejected), and ``^`` is
@@ -40,6 +40,10 @@ _Z = Poly([0, 1])  # shared: Poly values are immutable
 #: shared 2-vCPU host.  A product or power that would exceed the limit is
 #: rejected with ParseError before it is expanded.
 MAX_DEGREE = 500
+
+#: Deepest nesting of parentheses in a coefficient.  Each level takes three
+#: parser frames; 335 levels exhausted the interpreter's recursion limit.
+MAX_NESTING = 100
 
 #: Largest order of the Delta-form an equation may normalize to: the largest
 #: difference power plus shift over its terms, plus the recentering by its most
@@ -130,6 +134,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # parentheses open around the current factor
         self.function_letter: str | None = None
 
     # -- token helpers
@@ -222,8 +227,12 @@ class _Parser:
         if tok.kind == "int":
             base = Poly._from_ints((self.advance().value,))
         elif tok.kind == "lparen":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nest deeper than the limit {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             base = self.parse_poly_sum()
+            self.depth -= 1
             self.expect("rparen")
         elif tok.kind == "letter" and tok.value == "z":
             self.advance()

@@ -4,9 +4,9 @@ A polynomial is a dense list of integer numerators over one common
 denominator in the monomial basis, so every operation here is exact and
 runs on plain ``int``s.  ``fractions.Fraction`` values appear only at the
 edges: the public ``Poly.coeffs`` tuple, built once on first read, and
-scalar inputs and outputs.  Taylor shifts and expansions out of the
-falling-factorial basis go through one integer kernel that expands a Newton
-form, and the one conversion into that basis takes integer forward
+scalar inputs and outputs.  Taylor shifts, falling powers and expansions out
+of the falling-factorial basis go through one integer kernel that expands a
+Newton form, and the one conversion into that basis takes integer forward
 differences; nothing is cached between calls.  The exact row sums that the
 solver, verification and operator application share sum over quotients of
 neighbouring denominators, which their callers keep per stream.  Everything
@@ -17,7 +17,6 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from fractions import Fraction
@@ -139,11 +138,6 @@ class Poly:
         if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.nums[-1], self.den)
-
-    def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.nums):
-            return Fraction(self.nums[power], self.den)
-        return Fraction(0)
 
     def __add__(self, other) -> Poly:
         other = _coerce_poly(other)
@@ -299,18 +293,6 @@ def poly_delta(p: Poly) -> Poly:
     return p.shifted(1) - p
 
 
-def iterated_delta(p: Poly, times: int) -> Poly:
-    """Apply the forward difference ``times`` times (identity for 0)."""
-    if times < 0:
-        raise ValueError("difference order must be non-negative")
-    out = p
-    for _ in range(times):
-        if out.is_zero:
-            break
-        out = poly_delta(out)
-    return out
-
-
 # --- exact row sums ----------------------------------------------------------
 
 
@@ -398,26 +380,6 @@ def common_denominator(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def expand_newton(coeffs, nodes) -> Poly:
-    """Monomial form of the Newton sum  sum_u c_u (z - x_0)...(z - x_{u-1}).
-
-    ``nodes`` yields x_0, x_1, ...; only the first len(coeffs) - 1 are read.
-    The sum goes to :func:`_newton_poly` as integers over two common
-    denominators.  A Taylor shift by a uses the nodes -a, -a, ...; the
-    falling basis uses 0, 1, 2, ....
-    """
-    scale, ints = common_denominator(coeffs)
-    while ints and not ints[-1]:
-        ints.pop()
-    if not ints:
-        return Poly()
-    top = len(ints) - 1
-    step, xs = common_denominator(itertools.islice(nodes, top))
-    if len(xs) < top:
-        raise ValueError(f"a Newton form of degree {top} needs {top} nodes")
-    return _newton_poly(scale, ints, step, xs)
-
-
 def _newton_poly(scale: int, ints, step: int, xs) -> Poly:
     """The Newton sum with c_u = ints[u] / scale and x_k = xs[k] / step.
 
@@ -425,7 +387,8 @@ def _newton_poly(scale: int, ints, step: int, xs) -> Poly:
     entries; ``scale`` and ``step`` are positive.  Horner's rule
     R <- R (S z - X_u) + C_u S^(top-u) on integer lists gives ``scale``
     S^top times the sum (von zur Gathen & Gerhard, ISSAC 1997), so the
-    result is the integer list over that one denominator.
+    result is the integer list over that one denominator.  A Taylor shift by
+    a takes the nodes -a, -a, ...; c ff(z, j) the arguments ``1, [0] * j + [c], 1, range(j)``.
     """
     top = len(ints) - 1
     acc = [ints[top]]
@@ -466,43 +429,6 @@ def _integer_falling_basis(p: Poly) -> list[int]:
         values = [b - a for a, b in zip(values, values[1:])]
         factorial *= len(out)
     return out
-
-
-def to_falling_basis(p: Poly) -> list[Fraction]:
-    """Exact falling-factorial coefficients of ``p`` (index = falling power).
-
-    With p = P/L for an integer polynomial P, the coefficient of ff(z, t) is
-    that of P over L; the inverse is ``expand_newton(coeffs, itertools.count())``.
-    """
-    return [Fraction(c, p.den) for c in _integer_falling_basis(Poly._from_ints(p.nums))]
-
-
-def falling_factorial_poly(length: int, offset=0) -> Poly:
-    """The polynomial (z + offset)(z + offset - 1)...(z + offset - length + 1)."""
-    if length < 0:
-        raise ValueError("falling power length must be non-negative")
-    offset = as_rational(offset)
-    out = Poly([1])
-    for u in range(length):
-        out = out * Poly([offset - u, 1])
-    return out
-
-
-def falling_factorial(x, length: int) -> Fraction:
-    """Exact falling factorial x(x-1)...(x-length+1) of a rational x."""
-    if length < 0:
-        raise ValueError("falling power length must be non-negative")
-    x = as_rational(x)
-    out = Fraction(1)
-    for u in range(length):
-        out *= x - u
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def fraction_log_abs(x) -> float:

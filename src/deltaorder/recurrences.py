@@ -38,7 +38,7 @@ from fractions import Fraction
 from .equations import DifferenceEquation
 from .errors import RootRangeError
 from .newton import lower_hull, s_sequence
-from .polynomials import Poly, _integer_falling_basis, _newton_poly, as_rational, binomial
+from .polynomials import Poly, _integer_falling_basis, _newton_poly, as_rational
 
 #: Fixed note attached to polygon reports: only the main decay term
 #: n^(-mu n) e^(mu n) gamma^n is computed per branch.
@@ -155,7 +155,7 @@ def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
     for j in range(max(0, -i), len(falling_coeffs)):
         coeffs = falling_coeffs[j]
         for u in range(j, len(coeffs) - i):
-            sums[u] += coeffs[u + i] * binomial(u + i, i + j)
+            sums[u] += coeffs[u + i] * math.comb(u + i, i + j)
     while sums and not sums[-1]:
         sums.pop()
     if not sums:

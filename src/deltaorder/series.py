@@ -434,7 +434,9 @@ class GrowthEstimate:
 
     ``chi_hat`` is the reciprocal of the fitted n log n slope (the growth
     order of the limit function when below one); infinite when the stream
-    does not super-exponentially decay.
+    does not super-exponentially decay.  ``converged`` means only a positive
+    slope and a finite residual, not a fit on a branch of the polygon: a
+    stream whose polygon has chi 1 and 1/5 can fit 1.103 with converged true.
     """
 
     chi_hat: float

@@ -147,6 +147,52 @@ def pure_shift_form(eq: DifferenceEquation) -> GeneralForm:
     return GeneralForm(tuple(OperatorTerm(c, 0, s) for s, c in sorted(table.items(), reverse=True)))
 
 
+# --- falling-power references, kept apart from the package's kernels ----------
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k), and 0 for k < 0 as for k > n."""
+    return math.comb(n, k) if k >= 0 else 0
+
+
+def falling_factorial_poly(length: int, offset=0) -> Poly:
+    """ff(z + offset, length) = (z + offset)(z + offset - 1)...(z + offset - length + 1)."""
+    offset = Fraction(offset)
+    out = Poly([1])
+    for u in range(length):
+        out = out * Poly([offset - u, 1])
+    return out
+
+
+def falling_factorial(x, length: int) -> Fraction:
+    """The exact falling factorial x(x-1)...(x-length+1) of a rational x."""
+    out = Fraction(1)
+    for u in range(length):
+        out *= Fraction(x) - u
+    return out
+
+
+def to_falling_basis(p: Poly) -> list[Fraction]:
+    """Falling-factorial coefficients of p, index = falling power: Delta^t p(0) / t!."""
+    values = [p(Fraction(x)) for x in range(len(p.coeffs))]
+    out = []
+    while values:
+        out.append(values[0] / math.factorial(len(out)))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def falling_power(z, rho) -> complex:
+    """The package's falling power ff(z, rho) at the working precision, rounded to a double."""
+    import mpmath
+
+    from deltaorder import working_precision
+    from deltaorder.evaluation import _falling_power_mp
+
+    with mpmath.workprec(working_precision()):
+        return complex(_falling_power_mp(z, rho))
+
+
 def falling_product_sum(z, m: int, rho: Fraction, prec: int = 128) -> complex:
     """sum_j C(m, j) ff(rho, j) ff(z, rho + m - j), the product rule's side of
 
@@ -157,7 +203,6 @@ def falling_product_sum(z, m: int, rho: Fraction, prec: int = 128) -> complex:
     """
     import mpmath
 
-    from deltaorder import falling_factorial
     from deltaorder.evaluation import _falling_power_mp
 
     with mpmath.workprec(prec):

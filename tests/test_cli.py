@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deltaorder.cli import MAX_TERMS, main
 from deltaorder.construction import MAX_ORDER_DENOMINATOR
-from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
+from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER
 from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
 
 from fixtures_equations import (
@@ -461,23 +461,48 @@ _STREAM = {"rho": "0", "coefficients": ["1", "1/2"]}
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        {"solutions": [{**_STREAM, "coefficients": ["1", "1/0"]}]},
-        {"solutions": [{**_STREAM, "rho": "1/0"}]},
-        {"solutions": [{**_STREAM, "coefficients": 5}]},
-        [_STREAM],
+        ({"solutions": [{**_STREAM, "coefficients": ["1", "1/0"]}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "rho": "1/0"}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "coefficients": 5}]}, "malformed solution file"),
+        ([_STREAM], "malformed solution file"),
+        ({"solutions": [{**_STREAM, "coefficients": "12"}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "coefficients": ["1", 0.1]}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "coefficients": ["1", True]}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "rho": 0.5}]}, "malformed solution file"),
+        ({"solutions": [{**_STREAM, "rho": False}]}, "malformed solution file"),
+        ("[" * 100_000 + "]" * 100_000, "cannot read solution file"),
+        (b"\xff\xfe", "cannot read solution file"),
     ],
-    ids=["zero-denominator-coefficient", "zero-denominator-rho", "scalar-coefficients", "top-level-list"],
+    ids=[
+        "zero-denominator-coefficient",
+        "zero-denominator-rho",
+        "scalar-coefficients",
+        "top-level-list",
+        "string-coefficients",
+        "float-coefficient",
+        "boolean-coefficient",
+        "float-rho",
+        "boolean-rho",
+        "nested-too-deeply",
+        "not-utf-8",
+    ],
 )
-def test_malformed_solution_file_exits_two(capsys, tmp_path, payload):
-    # each used to end in a ZeroDivisionError or TypeError traceback
+def test_malformed_solution_file_exits_two(capsys, tmp_path, payload, message):
+    # each used to end in a ZeroDivisionError, TypeError, RecursionError or
+    # UnicodeDecodeError traceback, or to be read as another stream: the
+    # string "12" as the stream [1, 2], the float 0.1 as a binary rational
+    # and true as 1
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "1")
     assert code == 2
     assert out == ""
-    assert "malformed solution file" in err
+    assert message in err
 
 
 def test_eval_parses_its_equation_beside_a_solution_file(capsys, half_order_file):
@@ -577,6 +602,20 @@ def test_over_limit_degree_exits_two_within_a_second(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert f"exceeds the limit {MAX_DEGREE}" in err
+
+
+def test_parentheses_past_the_nesting_limit_exit_two(capsys):
+    # about 335 levels used to exhaust the recursion limit: exit 1 with a traceback
+    def nested(depth):
+        return "(" * depth + "z" + ")" * depth + " D f(z) + f(z) = 0"
+
+    code, _, _ = run_cli(capsys, "analyze", nested(MAX_NESTING))
+    assert code == 0
+    for depth in (MAX_NESTING + 1, 5000):
+        code, out, err = run_cli(capsys, "analyze", nested(depth))
+        assert (code, out) == (2, "")
+        assert f"nest deeper than the limit {MAX_NESTING} (at position {MAX_NESTING})" in err
+        assert "Traceback" not in err
 
 
 def test_degree_at_the_limit_is_analyzed_within_the_deadline(capsys):

@@ -17,9 +17,9 @@ from deltaorder import (
     format_delta_form,
     normalize_to_delta,
     parse_equation,
+    poly_delta,
 )
 from deltaorder.errors import DegenerateEquationError, InsufficientDataError
-from deltaorder.polynomials import binomial, falling_factorial, to_falling_basis
 
 from fixtures_equations import (
     CUBIC_THIRD,
@@ -29,11 +29,14 @@ from fixtures_equations import (
     QUARTIC_34,
     QUARTIC_34_SHIFT_TABLE,
     QUARTIC_34_SHIFTED,
+    binomial,
+    falling_factorial,
     pure_shift_form,
     quartic_34_stream,
     random_equation,
     random_poly,
     third_order_stream,
+    to_falling_basis,
 )
 
 
@@ -175,13 +178,12 @@ def test_compose_with_multiplication_by_z():
     # D (z f) = (z+1) D f + f, checked both symbolically and pointwise
     composed = compose_operators([Poly(), Poly([1])], [Poly([0, 1])])
     assert composed.coeffs == (Poly([1]), Poly([1, 1]))
-    from deltaorder import iterated_delta
 
     rng = random.Random(5)
     for _ in range(5):
         p = random_poly(rng, 4, allow_zero=False)
-        direct = iterated_delta(Poly([0, 1]) * p, 1)
-        via = Poly([1, 1]) * iterated_delta(p, 1) + p
+        direct = poly_delta(Poly([0, 1]) * p)
+        via = Poly([1, 1]) * poly_delta(p) + p
         assert direct == via
 
 
@@ -210,12 +212,12 @@ def test_compose_associative_random():
 
 def test_compose_agrees_with_pointwise_application():
     rng = random.Random(23)
-    from deltaorder import iterated_delta
 
     def apply_to_poly(eq, p):
         total = Poly()
-        for j, coeff in enumerate(eq.coeffs):
-            total = total + coeff * iterated_delta(p, j)
+        for coeff in eq.coeffs:  # coeff * Delta^j p, with p differenced once per power
+            total = total + coeff * p
+            p = poly_delta(p)
         return total
 
     for _ in range(15):

@@ -15,7 +15,6 @@ from deltaorder import (
     empirical_order,
     estimate_chi,
     eval_series,
-    falling_factorial,
     max_modulus,
     normalize_to_delta,
     parse_equation,
@@ -29,7 +28,7 @@ from deltaorder.errors import (
 )
 from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp
 
-from fixtures_equations import CUBIC_THIRD, quartic_34_stream, third_order_stream
+from fixtures_equations import CUBIC_THIRD, falling_factorial, quartic_34_stream, third_order_stream
 
 
 @pytest.fixture(scope="module")

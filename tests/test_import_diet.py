@@ -99,17 +99,15 @@ PUBLIC_NAMES = {
     "NewtonAnalysis", "OperatorTerm", "OrderEntry", "Poly", "PolygonSegment",
     "RoundTripReport", "SeriesSolution", "VerificationReport", "adams_polygon", "analyze",
     "apply_operator", "compose_operators", "construct_equation", "derive_recurrence",
-    "empirical_order", "estimate_chi", "eval_series", "falling_factorial",
-    "falling_power_eval", "format_delta_form", "format_general", "indicial_exponents",
-    "iterated_delta", "max_modulus", "normalize_to_delta", "order_list", "parse_equation",
+    "empirical_order", "estimate_chi", "eval_series", "format_delta_form", "format_general",
+    "indicial_exponents", "max_modulus", "normalize_to_delta", "order_list", "parse_equation",
     "poly_delta", "roundtrip_check", "s_sequence", "shifted_recurrence", "solve_series",
-    "sub_one_branches", "to_falling_basis", "verdict", "verify_recurrence",
-    "working_precision",
+    "sub_one_branches", "verdict", "verify_recurrence", "working_precision",
 }
 
 
 def test_the_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 42
     assert len(deltaorder.__all__) == len(set(deltaorder.__all__))
     assert set(deltaorder.__all__) == PUBLIC_NAMES
 
@@ -141,12 +139,9 @@ PUBLIC_SIGNATURES = {
     "empirical_order": ("sol", "radii", "samples", "tol"),
     "estimate_chi": ("coeffs",),
     "eval_series": ("sol", "z", "tol"),
-    "falling_factorial": ("x", "length"),
-    "falling_power_eval": ("z", "rho"),
     "format_delta_form": ("eq",),
     "format_general": ("g",),
     "indicial_exponents": ("eq",),
-    "iterated_delta": ("p", "times"),
     "max_modulus": ("sol", "radius", "samples", "tol"),
     "normalize_to_delta": ("g",),
     "order_list": ("degrees", "s_seq"),
@@ -157,7 +152,6 @@ PUBLIC_SIGNATURES = {
     "shifted_recurrence": ("eq", "rho"),
     "solve_series": ("rec", "count", "initial"),
     "sub_one_branches": ("polygon",),
-    "to_falling_basis": ("p",),
     "verdict": ("analysis",),
     "verify_recurrence": ("rec", "sol", "rows"),
     "working_precision": (),
@@ -170,6 +164,23 @@ def test_public_signatures_are_pinned():
     assert callables == set(PUBLIC_SIGNATURES)
     for name, params in PUBLIC_SIGNATURES.items():
         assert tuple(inspect.signature(getattr(deltaorder, name)).parameters) == params, name
+
+
+def _names_used(path):
+    """Every name that ``path`` loads or reads as an attribute; definitions and imports are not uses."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # public API that only tests reach is deleted, not kept; a name comes back with a caller
+    modules = [path for path in (SRC / "deltaorder").glob("*.py") if path.name != "__init__.py"]
+    modules += (SRC.parent / "perfbench").glob("*.py")
+    used = {name for path in modules for name in _names_used(path)}
+    assert sorted(set(deltaorder.__all__) - used) == []
 
 
 EXACT_MODULES = ("polynomials", "equations", "parsing", "newton", "recurrences", "series", "construction")

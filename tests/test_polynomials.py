@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,27 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder import (
-    NEG_INF,
-    Poly,
-    falling_factorial,
-    falling_power_eval,
-    iterated_delta,
-    poly_delta,
-    to_falling_basis,
-)
+from deltaorder import NEG_INF, Poly, poly_delta
 from deltaorder.errors import GammaPoleError
 from deltaorder.evaluation import _falling_power_mp
 from deltaorder.polynomials import (
+    _integer_falling_basis,
+    _newton_poly,
     common_denominator,
-    expand_newton,
-    falling_factorial_poly,
     format_poly,
     row_quotients,
     row_sum,
 )
 
-from fixtures_equations import falling_product_sum, random_poly
+from fixtures_equations import (
+    falling_factorial_poly,
+    falling_power,
+    falling_product_sum,
+    random_poly,
+    to_falling_basis,
+)
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -71,13 +68,6 @@ def test_delta_falling_power_rule():
         assert poly_delta(falling_factorial_poly(n)) == falling_factorial_poly(n - 1) * n
 
 
-def test_iterated_delta():
-    p = Poly([15, 19, 6])
-    assert iterated_delta(Poly([0, 0, 1]), 2) == Poly([2])
-    assert iterated_delta(p, 0) == p
-    assert iterated_delta(p, 3).is_zero
-
-
 def test_delta_is_additive_and_leibniz():
     rng = random.Random(2)
     for _ in range(25):
@@ -88,58 +78,58 @@ def test_delta_is_additive_and_leibniz():
 
 
 def test_falling_basis_of_square():
-    assert to_falling_basis(Poly([0, 0, 1])) == [Fraction(0), Fraction(1), Fraction(1)]
+    assert _integer_falling_basis(Poly([0, 0, 1])) == [0, 1, 1]
 
 
 def test_falling_power_in_monomials():
     assert falling_factorial_poly(2) == Poly([0, -1, 1])
-    assert expand_newton([0, 0, 1], itertools.count()) == Poly([0, -1, 1])
+    assert _newton_poly(1, [0, 0, 1], 1, range(2)) == Poly([0, -1, 1])
 
 
 def test_falling_basis_round_trip():
     rng = random.Random(3)
     for _ in range(50):
         p = random_poly(rng, 8)
-        assert expand_newton(to_falling_basis(p), itertools.count()) == p
+        assert _expand_newton(_integer_falling_basis(p), range(9)) == p
     for _ in range(20):
         p = random_poly(rng, 12)
-        assert expand_newton(to_falling_basis(p), itertools.count()) == p
+        assert _expand_newton(_integer_falling_basis(p), range(13)) == p
 
 
 def test_falling_product_expand_matches_gamma_eval():
     rho = Fraction(1, 2)
     for z in (2.3, 5 + 1j):
-        direct = falling_power_eval(z, 3) * falling_power_eval(z, rho)
+        direct = falling_power(z, 3) * falling_power(z, rho)
         expanded = falling_product_sum(z, 3, rho)
         assert abs(expanded - direct) / abs(direct) < 1e-9
 
 
 def test_falling_power_integer_cases():
-    assert falling_power_eval(5, 2) == 20
-    assert falling_power_eval(17.25, 0) == 1
-    assert falling_power_eval(1 + 1j, 0) == 1
+    assert falling_power(5, 2) == 20
+    assert falling_power(17.25, 0) == 1
+    assert falling_power(1 + 1j, 0) == 1
     for n in range(0, 21):
         for k in range(0, n + 1):
             exact = 1
             for u in range(k):
                 exact *= n - u
-            assert falling_power_eval(n, k) == exact
+            assert falling_power(n, k) == exact
 
 
 def test_falling_power_difference_rule_general_exponent():
     z, rho = 3.7, Fraction(1, 3)
-    lhs = falling_power_eval(z + 1, rho) - falling_power_eval(z, rho)
-    rhs = complex(rho) * falling_power_eval(z, rho - 1)
+    lhs = falling_power(z + 1, rho) - falling_power(z, rho)
+    rhs = complex(rho) * falling_power(z, rho - 1)
     assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
 def test_falling_power_gamma_pole():
     with pytest.raises(GammaPoleError):
-        falling_power_eval(-1, Fraction(1, 2))
+        falling_power(-1, Fraction(1, 2))
     # z+1-rho = -1: the reciprocal gamma vanishes, so the falling power is zero
-    assert falling_power_eval(Fraction(1, 2), Fraction(5, 2)) == 0
+    assert falling_power(Fraction(1, 2), Fraction(5, 2)) == 0
     with pytest.raises(GammaPoleError):
-        falling_power_eval(-2 + 0j, Fraction(1, 3))  # z+1 = -1
+        falling_power(-2 + 0j, Fraction(1, 3))  # z+1 = -1
 
 
 def test_falling_power_mp_points_keep_precision():
@@ -150,12 +140,6 @@ def test_falling_power_mp_points_keep_precision():
         assert mpmath.isfinite(value) and abs(value) > 10**30
         with pytest.raises(GammaPoleError):
             _falling_power_mp(mpmath.mpc(-2, 0), Fraction(1, 2))
-
-
-def test_falling_factorial_exact_values():
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-    assert falling_factorial(7, 3) == 210
-    assert falling_factorial(3, 5) == 0
 
 
 def test_format_poly():
@@ -172,6 +156,17 @@ offsets = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction), rati
 coefficient_lists = st.lists(rationals, max_size=9)
 
 
+def _expand_newton(coeffs, nodes) -> Poly:
+    """sum_u c_u (z - x_0)...(z - x_{u-1}) by ``_newton_poly``, on the integer lists it takes."""
+    scale, ints = common_denominator(coeffs)
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Poly()
+    step, xs = common_denominator(nodes[: len(ints) - 1])
+    return _newton_poly(scale, ints, step, xs)
+
+
 def _product_oracle(coeffs, nodes) -> Poly:
     total, basis = Poly(), Poly([1])
     for c, x in zip(coeffs, nodes):
@@ -185,16 +180,10 @@ def test_common_denominator():
     assert common_denominator([]) == (1, [])
 
 
-def test_expand_newton_needs_enough_nodes():
-    with pytest.raises(ValueError):
-        expand_newton([1, 2, 3], [0])
-    assert expand_newton([5, 0, 0], []) == Poly([5])
-
-
 @settings(max_examples=150, deadline=None)
 @given(coeffs=coefficient_lists, nodes=st.lists(rationals, min_size=9, max_size=9))
 def test_expand_newton_matches_the_product_form(coeffs, nodes):
-    assert expand_newton(coeffs, nodes) == _product_oracle(coeffs, nodes)
+    assert _expand_newton(coeffs, nodes) == _product_oracle(coeffs, nodes)
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,9 +193,9 @@ def test_falling_forms_match_falling_factorial_polys(coeffs, offset):
     for u, c in enumerate(coeffs):
         oracle = oracle + falling_factorial_poly(u, offset) * c
     nodes = [k - offset for k in range(len(coeffs))]
-    assert expand_newton(coeffs, nodes) == oracle
+    assert _expand_newton(coeffs, nodes) == oracle
     if offset == 0:
-        assert expand_newton(coeffs, itertools.count()) == oracle
+        assert _expand_newton(coeffs, range(len(coeffs))) == oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,13 +211,18 @@ def test_shift_is_substitution_and_composes(coeffs, a, b, x):
 @given(coeffs=coefficient_lists)
 def test_to_falling_basis_inverts_the_falling_form(coeffs):
     p = Poly(coeffs)
-    falling = to_falling_basis(p)
+    if p.den != 1:
+        with pytest.raises(ArithmeticError):
+            _integer_falling_basis(p)
+    p = Poly._from_ints(p.nums)  # the integer polynomial den * p
+    falling = _integer_falling_basis(p)
+    assert falling == to_falling_basis(p)
     total = Poly()
     for t, c in enumerate(falling):
         total = total + falling_factorial_poly(t) * c
     assert total == p
     assert len(falling) == len(p.coeffs)
-    assert expand_newton(falling, itertools.count()) == p
+    assert _expand_newton(falling, range(len(falling))) == p
 
 
 # --- integer-backed arithmetic against a plain Fraction-list oracle -----------

@@ -22,7 +22,6 @@ from deltaorder import (
     sub_one_branches,
 )
 from deltaorder.cli import main
-from deltaorder.polynomials import binomial, falling_factorial_poly, to_falling_basis
 from deltaorder.errors import RootRangeError
 from deltaorder.recurrences import (
     MAX_DIVISOR_SEARCH,
@@ -38,9 +37,12 @@ from deltaorder.recurrences import (
 from fixtures_equations import (
     CUBIC_THIRD,
     QUARTIC_34,
+    binomial,
     deadline,
+    falling_factorial_poly,
     prod_poly,
     random_equation,
+    to_falling_basis,
 )
 
 
