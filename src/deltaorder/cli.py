@@ -197,7 +197,7 @@ def _equation(raw: str) -> DifferenceEquation:
     try:
         text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw
         general = parse_equation(text)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CommandError(EXIT_PARSE, f"cannot read equation file: {exc}")
     except ParseError as exc:
         raise _CommandError(EXIT_PARSE, f"parse error: {exc}")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import Poly, _integer_falling_basis, poly_delta, row_sum
+from .polynomials import Poly, _integer_falling_basis, chain_sum, denominator_chain, poly_delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -212,8 +212,9 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     With rho = r/s, the falling power ff(n + rho, L) is the integer
     prod_u (n s + r - u s) over s^L.  All weights are brought to the common
     denominator s^Lmax and summed as one integer per (output, input) pair;
-    each output sums its pairs shallowest input first over the lcm of their
-    denominators (:func:`polynomials.row_sum`) and is a single Fraction.
+    each output sums its pairs shallowest input first over the stream's
+    denominator chain, built once per call (:func:`polynomials.chain_sum`),
+    and is a single Fraction.
 
     The solution must provide at least ``upto + order + 1`` coefficients.
     """
@@ -253,9 +254,10 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
                 if total:
                     pairs[out].append((total, n))
     scale = s**top
+    chain = denominator_chain([c.denominator if c else 0 for c in coeffs[: needed + 1]])
+    constant: dict = {}  # no unknowns in any value
     image = []
-    steps: dict = {}
     for terms in pairs:
-        common, total = row_sum([(w, coeffs[n].numerator, coeffs[n].denominator) for w, n in terms], steps)
+        common, total, _ = chain_sum(chain, [(n, w, coeffs[n].numerator, constant) for w, n in terms])
         image.append(Fraction(total, common * scale))
     return image

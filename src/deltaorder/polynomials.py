@@ -8,9 +8,9 @@ scalar inputs and outputs.  Taylor shifts, falling powers and expansions out
 of the falling-factorial basis go through one integer kernel that expands a
 Newton form, and the one conversion into that basis takes integer forward
 differences; nothing is cached between calls.  The exact row sums that the
-solver, verification and operator application share sum over quotients of
-neighbouring denominators, which their callers keep per stream.  Everything
-here is exact, and the module imports only the standard library.
+solver, verification and operator application share run over one prefix-lcm
+chain per stream, built once per stream index (:func:`denominator_chain`).
+Everything here is exact, and the module imports only the standard library.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -295,77 +295,101 @@ def poly_delta(p: Poly) -> Poly:
 
 # --- exact row sums ----------------------------------------------------------
 
+#: Slack, in bits, of the rule that starts a new segment of a denominator chain
+#: where its running lcm would pass 2 bits(dens[i]) + CHAIN_SLACK_BITS.  The
+#: cubic's rows over a 3201-term stream of distinct 61-bit prime denominators
+#: verified in 1.5 s on one unsegmented chain, 0.063 s over one lcm per row and
+#: 0.047-0.074 s with this rule (best of five, shared 2-vCPU host).  No stream
+#: that solve-stream solves or verifies reaches the rule.
+CHAIN_SLACK_BITS = 64
 
-def row_quotients(dens: list[int], steps: dict) -> tuple[int, list[int], bool]:
-    """``(common, quotients, nested)`` for summing a row of fractions over its lcm.
 
-    ``dens`` are the row's positive denominators, shallowest stream index
-    first.  While each is a multiple of the one before (a nested row, as in
-    a decaying stream), ``quotients[i]`` is dens[i] // dens[i-1] (dens[0]
-    for the first) and the row sums by Horner's rule,
-    ``total = total * q + c * num``: each product spans one step of the row,
-    a few words.  At the first denominator that does not divide, the row
-    falls back to ``quotients[i] = common // dens[i]`` and
-    ``total += c * num * q``, each quotient as wide as the row's spread.
-    Either way ``common`` is the lcm of ``dens`` (1 for none).
+def denominator_chain(dens, chain=None) -> tuple[list[int], list[int], list[int]]:
+    """The prefix-lcm chain ``(common, step, scale)`` of a stream's denominators.
 
-    The test of a step is a division of the deeper denominator, whose cost
-    grows with its full width.  Neighbouring rows share most of their steps,
-    so callers that sum many rows of one stream pass the same ``steps``
-    dict, which keeps each step's quotient (0 for a step that does not
-    divide) under its pair of denominators.
+    ``dens[i]`` is the positive denominator of stream value i, or 0 for a
+    zero value, which no sum reads.  ``common[i]`` is the lcm of the
+    denominators from the start of i's segment to i, ``step[i]`` is
+    common[i] // common[i-1], 0 where a segment starts, and ``scale[i]`` is
+    common[i] // dens[i] (0 for a zero value).  Where dens[i] is a multiple
+    of common[i-1], as in a decaying stream, the index costs one divmod and
+    common[i] is dens[i] itself; elsewhere it costs a gcd too, and a segment
+    starts where the running lcm would pass 2 bits(dens[i]) +
+    ``CHAIN_SLACK_BITS``, so no common is much wider than its own
+    denominator.  A given ``chain`` is extended by ``dens`` in place.
     """
-    common = 1
-    quotients = []
+    common, step, scale = chain = chain or ([], [], [])
+    prev = common[-1] if common else 1
     for d in dens:
-        if common == 1:
-            q = d
+        if not d:  # a zero value keeps the running lcm
+            d, q, s = prev, 1 if common else 0, 0
+        elif not common:
+            q, s = 0, 1
         else:
-            key = (common, d)
-            q = steps.get(key)
-            if q is None:
-                q, r = divmod(d, common)
-                if r:
+            q, r = divmod(d, prev)
+            s = 1
+            if r:
+                g = math.gcd(prev, r)
+                q = d // g
+                lcm = prev if q == 1 else prev * q
+                if lcm.bit_length() > 2 * d.bit_length() + CHAIN_SLACK_BITS:
                     q = 0
-                steps[key] = q
+                else:
+                    d, s = lcm, prev // g
+        common.append(d)
+        step.append(q)
+        scale.append(s)
+        prev = d
+    return chain
+
+
+def chain_sum(chain, terms) -> tuple[int, int, dict[int, int]]:
+    """``(common, const, lin)``: a row of affine values summed over one denominator.
+
+    ``terms`` are (i, c, const_i, lin_i) over one stream's
+    :func:`denominator_chain`, i increasing: c times the value
+    (const_i + sum_f lin_i[f] x_f) / dens[i], all integers but the unknowns
+    x_f.  The row sums to (const + sum_f lin[f] x_f) / common; a row of
+    constants passes empty ``lin_i`` and reads ``const``.  Inside a segment
+    the sum runs by Horner's rule from the first term's index, each
+    coefficient times step[j] at each later index j plus c * scale[i] times
+    the next value: in a nested stream each step is a few words and each
+    scale 1.  The totals of the segments a row crosses join over the lcm of
+    their commons.  ``common`` depends on the first and last index only (1
+    for no terms).
+    """
+    commons, step, scale = chain
+    if not terms:
+        return 1, 0, {}
+    parts = []
+    const = 0
+    lin: dict[int, int] = {}
+    last = terms[0][0]
+    for i, c, vconst, vlin in terms:
+        while last < i:
+            last += 1
+            q = step[last]
             if not q:
-                common = _lcm(dens)
-                return common, [common // d for d in dens], False
-        quotients.append(q)
-        common = d
-    return common, quotients, True
-
-
-def row_sum(terms: list[tuple[int, int, int]], steps: dict) -> tuple[int, int]:
-    """``(common, total)`` with sum c * num / den = total / common, common the lcm of the dens.
-
-    ``terms`` are (c, num, den) integer triples, den positive and the
-    shallowest stream index first; ``steps`` is as in :func:`row_quotients`.
-    """
-    common, quotients, nested = row_quotients([den for _, _, den in terms], steps)
-    total = 0
-    if nested:
-        for (c, num, _), q in zip(terms, quotients):
-            total = total * q + c * num
-    else:
-        for (c, num, _), q in zip(terms, quotients):
-            total += c * num * q
-    return common, total
-
-
-def _lcm(dens: list[int]) -> int:
-    """lcm of positive integers, taken from the last (deepest) one down.
-
-    A value that divides the running lcm skips the gcd but still costs a
-    division of the running lcm by it, whose quotient is as wide as the
-    spread of the row; that spread, not the gcds, is what an un-nested row
-    pays for.
-    """
-    out = 1
-    for d in reversed(dens):
-        if out % d:
-            out = math.lcm(out, d)
-    return out
+                parts.append((commons[last - 1], const, lin))
+                const, lin = 0, {}
+            elif q != 1:
+                const *= q
+                for f in lin:
+                    lin[f] *= q
+        s = scale[i]
+        if s != 1:
+            c *= s
+        const += c * vconst
+        for f, w in vlin.items():
+            lin[f] = lin.get(f, 0) + c * w
+    common = commons[last]
+    for part_common, part_const, part_lin in reversed(parts):
+        lcm = math.lcm(part_common, common)
+        a, b = lcm // part_common, lcm // common
+        const = part_const * a + const * b
+        lin = {f: part_lin.get(f, 0) * a + lin.get(f, 0) * b for f in part_lin.keys() | lin.keys()}
+        common = lcm
+    return common, const, lin
 
 
 # --- Newton forms and the falling-factorial basis ---------------------------

@@ -32,17 +32,19 @@ initial data with the surviving free coefficients zeroed.  The rows are
 homogeneous, as the equations are.
 
 A row of the reduction and a row of verification are both sums over one
-common denominator, taken from the shallowest stream index up
-(:func:`polynomials.row_quotients`).  In a decaying stream each
-denominator is a multiple of the one before, so a row sums by Horner's rule
-over the quotients of neighbouring denominators, each a few words long: a
-row of k terms costs about k products of its running total by a few words,
-and the division that finds a quotient is made once per pair of
-neighbouring denominators, not once per row (the reduction makes it again
-after an elimination rewrites stored values).  A row whose denominators do
-not nest, as in streams pinned to unrelated rationals, falls back to the
-lcm, and every quotient there is as wide as the row's spread of
-denominators.  Verification builds a Fraction only for a nonzero residual.
+stream's denominator chain (:func:`polynomials.denominator_chain`), built
+once per stream index: verification builds it once per call, and the
+reduction extends it as values are stored and cuts it at the first value
+that an elimination rewrites.  In a decaying stream each denominator is a
+multiple of the one before, so a row sums by Horner's rule over the
+quotients of neighbouring denominators, each a few words long, and a row of
+k terms costs about k products of its running total by a few words.  Where
+denominators do not nest, as in every third value of QUARTIC_34's pinned
+streams or in streams pinned to unrelated rationals, the chain carries the
+running lcm instead, and starts a new segment before that lcm grows past
+twice the width of the newest denominator; a row that crosses a segment
+start joins its segment totals over their lcm (:func:`polynomials.chain_sum`).
+Verification builds a Fraction only for a nonzero residual.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentSystemError, InsufficientDataError
-from .polynomials import as_rational, fraction_log_abs, row_quotients, row_sum
+from .polynomials import as_rational, chain_sum, denominator_chain, fraction_log_abs
 from .recurrences import CoefficientRecurrence
 
 
@@ -116,8 +118,8 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
 
     The stream must reach index rows + order.  Returns the first failing row
     (if any) and the largest absolute residual encountered.  Each row sums
-    integer numerators over the lcm of its stream denominators; a residual
-    becomes a Fraction only when that sum is nonzero.
+    integer numerators over the stream's denominator chain, built once per
+    call; a residual becomes a Fraction only when that sum is nonzero.
     """
     need = rows + rec.order
     if len(sol.coeffs) < need + 1:
@@ -125,14 +127,14 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
             f"need {need + 1} coefficients to check {rows} rows"
         )
     nums = [c.numerator for c in sol.coeffs]
-    dens = [c.denominator for c in sol.coeffs]
+    chain = denominator_chain([c.denominator if c else 0 for c in sol.coeffs[: need + 1]])
+    constant: dict = {}  # no unknowns in any value
     worst = Fraction(0)
     first_bad = None
-    steps: dict = {}
     for n in range(rec.first_row, rows + 1):
         # rows list the deepest index first; the sum runs shallowest first
-        terms = [(c, nums[idx], dens[idx]) for idx, c in reversed(rec.row(n)) if nums[idx]]
-        common, total = row_sum(terms, steps)
+        terms = [(idx, c, nums[idx], constant) for idx, c in reversed(rec.row(n)) if nums[idx]]
+        common, total, _ = chain_sum(chain, terms)
         if total:
             if first_bad is None:
                 first_bad = n
@@ -244,9 +246,10 @@ class RowReduction:
 
     Every stream value is an affine combination of free parameters, stored as
     (den, const, {free id: num}) over integers.  A row combines its window
-    entries over the lcm of their denominators: a nonzero lead value
-    determines the next stream value; a zero lead turns the row into a
-    constraint for :meth:`_eliminate`.  Pins given at creation enter where
+    entries over the denominator chain of the stored values
+    (:func:`polynomials.chain_sum`): a nonzero lead value determines the
+    next stream value; a zero lead turns the row into a constraint for
+    :meth:`_eliminate`.  Pins given at creation enter where
     their index is made: a pinned index that no row determines is stored as
     its value (q, p, {}) for p/q, not as a free parameter; a row-determined
     one adds the constraint "value = pin" to the same elimination.  Each
@@ -274,9 +277,9 @@ class RowReduction:
         self.free_ids: list[int] = []
         # every prime of every stored denominator divides one of these
         self.atoms: list[int] = []
-        # row_quotients' kept steps; cleared by each elimination, so that it
-        # holds no denominator that the elimination replaced
-        self.steps: dict = {}
+        # the denominator chain of the stored values, extended as rows read
+        # them; an elimination cuts it at the first value it rewrites
+        self.chain: tuple[list[int], list[int], list[int]] = ([], [], [])
         for n in range(rec.first_row, count - rec.order + 1):
             top = n + rec.order
             while len(self.values) < top:
@@ -300,26 +303,15 @@ class RowReduction:
         """Impose sum row_value * a_idx = 0 on the stream."""
         lead = 0
         terms = []
-        # shallowest index first; zero values (stored 0/1) would break the nesting
+        # shallowest index first; zero values are stored 0/1 and summed by no row
         for idx, c in reversed(row):
             if idx == top:
                 lead = c
             elif (value := self.values[idx])[1] or value[2]:
-                terms.append((c, value))
-        common, quotients, nested = row_quotients([den for _, (den, _, _) in terms], self.steps)
-        const = 0
-        lin: dict[int, int] = {}
-        for (c, (_, vconst, vlin)), q in zip(terms, quotients):
-            if nested:
-                if q != 1:
-                    const *= q
-                    for f in lin:
-                        lin[f] *= q
-            else:
-                c *= q
-            const += c * vconst
-            for f, w in vlin.items():
-                lin[f] = lin.get(f, 0) + c * w
+                terms.append((idx, c, value[1], value[2]))
+        fresh = self.values[len(self.chain[0]) :]
+        denominator_chain([den if vconst or vlin else 0 for den, vconst, vlin in fresh], self.chain)
+        common, const, lin = chain_sum(self.chain, terms)
         if not lead:
             self._eliminate(const, lin)
             return
@@ -347,11 +339,12 @@ class RowReduction:
         pivot = live.pop(target)
         self.atoms.append(pivot)
         self.free_ids.remove(target)
-        self.steps.clear()
         for k, (den, vconst, vlin) in enumerate(self.values):
             w = vlin.get(target)
             if w is None:
                 continue
+            for part in self.chain:  # from the first value rewritten on
+                del part[k:]
             g = math.gcd(w, pivot)
             p, w = pivot // g, w // g
             nlin = {f: v * p for f, v in vlin.items() if f != target}

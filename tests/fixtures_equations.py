@@ -8,6 +8,8 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from deltaorder import DifferenceEquation, GeneralForm, OperatorTerm, Poly
 
 
@@ -138,6 +140,19 @@ def random_equation(
     return DifferenceEquation(coeffs)
 
 
+def apply_operator_oracle(eq: DifferenceEquation, coeffs, rho, upto: int) -> list[Fraction]:
+    """The image coefficients 0..upto of sum a_n ff(z, n + rho), by the product rule in Fractions."""
+    expected = [Fraction(0)] * (upto + 1)
+    for j, p in enumerate(eq.coeffs):
+        for t, coeff_t in enumerate(to_falling_basis(p)):
+            for k in range(t + 1):
+                for n, a in enumerate(coeffs):
+                    if 0 <= n + t - k - j <= upto:
+                        term = coeff_t * binomial(t, k) * a * falling_factorial(n + rho, j + k)
+                        expected[n + t - k - j] += term
+    return expected
+
+
 def pure_shift_form(eq: DifferenceEquation) -> GeneralForm:
     """``eq`` with pure shifts:  Delta^k f(z) = sum_t C(k, t) (-1)^(k-t) f(z + t)."""
     table: dict[int, Poly] = {}
@@ -212,3 +227,46 @@ def falling_product_sum(z, m: int, rho: Fraction, prec: int = 128) -> complex:
             if weight:
                 total += mpmath.mpf(weight.numerator) / weight.denominator * _falling_power_mp(z, rho + m - j)
         return complex(total)
+
+
+# --- stream denominators for the exact row sums --------------------------------
+
+
+def _primes_below(limit: int) -> list[int]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+SMALL_PRIMES = _primes_below(5000)
+
+
+@st.composite
+def stream_denominators(draw, length: int) -> list[int]:
+    """Denominators of a stream, 0 for a zero value.
+
+    They nest (each a multiple of the one before, as in a decaying stream),
+    nest but for every third, which is narrow and unrelated (as QUARTIC_34's
+    pinned streams), or are products of 1 to 10 primes, no prime used twice:
+    coprime denominators of up to about 120 bits, whose running lcm soon passes
+    the width at which a denominator chain starts a new segment.
+    """
+    kind = draw(st.sampled_from(["nested", "period-3", "coprime"]))
+    if kind == "coprime":
+        primes = iter(draw(st.randoms(use_true_random=False)).sample(SMALL_PRIMES, 10 * length))
+        dens = [math.prod(next(primes) for _ in range(draw(st.integers(1, 10)))) for _ in range(length)]
+    else:
+        den = draw(st.sampled_from([1, 2, 6]))
+        dens = []
+        for i in range(length):
+            den *= draw(st.sampled_from([1, 2, 3, 10, 2**61 - 1]))
+            dens.append(den if kind == "nested" or i % 3 else draw(st.integers(1, 10**6)))
+    return [0 if draw(st.integers(0, 5)) == 0 else d for d in dens]
+
+
+def stream_values(draw, dens) -> list[Fraction]:
+    """Values with exactly the denominators ``dens`` (0 for a den of 0), numerators k d + 1."""
+    return [Fraction(draw(st.integers(-3, 3)) * d + 1, d) if d else Fraction(0) for d in dens]

@@ -505,6 +505,16 @@ def test_malformed_solution_file_exits_two(capsys, tmp_path, payload, message):
     assert message in err
 
 
+def test_equation_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    # it used to end in a UnicodeDecodeError traceback with exit code 1
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff" + HALF_ORDER.encode())
+    code, out, err = run_cli(capsys, "analyze", f"@{path}")
+    assert code == 2
+    assert out == ""
+    assert "cannot read equation file" in err
+
+
 def test_eval_parses_its_equation_beside_a_solution_file(capsys, half_order_file):
     source = ("--solution", str(half_order_file))
     code, out, err = run_cli(capsys, "eval", "garbage(", *source, "--at", "1")

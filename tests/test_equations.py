@@ -29,14 +29,13 @@ from fixtures_equations import (
     QUARTIC_34,
     QUARTIC_34_SHIFT_TABLE,
     QUARTIC_34_SHIFTED,
+    apply_operator_oracle,
     binomial,
-    falling_factorial,
     pure_shift_form,
     quartic_34_stream,
     random_equation,
     random_poly,
     third_order_stream,
-    to_falling_basis,
 )
 
 
@@ -304,12 +303,5 @@ def test_apply_operator_matches_fraction_sum(seed, rho):
     eq = random_equation(rng, max_order=3, max_degree=3)
     upto = 12
     coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(upto + eq.order + 1)]
-    expected = [Fraction(0)] * (upto + 1)
-    for j, p in enumerate(eq.coeffs):
-        for t, coeff_t in enumerate(to_falling_basis(p)):
-            for k in range(t + 1):
-                for n, a in enumerate(coeffs):
-                    if 0 <= n + t - k - j <= upto:
-                        term = coeff_t * binomial(t, k) * a * falling_factorial(n + rho, j + k)
-                        expected[n + t - k - j] += term
+    expected = apply_operator_oracle(eq, coeffs, rho, upto)
     assert apply_operator(eq, SeriesSolution.from_values(coeffs, rho=rho), upto) == expected

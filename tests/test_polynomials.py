@@ -11,12 +11,13 @@ from deltaorder import NEG_INF, Poly, poly_delta
 from deltaorder.errors import GammaPoleError
 from deltaorder.evaluation import _falling_power_mp
 from deltaorder.polynomials import (
+    CHAIN_SLACK_BITS,
     _integer_falling_basis,
     _newton_poly,
     common_denominator,
+    chain_sum,
+    denominator_chain,
     format_poly,
-    row_quotients,
-    row_sum,
 )
 
 from fixtures_equations import (
@@ -24,6 +25,7 @@ from fixtures_equations import (
     falling_power,
     falling_product_sum,
     random_poly,
+    stream_denominators,
     to_falling_basis,
 )
 
@@ -343,39 +345,64 @@ def test_closed_form_powers_match_repeated_products(c, k, e, general):
     assert monomial == Poly([0] * (k * e) + [c**e])
 
 
-@st.composite
-def row_terms(draw):
-    # a nested chain of small quotients from 1 or a small start, at times with
-    # one link replaced by a denominator that need not divide; zero numerators
-    # and negative coefficients throughout, single-term rows included
-    den = draw(st.sampled_from([1, 1, 2, 6]))
-    dens = []
-    for _ in range(draw(st.integers(1, 8))):
-        dens.append(den)
-        den *= draw(st.sampled_from([1, 2, 3, 10, 2**61 - 1]))
-    if len(dens) > 1 and draw(st.booleans()):
-        dens[draw(st.integers(1, len(dens) - 1))] = draw(st.integers(1, 10**6))
-    return [
-        (draw(st.integers(-50, 50)), draw(st.just(0) | st.integers(-(10**30), 10**30)), d)
-        for d in dens
-    ]
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_denominator_chain_is_the_lcm_of_each_segment(data):
+    dens = data.draw(stream_denominators(data.draw(st.integers(1, 30))))
+    common, step, scale = chain = denominator_chain(dens)
+    assert len(common) == len(step) == len(scale) == len(dens)
+    # built in pieces, as the solver extends it, it is the same chain
+    cut = data.draw(st.integers(0, len(dens)))
+    assert denominator_chain(dens[cut:], denominator_chain(dens[:cut])) == chain
+    starts = [i for i, q in enumerate(step) if not q] + [len(step)]
+    for start, end in zip(starts, starts[1:]):
+        rebuilt = common[start]
+        for i in range(start, end):
+            assert common[i] == math.lcm(*[d for d in dens[start : i + 1] if d])
+            if i > start:
+                rebuilt *= step[i]
+            assert rebuilt == common[i]
+            assert scale[i] * dens[i] == (common[i] if dens[i] else 0)
+            # no common passes twice its denominator's bits plus the slack
+            if dens[i]:
+                assert common[i].bit_length() <= 2 * dens[i].bit_length() + CHAIN_SLACK_BITS
+        # a segment starts only where the running lcm would have passed that
+        if start and dens[start]:
+            lcm = math.lcm(common[start - 1], dens[start])
+            assert lcm.bit_length() > 2 * dens[start].bit_length() + CHAIN_SLACK_BITS
+    # a nested denominator is its common, the same object
+    for i in range(1, len(dens)):
+        if dens[i] and step[i] and dens[i] % common[i - 1] == 0:
+            assert common[i] is dens[i] and scale[i] == 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(row_terms(), min_size=1, max_size=4))
-def test_row_sum_matches_the_lcm_and_the_fraction_sum(rows):
-    # the rows share one steps dict and are summed twice, as the callers
-    # sum the rows of one stream: a kept quotient serves every later row
-    steps = {}
-    for terms in rows + rows:
-        dens = [den for _, _, den in terms]
-        common = math.lcm(*dens)
-        exact = sum((Fraction(c * num, den) for c, num, den in terms), Fraction(0))
-        assert row_sum(terms, steps) == (common, exact * common)
-        nested = all(later % earlier == 0 for earlier, later in zip(dens, dens[1:]))
-        assert row_quotients(dens, steps)[::2] == (common, nested)
+@given(data=st.data())
+def test_chain_sum_matches_the_fraction_sum(data):
+    # rows of constants and rows of affine values in up to three unknowns,
+    # negative weights, zero numerators and rows that cross segment starts
+    dens = data.draw(stream_denominators(data.draw(st.integers(1, 30))))
+    chain = denominator_chain(dens)
+    lo = data.draw(st.integers(0, len(dens) - 1))
+    hi = data.draw(st.integers(lo, min(lo + 8, len(dens) - 1)))
+    big = st.integers(-(10**30), 10**30)
+    terms = [
+        (i, data.draw(st.integers(-50, 50)), data.draw(big), data.draw(st.dictionaries(st.integers(0, 2), big, max_size=3)))
+        for i in range(lo, hi + 1)
+        if dens[i] and data.draw(st.booleans())
+    ]
+    common, const, lin = chain_sum(chain, terms)
+    assert Fraction(const, common) == sum((Fraction(c * num, dens[i]) for i, c, num, _ in terms), Fraction(0))
+    for f in range(3):
+        exact = sum((Fraction(c * vlin.get(f, 0), dens[i]) for i, c, _, vlin in terms), Fraction(0))
+        assert Fraction(lin.get(f, 0), common) == exact
+    # the common is a multiple of every denominator summed, and set by the first and last index
+    assert all(common % dens[i] == 0 for i, _, _, _ in terms)
+    if terms:
+        first, last = terms[0][0], terms[-1][0]
+        assert chain_sum(chain, [(first, 0, 0, {}), (last, 0, 0, {})])[0] == common
 
 
-def test_row_sum_of_no_terms_is_zero_over_one():
-    assert row_sum([], {}) == (1, 0)
-    assert row_quotients([], {}) == (1, [], True)
+def test_chain_sum_of_no_terms_is_zero_over_one():
+    assert chain_sum(denominator_chain([]), []) == (1, 0, {})
+    assert chain_sum(denominator_chain([3, 0, 7]), []) == (1, 0, {})

@@ -13,6 +13,11 @@ no row determines leave no free parameter and give the stream of pins at the
 surviving free parameters; and the content left by cutting only the row's
 lead stays a bounded share of each stored denominator.
 
+Three more hold the row sums over one denominator chain per stream to the
+oracles: verification, operator application and pinned solves on drawn
+denominators, solver rows that cross the start of a chain segment, and a
+deadline on a verification over thousands of distinct primes.
+
 The last four check the output reduction over the lcm of the reduction's
 atoms against ``Fraction(num, den)``, field by field: on solves forced onto
 it, far below the widths where the solver takes it, and on the helper alone.
@@ -20,6 +25,7 @@ it, far below the widths where the solver takes it, and on the helper alone.
 
 import dataclasses
 import math
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -31,6 +37,7 @@ from deltaorder import (
     CoefficientRecurrence,
     Poly,
     SeriesSolution,
+    apply_operator,
     construct_equation,
     derive_recurrence,
     normalize_to_delta,
@@ -39,11 +46,20 @@ from deltaorder import (
     verify_recurrence,
 )
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError
-from deltaorder.polynomials import row_quotients
+from deltaorder.polynomials import denominator_chain
 from deltaorder import series
 from deltaorder.series import RowReduction, reduced_fraction
 
-from fixtures_equations import CUBIC_THIRD, QUARTIC_34
+from fixtures_equations import (
+    CUBIC_THIRD,
+    QUARTIC_34,
+    SMALL_PRIMES,
+    apply_operator_oracle,
+    deadline,
+    random_equation,
+    stream_denominators,
+    stream_values,
+)
 
 
 def oracle_row(rec, n):
@@ -161,9 +177,9 @@ nonzero_rationals = st.builds(
 
 
 @st.composite
-def recurrences(draw, min_roots=0):
+def recurrences(draw, min_roots=0, max_order=3):
     rho = draw(st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]))
-    order = draw(st.integers(1, 3))
+    order = draw(st.integers(1, max_order))
     max_index = draw(st.integers(0, 3))
     first_row = 0 if rho == 0 else -order
     # the deepest entry may vanish at a few rows, which makes them constraints;
@@ -294,13 +310,15 @@ def _verify_stream(kind):
 def test_verify_matches_the_fraction_oracle_on_corrupted_streams(kind, nested):
     rec, sol = _verify_stream(kind)
     rows = 60
-    # the row sums take the nested branch on most rows of the cubic and the
-    # construction, and the lcm fallback on most rows of QUARTIC_34
-    nested_rows = sum(
-        row_quotients([sol.coeffs[idx].denominator for idx, _ in reversed(rec.row(n)) if sol.coeffs[idx]], {})[2]
-        for n in range(rec.first_row, rows + 1)
-    )
-    assert (nested_rows > (rows + 1) * 3 // 4) is nested, nested_rows
+    # on the cubic and the construction every denominator is a multiple of
+    # the chain's common before it, so every scale is 1; on QUARTIC_34 most
+    # are not, and most scales exceed 1
+    _, _, scale = denominator_chain([c.denominator if c else 0 for c in sol.coeffs[: rows + rec.order + 1]])
+    scaled = sum(1 for s in scale if s > 1)
+    if nested:
+        assert all(s == 1 for s in scale)
+    else:
+        assert scaled > len(scale) // 2, scaled
     assert verify_recurrence(rec, sol, rows).exact
     for corrupt in ({40: 2}, {12: Fraction(1, 3), 55: -1}, {rows + rec.order: 5}):
         coeffs = list(sol.coeffs)
@@ -310,6 +328,68 @@ def test_verify_matches_the_fraction_oracle_on_corrupted_streams(kind, nested):
         report = verify_recurrence(rec, bad, rows)
         assert report.first_failing_row is not None
         assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, bad, rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chain_sums_match_the_fraction_oracle_on_drawn_denominators(data):
+    # the pins, the drawn stream and a corrupted solution carry denominators
+    # that nest, nest but for every third, are coprime (whose rows cross the
+    # starts of chain segments) or belong to zero values; a high order or a
+    # vanishing lead leaves more indices to the pins
+    rec = data.draw(recurrences(min_roots=data.draw(st.integers(0, 2)), max_order=6))
+    count = rec.span + data.draw(st.integers(0, 30))
+    drawn = stream_values(data.draw, data.draw(stream_denominators(count + 1)))
+    pins = {idx: drawn[idx] for idx in rec.undetermined(count)}
+    expected = _outcome(oracle_solve, rec, count, initial=pins)
+    assert _outcome(solve_series, rec, count, initial=pins) == expected
+    streams = [drawn]
+    if expected is not InconsistentSystemError:
+        solved = list(expected[0].coeffs)
+        bad = list(solved)
+        idx = data.draw(st.integers(0, count))
+        bad[idx] = drawn[idx] if drawn[idx] != bad[idx] else bad[idx] + 1
+        streams += [solved, bad]
+    rows = count - rec.order
+    eq = random_equation(random.Random(data.draw(st.integers(0, 2**32))), max_order=3, max_degree=3)
+    upto = count - eq.order
+    for values in streams:
+        sol = SeriesSolution.from_values(values, rho=rec.rho_offset)
+        report = verify_recurrence(rec, sol, rows)
+        assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, sol, rows)
+        if upto >= 0:
+            assert apply_operator(eq, sol, upto) == apply_operator_oracle(eq, values, rec.rho_offset, upto)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solver_rows_across_segment_starts_match_the_fraction_oracle(data):
+    # dense rows over pins that alternate 10 primes above 1000 and one prime
+    # below 5000: the chain restarts at a narrow pin, and the first rows cross it
+    order = data.draw(st.integers(2, 6))
+    window = {i: Poly([data.draw(nonzero_rationals), data.draw(small_rationals)]) for i in range(-order, 1)}
+    rec = CoefficientRecurrence(window=window, rho_offset=Fraction(0))
+    primes = iter(data.draw(st.randoms(use_true_random=False)).sample(SMALL_PRIMES[168:], 10 * order))
+    dens = [math.prod(next(primes) for _ in range(10 if i % 2 == 0 else 1)) for i in range(order)]
+    assert 0 in denominator_chain(dens)[1][1:]
+    pins = dict(enumerate(stream_values(data.draw, dens)))
+    count = rec.span + data.draw(st.integers(0, 12))
+    assert _outcome(solve_series, rec, count, initial=pins) == _outcome(oracle_solve, rec, count, initial=pins)
+
+
+def test_verify_over_distinct_primes_stays_within_its_deadline():
+    # 3201 distinct 61-bit prime denominators: one chain segment for the whole
+    # stream would make every row sum over a lcm thousands of words wide
+    import sympy
+
+    primes = [sympy.nextprime(2**60)]
+    while len(primes) < 3201:
+        primes.append(sympy.nextprime(primes[-1]))
+    rec = derive_recurrence(normalize_to_delta(parse_equation(CUBIC_THIRD)))
+    sol = SeriesSolution.from_values([Fraction(1, p) for p in primes])
+    with deadline(1):
+        report = verify_recurrence(rec, sol, 3200 - rec.order)
+    assert report.first_failing_row == rec.first_row
 
 
 # --- output reduction over the atoms' lcm ---------------------------------------
