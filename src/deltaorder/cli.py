@@ -11,9 +11,10 @@ coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, parentheses
 nested deeper than ``parsing.MAX_NESTING`` = 100, or --terms above
 ``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
 pin index, a pin index past --terms, a negative --index or --terms, --terms
-below the window span, --initial beside --solution, a --radii entry that is
-not a number, an unreadable or malformed --solution file (rationals in it
-are strings or integers), or --rows below the first row),
+below the window span, --initial, --rho or --terms beside --solution,
+--index without it, a --radii entry that is not a number, an unreadable or
+malformed --solution file (rationals in it are strings or integers), or
+--rows below the first row),
 3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
 (also a q/p whose denominator is above
 ``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
@@ -277,17 +278,17 @@ def _recurrence(eq: DifferenceEquation, rho: Fraction) -> CoefficientRecurrence:
         raise _CommandError(EXIT_PARSE, str(exc))
 
 
-def _solve(args, eq: DifferenceEquation) -> tuple[CoefficientRecurrence, list[SeriesSolution]]:
-    """The recurrence at --rho and its streams up to --terms, one stream when --initial pins it."""
-    if args.terms < 0:
-        raise _CommandError(EXIT_PARSE, f"--terms must not be negative, got {args.terms}")
-    if args.terms > MAX_TERMS:
-        raise _CommandError(EXIT_PARSE, f"--terms {args.terms} exceeds the limit {MAX_TERMS}")
+def _solve(args, eq: DifferenceEquation, terms: int) -> tuple[CoefficientRecurrence, list[SeriesSolution]]:
+    """The recurrence at --rho and its streams up to ``terms``, one stream when --initial pins it."""
+    if terms < 0:
+        raise _CommandError(EXIT_PARSE, f"--terms must not be negative, got {terms}")
+    if terms > MAX_TERMS:
+        raise _CommandError(EXIT_PARSE, f"--terms {terms} exceeds the limit {MAX_TERMS}")
     rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
     rec = _recurrence(eq, rho)
     initial = _parse_initial(getattr(args, "initial", None))
     try:
-        solutions = solve_series(rec, args.terms, initial=initial)
+        solutions = solve_series(rec, terms, initial=initial)
     except InconsistentSystemError as exc:
         raise _CommandError(EXIT_EMPTY, str(exc))
     except ValueError as exc:  # InsufficientDataError too: a truncation below the span, a pin past it
@@ -301,7 +302,7 @@ def _cmd_solve(args) -> dict:
     if args.terms < 16:
         raise _CommandError(EXIT_PARSE, "--terms must be at least 16")
     eq = _equation(args.equation)
-    rec, solutions = _solve(args, eq)
+    rec, solutions = _solve(args, eq, args.terms)
     return {
         "schema": SCHEMA,
         "command": "solve",
@@ -366,22 +367,26 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
 
 
-def _load_solution(args, eq: DifferenceEquation | None):
+def _load_solution(args, eq: DifferenceEquation | None, terms: int):
     """The stream eval and verify work on, and its recurrence when there is an equation.
 
-    A --solution file is read as it is, and pins beside it are rejected.
-    Otherwise the equation is solved: pins select one stream; without them
-    the basis stream with the smallest finite fitted chi is taken, or the
-    first stream when no stream has one.
+    A --solution file is read as it is; --initial, --rho or --terms beside it
+    is rejected.  Otherwise --index is, and the equation is solved up to
+    --terms, else ``terms``: pins select one stream; without them the basis
+    stream with the smallest finite fitted chi is taken, or the first stream
+    when no stream has one.
     """
     if args.solution:
-        if getattr(args, "initial", None):
-            raise _CommandError(EXIT_PARSE, "--initial cannot be combined with --solution")
-        sol = _read_solution(args.solution, args.index)
+        for flag in ("initial", "rho", "terms"):
+            if getattr(args, flag, None) is not None:
+                raise _CommandError(EXIT_PARSE, f"--{flag} cannot be combined with --solution")
+        sol = _read_solution(args.solution, args.index or 0)
         return (None if eq is None else _recurrence(eq, sol.rho_offset)), sol
+    if args.index is not None:
+        raise _CommandError(EXIT_PARSE, "--index needs --solution")
     if eq is None:
         raise _CommandError(EXIT_PARSE, "give an equation or --solution FILE")
-    rec, solutions = _solve(args, eq)
+    rec, solutions = _solve(args, eq, terms if args.terms is None else args.terms)
     fits = [(est.chi_hat, k) for k, s in enumerate(solutions) if (est := _chi(s)) is not None]
     finite = [fit for fit in fits if fit[0] != float("inf")]
     return rec, solutions[min(finite)[1] if finite else 0]
@@ -392,7 +397,7 @@ def _cmd_eval(args) -> dict:
 
     eq = _equation(args.equation) if args.equation else None
     prec = working_precision()  # before solving, so a precision over its limit costs nothing
-    _, sol = _load_solution(args, eq)
+    _, sol = _load_solution(args, eq, terms=400)
     out = {
         "schema": SCHEMA,
         "command": "eval",
@@ -433,7 +438,7 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     eq = _equation(args.equation)
-    rec, sol = _load_solution(args, eq)
+    rec, sol = _load_solution(args, eq, terms=200)
     if args.rows is not None and args.rows < rec.first_row:
         raise _CommandError(EXIT_PARSE, f"--rows must be at least the first row {rec.first_row}")
     max_rows = len(sol.coeffs) - 1 - rec.order
@@ -491,9 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_stream_source(p, terms: int):
         p.add_argument("--solution", default=None, help="solution file from 'solve'")
-        p.add_argument("--index", type=int, default=0, help="solution index in the file")
+        p.add_argument("--index", type=int, default=None, help="solution index in the file (default 0)")
         p.add_argument("--rho", default=None, help="offset when solving an equation")
-        p.add_argument("--terms", type=int, default=terms, help="coefficients when solving")
+        p.add_argument("--terms", type=int, default=None, help=f"coefficients when solving (default {terms})")
 
     p = sub.add_parser("analyze", help="degrees, order list, polygon, indicial data")
     p.add_argument("equation", help="equation text, or @file")

@@ -14,9 +14,13 @@ A_{j,t} the falling-basis coefficients of P_j, regrouping by u = t - i gives
     B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j),
 
 so each entry is one Newton form in n, with the scalar sums as coefficients
-and the nodes i - rho, i - rho + 1, ....  With a nonzero offset rho the rows
-for negative n are genuine constraints; their lowest row gives the indicial
-polynomial ff(rho, m) P_m(rho - m), whose roots are the admissible offsets.
+and the nodes i - rho, i - rho + 1, ....  The sums, which do not depend on
+rho, are what a recurrence stores: falling powers are monic, so they give
+each entry's degree and leading coefficient, and the rows' values, directly;
+only ``analyze`` prints the entries as polynomials in n.  With a nonzero
+offset rho the rows for negative n are genuine constraints; their lowest row
+gives the indicial polynomial ff(rho, m) P_m(rho - m), whose roots are the
+admissible offsets.
 
 The asymptotic regime of the recurrence is read off a convex broken line
 over the points (index, D - deg Q): each segment carries a rational slope,
@@ -30,6 +34,7 @@ modeled here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -56,44 +61,37 @@ MAX_DIVISOR_SEARCH = 2**20
 class CoefficientRecurrence:
     """Exact window rows  sum_i a_{n-i} Q_i(n) = 0  for a coefficient stream.
 
-    ``window`` maps every back-shift index in [-order, max_index] to its
-    polynomial (possibly zero inside the range); the entry at -order is
-    nonzero.  ``rho_offset`` is the falling-power offset of the generating
-    series; rows start at ``first_row`` (0 for offset zero, else -order).
-    ``scale`` is the lcm of the window's coefficient denominators: 1 at
-    offset zero, a power of 2 at offset 3/2.
+    ``sums`` maps every back-shift index in [-order, max_index] to the
+    integer sums B_{i,0..deg} of  Q_i(n) = sum_u B_{i,u} ff(n + rho - i, u),
+    the last one nonzero (a zero entry is empty); the entry at -order is
+    nonzero.  ``rho_offset`` = r/s is the falling-power offset of the
+    generating series; rows start at ``first_row`` (0 for offset zero, else
+    -order).  ``scale`` = s^D, D the largest entry degree, clears the rows'
+    denominators.
     """
 
-    window: dict[int, Poly]
+    sums: dict[int, tuple[int, ...]]
     rho_offset: Fraction = Fraction(0)
     scale: int = field(init=False, compare=False, repr=False)
-    # (back-shift, integer coefficients of scale * Q_i, highest power first)
-    _horner: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.window:
+        sums = {i: tuple(b) for i, b in sorted(self.sums.items())}
+        if not sums:
             raise ValueError("empty recurrence window")
-        if self.window[min(self.window)].is_zero:
+        if not sums[min(sums)]:
             raise ValueError("vanishing entry at the deepest back-shift")
-        scale = math.lcm(*[q.den for q in self.window.values()])
-        # tuples from lists: tuple() of a generator bypasses CPython's tuple
-        # free lists when it allocates but refills them on release, so memory
-        # grew with every recurrence built
-        horner = tuple([
-            (i, tuple([c * (scale // q.den) for c in reversed(q.nums)]))
-            for i, q in sorted(self.window.items())
-            if not q.is_zero
-        ])
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_horner", horner)
+        if any(b and not b[-1] for b in sums.values()):
+            raise ValueError("a window entry ends in a zero sum")
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "scale", self.rho_offset.denominator ** (max(map(len, sums.values())) - 1))
 
     @property
     def order(self) -> int:
-        return -min(self.window)
+        return -min(self.sums)
 
     @property
     def max_index(self) -> int:
-        return max(self.window)
+        return max(self.sums)
 
     @property
     def first_row(self) -> int:
@@ -103,6 +101,15 @@ class CoefficientRecurrence:
     def span(self) -> int:
         return self.max_index + self.order
 
+    @functools.cached_property
+    def window(self) -> dict[int, Poly]:
+        """Every entry Q_i as a polynomial in n, built on first use: only ``analyze`` prints it."""
+        r, s = self.rho_offset.numerator, self.rho_offset.denominator
+        return {
+            i: _newton_poly(1, b, s, [(i + u) * s - r for u in range(len(b) - 1)]) if b else Poly()
+            for i, b in self.sums.items()
+        }
+
     def undetermined(self, count: int) -> list[int]:
         """Stream indices 0..count that no row up to index count determines.
 
@@ -111,46 +118,53 @@ class CoefficientRecurrence:
         not vanish there.  The rest are the indices a row reduction leaves
         to pins or free parameters, in increasing order.
         """
-        deepest = self._horner[0][1]  # Q_{-order}, nonzero by construction
-        out = []
-        for t in range(count + 1):
-            n = t - self.order
-            if n >= self.first_row:
-                value = 0
-                for c in deepest:
-                    value = value * n + c
-                if value:
-                    continue
-            out.append(t)
-        return out
+        ns = range(self.first_row, count - self.order + 1)
+        determined = {n + self.order for n, row in self._rows(ns, {-self.order: self.sums[-self.order]}) if row}
+        return [t for t in range(count + 1) if t not in determined]
 
     def row(self, n: int) -> list[tuple[int, int]]:
         """Row at output index n, times ``scale``: pairs (stream index, value).
 
-        Each value is the integer scale * Q_i(n), evaluated by Horner's rule
-        in integers, so the exact row reads sum value * a_index = 0 after
-        division by ``scale``.  Stream indices below zero are omitted (those
-        coefficients are zero by convention); zero window values are dropped.
+        Each value is the integer scale * Q_i(n), from the deepest entry up;
+        stream indices below zero (zero coefficients by convention) and zero
+        values are omitted.
         """
-        out = []
-        for i, coeffs in self._horner:
-            idx = n - i
-            if idx < 0:
-                continue
-            value = 0
-            for c in coeffs:
-                value = value * n + c
-            if value:
-                out.append((idx, value))
-        return out
+        return next(self._rows((n,), self.sums))[1]
+
+    def rows(self, last: int):
+        """(n, ``row(n)``) for n from ``first_row`` to ``last``."""
+        return self._rows(range(self.first_row, last + 1), self.sums)
+
+    def _rows(self, ns, entries: dict[int, tuple[int, ...]]):
+        """(n, the row over ``entries`` only) for n in ``ns``.
+
+        Horner's rule in integers over the Newton factors n s - ((i + u) s - r),
+        rho = r/s, on the sums lifted once to B_{i,u} s^(D - u), so that every
+        value lands on the common ``scale`` = s^D.
+        """
+        r, s = self.rho_offset.numerator, self.rho_offset.denominator
+        depth = max(map(len, self.sums.values())) - 1
+        lifted = []
+        for i, b in entries.items():
+            if b:
+                lead, *rest = [c * s ** (depth - u) for u, c in enumerate(b)][::-1]
+                lifted.append((i, r - (i + len(b) - 1) * s, lead, rest))
+        for n in ns:
+            x, out = n * s, []
+            for i, offset, value, rest in lifted:
+                if i > n:  # a negative stream index, here and in every later entry
+                    break
+                factor = x + offset
+                for c in rest:
+                    factor += s
+                    value = value * factor + c
+                if value:
+                    out.append((n - i, value))
+            yield n, out
 
 
-def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
-    """Q_i from the integer sums B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j).
-
-    The nodes i - rho + u go to the Newton kernel as integers over the
-    denominator of rho.
-    """
+def _window_entry(falling_coeffs, i: int) -> tuple[int, ...]:
+    """The integer sums B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j) of Q_i, without trailing zeros."""
     sums = [0] * (max(len(coeffs) for coeffs in falling_coeffs) - i)
     for j in range(max(0, -i), len(falling_coeffs)):
         coeffs = falling_coeffs[j]
@@ -158,10 +172,7 @@ def _window_entry(falling_coeffs, i: int, rho: Fraction) -> Poly:
             sums[u] += coeffs[u + i] * math.comb(u + i, i + j)
     while sums and not sums[-1]:
         sums.pop()
-    if not sums:
-        return Poly()
-    r, s = rho.numerator, rho.denominator
-    return _newton_poly(1, sums, s, [(i + u) * s - r for u in range(len(sums) - 1)])
+    return tuple(sums)
 
 
 def derive_recurrence(eq: DifferenceEquation) -> CoefficientRecurrence:
@@ -170,28 +181,18 @@ def derive_recurrence(eq: DifferenceEquation) -> CoefficientRecurrence:
 
 
 def shifted_recurrence(eq: DifferenceEquation, rho) -> CoefficientRecurrence:
-    """Window rows for series with falling-power offset ``rho``.
+    """Window rows for series with falling-power offset ``rho``; at 0 the plain derivation.
 
-    The window entry at back-shift i collects, over all equation terms j and
-    falling-basis coefficients A_{j,t} of P_j,
-
-        Q_i(n) = sum_{j,t} A_{j,t} C(t, i+j) ff(n - i + rho, t - i)
-               = sum_u B_{i,u} ff(n + rho - i, u),  u = t - i,
-
-    so it is one Newton-form expansion of the scalar sums
-    B_{i,u} = sum_j A_{j,u+i} C(u+i, i+j) at the nodes u + i - rho.  At rho = 0
-    this is the plain derivation.  ``rho`` must not be a negative integer
-    (the series offset would collide with a falling-power annihilation).
+    The entries' sums (``_window_entry``) do not depend on ``rho``; only the
+    rows' Newton nodes do.  ``rho`` must not be a negative integer (the
+    series offset would collide with a falling-power annihilation).
     """
     rho = as_rational(rho)
     if rho.denominator == 1 and rho < 0:
         raise ValueError("offset must not be a negative integer")
     falling_coeffs = [_integer_falling_basis(p) for p in eq.coeffs]
-    window = {
-        i: _window_entry(falling_coeffs, i, rho)
-        for i in range(-eq.order, eq.max_degree + 1)
-    }
-    rec = CoefficientRecurrence(window=window, rho_offset=rho)
+    sums = {i: _window_entry(falling_coeffs, i) for i in range(-eq.order, eq.max_degree + 1)}
+    rec = CoefficientRecurrence(sums=sums, rho_offset=rho)
     _check_degree_chain(eq, rec)
     return rec
 
@@ -205,14 +206,14 @@ def _check_degree_chain(eq: DifferenceEquation, rec: CoefficientRecurrence):
     d = eq.degrees()
     s = s_sequence(d)
     first, last = s[0], s[-1]
-    for k, q in rec.window.items():
-        if k > d[last] - last and not q.is_zero:
+    for k, b in rec.sums.items():
+        if k > d[last] - last and b:
             raise ArithmeticError(f"window entry {k} should vanish")
-        if k < d[first] - first and q.degree > d[first] - k:
+        if k < d[first] - first and len(b) - 1 > d[first] - k:
             raise ArithmeticError(f"window entry {k} exceeds the degree bound")
     for vertex in s:
         k = d[vertex] - vertex
-        if rec.window[k].degree != vertex:
+        if len(rec.sums[k]) - 1 != vertex:
             raise ArithmeticError(f"window entry {k} must have degree {vertex}")
 
 
@@ -355,42 +356,26 @@ def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:
     the horizontal offset from the segment's right end.  A single-point
     window yields no segments.
     """
-    base = min(rec.window)
-    entries = [
-        (i - base, q) for i, q in sorted(rec.window.items()) if not q.is_zero
-    ]
-    if not entries:
-        raise ValueError("empty recurrence window")
-    top_degree = max(int(q.degree) for _, q in entries)
-    norm_index = min(i for i, q in entries if q.degree == top_degree)
-    points = tuple((i, top_degree - int(q.degree)) for i, q in entries)
-    leading = {i: q.leading_coefficient for i, q in entries}
+    base = -rec.order
+    entries = {i - base: b for i, b in rec.sums.items() if b}
+    top_degree = max(len(b) - 1 for b in entries.values())
+    points = tuple((i, top_degree - len(b) + 1) for i, b in entries.items())
+    leading = {i: b[-1] for i, b in entries.items()}
     hull = lower_hull(points)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
-        span = x2 - x1
-        on_line = [
-            (x, y)
-            for x, y in points
-            if x1 <= x <= x2 and (y - y1) * (x2 - x1) == (y2 - y1) * (x - x1)
-        ]
-        roots = _characteristic_roots(on_line, x2, leading)
+        on_line = [(x, y) for x, y in points if x1 <= x <= x2 and (y - y1) * (x2 - x1) == (y2 - y1) * (x - x1)]
+        roots = tuple(_characteristic_roots(on_line, x2, leading))
+        chi = 1 / slope if slope > 0 else None
         segments.append(
-            PolygonSegment(
-                slope=slope,
-                span=span,
-                start=(x1, y1),
-                end=(x2, y2),
-                char_roots=tuple(roots),
-                chi=Fraction(1) / slope if slope > 0 else None,
-            )
+            PolygonSegment(slope=slope, span=x2 - x1, start=(x1, y1), end=(x2, y2), char_roots=roots, chi=chi)
         )
     return AdamsPolygon(
         points=points,
         segments=tuple(segments),
         normalization_degree=top_degree,
-        normalization_index=norm_index + base,
+        normalization_index=next(i for i, y in points if y == 0) + base,
     )
 
 
@@ -409,10 +394,11 @@ def _roots(coeffs) -> list:
 
     A two-term polynomial a x^n + b has the n-th roots of w = -b/a: w itself,
     an exact Fraction, at n = 1, and otherwise complex doubles of magnitude
-    |w|^(1/n), exact in direction where a root lies on an axis.  Any other
-    quadratic takes the closed form of ``_quadratic_roots``, and any other
-    polynomial the companion-matrix eigenvalues of ``_numeric_roots``.  The
-    two-term and companion branches share the rescale of ``_double_range``.
+    |w|^(1/n) in exact conjugate pairs, exact in direction where a root lies
+    on an axis.  Any other quadratic takes the closed form of
+    ``_quadratic_roots``, and any other polynomial the companion-matrix
+    eigenvalues of ``_numeric_roots``.  The two-term and companion branches
+    share the rescale of ``_double_range``.
     """
     n = len(coeffs) - 1
     if any(coeffs[1:-1]):
@@ -427,9 +413,12 @@ def _roots(coeffs) -> list:
     roots = []
     for k in range(n):
         # root k lies at the angle pi (2k + [w < 0]) / n, on an axis when
-        # that is a whole number of quarter turns
+        # that is a whole number of quarter turns; past pi it is the exact
+        # conjugate of root n - k - [w < 0]
         quarter, off = divmod(2 * (2 * k + (w < 0)), n)
-        if off:
+        if 2 * k + (w < 0) > n:
+            roots.append(roots[n - k - (w < 0)].conjugate())
+        elif off:
             angle = (phase + 2 * math.pi * k) / n
             roots.append(complex(mag * math.cos(angle), mag * math.sin(angle)))
         else:
@@ -542,8 +531,4 @@ def _log2(x: Fraction) -> int:
 
 def sub_one_branches(polygon: AdamsPolygon) -> list[tuple[Fraction, int]]:
     """(order, span) for every segment of slope above one: orders below 1."""
-    return [
-        (seg.chi, seg.span)
-        for seg in polygon.segments
-        if seg.slope > 1 and seg.chi is not None
-    ]
+    return [(seg.chi, seg.span) for seg in polygon.segments if seg.slope > 1]

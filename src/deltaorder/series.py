@@ -131,9 +131,9 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     constant: dict = {}  # no unknowns in any value
     worst = Fraction(0)
     first_bad = None
-    for n in range(rec.first_row, rows + 1):
+    for n, row in rec.rows(rows):
         # rows list the deepest index first; the sum runs shallowest first
-        terms = [(idx, c, nums[idx], constant) for idx, c in reversed(rec.row(n)) if nums[idx]]
+        terms = [(idx, c, nums[idx], constant) for idx, c in reversed(row) if nums[idx]]
         common, total, _ = chain_sum(chain, terms)
         if total:
             if first_bad is None:
@@ -280,11 +280,11 @@ class RowReduction:
         # the denominator chain of the stored values, extended as rows read
         # them; an elimination cuts it at the first value it rewrites
         self.chain: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for n in range(rec.first_row, count - rec.order + 1):
+        for n, row in rec.rows(count - rec.order):
             top = n + rec.order
             while len(self.values) < top:
                 self._append_free()
-            self._add_row(rec.row(n), top)
+            self._add_row(row, top)
         while len(self.values) <= count:
             self._append_free()
 

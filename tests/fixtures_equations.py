@@ -197,6 +197,26 @@ def to_falling_basis(p: Poly) -> list[Fraction]:
     return out
 
 
+def window_sums(window: dict[int, Poly], rho=0) -> dict[int, tuple[int, ...]]:
+    """The integer sums of a window of polynomials in n, for ``CoefficientRecurrence``.
+
+    Entry Q_i becomes B_u = Delta^u Q_i(i - rho) / u!, its Newton coefficients
+    at the nodes i - rho, i - rho + 1, ...  Every entry is multiplied by the
+    smallest integer that makes all the sums integers; a common factor leaves
+    the rows' solutions unchanged.
+    """
+    rho = Fraction(rho)
+    sums = {}
+    for i, q in window.items():
+        values = [q(i - rho + x) for x in range(len(q.coeffs))]
+        sums[i] = []
+        while values:
+            sums[i].append(values[0] / math.factorial(len(sums[i])))
+            values = [b - a for a, b in zip(values, values[1:])]
+    common = math.lcm(*[c.denominator for b in sums.values() for c in b])
+    return {i: tuple(int(c * common) for c in b) for i, b in sums.items()}
+
+
 def falling_power(z, rho) -> complex:
     """The package's falling power ff(z, rho) at the working precision, rounded to a double."""
     import mpmath

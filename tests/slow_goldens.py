@@ -1,0 +1,45 @@
+"""CLI output at the input limits against a second manifest, outside the test suite.
+
+These commands take seconds to tens of seconds each and print up to 60 MB,
+so pytest does not collect this file.  tests/goldens/slow-manifest.json holds
+their exit codes and output hashes in the form of tests/goldens/manifest.json,
+with the floats that numpy's root finder gives masked the same way.
+
+    PYTHONPATH=src python tests/slow_goldens.py           # check, exit 1 on a mismatch
+    PYTHONPATH=src python tests/slow_goldens.py --print   # print the manifest anew
+"""
+
+import json
+import sys
+import time
+
+from test_goldens import HUMAN_GOLDEN_DIR, _manifest_entry
+
+SLOW_MANIFEST = HUMAN_GOLDEN_DIR / "slow-manifest.json"
+AT_THE_DEGREE_LIMIT = "z^500 D f(z) + f(z) = 0"
+# (argv, the keys whose floats numpy's root finder gives, masked)
+SLOW_COMMANDS = [
+    (["analyze", AT_THE_DEGREE_LIMIT], ()),
+    (["solve", AT_THE_DEGREE_LIMIT, "--terms", "520"], ()),
+    (["construct", "--order", "1/64"], ("char_roots",)),
+    (["construct", "--order", "1/101"], ("char_roots",)),
+]
+
+
+def main(argv) -> int:
+    if argv == ["--print"]:
+        print(json.dumps([_manifest_entry(args, masked) for args, masked in SLOW_COMMANDS], indent=1))
+        return 0
+    manifest = json.loads(SLOW_MANIFEST.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in manifest] == [args for args, _ in SLOW_COMMANDS]
+    failed = 0
+    for entry, (args, masked) in zip(manifest, SLOW_COMMANDS):
+        start = time.perf_counter()
+        ok = _manifest_entry(args, masked) == entry
+        failed += not ok
+        print(f"{'ok' if ok else 'MISMATCH':8} {time.perf_counter() - start:6.1f} s  {' '.join(args)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

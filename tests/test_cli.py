@@ -534,6 +534,27 @@ def test_eval_rejects_pins_beside_a_solution_file(capsys, half_order_file):
     assert "--initial cannot be combined with --solution" in err
 
 
+def test_solving_options_beside_a_solution_file_exit_two(capsys, half_order_file):
+    # both were dropped: eval printed the file's rho "0" under --rho 3/2
+    source = ("--solution", str(half_order_file))
+    for command in (("eval", "--at", "1"), ("verify", HALF_ORDER)):
+        for option in ("--rho", "--terms"):
+            value = "3/2" if option == "--rho" else "10"
+            code, out, err = run_cli(capsys, *command, *source, option, value)
+            assert (code, out) == (2, ""), (command, option)
+            assert f"{option} cannot be combined with --solution" in err
+    code, out, err = run_cli(capsys, "eval", *source, "--rho", "3/2", "--terms", "10", "--at", "1")
+    assert (code, out) == (2, "")
+
+
+def test_index_without_a_solution_file_exits_two(capsys):
+    # the index was dropped and the equation solved as if it were not given
+    for command in (("eval", CUBIC_THIRD, "--index", "99", "--at", "1"), ("verify", CUBIC_THIRD, "--index", "7")):
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (2, ""), command
+        assert "--index needs --solution" in err
+
+
 # --- every stream argument gets a documented exit code ------------------------------
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
@@ -581,9 +602,11 @@ def test_stream_arguments_exit_with_a_documented_code(
 ):
     pinned = pins if command != "verify" else {}
     reads_file = from_file and command != "solve"
-    argv = [command, HALF_ORDER, f"--terms={terms}"]
-    if rho is not None:
-        argv.append(f"--rho={rho}")
+    argv = [command, HALF_ORDER]
+    if not reads_file:  # the solving options; beside a file they exit 2
+        argv.append(f"--terms={terms}")
+        if rho is not None:
+            argv.append(f"--rho={rho}")
     if pinned:
         argv.append("--initial=" + ",".join(f"{k}={v}" for k, v in pinned.items()))
     if reads_file:

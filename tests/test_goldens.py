@@ -11,9 +11,11 @@ tests/goldens/manifest.json holds the exit code and the sha256 of stdout,
 and of stderr where there is any, of ``construct --order q/p`` for every
 coprime q/p with p <= 8, its char_roots floats masked as above, and of the
 README commands, their ``--format human`` forms, one command per exit code 2
-to 6 and one ``analyze`` per root branch, whose floats are masked only where
-numpy's root finder gives them.  ``python tests/test_goldens.py`` prints it
-anew.
+to 6, one ``analyze`` per root branch, the ``eval`` and ``verify`` of the
+cubic at offset 3/2, and the ``analyze`` and ``solve`` of a wide window, whose
+floats are masked only where numpy's root finder gives them.
+``python tests/test_goldens.py`` prints it anew.  tests/slow_goldens.py
+checks commands at the input limits against a second manifest.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 HUMAN_GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 CUBIC = "(6z^2+19z+15)D^3f(z)+(z+3)D^2f(z)-Df(z)-f(z)=0"
 SOLVE_ARGS = ["solve", CUBIC, "--terms", "200", "--initial", "0=1,1=1,2=1/4"]
+WIDE_WINDOW = "z^50 D^7 f(z) + (z+2)^30 D f(z) + f(z) = 0"
 FLOAT_REL_TOL = 1e-6
 
 # char_roots hold only numbers, so every literal with a point or exponent is a float
@@ -174,6 +177,10 @@ MANIFEST_COMMANDS = (
         (["analyze", "(z^3 - 2) D f(z) + f(z) = 0"], ("char_roots",)),
         (["analyze", "f(z+2) + 3^800 z^2 f(z) = 0"], ()),
         (["eval", CUBIC, "--rho", "3/2", "--at", "0.25"], ()),
+        # a wide window (an 83 kB analyze printout), its solve, and rows at a rational offset
+        (["analyze", WIDE_WINDOW], ("char_roots",)),
+        (["solve", WIDE_WINDOW, "--terms", "80"], ()),
+        (["verify", CUBIC, "--rho", "3/2", "--terms", "80"], ()),
     ]
 )
 

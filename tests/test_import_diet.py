@@ -115,7 +115,7 @@ def test_the_public_surface_is_pinned():
 # the parameter names of every callable in __all__; classes by their constructor
 PUBLIC_SIGNATURES = {
     "AdamsPolygon": ("points", "segments", "normalization_degree", "normalization_index", "note"),
-    "CoefficientRecurrence": ("window", "rho_offset"),
+    "CoefficientRecurrence": ("sums", "rho_offset"),
     "ConstructionResult": ("q", "p", "weights", "template", "canonical", "predicted_series"),
     "DifferenceEquation": ("coeffs",),
     "EmpiricalOrder": ("radii", "log_max_modulus", "rho_hat", "scale_hat", "fit_residual"),

@@ -43,6 +43,7 @@ from fixtures_equations import (
     prod_poly,
     random_equation,
     to_falling_basis,
+    window_sums,
 )
 
 
@@ -107,6 +108,56 @@ def test_shifted_reduces_to_plain(cubic_eq, quartic_eq):
         assert shifted_recurrence(eq, 0).window == derive_recurrence(eq).window
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]))
+def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho):
+    rec = shifted_recurrence(random_equation(rng), rho)
+    for n in range(rec.first_row, rec.span + 13):
+        expected = []
+        for i, q in rec.window.items():
+            value = Fraction(0)
+            for c in reversed(q.coeffs):
+                value = value * n + c
+            if n - i >= 0 and value:
+                expected.append((n - i, value * rec.scale))
+        assert rec.row(n) == expected
+    for i, q in rec.window.items():
+        sums = rec.sums[i]
+        if sums:
+            assert (len(sums) - 1, sums[-1]) == (q.degree, q.leading_coefficient)
+        else:
+            assert q.is_zero
+
+
+def test_only_the_printout_builds_the_monomial_window(cubic_eq, monkeypatch):
+    from deltaorder import construct_equation, construction, roundtrip_check, solve_series, verify_recurrence
+
+    recs = []
+    for rho in (Fraction(0), Fraction(3, 2)):
+        rec = shifted_recurrence(cubic_eq, rho)
+        adams_polygon(rec)
+        rec.undetermined(40)
+        sol = solve_series(rec, 40)[0]
+        verify_recurrence(rec, sol, 40 - rec.order)
+        recs.append(rec)
+    recs.append(derive_recurrence(cubic_eq))
+
+    def recorded(eq):
+        recs.append(derive_recurrence(eq))
+        return recs[-1]
+
+    monkeypatch.setattr(construction, "derive_recurrence", recorded)
+    assert roundtrip_check(construct_equation(1, 2)).ok
+    assert len(recs) == 4
+    assert all("window" not in rec.__dict__ for rec in recs)
+    assert recs[0].window and "window" in recs[0].__dict__
+
+
+def test_a_trailing_zero_sum_is_rejected():
+    with pytest.raises(ValueError, match="zero sum"):
+        CoefficientRecurrence({-1: (1, 1), 0: (-1, 0)})
+
+
 def test_shifted_rejects_negative_integer_offset(cubic_eq):
     with pytest.raises(ValueError):
         shifted_recurrence(cubic_eq, -2)
@@ -169,7 +220,7 @@ def test_adams_polygon_cubic(cubic_eq):
 
 
 def test_adams_polygon_flat_window_is_poincare_case():
-    rec = CoefficientRecurrence(window={0: Poly([2]), 1: Poly([-1]), 2: Poly([3])})
+    rec = CoefficientRecurrence(window_sums({0: Poly([2]), 1: Poly([-1]), 2: Poly([3])}))
     polygon = adams_polygon(rec)
     assert [(s.slope, s.span) for s in polygon.segments] == [(Fraction(0), 2)]
     assert polygon.segments[0].chi is None
@@ -177,7 +228,7 @@ def test_adams_polygon_flat_window_is_poincare_case():
 
 
 def test_adams_polygon_two_term_roots_exact_when_span_one():
-    rec = CoefficientRecurrence(window={0: Poly([0, 3]), 1: Poly([5])})
+    rec = CoefficientRecurrence(window_sums({0: Poly([0, 3]), 1: Poly([5])}))
     polygon = adams_polygon(rec)
     seg = polygon.segments[0]
     assert seg.span == 1
@@ -223,7 +274,7 @@ def test_degree_chain_violation_raises(cubic_eq):
     window = dict(rec.window)
     window[rec.max_index] = Poly([1])  # beyond the last vertex: must vanish
     with pytest.raises(ArithmeticError):
-        _check_degree_chain(cubic_eq, CoefficientRecurrence(window=window))
+        _check_degree_chain(cubic_eq, CoefficientRecurrence(window_sums(window)))
 
 
 # --- properties against the per-term expansion ---------------------------------
@@ -464,11 +515,15 @@ def _segments(text):
 
 def _numpy_two_term_roots(w: Fraction, span: int) -> list[complex]:
     """The two-term roots as numpy's cos, sin and angle gave them, with cos and
-    sin rounded to -1, 0 or 1 at whole quarter turns: the reference."""
+    sin rounded to -1, 0 or 1 at whole quarter turns, and a root past angle pi
+    the conjugate of its mirror: the reference."""
     mag = abs(w) ** (1.0 / span)
     phase = 0.0 if w > 0 else math.pi
     roots = []
     for k in range(span):
+        if 2 * k + (w < 0) > span:
+            roots.append(roots[span - k - (w < 0)].conjugate())
+            continue
         angle = (phase + 2 * math.pi * k) / span
         cos, sin = np.cos(angle), np.sin(angle)
         if Fraction(2 * (2 * k + (w < 0)), span).denominator == 1:
@@ -487,6 +542,20 @@ def test_two_term_roots_match_the_numpy_reference(num, den, span):
     w = Fraction(num, den)
     roots = _characteristic_roots([(0, 0), (span, 0)], span, {0: Fraction(1), span: -w})
     assert roots == _numpy_two_term_roots(w, span)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.integers(1, 10**12),
+    st.integers(2, 24),
+)
+def test_two_term_roots_come_in_exact_conjugate_pairs(num, den, span):
+    w = Fraction(num, den)
+    roots = _characteristic_roots([(0, 0), (span, 0)], span, {0: Fraction(1), span: -w})
+    assert sorted(roots, key=lambda r: (r.real, r.imag)) == sorted(
+        [r.conjugate() for r in roots], key=lambda r: (r.real, r.imag)
+    )
 
 
 def test_two_term_roots_on_the_axes_are_exact():

@@ -59,6 +59,7 @@ from fixtures_equations import (
     random_equation,
     stream_denominators,
     stream_values,
+    window_sums,
 )
 
 
@@ -192,7 +193,7 @@ def recurrences(draw, min_roots=0, max_order=3):
     window = {-order: lead}
     for i in range(-order + 1, max_index + 1):
         window[i] = Poly(draw(st.lists(small_rationals, max_size=3)))
-    return CoefficientRecurrence(window=window, rho_offset=rho)
+    return CoefficientRecurrence(window_sums(window, rho), rho)
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,7 +369,7 @@ def test_solver_rows_across_segment_starts_match_the_fraction_oracle(data):
     # below 5000: the chain restarts at a narrow pin, and the first rows cross it
     order = data.draw(st.integers(2, 6))
     window = {i: Poly([data.draw(nonzero_rationals), data.draw(small_rationals)]) for i in range(-order, 1)}
-    rec = CoefficientRecurrence(window=window, rho_offset=Fraction(0))
+    rec = CoefficientRecurrence(window_sums(window))
     primes = iter(data.draw(st.randoms(use_true_random=False)).sample(SMALL_PRIMES[168:], 10 * order))
     dens = [math.prod(next(primes) for _ in range(10 if i % 2 == 0 else 1)) for i in range(order)]
     assert 0 in denominator_chain(dens)[1][1:]
@@ -440,7 +441,7 @@ def test_atom_reduction_matches_fraction_on_forced_solves(rec, data):
 def test_atom_reduction_cancels_the_primes_of_pins_at_free_indices():
     # a_{n+2} = a_{n+1} + a_n has leads 1: with a_0 = 1/97 and a_1 = 96/97
     # only the pin denominator names the 97 that a_2 = 97/97 cancels
-    rec = CoefficientRecurrence(window={-2: Poly([1]), -1: Poly([-1]), 0: Poly([-1])})
+    rec = CoefficientRecurrence(window_sums({-2: Poly([1]), -1: Poly([-1]), 0: Poly([-1])}))
     reduction = RowReduction(rec, 6, {0: Fraction(1, 97), 1: Fraction(96, 97)})
     with _atom_path_forced():
         coeffs = reduction.zeroed({}).coeffs
