@@ -8,11 +8,13 @@ rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
 polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
 coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, parentheses
-nested deeper than ``parsing.MAX_NESTING`` = 100, or --terms above
-``MAX_TERMS`` = 3200; and a negative-integer offset, a negative or repeated
-pin index, a pin index past --terms, a negative --index or --terms, --terms
-below the window span, --initial, --rho or --terms beside --solution,
---index without it, a --radii entry that is not a number, an unreadable or
+nested deeper than ``parsing.MAX_NESTING`` = 100, --terms above
+``MAX_TERMS`` = 3200, or a rational in --initial, --rho or a --solution file
+whose decimal exponent exceeds ``parsing._MAX_DIGITS`` = 30103 in
+magnitude; and a negative-integer offset, a negative or repeated pin index,
+a pin index past --terms, a negative --index or --terms, --terms below the
+window span, --initial, --rho or --terms beside --solution, --index
+without it, a --radii entry that is not a number, an unreadable or
 malformed --solution file (rationals in it are strings or integers), or
 --rows below the first row),
 3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
@@ -59,7 +61,7 @@ from .errors import (
     RootRangeError,
 )
 from .newton import NewtonAnalysis, analyze, verdict
-from .parsing import format_delta_form, format_general, parse_equation
+from .parsing import _MAX_DIGITS, format_delta_form, format_general, parse_equation
 from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
 from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
 from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
@@ -208,9 +210,24 @@ def _equation(raw: str) -> DifferenceEquation:
         raise _CommandError(EXIT_DEGENERATE, f"degenerate equation: {exc}")
 
 
+def _rational(value: str | int) -> Fraction:
+    """``Fraction(value)``, refusing a literal whose decimal exponent exceeds ``parsing._MAX_DIGITS``.
+
+    ``Fraction`` expands an exponent into digits before any limit applies, so
+    a literal as short as 1e2000000 would run for minutes.  The program
+    never writes exponents, so every file it writes still reads back.
+    """
+    if isinstance(value, str):
+        _, sep, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if sep and digits.isdecimal() and (len(digits) > 6 or int(digits) > _MAX_DIGITS):
+            raise ValueError(f"the decimal exponent of {value[:40]!r} exceeds {_MAX_DIGITS} in magnitude")
+    return Fraction(value)
+
+
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CommandError(EXIT_PARSE, f"invalid {what}: {exc}")
 
@@ -361,7 +378,7 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         if type(coeffs) is not list or any(type(c) not in (str, int) for c in [*coeffs, rho]):
             raise TypeError("coefficients must list rational strings or integers, and rho be one")
         return SeriesSolution.from_values(
-            [Fraction(c) for c in coeffs], rho=Fraction(rho), provenance=entry.get("provenance")
+            [_rational(c) for c in coeffs], rho=_rational(rho), provenance=entry.get("provenance")
         )
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
@@ -446,6 +463,7 @@ def _cmd_verify(args) -> dict:
     if not rec.first_row <= rows <= max_rows:
         raise _CommandError(EXIT_EVAL, f"solution too short: can check at most {max_rows} rows")
     report = verify_recurrence(rec, sol, rows)
+    # below row 0 (only at a nonzero offset) no image coefficient is in range
     direct = apply_operator(eq, sol, min(rows, 50))
     payload = {
         "schema": SCHEMA,
@@ -456,7 +474,7 @@ def _cmd_verify(args) -> dict:
         "exact": report.exact,
         "max_residual": report.max_residual,
         "first_failing_row": report.first_failing_row,
-        "direct_image_zero": all(v == 0 for v in direct),
+        "direct_image_zero": all(v == 0 for v in direct) if direct else None,
     }
     if not report.exact:
         message = f"residual {report.max_residual} at row {report.first_failing_row}"

@@ -17,9 +17,9 @@ powers; the recentered equation has the same solutions, in particular the
 predicted series.
 
 The round trip runs the analyzer on the canonical form and checks the
-window rows in one pass: pinned to the prediction at the indices that no
-row determines, one solve runs rows first_row..ROUNDTRIP_ROWS, and it
-reproduces the prediction exactly when the prediction satisfies every one
+window rows in one pass: one row reduction over rows
+first_row..ROUNDTRIP_ROWS, with every predicted value pinned, has no free
+parameter, and it finishes exactly when the prediction satisfies every one
 of those rows.  That verdict decides both the recurrence and the series
 stage; only a prediction that fails is substituted into the rows again, to
 report its residual.
@@ -36,7 +36,7 @@ from .errors import InconsistentSystemError, InsufficientDataError, InvalidOrder
 from .newton import NewtonAnalysis, analyze
 from .polynomials import Poly, _integer_falling_basis, _newton_poly
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
-from .series import SeriesSolution, estimate_chi, solve_series, verify_recurrence
+from .series import RowReduction, SeriesSolution, estimate_chi, verify_recurrence
 
 #: Recurrence rows that the round trip checks and solves.  The predicted
 #: series of q/p runs to index ROUNDTRIP_ROWS * q + p + 1: past the deepest
@@ -158,13 +158,12 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     prediction lands within 0.01 of q/p.  Each stage reports pass/fail with
     a detail string.
 
-    The two row stages share one pass.  The solver, pinned to the predicted
-    values at every index up to ``ROUNDTRIP_ROWS + order`` that no row
-    determines (``CoefficientRecurrence.undetermined``), runs exactly the
-    rows that verification would check and carries no free parameter, so it
-    reproduces the prediction if and only if the prediction satisfies them;
-    a zero-lead row that the pins contradict fails it.  When it does,
-    ``verify_recurrence`` fills in the recurrence stage's residual.
+    The two row stages share one pass: a ``RowReduction`` of exactly the
+    rows that verification would check, with every predicted value up to
+    index ``ROUNDTRIP_ROWS + order`` pinned, has no free parameter, so each
+    row-determined value and each zero-lead row is a check on the prediction,
+    and it finishes if and only if the prediction satisfies them all.  When
+    it raises, ``verify_recurrence`` fills in the recurrence stage's residual.
     """
     target = result.order_value
     stages = []
@@ -180,16 +179,11 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
         raise InsufficientDataError(
             f"the round trip needs {count + 1} predicted coefficients, have {len(predicted.coeffs)}"
         )
-    # pinned where no row decides, the solve carries no free parameter and
-    # runs rows first_row..ROUNDTRIP_ROWS; a zero-lead row that the
-    # prediction violates contradicts its pins
-    pins = {idx: predicted.coeffs[idx] for idx in rec.undetermined(count)}
     try:
-        solved = solve_series(rec, count, initial=pins)[0]
+        RowReduction(rec, count, dict(enumerate(predicted.coeffs[: count + 1])))
+        match = True
     except InconsistentSystemError:
         match = False
-    else:
-        match = solved.coeffs == predicted.coeffs[: count + 1]
     if match:
         stages.append(("recurrence", True, "max residual 0"))
     else:

@@ -67,7 +67,9 @@ class CoefficientRecurrence:
     nonzero.  ``rho_offset`` = r/s is the falling-power offset of the
     generating series; rows start at ``first_row`` (0 for offset zero, else
     -order).  ``scale`` = s^D, D the largest entry degree, clears the rows'
-    denominators.
+    denominators.  ``rows`` is the one way to read the rows, in order from
+    ``first_row``; which indices they leave free is for a row reduction to
+    find.
     """
 
     sums: dict[int, tuple[int, ...]]
@@ -110,46 +112,25 @@ class CoefficientRecurrence:
             for i, b in self.sums.items()
         }
 
-    def undetermined(self, count: int) -> list[int]:
-        """Stream indices 0..count that no row up to index count determines.
-
-        Index t is determined by row t - order when that row exists
-        (t - order >= ``first_row``) and the deepest entry Q_{-order} does
-        not vanish there.  The rest are the indices a row reduction leaves
-        to pins or free parameters, in increasing order.
-        """
-        ns = range(self.first_row, count - self.order + 1)
-        determined = {n + self.order for n, row in self._rows(ns, {-self.order: self.sums[-self.order]}) if row}
-        return [t for t in range(count + 1) if t not in determined]
-
-    def row(self, n: int) -> list[tuple[int, int]]:
-        """Row at output index n, times ``scale``: pairs (stream index, value).
-
-        Each value is the integer scale * Q_i(n), from the deepest entry up;
-        stream indices below zero (zero coefficients by convention) and zero
-        values are omitted.
-        """
-        return next(self._rows((n,), self.sums))[1]
-
     def rows(self, last: int):
-        """(n, ``row(n)``) for n from ``first_row`` to ``last``."""
-        return self._rows(range(self.first_row, last + 1), self.sums)
+        """(n, row) for n from ``first_row`` to ``last``, each row times ``scale``.
 
-    def _rows(self, ns, entries: dict[int, tuple[int, ...]]):
-        """(n, the row over ``entries`` only) for n in ``ns``.
-
-        Horner's rule in integers over the Newton factors n s - ((i + u) s - r),
-        rho = r/s, on the sums lifted once to B_{i,u} s^(D - u), so that every
-        value lands on the common ``scale`` = s^D.
+        A row lists pairs (stream index, value), each value the integer
+        scale * Q_i(n), from the deepest entry up; stream indices below zero
+        (zero coefficients by convention) and zero values are omitted.  The
+        values come by Horner's rule in integers over the Newton factors
+        n s - ((i + u) s - r), rho = r/s, on the sums lifted once to
+        B_{i,u} s^(D - u), so that every value lands on the common
+        ``scale`` = s^D.
         """
         r, s = self.rho_offset.numerator, self.rho_offset.denominator
         depth = max(map(len, self.sums.values())) - 1
         lifted = []
-        for i, b in entries.items():
+        for i, b in self.sums.items():
             if b:
                 lead, *rest = [c * s ** (depth - u) for u, c in enumerate(b)][::-1]
                 lifted.append((i, r - (i + len(b) - 1) * s, lead, rest))
-        for n in ns:
+        for n in range(self.first_row, last + 1):
             x, out = n * s, []
             for i, offset, value, rest in lifted:
                 if i > n:  # a negative stream index, here and in every later entry

@@ -262,8 +262,10 @@ class RowReduction:
     of every stored denominator divides.  Fractions are built only for the
     streams that ``zeroed`` and ``basis`` return, each value reduced once,
     over the atoms' lcm where that is measured to pay, else by
-    ``Fraction(num, den)``.  :func:`solve_series` is its only caller in the
-    package.
+    ``Fraction(num, den)``.  Its callers are :func:`solve_series` and
+    ``construction.roundtrip_check``, which pins every index, so that no
+    free parameter is made and each constraint is a check that raises
+    InconsistentSystemError when it fails.
     """
 
     def __init__(self, rec: CoefficientRecurrence, count: int, initial=None):

@@ -217,6 +217,20 @@ def window_sums(window: dict[int, Poly], rho=0) -> dict[int, tuple[int, ...]]:
     return {i: tuple(int(c * common) for c in b) for i, b in sums.items()}
 
 
+def undetermined(rec, count: int) -> list[int]:
+    """Stream indices 0..count that no row up to index count determines, in Fractions.
+
+    Index t is determined by row t - order when that row exists
+    (t - order >= ``first_row``) and the deepest entry Q_{-order} of the
+    monomial ``window`` does not vanish there.  The rest are the indices a
+    row reduction leaves to pins or free parameters, in increasing order.
+    """
+    deepest = rec.window[-rec.order]
+    rows = range(rec.first_row, count - rec.order + 1)
+    determined = {n + rec.order for n in rows if deepest(Fraction(n))}
+    return [t for t in range(count + 1) if t not in determined]
+
+
 def falling_power(z, rho) -> complex:
     """The package's falling power ff(z, rho) at the working precision, rounded to a double."""
     import mpmath

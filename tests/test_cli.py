@@ -388,6 +388,16 @@ def test_verify_rows_below_the_first_row_exit_two(capsys):
         assert "--rows must be at least the first row 0" in err
 
 
+def test_verify_below_row_zero_reports_no_direct_image(capsys):
+    # rows -3..-1 reach no image coefficient; `all([])` used to print true
+    argv = ("verify", CUBIC_THIRD, "--rho", "3/2", "--terms", "80")
+    for rows, rows_checked, image in (("-3", 1, None), ("-1", 3, None), ("0", 4, True)):
+        code, out, _ = run_cli(capsys, *argv, "--rows", rows)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rows_checked"], payload["direct_image_zero"]) == (rows_checked, image), rows
+
+
 def test_verify_rejects_a_stream_shorter_than_one_row(capsys, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": ["1", "2"]}]}))
@@ -679,6 +689,35 @@ def test_over_limit_order_bits_and_terms_exit_two_within_a_second(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_rationals_with_huge_decimal_exponents_exit_two_within_a_second(capsys, tmp_path):
+    # Fraction expands a decimal exponent first: 1e200000 as a pin took 13.9 s
+    # and printed 3.6 MB, and 1e2000000 as a pin or in a solution file ran
+    # past a 30 s timeout
+    huge = "1e2000000"
+    coefficient = tmp_path / "coefficient.json"
+    coefficient.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": [huge, "1"]}]}))
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"solutions": [{"rho": huge, "coefficients": ["1", "1"]}]}))
+    first_order = "D f(z) - f(z) = 0"
+    cases = [
+        ("solve", first_order, "--terms", "16", "--initial", "0=1e200000"),
+        ("solve", first_order, "--terms", "16", "--initial", f"0={huge}"),
+        ("solve", first_order, "--terms", "16", f"--rho=-{huge}"),
+    ]
+    for path in (coefficient, rho):
+        cases += [("verify", first_order, "--solution", str(path)), ("eval", "--solution", str(path), "--at", "1")]
+    for argv in cases:
+        start = time.perf_counter()
+        with deadline(5):
+            code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert "exceeds 30103 in magnitude" in err, argv
+    code, out, _ = run_cli(capsys, "solve", first_order, "--terms", "16", "--initial", "0=1e30000")
+    assert code == 0
+    assert json.loads(out)["solutions"][0]["coefficients"][0] == "1" + "0" * 30000
 
 
 def test_order_and_bits_at_the_limits_are_analyzed_within_the_deadline(capsys):

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     Poly,
@@ -20,7 +23,7 @@ from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
 from deltaorder.series import SeriesSolution, solve_series, verify_recurrence
 
-from fixtures_equations import HALF_ORDER, deadline
+from fixtures_equations import HALF_ORDER, deadline, undetermined
 
 
 def test_rejects_bad_orders():
@@ -143,7 +146,7 @@ def _stage(report, name):
 
 def test_corrupted_prediction_fails_the_series_stage():
     result = construct_equation(1, 2)
-    assert derive_recurrence(result.canonical).undetermined(200) == [0, 1]
+    assert undetermined(derive_recurrence(result.canonical), 200) == [0, 1]
     # a row-determined value, then a pinned one
     for idx, value in ((50, result.predicted_series.coeffs[50] * 2), (1, Fraction(1, 7))):
         report = roundtrip_check(_with_coefficient(result, idx, value))
@@ -151,19 +154,57 @@ def test_corrupted_prediction_fails_the_series_stage():
         assert _stage(report, "series") is False, (idx, report.stages)
 
 
+# rows read (n+1) a_n + (n+1)(n-3) a_{n+1} = 0: row 3 has a zero lead and
+# forces a_3 = 0, hence a_0 = 0, which the prediction a_0 = 1 contradicts
+ZERO_LEAD = "(z-3) D f(z) + f(z) = 0"
+
+
 def test_prediction_violating_a_zero_lead_row_fails_the_series_stage():
-    # rows read (n+1) a_n + (n+1)(n-3) a_{n+1} = 0: row 3 has a zero lead and
-    # forces a_3 = 0, hence a_0 = 0, which the prediction a_0 = 1 contradicts
-    canonical = normalize_to_delta(parse_equation("(z-3) D f(z) + f(z) = 0"))
+    canonical = normalize_to_delta(parse_equation(ZERO_LEAD))
     result = dataclasses.replace(construct_equation(1, 2), canonical=canonical)
     rec = derive_recurrence(canonical)
-    assert rec.undetermined(200) == [0, 4]
+    assert undetermined(rec, 200) == [0, 4]
     pins = {idx: result.predicted_series.coeffs[idx] for idx in (0, 4)}
     with pytest.raises(InconsistentSystemError):
         solve_series(rec, 200, initial=pins)
     report = roundtrip_check(result)
     assert report.ok is False
     assert _stage(report, "series") is False
+
+
+# the orders of the construct-roundtrip benchmark workload
+ROUNDTRIP_ORDERS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5), (5, 6))
+
+
+@functools.lru_cache(maxsize=None)
+def _roundtrip_case(case):
+    """A construction of order q/p, or the 1/2 prediction beside ``ZERO_LEAD``, with its recurrence."""
+    if case == "zero-lead":
+        canonical = normalize_to_delta(parse_equation(ZERO_LEAD))
+        result = dataclasses.replace(construct_equation(1, 2), canonical=canonical)
+    else:
+        result = construct_equation(*case)
+    return result, derive_recurrence(result.canonical)
+
+
+@pytest.mark.parametrize("case", [*ROUNDTRIP_ORDERS, "zero-lead"], ids=str)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_both_row_stages_agree_with_verification(case, data):
+    # one coefficient, row-determined or pinned, set to zero, to twice its
+    # value or to a small rational; both stages give verification's verdict
+    result, rec = _roundtrip_case(case)
+    idx = data.draw(st.integers(0, ROUNDTRIP_ROWS + rec.order))
+    old = result.predicted_series.coeffs[idx]
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    value = data.draw(st.sampled_from([Fraction(0), old * 2]) | small)
+    verdicts = []
+    for candidate in (result, _with_coefficient(result, idx, value)):
+        report = roundtrip_check(candidate)
+        verdicts.append(verify_recurrence(rec, candidate.predicted_series, ROUNDTRIP_ROWS).exact)
+        assert _stage(report, "series") == _stage(report, "recurrence") == verdicts[-1], (idx, value)
+    # an uncorrupted construction passes; the zero-lead equation fails it
+    assert verdicts[0] is (case != "zero-lead")
 
 
 def test_a_prediction_shorter_than_the_rows_is_rejected():

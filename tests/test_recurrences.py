@@ -112,6 +112,8 @@ def test_shifted_reduces_to_plain(cubic_eq, quartic_eq):
 @given(st.randoms(use_true_random=False), st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]))
 def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho):
     rec = shifted_recurrence(random_equation(rng), rho)
+    rows = dict(rec.rows(rec.span + 12))
+    assert list(rows) == list(range(rec.first_row, rec.span + 13))
     for n in range(rec.first_row, rec.span + 13):
         expected = []
         for i, q in rec.window.items():
@@ -120,7 +122,7 @@ def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho)
                 value = value * n + c
             if n - i >= 0 and value:
                 expected.append((n - i, value * rec.scale))
-        assert rec.row(n) == expected
+        assert rows[n] == expected
     for i, q in rec.window.items():
         sums = rec.sums[i]
         if sums:
@@ -136,7 +138,6 @@ def test_only_the_printout_builds_the_monomial_window(cubic_eq, monkeypatch):
     for rho in (Fraction(0), Fraction(3, 2)):
         rec = shifted_recurrence(cubic_eq, rho)
         adams_polygon(rec)
-        rec.undetermined(40)
         sol = solve_series(rec, 40)[0]
         verify_recurrence(rec, sol, 40 - rec.order)
         recs.append(rec)
@@ -166,7 +167,7 @@ def test_shifted_rejects_negative_integer_offset(cubic_eq):
 def test_initial_rows_cover_small_indices(cubic_eq):
     rec = derive_recurrence(cubic_eq)
     # the first row, in stream-index/value pairs
-    row0 = dict(rec.row(0))
+    row0 = dict(dict(rec.rows(0))[0])
     assert row0 == {3: Fraction(90), 2: Fraction(6), 1: Fraction(-1), 0: Fraction(-1)}
 
 

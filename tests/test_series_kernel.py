@@ -59,6 +59,7 @@ from fixtures_equations import (
     random_equation,
     stream_denominators,
     stream_values,
+    undetermined,
     window_sums,
 )
 
@@ -200,8 +201,9 @@ def recurrences(draw, min_roots=0, max_order=3):
 @given(rec=recurrences(), data=st.data())
 def test_integer_kernel_matches_fraction_oracle(rec, data):
     count = rec.span + data.draw(st.integers(0, 12))
-    for n in range(rec.first_row, count + 1):
-        assert rec.row(n) == [(idx, c * rec.scale) for idx, c in oracle_row(rec, n)]
+    assert list(rec.rows(count)) == [
+        (n, [(idx, c * rec.scale) for idx, c in oracle_row(rec, n)]) for n in range(rec.first_row, count + 1)
+    ]
     if data.draw(st.booleans()):
         # pins on the first few indices usually hit free parameters and agree
         highest = data.draw(st.sampled_from([min(rec.order, count), count]))
@@ -256,11 +258,11 @@ def test_pins_at_the_undetermined_indices_reproduce_the_eliminated_stream(rec, d
     # 0..8, and about 40% of the draws eliminate
     count = rec.span + data.draw(st.integers(8, 20))
     reduction = RowReduction(rec, count)
-    undetermined = rec.undetermined(count)
-    assert set(reduction.free_ids) <= set(undetermined)
+    free = undetermined(rec, count)
+    assert set(reduction.free_ids) <= set(free)
     choice = {f: data.draw(small_rationals) for f in reduction.free_ids}
     reference = oracle_solve(rec, count, initial=choice)[0]
-    pins = {idx: reference.coeffs[idx] for idx in undetermined}
+    pins = {idx: reference.coeffs[idx] for idx in free}
     assert RowReduction(rec, count, initial=pins).free_ids == []
     assert solve_series(rec, count, initial=pins)[0].coeffs == reference.coeffs
 
@@ -270,7 +272,7 @@ def test_a_pin_at_a_row_determined_index_eliminates_at_creation():
     rec = derive_recurrence(normalize_to_delta(parse_equation(CUBIC_THIRD)))
     initial = {0: Fraction(1), 1: Fraction(0), 5: Fraction(1)}
     assert RowReduction(rec, 80).free_ids == [0, 1, 2]
-    assert 5 not in rec.undetermined(80)
+    assert 5 not in undetermined(rec, 80)
     assert RowReduction(rec, 80, initial=initial).free_ids == []
     assert solve_series(rec, 80, initial=initial) == oracle_solve(rec, 80, initial=initial)
 
@@ -341,7 +343,7 @@ def test_chain_sums_match_the_fraction_oracle_on_drawn_denominators(data):
     rec = data.draw(recurrences(min_roots=data.draw(st.integers(0, 2)), max_order=6))
     count = rec.span + data.draw(st.integers(0, 30))
     drawn = stream_values(data.draw, data.draw(stream_denominators(count + 1)))
-    pins = {idx: drawn[idx] for idx in rec.undetermined(count)}
+    pins = {idx: drawn[idx] for idx in undetermined(rec, count)}
     expected = _outcome(oracle_solve, rec, count, initial=pins)
     assert _outcome(solve_series, rec, count, initial=pins) == expected
     streams = [drawn]
