@@ -17,12 +17,13 @@ powers; the recentered equation has the same solutions, in particular the
 predicted series.
 
 The round trip runs the analyzer on the canonical form and checks the
-window rows in one pass: one row reduction over rows
-first_row..ROUNDTRIP_ROWS, with every predicted value pinned, has no free
-parameter, and it finishes exactly when the prediction satisfies every one
-of those rows.  That verdict decides both the recurrence and the series
-stage; only a prediction that fails is substituted into the rows again, to
-report its residual.
+window rows in one pass: verification substitutes the prediction into rows
+first_row..ROUNDTRIP_ROWS, reading only the window entries on its support
+q*N.  Its verdict decides both the recurrence and the series stage.  A row
+reduction of those rows with every predicted value pinned has no free
+parameter, so its one candidate is the prediction, and it finishes exactly
+when every row holds on the prediction: the pinned solve reproduces the
+prediction exactly when verification passes.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
-from .errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
+from .errors import InsufficientDataError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
 from .polynomials import Poly, _integer_falling_basis, _newton_poly
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
-from .series import RowReduction, SeriesSolution, estimate_chi, verify_recurrence
+from .series import SeriesSolution, estimate_chi, verify_recurrence
 
-#: Recurrence rows that the round trip checks and solves.  The predicted
+#: Recurrence rows that the round trip checks.  The predicted
 #: series of q/p runs to index ROUNDTRIP_ROWS * q + p + 1: past the deepest
 #: index ROUNDTRIP_ROWS + p that the rows reach, with ROUNDTRIP_ROWS + 1
 #: nonzero coefficients on its support q*N for the growth fit.
@@ -158,12 +159,13 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     prediction lands within 0.01 of q/p.  Each stage reports pass/fail with
     a detail string.
 
-    The two row stages share one pass: a ``RowReduction`` of exactly the
-    rows that verification would check, with every predicted value up to
-    index ``ROUNDTRIP_ROWS + order`` pinned, has no free parameter, so each
-    row-determined value and each zero-lead row is a check on the prediction,
-    and it finishes if and only if the prediction satisfies them all.  When
-    it raises, ``verify_recurrence`` fills in the recurrence stage's residual.
+    The two row stages share one pass of ``verify_recurrence``.  Its
+    verdict is the pinned solve's: a ``RowReduction`` of the same rows with
+    every predicted value up to index ``ROUNDTRIP_ROWS + order`` pinned has
+    no free parameter, since every index that no row determines is pinned,
+    so its one candidate is the prediction, and it finishes if and only if
+    the prediction satisfies every row.  The recurrence stage reports
+    verification's largest residual.
     """
     target = result.order_value
     stages = []
@@ -179,17 +181,9 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
         raise InsufficientDataError(
             f"the round trip needs {count + 1} predicted coefficients, have {len(predicted.coeffs)}"
         )
-    try:
-        RowReduction(rec, count, dict(enumerate(predicted.coeffs[: count + 1])))
-        match = True
-    except InconsistentSystemError:
-        match = False
-    if match:
-        stages.append(("recurrence", True, "max residual 0"))
-    else:
-        report = verify_recurrence(rec, predicted, ROUNDTRIP_ROWS)
-        stages.append(("recurrence", report.exact, f"max residual {report.max_residual}"))
-    stages.append(("series", match, "pinned solve reproduces the prediction"))
+    report = verify_recurrence(rec, predicted, ROUNDTRIP_ROWS)
+    stages.append(("recurrence", report.exact, f"max residual {report.max_residual}"))
+    stages.append(("series", report.exact, "pinned solve reproduces the prediction"))
 
     polygon = adams_polygon(rec)
     branches = [chi for chi, _ in sub_one_branches(polygon)]

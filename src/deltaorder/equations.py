@@ -239,7 +239,7 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     # output index -> [(integer weight, input index)]
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(upto + 1)]
     for n in range(needed + 1):
-        if coeffs[n] == 0:
+        if not coeffs[n]:
             continue
         # falling[L] = s^(top - L) * prod_{u < L} (n s + r - u s)
         falling = [1] * (top + 1)

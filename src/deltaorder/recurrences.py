@@ -112,7 +112,7 @@ class CoefficientRecurrence:
             for i, b in self.sums.items()
         }
 
-    def rows(self, last: int):
+    def rows(self, last: int, modulus: int = 1):
         """(n, row) for n from ``first_row`` to ``last``, each row times ``scale``.
 
         A row lists pairs (stream index, value), each value the integer
@@ -121,21 +121,34 @@ class CoefficientRecurrence:
         values come by Horner's rule in integers over the Newton factors
         n s - ((i + u) s - r), rho = r/s, on the sums lifted once to
         B_{i,u} s^(D - u), so that every value lands on the common
-        ``scale`` = s^D.
+        ``scale`` = s^D.  At an integer offset r, ff(k, u) = 0 for
+        u > k = n + r - i >= 0, so Horner's rule starts at B_{i,k} where k
+        is below the entry's degree.
+
+        Only the entries whose stream index n - i is a multiple of
+        ``modulus`` are listed: a stream supported on multiples of it meets
+        no other.  The entries are grouped by i mod ``modulus`` once per
+        call, and row n reads the group of n mod ``modulus``.
         """
         r, s = self.rho_offset.numerator, self.rho_offset.denominator
         depth = max(map(len, self.sums.values())) - 1
-        lifted = []
+        # k = n + r - i is below some entry's degree only while n < steady
+        steady = self.max_index + depth - r if s == 1 else self.first_row
+        groups = [[] for _ in range(modulus)]
         for i, b in self.sums.items():
             if b:
                 lead, *rest = [c * s ** (depth - u) for u, c in enumerate(b)][::-1]
-                lifted.append((i, r - (i + len(b) - 1) * s, lead, rest))
+                groups[i % modulus].append((i, r - (i + len(b) - 1) * s, lead, rest))
         for n in range(self.first_row, last + 1):
             x, out = n * s, []
-            for i, offset, value, rest in lifted:
+            low = n < steady
+            for i, offset, value, rest in groups[n % modulus]:
                 if i > n:  # a negative stream index, here and in every later entry
                     break
                 factor = x + offset
+                if low and 0 <= (k := n + r - i) < len(rest):
+                    # every falling power above ff(k, k) vanishes at k
+                    value, factor, rest = rest[-1 - k], 0, rest[len(rest) - k :]
                 for c in rest:
                     factor += s
                     value = value * factor + c

@@ -29,7 +29,9 @@ Where the output numerators stay below ``ATOM_REDUCTION_BITS``, or R is not
 full gcd of ``Fraction(num, den)`` is cheaper and is kept.  The result
 is a basis of the truncated solution space, or the stream pinned to given
 initial data with the surviving free coefficients zeroed.  The rows are
-homogeneous, as the equations are.
+homogeneous, as the equations are.  :func:`solve_series` is the reduction's
+only caller; checking a given stream against the rows is verification's
+job, which needs no reduction.
 
 A row of the reduction and a row of verification are both sums over one
 stream's denominator chain (:func:`polynomials.denominator_chain`), built
@@ -44,7 +46,9 @@ streams or in streams pinned to unrelated rationals, the chain carries the
 running lcm instead, and starts a new segment before that lcm grows past
 twice the width of the newest denominator; a row that crosses a segment
 start joins its segment totals over their lcm (:func:`polynomials.chain_sum`).
-Verification builds a Fraction only for a nonzero residual.
+Verification builds a Fraction only for a nonzero residual, and reads only
+the window entries that meet the stream's support: on a stream whose nonzero
+indices are the multiples of M, one entry in M.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -93,7 +97,7 @@ def detect_support_modulus(coeffs) -> int | None:
     """gcd of the nonzero indices when it exceeds one, else None."""
     g = 0
     for n, c in enumerate(coeffs):
-        if n and c != 0:
+        if n and c:
             g = math.gcd(g, n)
             if g == 1:
                 return None
@@ -119,19 +123,24 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     The stream must reach index rows + order.  Returns the first failing row
     (if any) and the largest absolute residual encountered.  Each row sums
     integer numerators over the stream's denominator chain, built once per
-    call; a residual becomes a Fraction only when that sum is nonzero.
+    call; a residual becomes a Fraction only when that sum is nonzero.  The
+    rows read only the window entries whose stream index is a multiple of
+    the support modulus that the checked coefficients show: an entry off it
+    multiplies a zero coefficient.  The modulus is never taken from
+    ``sol.support_modulus``, which a stream built by hand may state wrongly.
     """
     need = rows + rec.order
     if len(sol.coeffs) < need + 1:
         raise InsufficientDataError(
             f"need {need + 1} coefficients to check {rows} rows"
         )
-    nums = [c.numerator for c in sol.coeffs]
-    chain = denominator_chain([c.denominator if c else 0 for c in sol.coeffs[: need + 1]])
+    coeffs = sol.coeffs[: need + 1]
+    nums = [c.numerator for c in coeffs]
+    chain = denominator_chain([c.denominator if c else 0 for c in coeffs])
     constant: dict = {}  # no unknowns in any value
     worst = Fraction(0)
     first_bad = None
-    for n, row in rec.rows(rows):
+    for n, row in rec.rows(rows, detect_support_modulus(coeffs) or 1):
         # rows list the deepest index first; the sum runs shallowest first
         terms = [(idx, c, nums[idx], constant) for idx, c in reversed(row) if nums[idx]]
         common, total, _ = chain_sum(chain, terms)
@@ -262,10 +271,9 @@ class RowReduction:
     of every stored denominator divides.  Fractions are built only for the
     streams that ``zeroed`` and ``basis`` return, each value reduced once,
     over the atoms' lcm where that is measured to pay, else by
-    ``Fraction(num, den)``.  Its callers are :func:`solve_series` and
-    ``construction.roundtrip_check``, which pins every index, so that no
-    free parameter is made and each constraint is a check that raises
-    InconsistentSystemError when it fails.
+    ``Fraction(num, den)``.  :func:`solve_series` is its only caller; a
+    constraint that fails with no free parameter left raises
+    InconsistentSystemError.
     """
 
     def __init__(self, rec: CoefficientRecurrence, count: int, initial=None):

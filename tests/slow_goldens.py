@@ -23,6 +23,8 @@ SLOW_COMMANDS = [
     (["solve", AT_THE_DEGREE_LIMIT, "--terms", "520"], ()),
     (["construct", "--order", "1/64"], ("char_roots",)),
     (["construct", "--order", "1/101"], ("char_roots",)),
+    # sparse support q = 50 at the largest p: verification reads one window entry in 50
+    (["construct", "--order", "50/101"], ("char_roots",)),
 ]
 
 

@@ -21,7 +21,7 @@ from deltaorder import (
 )
 from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
-from deltaorder.series import SeriesSolution, solve_series, verify_recurrence
+from deltaorder.series import RowReduction, SeriesSolution, solve_series, verify_recurrence
 
 from fixtures_equations import HALF_ORDER, deadline, undetermined
 
@@ -192,17 +192,25 @@ def _roundtrip_case(case):
 @given(data=st.data())
 def test_both_row_stages_agree_with_verification(case, data):
     # one coefficient, row-determined or pinned, set to zero, to twice its
-    # value or to a small rational; both stages give verification's verdict
+    # value or to a small rational.  Verification decides both stages; the
+    # series stage's claim holds with it: the row reduction with every
+    # predicted value pinned raises exactly when verification fails
     result, rec = _roundtrip_case(case)
-    idx = data.draw(st.integers(0, ROUNDTRIP_ROWS + rec.order))
+    count = ROUNDTRIP_ROWS + rec.order
+    idx = data.draw(st.integers(0, count))
     old = result.predicted_series.coeffs[idx]
     small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     value = data.draw(st.sampled_from([Fraction(0), old * 2]) | small)
     verdicts = []
     for candidate in (result, _with_coefficient(result, idx, value)):
-        report = roundtrip_check(candidate)
-        verdicts.append(verify_recurrence(rec, candidate.predicted_series, ROUNDTRIP_ROWS).exact)
-        assert _stage(report, "series") == _stage(report, "recurrence") == verdicts[-1], (idx, value)
+        predicted = candidate.predicted_series
+        verdicts.append(verify_recurrence(rec, predicted, ROUNDTRIP_ROWS).exact)
+        try:
+            RowReduction(rec, count, dict(enumerate(predicted.coeffs[: count + 1])))
+            solved = True
+        except InconsistentSystemError:
+            solved = False
+        assert solved is verdicts[-1], (idx, value)
     # an uncorrupted construction passes; the zero-lead equation fails it
     assert verdicts[0] is (case != "zero-lead")
 

@@ -109,11 +109,18 @@ def test_shifted_reduces_to_plain(cubic_eq, quartic_eq):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.randoms(use_true_random=False), st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(7, 3)]))
-def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho):
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3, 2), Fraction(7, 3)]),
+    st.integers(1, 4),
+)
+def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho, modulus):
+    # the integer offsets 1 and 2 start Horner's rule below the entries'
+    # degrees; a modulus keeps the entries on its multiples
     rec = shifted_recurrence(random_equation(rng), rho)
     rows = dict(rec.rows(rec.span + 12))
-    assert list(rows) == list(range(rec.first_row, rec.span + 13))
+    on_support = dict(rec.rows(rec.span + 12, modulus))
+    assert list(rows) == list(on_support) == list(range(rec.first_row, rec.span + 13))
     for n in range(rec.first_row, rec.span + 13):
         expected = []
         for i, q in rec.window.items():
@@ -123,6 +130,7 @@ def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho)
             if n - i >= 0 and value:
                 expected.append((n - i, value * rec.scale))
         assert rows[n] == expected
+        assert on_support[n] == [(idx, value) for idx, value in expected if idx % modulus == 0]
     for i, q in rec.window.items():
         sums = rec.sums[i]
         if sums:

@@ -7,6 +7,7 @@ import pytest
 
 from deltaorder import (
     SeriesSolution,
+    construct_equation,
     derive_recurrence,
     estimate_chi,
     normalize_to_delta,
@@ -157,6 +158,19 @@ def test_verify_detects_perturbation(quartic_rec):
     assert not report.exact
     assert report.first_failing_row == 0
     assert report.max_residual > 0
+
+
+def test_verify_detects_the_support_from_the_coefficients_not_the_field():
+    # a value off q*N breaks the 3/4 prediction's rows; a field claiming
+    # support on 3*N must not hide the entries that read it
+    built = construct_equation(3, 4)
+    rec = derive_recurrence(built.canonical)
+    coeffs = list(built.predicted_series.coeffs)
+    coeffs[4] = Fraction(1, 5)
+    sol = SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs), support_modulus=3)
+    assert verify_recurrence(rec, built.predicted_series, 100).exact
+    report = verify_recurrence(rec, sol, 100)
+    assert not report.exact and report.max_residual > 0
 
 
 def test_pin_rejects_a_negative_index(cubic_rec):

@@ -24,6 +24,7 @@ it, far below the widths where the solver takes it, and on the helper alone.
 """
 
 import dataclasses
+import functools
 import math
 import random
 from contextlib import contextmanager
@@ -42,6 +43,7 @@ from deltaorder import (
     derive_recurrence,
     normalize_to_delta,
     parse_equation,
+    shifted_recurrence,
     solve_series,
     verify_recurrence,
 )
@@ -393,6 +395,41 @@ def test_verify_over_distinct_primes_stays_within_its_deadline():
     with deadline(1):
         report = verify_recurrence(rec, sol, 3200 - rec.order)
     assert report.first_failing_row == rec.first_row
+
+
+@functools.lru_cache(maxsize=None)
+def _construction(q, p):
+    return construct_equation(q, p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verification_on_the_support_matches_the_fraction_oracle(data):
+    # streams on the multiples of M = 2..5: drawn values, or the prediction
+    # of order M/p, which the rows at offset 0 accept.  One value off the
+    # multiples makes some dense.  Verification reads only the window entries
+    # on the support it detects; the oracle evaluates every entry
+    modulus = data.draw(st.integers(2, 5))
+    rho = data.draw(st.sampled_from([Fraction(0), Fraction(3, 2)]))
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from([p for p in range(modulus + 1, 10) if math.gcd(modulus, p) == 1]))
+        built = _construction(modulus, p)
+        rec = shifted_recurrence(built.canonical, rho)
+        values = list(built.predicted_series.coeffs)
+    else:
+        rec = shifted_recurrence(random_equation(random.Random(data.draw(st.integers(0, 2**32)))), rho)
+        values = None
+    rows = rec.span + data.draw(st.integers(0, 20))
+    top = rows + rec.order
+    if values is None:
+        values = [data.draw(small_rationals) if n % modulus == 0 else Fraction(0) for n in range(top + 1)]
+    values = values[: top + 1]
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(1, top).filter(lambda n: n % modulus))] = data.draw(nonzero_rationals)
+    sol = SeriesSolution.from_values(values, rho=rho)
+    report = verify_recurrence(rec, sol, rows)
+    assert (report.max_residual, report.first_failing_row) == oracle_verify(rec, sol, rows)
+    assert report.rows_checked == rows + 1 - rec.first_row
 
 
 # --- output reduction over the atoms' lcm ---------------------------------------
