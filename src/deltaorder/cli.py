@@ -27,16 +27,20 @@ exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
 environment setting (a DELTAORDER_PRECISION that is not an integer or
 exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
 
-Importing this module loads neither numpy nor mpmath; each command loads
-what it computes with.  ``verify --solution`` and ``compose`` load neither
+Importing this module loads neither numpy nor mpmath, nor ``dataclasses``;
+each command loads what it computes with.  ``analyze`` and ``compose`` handle
+no coefficient stream and load neither ``series`` nor ``construction``, and
+so not ``dataclasses`` (with ``inspect``), which ``SeriesSolution`` needs;
+``solve``, ``construct``, ``eval`` and ``verify`` import them at their first
+use.  ``verify --solution`` and ``compose`` load neither numpy nor mpmath,
 and ``eval --solution`` loads mpmath only.  ``analyze`` finds two-term and
 quadratic roots in closed form, so it loads numpy only where a
 characteristic polynomial, or the part of the indicial polynomial without
 rational roots, has three or more terms and degree three or more; the
-README cubic needs none.  ``construct`` loads numpy for the chi fit of its round trip, and
-``solve``, and ``eval`` or ``verify`` solving an equation themselves, load
-it for the chi fit of a stream with ``series.MIN_CHI_TERMS`` = 64 nonzero
-coefficients.
+README cubic needs none.  ``construct`` loads numpy for the chi fit of its
+round trip, and ``solve``, and ``eval`` or ``verify`` solving an equation
+themselves, load it for the chi fit of a stream with
+``series.MIN_CHI_TERMS`` = 64 nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .equations import DifferenceEquation, apply_operator, compose_operators, normalize_to_delta
@@ -65,8 +70,9 @@ from .parsing import _MAX_DIGITS, format_delta_form, format_general, parse_equat
 from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
 from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
 from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
-from .series import GrowthEstimate, SeriesSolution, estimate_chi, solve_series, verify_recurrence
-from .construction import construct_equation, roundtrip_check
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .series import GrowthEstimate, SeriesSolution
 
 SCHEMA = "deltaorder/1"
 
@@ -140,6 +146,8 @@ def _polygon_json(polygon: AdamsPolygon) -> dict:
 
 def _chi(sol: SeriesSolution) -> GrowthEstimate | None:
     """The decay fit of a stream, or None when it has too few nonzero terms to fit."""
+    from .series import estimate_chi
+
     try:
         return estimate_chi(sol.coeffs)
     except InsufficientDataError:
@@ -297,6 +305,8 @@ def _recurrence(eq: DifferenceEquation, rho: Fraction) -> CoefficientRecurrence:
 
 def _solve(args, eq: DifferenceEquation, terms: int) -> tuple[CoefficientRecurrence, list[SeriesSolution]]:
     """The recurrence at --rho and its streams up to ``terms``, one stream when --initial pins it."""
+    from .series import solve_series
+
     if terms < 0:
         raise _CommandError(EXIT_PARSE, f"--terms must not be negative, got {terms}")
     if terms > MAX_TERMS:
@@ -331,6 +341,8 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_construct(args) -> dict:
+    from .construction import construct_equation, roundtrip_check
+
     text = args.order.strip()
     num, sep, den = text.partition("/")
     if not sep:
@@ -365,6 +377,8 @@ def _cmd_construct(args) -> dict:
 
 
 def _read_solution(path: str, index: int) -> SeriesSolution:
+    from .series import SeriesSolution
+
     if index < 0:
         raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
@@ -454,6 +468,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .series import verify_recurrence
+
     eq = _equation(args.equation)
     rec, sol = _load_solution(args, eq, terms=200)
     if args.rows is not None and args.rows < rec.first_row:

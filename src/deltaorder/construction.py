@@ -29,9 +29,9 @@ prediction exactly when verification passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .equations import DifferenceEquation, GeneralForm, OperatorTerm, apply_operator, normalize_to_delta
 from .errors import InsufficientDataError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
@@ -55,16 +55,29 @@ ROUNDTRIP_ROWS = 200
 MAX_ORDER_DENOMINATOR = 101
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    """A generated equation with its predicted entire solution."""
+class ConstructionResult(Record):
+    """A generated equation with its predicted entire solution.
 
-    q: int
-    p: int
-    weights: tuple[int, ...]  # A_0..A_p, primitive integers
-    template: GeneralForm
-    canonical: DifferenceEquation
-    predicted_series: SeriesSolution
+    ``weights`` are A_0..A_p, primitive integers.
+    """
+
+    __slots__ = ("q", "p", "weights", "template", "canonical", "predicted_series")
+
+    def __init__(
+        self,
+        q: int,
+        p: int,
+        weights: tuple[int, ...],
+        template: GeneralForm,
+        canonical: DifferenceEquation,
+        predicted_series: SeriesSolution,
+    ):
+        _set(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "weights", weights)
+        _set(self, "template", template)
+        _set(self, "canonical", canonical)
+        _set(self, "predicted_series", predicted_series)
 
     @property
     def order_value(self) -> Fraction:
@@ -138,15 +151,24 @@ def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:
     return SeriesSolution.from_values(coeffs, rho=0, provenance={"constructed": True})
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Record):
     """Analyzer pipeline results for a constructed equation."""
 
-    ok: bool
-    stages: tuple[tuple[str, bool, str], ...]
-    analysis: NewtonAnalysis
-    polygon: AdamsPolygon
-    chi_hat: float
+    __slots__ = ("ok", "stages", "analysis", "polygon", "chi_hat")
+
+    def __init__(
+        self,
+        ok: bool,
+        stages: tuple[tuple[str, bool, str], ...],
+        analysis: NewtonAnalysis,
+        polygon: AdamsPolygon,
+        chi_hat: float,
+    ):
+        _set(self, "ok", ok)
+        _set(self, "stages", stages)
+        _set(self, "analysis", analysis)
+        _set(self, "polygon", polygon)
+        _set(self, "chi_hat", chi_hat)
 
 
 def roundtrip_check(result: ConstructionResult) -> RoundTripReport:

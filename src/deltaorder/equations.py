@@ -19,10 +19,10 @@ forward difference, with the rewrite rule
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record, _set
 from .errors import DegenerateEquationError, InsufficientDataError
 from .polynomials import Poly, _integer_falling_basis, chain_sum, denominator_chain, poly_delta
 
@@ -30,28 +30,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
 
 
-@dataclass(frozen=True)
-class OperatorTerm:
+class OperatorTerm(Record):
     """One summand  coefficient(z) * Delta^delta_power f(z + shift)."""
 
-    coefficient: Poly
-    delta_power: int = 0
-    shift: int = 0
+    __slots__ = ("coefficient", "delta_power", "shift")
 
-    def __post_init__(self):
-        if self.delta_power < 0:
+    def __init__(self, coefficient: Poly, delta_power: int = 0, shift: int = 0):
+        if delta_power < 0:
             raise ValueError("difference power must be non-negative")
+        _set(self, "coefficient", coefficient)
+        _set(self, "delta_power", delta_power)
+        _set(self, "shift", shift)
 
 
-@dataclass(frozen=True)
-class GeneralForm:
+class GeneralForm(Record):
     """A sum of operator terms equated to zero."""
 
-    terms: tuple[OperatorTerm, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[OperatorTerm, ...]):
+        if not terms:
             raise ValueError("an equation needs at least one term")
+        _set(self, "terms", terms)
 
 
 class DifferenceEquation:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -68,15 +67,15 @@ from mpmath.libmp import (
     to_float,
 )
 
+from ._record import Record, _set
 from .errors import EvaluationError, GammaPoleError, NonConvergenceError
 from .polynomials import MAX_RADII, MAX_SAMPLES, as_rational, working_precision
-from .series import SeriesSolution
+from .series import SeriesSolution, detect_support_modulus
 
 _RND = round_nearest
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """A single series evaluation with convergence diagnostics.
 
     ``tail_bound`` is a geometric estimate of the omitted tail, |last term| r
@@ -85,21 +84,33 @@ class EvalResult:
     finitely supported stream and when the last term is zero.
     """
 
-    value: complex
-    terms_used: int
-    tail_bound: float
-    log_scale: float
+    __slots__ = ("value", "terms_used", "tail_bound", "log_scale")
+
+    def __init__(self, value: complex, terms_used: int, tail_bound: float, log_scale: float):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "tail_bound", tail_bound)
+        _set(self, "log_scale", log_scale)
 
 
-@dataclass(frozen=True)
-class EmpiricalOrder:
+class EmpiricalOrder(Record):
     """Growth-order fit from maximum-modulus samples at increasing radii."""
 
-    radii: tuple[float, ...]
-    log_max_modulus: tuple[float, ...]
-    rho_hat: float
-    scale_hat: float
-    fit_residual: float
+    __slots__ = ("radii", "log_max_modulus", "rho_hat", "scale_hat", "fit_residual")
+
+    def __init__(
+        self,
+        radii: tuple[float, ...],
+        log_max_modulus: tuple[float, ...],
+        rho_hat: float,
+        scale_hat: float,
+        fit_residual: float,
+    ):
+        _set(self, "radii", radii)
+        _set(self, "log_max_modulus", log_max_modulus)
+        _set(self, "rho_hat", rho_hat)
+        _set(self, "scale_hat", scale_hat)
+        _set(self, "fit_residual", fit_residual)
 
 
 def _to_mpc(value) -> mpmath.mpc:
@@ -299,7 +310,10 @@ class _Stream:
 
     ``last`` is the last nonzero index (None for the zero stream).  The stream
     is finitely supported when at least as many zeros as its support modulus,
-    and at least three, follow ``last``; such a stream sums exactly.
+    and at least three, follow ``last``; such a stream sums exactly.  The
+    modulus is derived from the coefficients, not read from
+    ``sol.support_modulus``, which a stream built by hand may state wrongly,
+    and only when three zeros follow ``last``.
     ``pairs[n]`` is the (mantissa, exponent) pair of a_n rounded as
     ``_rational_mpf`` rounds it, or None for a zero, at the precision of the
     call.
@@ -311,9 +325,8 @@ class _Stream:
         coeffs = sol.coeffs
         self.coeffs = coeffs
         self.last = next((n for n in range(len(coeffs) - 1, -1, -1) if coeffs[n]), None)
-        self.finite = self.last is not None and len(coeffs) - 1 - self.last >= max(
-            3, sol.support_modulus or 1
-        )
+        zeros = 0 if self.last is None else len(coeffs) - 1 - self.last
+        self.finite = zeros >= 3 and zeros >= (detect_support_modulus(coeffs) or 1)
         self.pairs = []
 
 

@@ -23,49 +23,58 @@ below one exists at all, and order exactly zero can never occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .equations import DifferenceEquation
 from .polynomials import NEG_INF
 
 
-@dataclass(frozen=True)
-class OrderEntry:
+class OrderEntry(Record):
     """One admissible order with its solution-count upper bound."""
 
-    rho: Fraction
-    max_count: int
+    __slots__ = ("rho", "max_count")
+
+    def __init__(self, rho: Fraction, max_count: int):
+        _set(self, "rho", rho)
+        _set(self, "max_count", max_count)
 
 
-@dataclass(frozen=True)
-class NewtonAnalysis:
+class NewtonAnalysis(Record):
     """Degree data, vertex chain, and the admissible order list."""
 
-    degrees: tuple
-    s_seq: tuple[int, ...]
-    p: int
-    orders: tuple[OrderEntry, ...]
-    total_bound: int
-    exists_sub1: bool
+    __slots__ = ("degrees", "s_seq", "p", "orders", "total_bound", "exists_sub1")
 
-    def __post_init__(self):
-        d = self.degrees
-        s = self.s_seq
+    def __init__(
+        self,
+        degrees: tuple,
+        s_seq: tuple[int, ...],
+        p: int,
+        orders: tuple[OrderEntry, ...],
+        total_bound: int,
+        exists_sub1: bool,
+    ):
+        d, s = degrees, s_seq
         for a, b in zip(s, s[1:]):
             if not (d[a] > d[b] and d[b] - b > d[a] - a):
                 raise ValueError(f"vertex chain invariants violated: {s}")
-        rhos = [entry.rho for entry in self.orders]
+        rhos = [entry.rho for entry in orders]
         if any(not (0 < r < 1) for r in rhos):
             raise ValueError(f"order outside (0, 1): {rhos}")
         if any(x <= y for x, y in zip(rhos, rhos[1:])):
             raise ValueError(f"orders not strictly decreasing: {rhos}")
-        if any(entry.max_count < 1 for entry in self.orders):
+        if any(entry.max_count < 1 for entry in orders):
             raise ValueError("order multiplicity bound below 1")
-        if sum(e.max_count for e in self.orders) != self.total_bound:
+        if sum(e.max_count for e in orders) != total_bound:
             raise ValueError("multiplicity bounds do not sum to the total bound")
-        if self.p >= 2 and self.total_bound >= len(self.degrees) - 1:
+        if p >= 2 and total_bound >= len(degrees) - 1:
             raise ValueError("total bound must stay below the equation order")
+        _set(self, "degrees", degrees)
+        _set(self, "s_seq", s_seq)
+        _set(self, "p", p)
+        _set(self, "orders", orders)
+        _set(self, "total_bound", total_bound)
+        _set(self, "exists_sub1", exists_sub1)
 
 
 def s_sequence(degrees) -> tuple[int, ...]:

@@ -37,9 +37,9 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record, _set
 from .equations import DifferenceEquation
 from .errors import RootRangeError
 from .newton import lower_hull, s_sequence
@@ -57,8 +57,7 @@ _OUTSIDE = "a root is outside the double range"
 MAX_DIVISOR_SEARCH = 2**20
 
 
-@dataclass(frozen=True)
-class CoefficientRecurrence:
+class CoefficientRecurrence(Record):
     """Exact window rows  sum_i a_{n-i} Q_i(n) = 0  for a coefficient stream.
 
     ``sums`` maps every back-shift index in [-order, max_index] to the
@@ -72,20 +71,21 @@ class CoefficientRecurrence:
     find.
     """
 
-    sums: dict[int, tuple[int, ...]]
-    rho_offset: Fraction = Fraction(0)
-    scale: int = field(init=False, compare=False, repr=False)
+    # a __dict__ holds the cached ``window``
+    __slots__ = ("sums", "rho_offset", "scale", "__dict__")
+    _fields = ("sums", "rho_offset")
 
-    def __post_init__(self):
-        sums = {i: tuple(b) for i, b in sorted(self.sums.items())}
+    def __init__(self, sums: dict[int, tuple[int, ...]], rho_offset: Fraction = Fraction(0)):
+        sums = {i: tuple(b) for i, b in sorted(sums.items())}
         if not sums:
             raise ValueError("empty recurrence window")
         if not sums[min(sums)]:
             raise ValueError("vanishing entry at the deepest back-shift")
         if any(b and not b[-1] for b in sums.values()):
             raise ValueError("a window entry ends in a zero sum")
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "scale", self.rho_offset.denominator ** (max(map(len, sums.values())) - 1))
+        _set(self, "sums", sums)
+        _set(self, "rho_offset", rho_offset)
+        _set(self, "scale", rho_offset.denominator ** (max(map(len, sums.values())) - 1))
 
     @property
     def order(self) -> int:
@@ -316,27 +316,49 @@ def _deflate(ints, root: Fraction):
 # --- convex broken line over the window --------------------------------------
 
 
-@dataclass(frozen=True)
-class PolygonSegment:
-    """One segment: rational slope, horizontal span, characteristic roots."""
+class PolygonSegment(Record):
+    """One segment: rational slope, horizontal span, characteristic roots.
 
-    slope: Fraction
-    span: int
-    start: tuple[int, int]
-    end: tuple[int, int]
-    char_roots: tuple
-    chi: Fraction | None  # 1/slope when positive, else None
+    ``chi`` is 1/slope when the slope is positive, else None.
+    """
+
+    __slots__ = ("slope", "span", "start", "end", "char_roots", "chi")
+
+    def __init__(
+        self,
+        slope: Fraction,
+        span: int,
+        start: tuple[int, int],
+        end: tuple[int, int],
+        char_roots: tuple,
+        chi: Fraction | None,
+    ):
+        _set(self, "slope", slope)
+        _set(self, "span", span)
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "char_roots", char_roots)
+        _set(self, "chi", chi)
 
 
-@dataclass(frozen=True)
-class AdamsPolygon:
+class AdamsPolygon(Record):
     """Points (index, D - deg Q) and the convex chain beneath them."""
 
-    points: tuple[tuple[int, int], ...]
-    segments: tuple[PolygonSegment, ...]
-    normalization_degree: int
-    normalization_index: int
-    note: str = UNMODELED_FACTORS_NOTE
+    __slots__ = ("points", "segments", "normalization_degree", "normalization_index", "note")
+
+    def __init__(
+        self,
+        points: tuple[tuple[int, int], ...],
+        segments: tuple[PolygonSegment, ...],
+        normalization_degree: int,
+        normalization_index: int,
+        note: str = UNMODELED_FACTORS_NOTE,
+    ):
+        _set(self, "points", points)
+        _set(self, "segments", segments)
+        _set(self, "normalization_degree", normalization_degree)
+        _set(self, "normalization_index", normalization_index)
+        _set(self, "note", note)
 
 
 def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:

@@ -62,6 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import InconsistentSystemError, InsufficientDataError
 from .polynomials import as_rational, chain_sum, denominator_chain, fraction_log_abs
 from .recurrences import CoefficientRecurrence
@@ -75,6 +76,11 @@ class SeriesSolution:
     indices divisible by it) when it exceeds one.  ``provenance`` is the
     free/pinned initial data that generated the stream (empty for hand-built
     streams).
+
+    It stays a frozen dataclass while the package's other records do not:
+    callers derive a changed stream with ``dataclasses.replace(sol,
+    coeffs=...)``, and the benchmark's corruption selftest does exactly that.
+    Only the commands that read or write a stream import this module.
     """
 
     rho_offset: Fraction
@@ -104,13 +110,15 @@ def detect_support_modulus(coeffs) -> int | None:
     return g if g >= 2 else None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of substituting a stream into every recurrence row."""
 
-    rows_checked: int
-    max_residual: Fraction
-    first_failing_row: int | None
+    __slots__ = ("rows_checked", "max_residual", "first_failing_row")
+
+    def __init__(self, rows_checked: int, max_residual: Fraction, first_failing_row: int | None):
+        _set(self, "rows_checked", rows_checked)
+        _set(self, "max_residual", max_residual)
+        _set(self, "first_failing_row", first_failing_row)
 
     @property
     def exact(self) -> bool:
@@ -431,8 +439,7 @@ def solve_series(
 # --- growth estimation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     """Fitted decay profile of a coefficient stream.
 
     ``chi_hat`` is the reciprocal of the fitted n log n slope (the growth
@@ -442,11 +449,21 @@ class GrowthEstimate:
     stream whose polygon has chi 1 and 1/5 can fit 1.103 with converged true.
     """
 
-    chi_hat: float
-    fit_window: tuple[int, int]
-    model_params: tuple[float, float, float, float]
-    residual: float
-    converged: bool
+    __slots__ = ("chi_hat", "fit_window", "model_params", "residual", "converged")
+
+    def __init__(
+        self,
+        chi_hat: float,
+        fit_window: tuple[int, int],
+        model_params: tuple[float, float, float, float],
+        residual: float,
+        converged: bool,
+    ):
+        _set(self, "chi_hat", chi_hat)
+        _set(self, "fit_window", fit_window)
+        _set(self, "model_params", model_params)
+        _set(self, "residual", residual)
+        _set(self, "converged", converged)
 
 
 #: Nonzero coefficients that ``estimate_chi`` needs for a fit.

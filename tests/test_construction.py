@@ -19,7 +19,7 @@ from deltaorder import (
     roundtrip_check,
     sub_one_branches,
 )
-from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS
+from deltaorder.construction import MAX_ORDER_DENOMINATOR, ROUNDTRIP_ROWS, ConstructionResult
 from deltaorder.errors import InconsistentSystemError, InsufficientDataError, InvalidOrderError
 from deltaorder.series import RowReduction, SeriesSolution, solve_series, verify_recurrence
 
@@ -133,11 +133,23 @@ def test_predicted_series_holds_one_over_factorials():
         assert list(_predicted_series(q, p, length).coeffs) == expected
 
 
+def _rebuilt(result, canonical=None, predicted_series=None):
+    """``result`` with its canonical equation or predicted series replaced."""
+    return ConstructionResult(
+        result.q,
+        result.p,
+        result.weights,
+        result.template,
+        canonical or result.canonical,
+        predicted_series or result.predicted_series,
+    )
+
+
 def _with_coefficient(result, idx, value):
     coeffs = list(result.predicted_series.coeffs)
     coeffs[idx] = Fraction(value)
     series = dataclasses.replace(result.predicted_series, coeffs=tuple(coeffs))
-    return dataclasses.replace(result, predicted_series=series)
+    return _rebuilt(result, predicted_series=series)
 
 
 def _stage(report, name):
@@ -161,7 +173,7 @@ ZERO_LEAD = "(z-3) D f(z) + f(z) = 0"
 
 def test_prediction_violating_a_zero_lead_row_fails_the_series_stage():
     canonical = normalize_to_delta(parse_equation(ZERO_LEAD))
-    result = dataclasses.replace(construct_equation(1, 2), canonical=canonical)
+    result = _rebuilt(construct_equation(1, 2), canonical=canonical)
     rec = derive_recurrence(canonical)
     assert undetermined(rec, 200) == [0, 4]
     pins = {idx: result.predicted_series.coeffs[idx] for idx in (0, 4)}
@@ -181,7 +193,7 @@ def _roundtrip_case(case):
     """A construction of order q/p, or the 1/2 prediction beside ``ZERO_LEAD``, with its recurrence."""
     if case == "zero-lead":
         canonical = normalize_to_delta(parse_equation(ZERO_LEAD))
-        result = dataclasses.replace(construct_equation(1, 2), canonical=canonical)
+        result = _rebuilt(construct_equation(1, 2), canonical=canonical)
     else:
         result = construct_equation(*case)
     return result, derive_recurrence(result.canonical)
@@ -220,7 +232,7 @@ def test_a_prediction_shorter_than_the_rows_is_rejected():
     result = construct_equation(1, 2)
     short = SeriesSolution.from_values(result.predicted_series.coeffs[:150])
     with pytest.raises(InsufficientDataError, match="needs 203 predicted coefficients, have 150"):
-        roundtrip_check(dataclasses.replace(result, predicted_series=short))
+        roundtrip_check(_rebuilt(result, predicted_series=short))
 
 
 def _detail(report, name):

@@ -27,6 +27,7 @@ from deltaorder.errors import (
     NonConvergenceError,
 )
 from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp
+from deltaorder.series import detect_support_modulus
 
 from fixtures_equations import CUBIC_THIRD, falling_factorial, quartic_34_stream, third_order_stream
 
@@ -73,6 +74,21 @@ def test_nonconvergence_with_too_few_coefficients():
     sol = SeriesSolution.from_values(third_order_stream(4))
     with pytest.raises(NonConvergenceError):
         eval_series(sol, 50.0)
+
+
+def test_a_stated_support_modulus_does_not_make_a_stream_finite():
+    # a_{5t} = 1/(5t)! for t <= 12, then four zeros: fewer than the gap of 5
+    # between its nonzero terms, so the stream may go on past its end
+    coeffs = [Fraction(1, math.factorial(n)) if n % 5 == 0 else Fraction(0) for n in range(61)]
+    coeffs += [Fraction(0)] * 4
+    stated = SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs), support_modulus=None)
+    for sol in (stated, SeriesSolution.from_values(coeffs)):
+        with pytest.raises(NonConvergenceError):
+            eval_series(sol, 400)
+    # a fifth zero ends it: the sum stops at the last nonzero term, with no tail
+    finite = SeriesSolution(rho_offset=Fraction(0), coeffs=(*coeffs, Fraction(0)), support_modulus=None)
+    result = eval_series(finite, 400)
+    assert (result.terms_used, result.tail_bound) == (61, 0.0)
 
 
 def test_offset_prefactor_and_pole(cubic_solution):
@@ -327,7 +343,7 @@ def oracle_eval(sol, z, tol=1e-12, prec=128):
             prefactor = mpmath.mpc(_falling_power_mp(z, rho))
         base = _to_mpc(z) - mpmath.mpf(rho.numerator) / rho.denominator
         total, used, tail, peak = _sum_series(
-            _coeff_mpfs(sol), base, mpmath.mpf(tol), sol.support_modulus
+            _coeff_mpfs(sol), base, mpmath.mpf(tol), detect_support_modulus(sol.coeffs)
         )
         value = complex(prefactor * total)
         log_scale = float(mpmath.log(peak)) if peak > 0 else -math.inf
@@ -351,7 +367,7 @@ def oracle_max_modulus(sol, radius, samples, prec=128):
                     prefactor = _falling_power_mp(z, rho)
                 except GammaPoleError as exc:
                     raise EvaluationError(f"gamma pole on the circle at z={z}") from exc
-            total = _sum_series(coeffs_mp, z - rho_mp, mpmath.mpf(1e-12), sol.support_modulus)[0]
+            total = _sum_series(coeffs_mp, z - rho_mp, mpmath.mpf(1e-12), detect_support_modulus(sol.coeffs))[0]
             magnitude = abs(prefactor * total)
             if magnitude > 0:
                 best = max(best, mpmath.log(magnitude))

@@ -1,10 +1,13 @@
-"""numpy and mpmath load at their first numeric use, not at import.
+"""Each module loads at its first use, not at import.
 
-Each check runs in a fresh interpreter, since this test process has long
-loaded both libraries.
+numpy and mpmath load at their first numeric use; ``dataclasses`` (with
+``inspect``), ``deltaorder.series`` and ``deltaorder.construction`` only in
+the commands that handle coefficient streams.  Each check runs in a fresh
+interpreter, since this test process has long loaded them all.
 """
 
 import ast
+import functools
 import inspect
 import json
 import os
@@ -20,14 +23,17 @@ from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT
 
 SRC = Path(deltaorder.__file__).resolve().parent.parent
 
-# run the CLI, then report which of the two libraries the process loaded
+# run the CLI, then report every module the process loaded
 PROBE = (
     "import json, sys\n"
     "from deltaorder import cli\n"
     "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(json.dumps([m for m in ('numpy', 'mpmath') if m in sys.modules]), file=sys.stderr)\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+NUMERIC = ("numpy", "mpmath")
+# what only the commands that read or write a coefficient stream load
+STREAM_MODULES = {"dataclasses", "inspect", "deltaorder.series", "deltaorder.construction"}
 
 
 def run(argv, cwd=None) -> subprocess.CompletedProcess:
@@ -35,11 +41,19 @@ def run(argv, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
 
 
-def probe(*argv, cwd=None) -> list[str]:
-    """The libraries a fresh interpreter loaded to run the CLI with ``argv``."""
+@functools.lru_cache(maxsize=None)
+def startup_modules() -> frozenset[str]:
+    """The modules a bare interpreter loads before running any code, ``site`` hooks included."""
+    done = run([sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"])
+    assert done.returncode == 0, done.stderr
+    return frozenset(json.loads(done.stdout))
+
+
+def probe(*argv, cwd=None) -> set[str]:
+    """The modules a fresh interpreter loaded, past its start, to run the CLI with ``argv``."""
     done = run([sys.executable, "-c", PROBE, *argv], cwd=cwd)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stderr.splitlines()[-1])
+    return set(json.loads(done.stderr.splitlines()[-1])) - startup_modules()
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +65,19 @@ def stream_dir(tmp_path_factory):
     return path
 
 
+def test_importing_the_package_loads_no_submodule():
+    code = "import json, sys\nimport deltaorder\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = run([sys.executable, "-c", code])
+    assert done.returncode == 0, done.stderr
+    assert [m for m in json.loads(done.stdout) if m.startswith("deltaorder.")] == []
+
+
 def test_importing_the_cli_loads_neither_library():
-    assert probe() == []
+    assert [m for m in NUMERIC if m in probe()] == []
+
+
+def test_importing_the_cli_loads_no_stream_module():
+    assert sorted(probe() & STREAM_MODULES) == []
 
 
 @pytest.mark.parametrize(
@@ -66,7 +91,14 @@ def test_importing_the_cli_loads_neither_library():
     ids=["analyze", "verify", "compose", "eval"],
 )
 def test_commands_load_only_what_they_compute_with(stream_dir, argv, loaded):
-    assert probe(*argv, cwd=stream_dir) == loaded
+    assert [m for m in NUMERIC if m in probe(*argv, cwd=stream_dir)] == loaded
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", CUBIC_THIRD), ("compose", L3_TEXT, L5_TEXT)], ids=["analyze", "compose"]
+)
+def test_commands_without_a_stream_load_no_dataclasses(argv):
+    assert sorted(probe(*argv) & STREAM_MODULES) == []
 
 
 def test_two_term_indicial_roots_load_neither_library():

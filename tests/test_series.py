@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -158,6 +159,20 @@ def test_verify_detects_perturbation(quartic_rec):
     assert not report.exact
     assert report.first_failing_row == 0
     assert report.max_residual > 0
+
+
+def test_a_stream_replaced_through_the_dataclass_fails_verification(cubic_rec):
+    # the benchmark's selftest corrupts solver streams this way; were
+    # SeriesSolution no dataclass, replace() would raise TypeError, and the
+    # selftest would count that as the failure it expects
+    sol = solve_series(cubic_rec, 120, initial={0: 1, 1: 1, 2: Fraction(1, 4)})[0]
+    coeffs = list(sol.coeffs)
+    coeffs[57] += Fraction(1, 10**9)
+    bad = dataclasses.replace(sol, coeffs=tuple(coeffs))
+    assert (bad.rho_offset, bad.provenance) == (sol.rho_offset, sol.provenance)
+    assert verify_recurrence(cubic_rec, sol, 110).exact
+    report = verify_recurrence(cubic_rec, bad, 110)
+    assert not report.exact and report.first_failing_row is not None
 
 
 def test_verify_detects_the_support_from_the_coefficients_not_the_field():
