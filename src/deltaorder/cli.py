@@ -32,7 +32,8 @@ each command loads what it computes with.  ``analyze`` and ``compose`` handle
 no coefficient stream and load neither ``series`` nor ``construction``, and
 so not ``dataclasses`` (with ``inspect``), which ``SeriesSolution`` needs;
 ``solve``, ``construct``, ``eval`` and ``verify`` import them at their first
-use.  ``verify --solution`` and ``compose`` load neither numpy nor mpmath,
+use.  ``compose`` derives no recurrence and does not load ``recurrences``
+either.  ``verify --solution`` and ``compose`` load neither numpy nor mpmath,
 and ``eval --solution`` loads mpmath only.  ``analyze`` finds two-term and
 quadratic roots in closed form, so it loads numpy only where a
 characteristic polynomial, or the part of the indicial polynomial without
@@ -68,10 +69,9 @@ from .errors import (
 from .newton import NewtonAnalysis, analyze, verdict
 from .parsing import _MAX_DIGITS, format_delta_form, format_general, parse_equation
 from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
-from .recurrences import AdamsPolygon, CoefficientRecurrence, adams_polygon, derive_recurrence
-from .recurrences import indicial_exponents, shifted_recurrence, sub_one_branches
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .recurrences import AdamsPolygon, CoefficientRecurrence
     from .series import GrowthEstimate, SeriesSolution
 
 SCHEMA = "deltaorder/1"
@@ -277,6 +277,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _cmd_analyze(args) -> dict:
+    from .recurrences import adams_polygon, derive_recurrence, indicial_exponents, sub_one_branches
+
     eq = _equation(args.equation)
     analysis = analyze(eq)
     rec = derive_recurrence(eq)
@@ -297,6 +299,8 @@ def _cmd_analyze(args) -> dict:
 
 
 def _recurrence(eq: DifferenceEquation, rho: Fraction) -> CoefficientRecurrence:
+    from .recurrences import shifted_recurrence
+
     try:
         return shifted_recurrence(eq, rho)
     except ValueError as exc:

@@ -152,19 +152,21 @@ def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:
 
 
 class RoundTripReport(Record):
-    """Analyzer pipeline results for a constructed equation."""
+    """Analyzer pipeline results for a constructed equation.
+
+    ``ok`` is set here: every stage passed.
+    """
 
     __slots__ = ("ok", "stages", "analysis", "polygon", "chi_hat")
 
     def __init__(
         self,
-        ok: bool,
         stages: tuple[tuple[str, bool, str], ...],
         analysis: NewtonAnalysis,
         polygon: AdamsPolygon,
         chi_hat: float,
     ):
-        _set(self, "ok", ok)
+        _set(self, "ok", all(ok for _, ok, _ in stages))
         _set(self, "stages", stages)
         _set(self, "analysis", analysis)
         _set(self, "polygon", polygon)
@@ -215,11 +217,5 @@ def roundtrip_check(result: ConstructionResult) -> RoundTripReport:
     chi_ok = abs(growth.chi_hat - float(target)) < 0.01
     stages.append(("chi", chi_ok, f"chi_hat {growth.chi_hat:.4f}"))
 
-    return RoundTripReport(
-        ok=all(ok for _, ok, _ in stages),
-        stages=tuple(stages),
-        analysis=analysis,
-        polygon=polygon,
-        chi_hat=growth.chi_hat,
-    )
+    return RoundTripReport(stages=tuple(stages), analysis=analysis, polygon=polygon, chi_hat=growth.chi_hat)
 

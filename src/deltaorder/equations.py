@@ -54,7 +54,7 @@ class GeneralForm(Record):
         _set(self, "terms", terms)
 
 
-class DifferenceEquation:
+class DifferenceEquation(Record):
     """Canonical operator  sum_j P_j(z) Delta^j  acting on f, order >= 1.
 
     Construction normalizes the coefficient vector: rational coefficients are
@@ -73,10 +73,7 @@ class DifferenceEquation:
             raise DegenerateEquationError("all operator terms cancel")
         if len(polys) == 1:
             raise DegenerateEquationError("operator has order zero")
-        object.__setattr__(self, "coeffs", tuple(_canonical_scale(polys)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferenceEquation is immutable")
+        _set(self, "coeffs", tuple(_canonical_scale(polys)))
 
     @property
     def order(self) -> int:
@@ -90,16 +87,8 @@ class DifferenceEquation:
     def max_degree(self) -> int:
         return max(int(p.degree) for p in self.coeffs if not p.is_zero)
 
-    def __eq__(self, other):
-        if not isinstance(other, DifferenceEquation):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
-        return f"DifferenceEquation(order={self.order}, degrees={self.degrees()})"
+        return f"{self.__class__.__qualname__}(order={self.order}, degrees={self.degrees()})"
 
 
 def _canonical_scale(polys: list[Poly]) -> list[Poly]:

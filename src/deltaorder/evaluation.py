@@ -70,7 +70,7 @@ from mpmath.libmp import (
 from ._record import Record, _set
 from .errors import EvaluationError, GammaPoleError, NonConvergenceError
 from .polynomials import MAX_RADII, MAX_SAMPLES, as_rational, working_precision
-from .series import SeriesSolution, detect_support_modulus
+from .series import SeriesSolution
 
 _RND = round_nearest
 
@@ -94,7 +94,10 @@ class EvalResult(Record):
 
 
 class EmpiricalOrder(Record):
-    """Growth-order fit from maximum-modulus samples at increasing radii."""
+    """Growth-order fit from maximum-modulus samples at increasing radii.
+
+    ``scale_hat`` is set here, from the last sample: log M(r) / r^rho_hat.
+    """
 
     __slots__ = ("radii", "log_max_modulus", "rho_hat", "scale_hat", "fit_residual")
 
@@ -103,13 +106,12 @@ class EmpiricalOrder(Record):
         radii: tuple[float, ...],
         log_max_modulus: tuple[float, ...],
         rho_hat: float,
-        scale_hat: float,
         fit_residual: float,
     ):
         _set(self, "radii", radii)
         _set(self, "log_max_modulus", log_max_modulus)
         _set(self, "rho_hat", rho_hat)
-        _set(self, "scale_hat", scale_hat)
+        _set(self, "scale_hat", log_max_modulus[-1] / radii[-1] ** rho_hat)
         _set(self, "fit_residual", fit_residual)
 
 
@@ -310,10 +312,7 @@ class _Stream:
 
     ``last`` is the last nonzero index (None for the zero stream).  The stream
     is finitely supported when at least as many zeros as its support modulus,
-    and at least three, follow ``last``; such a stream sums exactly.  The
-    modulus is derived from the coefficients, not read from
-    ``sol.support_modulus``, which a stream built by hand may state wrongly,
-    and only when three zeros follow ``last``.
+    and at least three, follow ``last``; such a stream sums exactly.
     ``pairs[n]`` is the (mantissa, exponent) pair of a_n rounded as
     ``_rational_mpf`` rounds it, or None for a zero, at the precision of the
     call.
@@ -326,7 +325,7 @@ class _Stream:
         self.coeffs = coeffs
         self.last = next((n for n in range(len(coeffs) - 1, -1, -1) if coeffs[n]), None)
         zeros = 0 if self.last is None else len(coeffs) - 1 - self.last
-        self.finite = zeros >= 3 and zeros >= (detect_support_modulus(coeffs) or 1)
+        self.finite = zeros >= 3 and zeros >= (sol.support_modulus or 1)
         self.pairs = []
 
 
@@ -550,11 +549,4 @@ def empirical_order(sol: SeriesSolution, radii, samples: int = 64, tol: float = 
     residual = math.sqrt(
         sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / n
     )
-    scale = logm[-1] / (radii[-1] ** slope)
-    return EmpiricalOrder(
-        radii=tuple(radii),
-        log_max_modulus=tuple(logm),
-        rho_hat=slope,
-        scale_hat=scale,
-        fit_residual=residual,
-    )
+    return EmpiricalOrder(radii=tuple(radii), log_max_modulus=tuple(logm), rho_hat=slope, fit_residual=residual)

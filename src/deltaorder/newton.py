@@ -41,19 +41,16 @@ class OrderEntry(Record):
 
 
 class NewtonAnalysis(Record):
-    """Degree data, vertex chain, and the admissible order list."""
+    """Degree data, vertex chain, and the admissible order list.
+
+    ``p`` is the chain's length, ``exists_sub1`` says p >= 2, and
+    ``total_bound`` sums the orders' count bounds; all three are set here,
+    from the chain and the orders.
+    """
 
     __slots__ = ("degrees", "s_seq", "p", "orders", "total_bound", "exists_sub1")
 
-    def __init__(
-        self,
-        degrees: tuple,
-        s_seq: tuple[int, ...],
-        p: int,
-        orders: tuple[OrderEntry, ...],
-        total_bound: int,
-        exists_sub1: bool,
-    ):
+    def __init__(self, degrees: tuple, s_seq: tuple[int, ...], orders: tuple[OrderEntry, ...]):
         d, s = degrees, s_seq
         for a, b in zip(s, s[1:]):
             if not (d[a] > d[b] and d[b] - b > d[a] - a):
@@ -65,16 +62,12 @@ class NewtonAnalysis(Record):
             raise ValueError(f"orders not strictly decreasing: {rhos}")
         if any(entry.max_count < 1 for entry in orders):
             raise ValueError("order multiplicity bound below 1")
-        if sum(e.max_count for e in orders) != total_bound:
-            raise ValueError("multiplicity bounds do not sum to the total bound")
-        if p >= 2 and total_bound >= len(degrees) - 1:
-            raise ValueError("total bound must stay below the equation order")
         _set(self, "degrees", degrees)
         _set(self, "s_seq", s_seq)
-        _set(self, "p", p)
+        _set(self, "p", len(s_seq))
         _set(self, "orders", orders)
-        _set(self, "total_bound", total_bound)
-        _set(self, "exists_sub1", exists_sub1)
+        _set(self, "total_bound", sum(e.max_count for e in orders))
+        _set(self, "exists_sub1", len(s_seq) >= 2)
 
 
 def s_sequence(degrees) -> tuple[int, ...]:
@@ -119,17 +112,7 @@ def analyze(eq: DifferenceEquation) -> NewtonAnalysis:
     """Full degree analysis of a canonical equation."""
     degrees = tuple(eq.degrees())
     s = s_sequence(degrees)
-    orders = order_list(degrees, s)
-    first, last = s[0], s[-1]
-    total = (first - last) - (degrees[first] - degrees[last])
-    return NewtonAnalysis(
-        degrees=degrees,
-        s_seq=s,
-        p=len(s),
-        orders=orders,
-        total_bound=total,
-        exists_sub1=len(s) >= 2,
-    )
+    return NewtonAnalysis(degrees=degrees, s_seq=s, orders=order_list(degrees, s))
 
 
 def verdict(analysis: NewtonAnalysis) -> dict:

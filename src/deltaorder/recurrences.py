@@ -317,32 +317,31 @@ def _deflate(ints, root: Fraction):
 
 
 class PolygonSegment(Record):
-    """One segment: rational slope, horizontal span, characteristic roots.
+    """One segment from ``start`` to ``end``, with its characteristic roots.
 
-    ``chi`` is 1/slope when the slope is positive, else None.
+    ``span`` is the horizontal run, ``slope`` the rational slope and ``chi``
+    1/slope when the slope is positive, else None; all three are set here,
+    from the end points.
     """
 
     __slots__ = ("slope", "span", "start", "end", "char_roots", "chi")
 
-    def __init__(
-        self,
-        slope: Fraction,
-        span: int,
-        start: tuple[int, int],
-        end: tuple[int, int],
-        char_roots: tuple,
-        chi: Fraction | None,
-    ):
+    def __init__(self, start: tuple[int, int], end: tuple[int, int], char_roots: tuple):
+        span = end[0] - start[0]
+        slope = Fraction(end[1] - start[1], span)
         _set(self, "slope", slope)
         _set(self, "span", span)
         _set(self, "start", start)
         _set(self, "end", end)
         _set(self, "char_roots", char_roots)
-        _set(self, "chi", chi)
+        _set(self, "chi", 1 / slope if slope > 0 else None)
 
 
 class AdamsPolygon(Record):
-    """Points (index, D - deg Q) and the convex chain beneath them."""
+    """Points (index, D - deg Q) and the convex chain beneath them.
+
+    ``note`` is always ``UNMODELED_FACTORS_NOTE``.
+    """
 
     __slots__ = ("points", "segments", "normalization_degree", "normalization_index", "note")
 
@@ -352,13 +351,12 @@ class AdamsPolygon(Record):
         segments: tuple[PolygonSegment, ...],
         normalization_degree: int,
         normalization_index: int,
-        note: str = UNMODELED_FACTORS_NOTE,
     ):
         _set(self, "points", points)
         _set(self, "segments", segments)
         _set(self, "normalization_degree", normalization_degree)
         _set(self, "normalization_index", normalization_index)
-        _set(self, "note", note)
+        _set(self, "note", UNMODELED_FACTORS_NOTE)
 
 
 def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:
@@ -380,13 +378,9 @@ def adams_polygon(rec: CoefficientRecurrence) -> AdamsPolygon:
     hull = lower_hull(points)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
         on_line = [(x, y) for x, y in points if x1 <= x <= x2 and (y - y1) * (x2 - x1) == (y2 - y1) * (x - x1)]
         roots = tuple(_characteristic_roots(on_line, x2, leading))
-        chi = 1 / slope if slope > 0 else None
-        segments.append(
-            PolygonSegment(slope=slope, span=x2 - x1, start=(x1, y1), end=(x2, y2), char_roots=roots, chi=chi)
-        )
+        segments.append(PolygonSegment(start=(x1, y1), end=(x2, y2), char_roots=roots))
     return AdamsPolygon(
         points=points,
         segments=tuple(segments),

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._record import Record, _set
@@ -72,31 +72,31 @@ from .recurrences import CoefficientRecurrence
 class SeriesSolution:
     """A truncated exact coefficient stream a_0..a_N.
 
-    ``support_modulus`` records arithmetic-progression support (all nonzero
-    indices divisible by it) when it exceeds one.  ``provenance`` is the
-    free/pinned initial data that generated the stream (empty for hand-built
-    streams).
+    ``support_modulus`` is the arithmetic-progression support of the
+    coefficients (the gcd of the nonzero indices) when it exceeds one, else
+    None; it is set from ``coeffs`` at construction and is not a parameter.
+    ``provenance`` is the free/pinned initial data that generated the stream
+    (empty for hand-built streams).
 
     It stays a frozen dataclass while the package's other records do not:
     callers derive a changed stream with ``dataclasses.replace(sol,
-    coeffs=...)``, and the benchmark's corruption selftest does exactly that.
-    Only the commands that read or write a stream import this module.
+    coeffs=...)``, which sets the modulus again from the new coefficients,
+    and the benchmark's corruption selftest does exactly that.  Only the
+    commands that read or write a stream import this module.
     """
 
     rho_offset: Fraction
     coeffs: tuple[Fraction, ...]
-    support_modulus: int | None = None
+    support_modulus: int | None = field(init=False)
     provenance: dict | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "support_modulus", detect_support_modulus(self.coeffs))
 
     @staticmethod
     def from_values(values, rho=0, provenance=None) -> SeriesSolution:
         coeffs = tuple(as_rational(v) for v in values)
-        return SeriesSolution(
-            rho_offset=as_rational(rho),
-            coeffs=coeffs,
-            support_modulus=detect_support_modulus(coeffs),
-            provenance=provenance,
-        )
+        return SeriesSolution(rho_offset=as_rational(rho), coeffs=coeffs, provenance=provenance)
 
 
 def detect_support_modulus(coeffs) -> int | None:
@@ -128,15 +128,16 @@ class VerificationReport(Record):
 def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int) -> VerificationReport:
     """Substitute the stream into rows first_row..rows; exact residuals.
 
-    The stream must reach index rows + order.  Returns the first failing row
-    (if any) and the largest absolute residual encountered.  Each row sums
-    integer numerators over the stream's denominator chain, built once per
-    call; a residual becomes a Fraction only when that sum is nonzero.  The
-    rows read only the window entries whose stream index is a multiple of
-    the support modulus that the checked coefficients show: an entry off it
-    multiplies a zero coefficient.  The modulus is never taken from
-    ``sol.support_modulus``, which a stream built by hand may state wrongly.
+    ``rows`` below ``rec.first_row`` raises ValueError, and the stream must
+    reach index rows + order.  Returns the first failing row (if any) and
+    the largest absolute residual encountered.  Each row sums integer
+    numerators over the stream's denominator chain, built once per call; a
+    residual becomes a Fraction only when that sum is nonzero.  The rows
+    read only the window entries whose stream index is a multiple of
+    ``sol.support_modulus``: an entry off it multiplies a zero coefficient.
     """
+    if rows < rec.first_row:
+        raise ValueError(f"rows {rows} is below the first row {rec.first_row}")
     need = rows + rec.order
     if len(sol.coeffs) < need + 1:
         raise InsufficientDataError(
@@ -148,7 +149,7 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     constant: dict = {}  # no unknowns in any value
     worst = Fraction(0)
     first_bad = None
-    for n, row in rec.rows(rows, detect_support_modulus(coeffs) or 1):
+    for n, row in rec.rows(rows, sol.support_modulus or 1):
         # rows list the deepest index first; the sum runs shallowest first
         terms = [(idx, c, nums[idx], constant) for idx, c in reversed(row) if nums[idx]]
         common, total, _ = chain_sum(chain, terms)
@@ -395,18 +396,17 @@ class RowReduction:
         )
 
     def basis(self) -> list[SeriesSolution]:
-        """One stream per surviving free parameter, skipping streams that vanish."""
+        """One stream per surviving free parameter f, with a_f = 1."""
         rho = self.rec.rho_offset
         build = self._builder([w for _, _, vlin in self.values for w in vlin.values()])
-        solutions = []
-        for fid in self.free_ids:
-            stream = [build(vlin.get(fid, 0), den) for den, _, vlin in self.values]
-            if all(v == 0 for v in stream):
-                continue
-            solutions.append(
-                SeriesSolution.from_values(stream, rho=rho, provenance={"free": {fid: Fraction(1)}})
+        return [
+            SeriesSolution.from_values(
+                [build(vlin.get(fid, 0), den) for den, _, vlin in self.values],
+                rho=rho,
+                provenance={"free": {fid: Fraction(1)}},
             )
-        return solutions
+            for fid in self.free_ids
+        ]
 
 
 def solve_series(
@@ -447,18 +447,25 @@ class GrowthEstimate(Record):
     does not super-exponentially decay.  ``converged`` means only a positive
     slope and a finite residual, not a fit on a branch of the polygon: a
     stream whose polygon has chi 1 and 1/5 can fit 1.103 with converged true.
+    Both are set here, from the slope mu = ``model_params[0]`` and the
+    residual.
     """
 
     __slots__ = ("chi_hat", "fit_window", "model_params", "residual", "converged")
 
     def __init__(
         self,
-        chi_hat: float,
         fit_window: tuple[int, int],
         model_params: tuple[float, float, float, float],
         residual: float,
-        converged: bool,
     ):
+        mu = model_params[0]
+        if mu <= 0:
+            chi_hat = math.inf
+            converged = False
+        else:
+            chi_hat = 1.0 / mu
+            converged = math.isfinite(residual)
         _set(self, "chi_hat", chi_hat)
         _set(self, "fit_window", fit_window)
         _set(self, "model_params", model_params)
@@ -492,18 +499,8 @@ def estimate_chi(coeffs) -> GrowthEstimate:
     design = np.column_stack([ns * logn, ns, logn, np.ones_like(ns)])
     params, *_ = np.linalg.lstsq(design, ys, rcond=None)
     fitted = design @ params
-    residual = float(np.sqrt(np.mean((ys - fitted) ** 2)))
-    mu = float(params[0])
-    if mu <= 0:
-        chi_hat = math.inf
-        converged = False
-    else:
-        chi_hat = 1.0 / mu
-        converged = math.isfinite(residual)
     return GrowthEstimate(
-        chi_hat=chi_hat,
         fit_window=(tail[0][0], tail[-1][0]),
         model_params=tuple(float(x) for x in params),
-        residual=residual,
-        converged=converged,
+        residual=float(np.sqrt(np.mean((ys - fitted) ** 2))),
     )

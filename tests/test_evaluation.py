@@ -81,12 +81,13 @@ def test_a_stated_support_modulus_does_not_make_a_stream_finite():
     # between its nonzero terms, so the stream may go on past its end
     coeffs = [Fraction(1, math.factorial(n)) if n % 5 == 0 else Fraction(0) for n in range(61)]
     coeffs += [Fraction(0)] * 4
-    stated = SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs), support_modulus=None)
+    stated = SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs))
+    assert stated.support_modulus == 5
     for sol in (stated, SeriesSolution.from_values(coeffs)):
         with pytest.raises(NonConvergenceError):
             eval_series(sol, 400)
     # a fifth zero ends it: the sum stops at the last nonzero term, with no tail
-    finite = SeriesSolution(rho_offset=Fraction(0), coeffs=(*coeffs, Fraction(0)), support_modulus=None)
+    finite = SeriesSolution(rho_offset=Fraction(0), coeffs=(*coeffs, Fraction(0)))
     result = eval_series(finite, 400)
     assert (result.terms_used, result.tail_bound) == (61, 0.0)
 

@@ -2,7 +2,8 @@
 
 numpy and mpmath load at their first numeric use; ``dataclasses`` (with
 ``inspect``), ``deltaorder.series`` and ``deltaorder.construction`` only in
-the commands that handle coefficient streams.  Each check runs in a fresh
+the commands that handle coefficient streams; ``deltaorder.recurrences``
+only in the commands that derive a recurrence.  Each check runs in a fresh
 interpreter, since this test process has long loaded them all.
 """
 
@@ -101,6 +102,15 @@ def test_commands_without_a_stream_load_no_dataclasses(argv):
     assert sorted(probe(*argv) & STREAM_MODULES) == []
 
 
+def test_compose_loads_only_the_modules_it_computes_with():
+    # compose derives no recurrence, so ``deltaorder.recurrences`` (with cmath) stays out
+    loaded = sorted(m for m in probe("compose", L3_TEXT, L5_TEXT) if m.startswith("deltaorder"))
+    assert loaded == [
+        "deltaorder", "deltaorder._record", "deltaorder.cli", "deltaorder.equations", "deltaorder.errors",
+        "deltaorder.newton", "deltaorder.parsing", "deltaorder.polynomials",
+    ]
+
+
 def test_two_term_indicial_roots_load_neither_library():
     # the residual z^3 - 2 went to np.roots; its roots are now the cube roots of 2
     code = (
@@ -146,21 +156,21 @@ def test_the_public_surface_is_pinned():
 
 # the parameter names of every callable in __all__; classes by their constructor
 PUBLIC_SIGNATURES = {
-    "AdamsPolygon": ("points", "segments", "normalization_degree", "normalization_index", "note"),
+    "AdamsPolygon": ("points", "segments", "normalization_degree", "normalization_index"),
     "CoefficientRecurrence": ("sums", "rho_offset"),
     "ConstructionResult": ("q", "p", "weights", "template", "canonical", "predicted_series"),
     "DifferenceEquation": ("coeffs",),
-    "EmpiricalOrder": ("radii", "log_max_modulus", "rho_hat", "scale_hat", "fit_residual"),
+    "EmpiricalOrder": ("radii", "log_max_modulus", "rho_hat", "fit_residual"),
     "EvalResult": ("value", "terms_used", "tail_bound", "log_scale"),
     "GeneralForm": ("terms",),
-    "GrowthEstimate": ("chi_hat", "fit_window", "model_params", "residual", "converged"),
-    "NewtonAnalysis": ("degrees", "s_seq", "p", "orders", "total_bound", "exists_sub1"),
+    "GrowthEstimate": ("fit_window", "model_params", "residual"),
+    "NewtonAnalysis": ("degrees", "s_seq", "orders"),
     "OperatorTerm": ("coefficient", "delta_power", "shift"),
     "OrderEntry": ("rho", "max_count"),
     "Poly": ("coeffs",),
-    "PolygonSegment": ("slope", "span", "start", "end", "char_roots", "chi"),
-    "RoundTripReport": ("ok", "stages", "analysis", "polygon", "chi_hat"),
-    "SeriesSolution": ("rho_offset", "coeffs", "support_modulus", "provenance"),
+    "PolygonSegment": ("start", "end", "char_roots"),
+    "RoundTripReport": ("stages", "analysis", "polygon", "chi_hat"),
+    "SeriesSolution": ("rho_offset", "coeffs", "provenance"),
     "VerificationReport": ("rows_checked", "max_residual", "first_failing_row"),
     "adams_polygon": ("rec",),
     "analyze": ("eq",),

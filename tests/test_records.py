@@ -3,16 +3,20 @@
 Each record compares equal only to an instance of its own class, hashes the
 tuple of its compared fields, prints the repr text recorded when the records
 were dataclasses, refuses assignment and deletion, and still validates its
-arguments.
+arguments.  A field that a record derives from the others is set by its own
+constructor and is not a parameter of it.
 """
 
-import inspect
 from fractions import Fraction
 
 import pytest
 
+import deltaorder
+from deltaorder._record import Record
+
 from deltaorder.construction import ConstructionResult, RoundTripReport
 from deltaorder.equations import DifferenceEquation, GeneralForm, OperatorTerm
+from deltaorder.errors import DegenerateEquationError
 from deltaorder.evaluation import EmpiricalOrder, EvalResult
 from deltaorder.newton import NewtonAnalysis, OrderEntry
 from deltaorder.polynomials import Poly
@@ -21,8 +25,8 @@ from deltaorder.series import GrowthEstimate, SeriesSolution, VerificationReport
 
 TERM = OperatorTerm(Poly([1, 2]), 1, -2)
 ENTRY = OrderEntry(Fraction(1, 3), 1)
-ANALYSIS = NewtonAnalysis((0, 0, 1, 2), (3, 0), 2, (ENTRY,), 1, True)
-SEGMENT = PolygonSegment(Fraction(3), 1, (2, 2), (3, 5), (Fraction(1, 6),), Fraction(1, 3))
+ANALYSIS = NewtonAnalysis((0, 0, 1, 2), (3, 0), (ENTRY,))
+SEGMENT = PolygonSegment((2, 2), (3, 5), (Fraction(1, 6),))
 POLYGON = AdamsPolygon(((0, 0), (1, 1)), (SEGMENT,), 1, -1)
 
 TERM_REPR = "OperatorTerm(coefficient=Poly([Fraction(1, 1), Fraction(2, 1)]), delta_power=1, shift=-2)"
@@ -40,13 +44,13 @@ POLYGON_REPR = (
     "normalization_index=-1, note='subexponential factors of each branch are not modeled')"
 )
 
-# class -> (the fields of one instance, its repr as the frozen dataclass printed it)
+# class -> (the parameters of one instance, its repr as the frozen dataclass printed it)
 CASES = {
     OperatorTerm: (dict(coefficient=Poly([1, 2]), delta_power=1, shift=-2), TERM_REPR),
     GeneralForm: (dict(terms=(TERM,)), f"GeneralForm(terms=({TERM_REPR},))"),
     OrderEntry: (dict(rho=Fraction(1, 3), max_count=1), ENTRY_REPR),
     NewtonAnalysis: (
-        dict(degrees=(0, 0, 1, 2), s_seq=(3, 0), p=2, orders=(ENTRY,), total_bound=1, exists_sub1=True),
+        dict(degrees=(0, 0, 1, 2), s_seq=(3, 0), orders=(ENTRY,)),
         ANALYSIS_REPR,
     ),
     CoefficientRecurrence: (
@@ -54,7 +58,7 @@ CASES = {
         "CoefficientRecurrence(sums={-1: (2,), 0: (-1, 1)}, rho_offset=Fraction(1, 2))",
     ),
     PolygonSegment: (
-        dict(slope=Fraction(3), span=1, start=(2, 2), end=(3, 5), char_roots=(Fraction(1, 6),), chi=Fraction(1, 3)),
+        dict(start=(2, 2), end=(3, 5), char_roots=(Fraction(1, 6),)),
         SEGMENT_REPR,
     ),
     AdamsPolygon: (
@@ -66,8 +70,8 @@ CASES = {
         "VerificationReport(rows_checked=10, max_residual=Fraction(1, 7), first_failing_row=3)",
     ),
     GrowthEstimate: (
-        dict(chi_hat=0.5, fit_window=(3, 9), model_params=(1.0, 2.0, 3.0, 4.0), residual=0.125, converged=True),
-        "GrowthEstimate(chi_hat=0.5, fit_window=(3, 9), model_params=(1.0, 2.0, 3.0, 4.0), "
+        dict(fit_window=(3, 9), model_params=(2.0, 1.0, 3.0, 4.0), residual=0.125),
+        "GrowthEstimate(chi_hat=0.5, fit_window=(3, 9), model_params=(2.0, 1.0, 3.0, 4.0), "
         "residual=0.125, converged=True)",
     ),
     EvalResult: (
@@ -75,8 +79,8 @@ CASES = {
         "EvalResult(value=(1+2j), terms_used=5, tail_bound=0.0, log_scale=1.5)",
     ),
     EmpiricalOrder: (
-        dict(radii=(1.0, 2.0), log_max_modulus=(0.5, 0.25), rho_hat=0.5, scale_hat=1.0, fit_residual=0.0),
-        "EmpiricalOrder(radii=(1.0, 2.0), log_max_modulus=(0.5, 0.25), rho_hat=0.5, scale_hat=1.0, "
+        dict(radii=(1.0, 2.0), log_max_modulus=(0.5, 2.0), rho_hat=2.0, fit_residual=0.0),
+        "EmpiricalOrder(radii=(1.0, 2.0), log_max_modulus=(0.5, 2.0), rho_hat=2.0, scale_hat=0.5, "
         "fit_residual=0.0)",
     ),
     ConstructionResult: (
@@ -94,10 +98,11 @@ CASES = {
         "coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), support_modulus=2, provenance=None))",
     ),
     RoundTripReport: (
-        dict(ok=False, stages=(("newton", True, "orders [1/3]"),), analysis=ANALYSIS, polygon=POLYGON, chi_hat=0.25),
-        f"RoundTripReport(ok=False, stages=(('newton', True, 'orders [1/3]'),), analysis={ANALYSIS_REPR}, "
+        dict(stages=(("newton", True, "orders [1/3]"),), analysis=ANALYSIS, polygon=POLYGON, chi_hat=0.25),
+        f"RoundTripReport(ok=True, stages=(('newton', True, 'orders [1/3]'),), analysis={ANALYSIS_REPR}, "
         f"polygon={POLYGON_REPR}, chi_hat=0.25)",
     ),
+    DifferenceEquation: (dict(coeffs=([1], [0, 1])), "DifferenceEquation(order=1, degrees=[0, 1])"),
 }
 # every field but CoefficientRecurrence's ``scale`` is compared and printed
 HIDDEN = {CoefficientRecurrence: ("scale",)}
@@ -106,7 +111,9 @@ records = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name
 
 
 def test_the_cases_cover_every_record():
-    assert len(CASES) == 13
+    public = [getattr(deltaorder, name) for name in deltaorder.__all__]
+    assert set(CASES) == {cls for cls in public if isinstance(cls, type) and issubclass(cls, Record)}
+    assert len(CASES) == 14
 
 
 @records
@@ -141,8 +148,8 @@ def test_equal_records_hash_alike(cls):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
         return
-    # the compared fields are the constructor's parameters, defaults included
-    values = tuple(getattr(record, name) for name in inspect.signature(cls).parameters)
+    # the compared fields are the record's fields, derived ones included
+    values = tuple(getattr(record, name) for name in cls._fields)
     assert hash(record) == hash(cls(**fields)) == hash(values)
 
 
@@ -157,7 +164,7 @@ def test_a_recurrence_compares_without_its_scale():
 def test_fields_can_be_neither_assigned_nor_deleted(cls):
     fields, _ = CASES[cls]
     record = cls(**fields)
-    for name in (*fields, *HIDDEN.get(cls, ()), "no_such_field"):
+    for name in (*cls._fields, *HIDDEN.get(cls, ()), "no_such_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -171,12 +178,49 @@ def test_the_validation_of_each_record_still_raises():
     with pytest.raises(ValueError, match="at least one term"):
         GeneralForm(())
     with pytest.raises(ValueError, match="vertex chain invariants violated"):
-        NewtonAnalysis((2, 0, 1, 2), (3, 0), 2, (ENTRY,), 1, True)
-    with pytest.raises(ValueError, match="do not sum to the total bound"):
-        NewtonAnalysis((0, 0, 1, 2), (3, 0), 2, (ENTRY,), 2, True)
+        NewtonAnalysis((2, 0, 1, 2), (3, 0), (ENTRY,))
     with pytest.raises(ValueError, match="empty recurrence window"):
         CoefficientRecurrence({})
     with pytest.raises(ValueError, match="vanishing entry at the deepest back-shift"):
         CoefficientRecurrence({-1: (), 0: (1,)})
     with pytest.raises(ValueError, match="ends in a zero sum"):
         CoefficientRecurrence({-1: (1,), 0: (1, 0)})
+    with pytest.raises(DegenerateEquationError, match="order zero"):
+        DifferenceEquation([[1]])
+
+
+# every parameter that a record now derives from its other fields
+DERIVED = [
+    (NewtonAnalysis, "p"),
+    (NewtonAnalysis, "total_bound"),
+    (NewtonAnalysis, "exists_sub1"),
+    (PolygonSegment, "slope"),
+    (PolygonSegment, "span"),
+    (PolygonSegment, "chi"),
+    (AdamsPolygon, "note"),
+    (GrowthEstimate, "chi_hat"),
+    (GrowthEstimate, "converged"),
+    (EmpiricalOrder, "scale_hat"),
+    (RoundTripReport, "ok"),
+    (SeriesSolution, "support_modulus"),
+]
+
+
+@pytest.mark.parametrize("cls, name", DERIVED, ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_a_derived_field_is_not_a_parameter(cls, name):
+    fields = CASES[cls][0] if cls in CASES else dict(rho_offset=Fraction(0), coeffs=(Fraction(1),))
+    value = getattr(cls(**fields), name)
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        cls(**fields, **{name: value})
+
+
+def test_derived_fields_follow_the_stored_ones():
+    assert (ANALYSIS.p, ANALYSIS.total_bound, ANALYSIS.exists_sub1) == (2, 1, True)
+    single = NewtonAnalysis((0, 1), (1,), ())
+    assert (single.p, single.total_bound, single.exists_sub1) == (1, 0, False)
+    assert (SEGMENT.slope, SEGMENT.span, SEGMENT.chi) == (3, 1, Fraction(1, 3))
+    assert PolygonSegment((0, 0), (2, 0), ()).chi is None
+    assert GrowthEstimate((3, 9), (-1.0, 0.0, 0.0, 0.0), 0.5).chi_hat == float("inf")
+    assert not GrowthEstimate((3, 9), (2.0, 0.0, 0.0, 0.0), float("nan")).converged
+    failed = RoundTripReport((("newton", True, ""), ("chi", False, "")), ANALYSIS, POLYGON, 0.25)
+    assert not failed.ok

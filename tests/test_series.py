@@ -176,16 +176,33 @@ def test_a_stream_replaced_through_the_dataclass_fails_verification(cubic_rec):
 
 
 def test_verify_detects_the_support_from_the_coefficients_not_the_field():
-    # a value off q*N breaks the 3/4 prediction's rows; a field claiming
-    # support on 3*N must not hide the entries that read it
+    # a value off q*N breaks the 3/4 prediction's rows; the support on 3*N of
+    # the stream it was replaced from must not hide the entries that read it
     built = construct_equation(3, 4)
     rec = derive_recurrence(built.canonical)
     coeffs = list(built.predicted_series.coeffs)
     coeffs[4] = Fraction(1, 5)
-    sol = SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs), support_modulus=3)
+    sol = dataclasses.replace(built.predicted_series, coeffs=tuple(coeffs))
     assert verify_recurrence(rec, built.predicted_series, 100).exact
     report = verify_recurrence(rec, sol, 100)
     assert not report.exact and report.max_residual > 0
+
+
+def test_a_replaced_stream_sets_its_support_modulus_again():
+    predicted = construct_equation(3, 4).predicted_series
+    coeffs = list(predicted.coeffs)
+    coeffs[4] = Fraction(1, 5)
+    assert predicted.support_modulus == 3
+    assert dataclasses.replace(predicted, coeffs=tuple(coeffs)).support_modulus is None
+    assert SeriesSolution(Fraction(0), tuple(coeffs)).support_modulus is None
+
+
+def test_verify_rejects_rows_below_the_first_row(cubic_rec):
+    # with no row to check, the report would say exact: row 0 fails this stream
+    sol = SeriesSolution.from_values([1] * 10)
+    with pytest.raises(ValueError, match="rows -3 is below the first row 0"):
+        verify_recurrence(cubic_rec, sol, -3)
+    assert verify_recurrence(cubic_rec, sol, 0).first_failing_row == 0
 
 
 def test_pin_rejects_a_negative_index(cubic_rec):
