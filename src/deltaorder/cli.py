@@ -318,6 +318,7 @@ def _solve(args, eq: DifferenceEquation, terms: int) -> tuple[CoefficientRecurre
     rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
     rec = _recurrence(eq, rho)
     initial = _parse_initial(getattr(args, "initial", None))
+    _check_rows(args, rec)
     try:
         solutions = solve_series(rec, terms, initial=initial)
     except InconsistentSystemError as exc:
@@ -327,6 +328,13 @@ def _solve(args, eq: DifferenceEquation, terms: int) -> tuple[CoefficientRecurre
     if not solutions:
         raise _CommandError(EXIT_EMPTY, "only the zero stream solves the rows")
     return rec, solutions
+
+
+def _check_rows(args, rec: CoefficientRecurrence):
+    """Reject a verify --rows below the first row of ``rec``, before any stream is solved."""
+    rows = getattr(args, "rows", None)
+    if rows is not None and rows < rec.first_row:
+        raise _CommandError(EXIT_PARSE, f"--rows must be at least the first row {rec.first_row}")
 
 
 def _cmd_solve(args) -> dict:
@@ -409,14 +417,19 @@ def _load_solution(args, eq: DifferenceEquation | None, terms: int):
     is rejected.  Otherwise --index is, and the equation is solved up to
     --terms, else ``terms``: pins select one stream; without them the basis
     stream with the smallest finite fitted chi is taken, or the first stream
-    when no stream has one.
+    when no stream has one.  A verify --rows below the recurrence's first row
+    is rejected before the equation is solved.
     """
     if args.solution:
         for flag in ("initial", "rho", "terms"):
             if getattr(args, flag, None) is not None:
                 raise _CommandError(EXIT_PARSE, f"--{flag} cannot be combined with --solution")
         sol = _read_solution(args.solution, args.index or 0)
-        return (None if eq is None else _recurrence(eq, sol.rho_offset)), sol
+        if eq is None:
+            return None, sol
+        rec = _recurrence(eq, sol.rho_offset)
+        _check_rows(args, rec)
+        return rec, sol
     if args.index is not None:
         raise _CommandError(EXIT_PARSE, "--index needs --solution")
     if eq is None:
@@ -431,7 +444,12 @@ def _cmd_eval(args) -> dict:
     from .evaluation import empirical_order, eval_series, max_modulus
 
     eq = _equation(args.equation) if args.equation else None
-    prec = working_precision()  # before solving, so a precision over its limit costs nothing
+    # the precision and the flags before solving, so rejecting them costs nothing
+    prec = working_precision()
+    if args.at is None and not args.radii:
+        raise _CommandError(EXIT_PARSE, "nothing to do: give --at and/or --radii")
+    z = None if args.at is None else _parse_complex(args.at)
+    radii = _parse_radii(args.radii) if args.radii else None
     _, sol = _load_solution(args, eq, terms=400)
     out = {
         "schema": SCHEMA,
@@ -439,10 +457,6 @@ def _cmd_eval(args) -> dict:
         "rho": sol.rho_offset,
         "precision_bits": prec,
     }
-    if args.at is None and not args.radii:
-        raise _CommandError(EXIT_PARSE, "nothing to do: give --at and/or --radii")
-    z = None if args.at is None else _parse_complex(args.at)
-    radii = _parse_radii(args.radii) if args.radii else None
     try:
         if z is not None:
             result = eval_series(sol, z, tol=args.tol)
@@ -476,8 +490,6 @@ def _cmd_verify(args) -> dict:
 
     eq = _equation(args.equation)
     rec, sol = _load_solution(args, eq, terms=200)
-    if args.rows is not None and args.rows < rec.first_row:
-        raise _CommandError(EXIT_PARSE, f"--rows must be at least the first row {rec.first_row}")
     max_rows = len(sol.coeffs) - 1 - rec.order
     rows = max_rows if args.rows is None else args.rows
     if not rec.first_row <= rows <= max_rows:

@@ -264,6 +264,21 @@ def _coerce_poly(value):
     return NotImplemented
 
 
+def _decimal_text(n: int) -> str:
+    """str(n) for an int of any size, printed in pieces of at most 603 digits.
+
+    CPython's str() refuses an int of more decimal digits than the
+    interpreter's int/str digit limit (4300 by default, 640 at the least).
+    """
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**half)
+    return _decimal_text(high) + _decimal_text(low).zfill(half)
+
+
 def format_poly(p: Poly) -> str:
     """Render a polynomial in descending powers, e.g. ``6z^2 + 19z + 15``."""
     if p.is_zero:
@@ -275,11 +290,14 @@ def format_poly(p: Poly) -> str:
             continue
         sign = "-" if c < 0 else "+"
         mag = abs(c)
+        number = _decimal_text(mag.numerator)
+        if mag.denominator != 1:
+            number += f"/{_decimal_text(mag.denominator)}"
         if power == 0:
-            body = str(mag)
+            body = number
         else:
             var = "z" if power == 1 else f"z^{power}"
-            body = var if mag == 1 else f"{mag}{var}"
+            body = var if mag == 1 else f"{number}{var}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

@@ -388,6 +388,27 @@ def test_verify_rows_below_the_first_row_exit_two(capsys):
         assert "--rows must be at least the first row 0" in err
 
 
+def test_flags_are_rejected_before_solving(capsys, monkeypatch):
+    # eval --at 1+x on the cubic at 3200 terms used to solve for 3.1 s first
+    from deltaorder import series
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the flags were checked")
+
+    monkeypatch.setattr(series, "solve_series", no_solve)
+    pins = ("--terms", "3200", "--initial", "0=1,1=0,2=0")
+    for argv, message in (
+        (("eval", CUBIC_THIRD, *pins, "--at", "1+x"), "invalid complex point '1+x'"),
+        (("eval", CUBIC_THIRD, *pins), "nothing to do: give --at and/or --radii"),
+        (("eval", CUBIC_THIRD, *pins, "--radii", "10,x"), "invalid radii '10,x'"),
+        (("verify", CUBIC_THIRD, *pins[:2], "--rows", "-1"), "--rows must be at least the first row 0"),
+        (("verify", CUBIC_THIRD, "--rho", "3/2", "--rows", "-4"), "--rows must be at least the first row -3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
+
+
 def test_verify_below_row_zero_reports_no_direct_image(capsys):
     # rows -3..-1 reach no image coefficient; `all([])` used to print true
     argv = ("verify", CUBIC_THIRD, "--rho", "3/2", "--terms", "80")

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,10 +199,10 @@ def _monomial_sum(n: int) -> str:
 
 @pytest.mark.parametrize("n", [10, 40])
 def test_a_sum_of_monomials_builds_a_few_polys_per_term(monkeypatch, n):
-    # each term builds its integer, its closed-form power and their product;
-    # the sum and the equation's two sign constants add five more.  A product
-    # per token (powers by repeated squaring, one Poly per '+') built about
-    # nine per term.
+    # the tokenizer reads the parenthesized sum in one match and builds its
+    # one Poly from one integer list; the equation's two sign constants add
+    # two more, whatever n is.  Read token by token, each monomial built its
+    # integer, its power and their product: 30 values at n = 10, 111 at 40.
     built = []
     fill = polynomials._fill
 
@@ -210,4 +213,32 @@ def test_a_sum_of_monomials_builds_a_few_polys_per_term(monkeypatch, n):
     monkeypatch.setattr(polynomials, "_fill", counting_fill)
     general = parse_equation(_monomial_sum(n))
     assert len(general.terms[0].coefficient.nums) == 10
-    assert len(built) <= 3 * n + 5
+    assert len(built) == 3
+
+
+def test_a_long_literal_parses_and_prints_at_the_default_digit_limit():
+    # CPython's int() and str() refuse more than 4300 digits by default; the
+    # CLI lifts that limit for its process, a library caller may not.  Each
+    # check runs in a fresh interpreter, since the CLI tests lift it here.
+    script = (
+        "import sys\n"
+        "from deltaorder import format_general, parse_equation\n"
+        "from deltaorder.errors import ParseError\n"
+        "assert sys.get_int_max_str_digits() == 4300\n"
+        "for digits in (5000, 30103):\n"
+        "    literal = '1' * digits\n"
+        "    g = parse_equation('(' + literal + 'z) f(z) + f(z+1) = 0')\n"
+        "    assert g.terms[0].coefficient.nums == (0, (10**digits - 1) // 9)\n"
+        "    text = format_general(g)\n"
+        "    assert literal + 'z' in text\n"
+        "    assert parse_equation(text) == g\n"
+        "try:\n"
+        "    parse_equation('f(z) ' + '7' * 5000 + ' = 0')\n"
+        "except ParseError as exc:\n"
+        "    assert str(exc) == \"expected 'equals', found \" + '7' * 5000 + ' (at position 5)'\n"
+        "else:\n"
+        "    raise AssertionError('no ParseError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(polynomials.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
