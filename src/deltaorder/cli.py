@@ -20,7 +20,8 @@ malformed --solution file (rationals in it are strings or integers), or
 3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
 (also a q/p whose denominator is above
 ``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
-6 evaluation failure (also more than ``polynomials.MAX_RADII`` = 16 radii,
+6 evaluation failure (also an ``eval --at`` value past the double range,
+more than ``polynomials.MAX_RADII`` = 16 radii,
 a characteristic or indicial root whose magnitude is outside the double
 range, and a rational-root search of the indicial polynomial that would
 exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -67,7 +69,7 @@ from .errors import (
     RootRangeError,
 )
 from .newton import NewtonAnalysis, analyze, verdict
-from .parsing import _MAX_DIGITS, format_delta_form, format_general, parse_equation
+from .parsing import _INT_PIECE, _MAX_DIGITS, _read_int, format_delta_form, format_general, parse_equation
 from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -218,14 +220,26 @@ def _equation(raw: str) -> DifferenceEquation:
         raise _CommandError(EXIT_DEGENERATE, f"degenerate equation: {exc}")
 
 
+# the form the program writes rationals in, ASCII digits only
+_PLAIN_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(value: str | int) -> Fraction:
     """``Fraction(value)``, refusing a literal whose decimal exponent exceeds ``parsing._MAX_DIGITS``.
 
     ``Fraction`` expands an exponent into digits before any limit applies, so
     a literal as short as 1e2000000 would run for minutes.  The program
-    never writes exponents, so every file it writes still reads back.
+    never writes exponents, so every file it writes still reads back.  A
+    plain ``[+-]digits[/digits]`` longer than ``parsing._INT_PIECE`` has its
+    digits read by ``parsing._read_int``, in subquadratic time, where
+    ``Fraction`` would read them in quadratic time.
     """
     if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value) if len(value) > _INT_PIECE else None
+        if plain:
+            sign, num, den = plain.groups()
+            numerator = _read_int(num)
+            return Fraction(-numerator if sign == "-" else numerator, _read_int(den) if den else 1)
         _, sep, exponent = value.lower().partition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         if sep and digits.isdecimal() and (len(digits) > 6 or int(digits) > _MAX_DIGITS):

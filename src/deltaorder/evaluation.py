@@ -19,9 +19,25 @@ is what ``mpmath.libmp`` does at round_nearest: ``mpf_add``, ``mpf_mul``,
 its sum of squares toward zero at 4 more bits first.  Operands whose top bits
 lie more than prec + 4 apart are handed to ``mpf_add`` and ``mpf_hypot``
 themselves, which sum them by a nudge rather than an exact shift.  The kernel
-does the operations of a plain mpc loop in the same order, so its results are
-those of that loop bit for bit; raw mpf values appear only at its edges (the
-coefficients, base and tolerance going in, the total and peak coming out).
+gives the results of a plain mpc loop bit for bit; raw mpf values appear only
+at its edges (the coefficients, base and tolerance going in, the total and
+peak coming out).  Every value that reaches a result is formed as that loop
+forms it, in its order: the terms a_n * ff(base, n), the running total and
+the falling-power weights.  The stopping rule's three comparisons (a term's
+ratio to the last nonzero term against 1/2, |term| against
+tol * (|total| + 1), and |term| against the peak) only steer the loop, so
+each is taken from estimates: first from the top exponents, where those lie
+two or more apart, then from log2 estimates read off the top 60 bits of the
+mantissas.  Those lie within 2**-46 of the exact log2 whatever the exponents,
+and the loop's rounded moduli, ratio and bound lie within a few units of
+2**-53 of the values they round, so an estimate more than 2**-30 from its
+boundary decides as the loop does.  Within 2**-30, the exact rounded values
+decide, from the same primitives the loop uses (``_hypot``, ``_div``, and
+the rounded |total| + 1 and bound).  They also run once where the sum stops:
+for the tail, the last term's modulus and ratio, and for the peak, the
+modulus of the term kept as the largest.  A sum of a few hundred terms thus
+takes a few exact moduli instead of one or two square roots and a division
+per term.
 Each call scans the support of the exact coefficients once and converts a
 coefficient only when the sum reaches it, so a sum that settles after ten
 terms converts ten; the circle samples and radii of one call share the
@@ -307,6 +323,84 @@ def _less(xm: int, xe: int, ym: int, ye: int) -> bool:
     return xm < (ym << ye - xe)
 
 
+# --- the float filter of the stopping rule (see the module docstring) --------
+
+#: Half-width, in log2, of the band around a decision's boundary inside which
+#: the exact magnitudes decide.  An estimate lies within 2**-46 of the exact
+#: log2, and each rounded magnitude the exact rule compares within 3 * 2**-53
+#: (three roundings at prec >= 53) of the value it rounds, so outside the band
+#: the estimate and the exact comparison agree.
+_MARGIN = 2.0**-30
+
+
+def _top(xm: int, xe: int, ym: int, ye: int) -> int:
+    """The top exponent k of a nonzero x + iy: log2 |x + iy| lies in [k - 1, k + 1/2)."""
+    if not xm:
+        return ym.bit_length() + ye
+    if not ym:
+        return xm.bit_length() + xe
+    return max(xm.bit_length() + xe, ym.bit_length() + ye)
+
+
+def _log2_frac(xm: int, xe: int, ym: int, ye: int, k: int) -> float:
+    """log2 |x + iy| - k within 2**-46, for x + iy nonzero of top exponent k.
+
+    Both parts are read at the scale where the larger one has 60 bits, so no
+    float overflows or underflows whatever the exponents.
+    """
+    s, t = k - 60 - xe, k - 60 - ye
+    x = float(xm >> s if s >= 0 else xm << -s)
+    y = float(ym >> t if t >= 0 else ym << -t)
+    return math.log2(math.hypot(x, y)) - 60
+
+
+class _Term:
+    """A nonzero term of the sum: its parts, its top exponent, and the log2
+    estimate and rounded modulus (as ``_hypot`` gives it) of its modulus, each
+    made on first use."""
+
+    __slots__ = ("parts", "top", "_frac", "_modulus")
+
+    def __init__(self, parts: tuple[int, int, int, int]):
+        self.parts = parts
+        self.top = _top(*parts)
+        self._frac = self._modulus = None
+
+    def frac(self) -> float:
+        if self._frac is None:
+            self._frac = _log2_frac(*self.parts, self.top)
+        return self._frac
+
+    def exact(self, prec: int) -> tuple[int, int]:
+        if self._modulus is None:
+            self._modulus = _hypot(*self.parts, prec)
+        return self._modulus
+
+    def over(self, other: "_Term", shift: int) -> float:
+        """The sign of log2 |self| - log2 |other| - shift as estimates tell it, 0 when they cannot."""
+        d = self.top - other.top - shift
+        if d >= 2 or d <= -2:  # the fractions differ by at most 3/2
+            return d
+        d += self.frac() - other.frac()
+        return 0 if -_MARGIN <= d <= _MARGIN else d
+
+
+def _over_bound(term: _Term, srm: int, sre: int, sim: int, sie: int, tol_log2: float) -> float:
+    """The sign of log2 |term| - log2(tol * (|total| + 1)) as estimates tell it, 0 when they cannot."""
+    k = _top(srm, sre, sim, sie) if srm or sim else -65  # a zero total counts as a tiny one
+    # log2(|total| + 1) = max(k, 0) + x with x in [-1, 3/2], and log2 |term| = top + f
+    # with f in [-1, 1/2]: the difference is d + f - x
+    d = term.top - max(k, 0) - tol_log2
+    if d < -2 or d > 3:
+        return d
+    if k > 64:  # x = the fraction of log2 |total|, within log2(1 + 1/|total|) < 2**-62
+        d -= _log2_frac(srm, sre, sim, sie, k)
+    elif k >= -64:  # else x = log2(1 + |total|) < 2**-62
+        d -= math.log2(math.ldexp(2.0 ** _log2_frac(srm, sre, sim, sie, k), k) + 1) - max(k, 0)
+    d += term.frac()
+    return 0 if -_MARGIN <= d <= _MARGIN else d
+
+
 class _Stream:
     """One call's coefficients: the support, scanned once, and mantissas made on first use.
 
@@ -335,10 +429,13 @@ def _sum_series(stream: _Stream, base, tol):
     ``base`` (mpc) and ``tol`` (mpf) are raw libmp values; returns the raw
     total, the terms used, the tail bound and the raw peak term modulus.  The
     loop runs on (mantissa, exponent) pairs and rounds each step as the mpc
-    loop does: the term a_n * weight, the total, |term|, the ratio to the last
-    nonzero |term|, the bound tol * (|total| + 1) and the weight update
-    weight * (base - n).  A zero coefficient only advances the falling-power
-    weight, since adding an exact zero leaves the total as it is.
+    loop does: the term a_n * weight, the total and the weight update
+    weight * (base - n).  The rule's comparisons of |term| with the last
+    nonzero |term| / 2, with tol * (|total| + 1) and with the peak go through
+    the float filter above, and its exact side rounds as the mpc loop does:
+    |term|, the ratio, |total| + 1 and the bound.  A zero coefficient only
+    advances the falling-power weight, since adding an exact zero leaves the
+    total as it is.
     """
     prec = mpmath.mp.prec
     last = stream.last
@@ -349,10 +446,10 @@ def _sum_series(stream: _Stream, base, tol):
     brm, bre = _pair(base[0])
     bim, bie = _pair(base[1])
     tolm, tole = _pair(tol)
+    tol_log2 = math.log2(tolm) + tole
     wrm, wre, wim, wie = 1, 0, 0, 0  # the weight ff(base, n)
     srm, sre, sim, sie = 0, 0, 0, 0  # the total
-    pkm, pke = 0, 0  # the peak |term|
-    lmm = lme = None  # the last nonzero |term|
+    peak = term = before = None  # the peak, the last and the one before the last nonzero term
     small_run = 0
     for n in range(last + 1):
         if n < have:
@@ -367,30 +464,40 @@ def _sum_series(stream: _Stream, base, tol):
             tim, tie = _round(wim * am, wie + ae, prec)
             srm, sre = _add(srm, sre, trm, tre, prec)
             sim, sie = _add(sim, sie, tim, tie, prec)
-            mm, me = _hypot(trm, tre, tim, tie, prec)
-            if not mm:
+            if not (trm or tim):
                 small_run += 1
             else:
-                if not pkm or _less(pkm, pke, mm, me):
-                    pkm, pke = mm, me
+                before, term = term, _Term((trm, tre, tim, tie))
+                if peak is None:
+                    peak = term
+                else:
+                    d = term.over(peak, 0)
+                    if d > 0 or not d and _less(*peak.exact(prec), *term.exact(prec)):
+                        peak = term
                 small = False
-                if lmm is not None:
-                    qm, qe = _div(mm, me, lmm, lme, prec)
-                    # the ratio test first (ratio < 1/2 when its top bit lies below
-                    # 2**-1): the bound needs |total|, a square root
-                    if qm.bit_length() + qe < 0:
-                        hm, he = _add(*_hypot(srm, sre, sim, sie, prec), 1, 0, prec)
-                        small = not _less(*_round(tolm * hm, tole + he, prec), mm, me)
-                lmm, lme = mm, me
+                if before is not None:
+                    # the ratio test first (below 1/2 when d < 0): the bound needs |total|
+                    d = term.over(before, -1)
+                    if not d:
+                        qm, qe = _div(*term.exact(prec), *before.exact(prec), prec)
+                        d = qm.bit_length() + qe  # negative when the rounded ratio lies below 1/2
+                    if d < 0:
+                        d = _over_bound(term, srm, sre, sim, sie, tol_log2)
+                        if not d:
+                            # tol * (|total| + 1) against |term|, rounded as the mpc loop rounds them
+                            hm, he = _add(*_hypot(srm, sre, sim, sie, prec), 1, 0, prec)
+                            d = 1 if _less(*_round(tolm * hm, tole + he, prec), *term.exact(prec)) else -1
+                        small = d < 0
                 small_run = small_run + 1 if small else 0
             if small_run >= 3:
                 tail = 0.0
-                if mm:
+                if trm or tim:
                     # this term passed ratio < 1/2, so r <= 1/2
-                    r = to_float(from_man_exp(qm, qe), rnd=_RND)
+                    mm, me = term.exact(prec)
+                    r = to_float(from_man_exp(*_div(mm, me, *before.exact(prec), prec)), rnd=_RND)
                     tail = to_float(from_man_exp(mm, me), rnd=_RND) * r / (1 - r) if r else 0.0
                 total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
-                return total, n + 1, tail, from_man_exp(pkm, pke)
+                return total, n + 1, tail, _peak_mpf(peak, prec)
         # weight * (base - n): mpc_mul sums the exact products, then rounds
         crm, cre = _add(brm, bre, -n, 0, prec)
         wrm, wre, wim, wie = (
@@ -399,8 +506,12 @@ def _sum_series(stream: _Stream, base, tol):
         )
     if stream.finite:
         total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
-        return total, last + 1, 0.0, from_man_exp(pkm, pke)
+        return total, last + 1, 0.0, _peak_mpf(peak, prec)
     raise NonConvergenceError(f"series did not settle within {len(coeffs)} coefficients")
+
+
+def _peak_mpf(peak: _Term | None, prec: int):
+    return fzero if peak is None else from_man_exp(*peak.exact(prec))
 
 
 def _value_at(stream: _Stream, rho: Fraction, z, point, tol):
@@ -442,8 +553,9 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     A nonzero offset rho contributes the prefactor ff(z, rho) (a gamma
     quotient, whose poles raise GammaPoleError) and shifts the falling-power
     base to z - rho.  Raises NonConvergenceError when the available
-    coefficients do not reach the stopping rule, and ValueError for a
-    non-finite z or a tol that is not a positive finite number.
+    coefficients do not reach the stopping rule, EvaluationError for a value
+    past the double range, and ValueError for a non-finite z or a tol that
+    is not a positive finite number.
     """
     if not cmath.isfinite(complex(z)):
         raise ValueError(f"z must be finite, got {z!r}")
@@ -451,10 +563,10 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     with mpmath.workprec(working_precision()):
         stream, tol_mp = _Stream(sol), mpmath.mpf(tol)._mpf_
         value, used, tail, peak = _value_at(stream, sol.rho_offset, z, _to_mpc(z)._mpc_, tol_mp)
-        try:
-            value = complex(mpmath.mp.make_mpc(value))
-        except OverflowError as exc:
-            raise EvaluationError("value exceeds the double range") from exc
+        # mpmath converts a value past the double range to inf rather than raising
+        value = complex(mpmath.mp.make_mpc(value))
+        if not cmath.isfinite(value):
+            raise EvaluationError("value exceeds the double range")
         log_scale = float(mpmath.log(mpmath.mp.make_mpf(peak))) if peak != fzero else -math.inf
     return EvalResult(value=value, terms_used=used, tail_bound=tail, log_scale=log_scale)
 

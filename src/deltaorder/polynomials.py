@@ -242,7 +242,9 @@ class Poly:
         return _newton_poly(self.den, self.nums, offset.denominator, [-offset.numerator] * top)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        # Fraction's repr, with ints printed in pieces below the int/str digit limit
+        text = _decimal_text
+        return f"Poly([{', '.join(f'Fraction({text(c.numerator)}, {text(c.denominator)})' for c in self.coeffs)}])"
 
     def __str__(self):
         return format_poly(self)

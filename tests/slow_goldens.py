@@ -3,21 +3,26 @@
 These commands take seconds to tens of seconds each and print up to 60 MB,
 so pytest does not collect this file.  tests/goldens/slow-manifest.json holds
 their exit codes and output hashes in the form of tests/goldens/manifest.json,
-with the floats that numpy's root finder gives masked the same way.
+with the floats that numpy's root finder gives masked the same way.  An entry
+may also set environment variables for its command; the manifest records them
+under "env".
 
     PYTHONPATH=src python tests/slow_goldens.py           # check, exit 1 on a mismatch
     PYTHONPATH=src python tests/slow_goldens.py --print   # print the manifest anew
 """
 
 import json
+import os
 import sys
 import time
+from unittest import mock
 
-from test_goldens import HUMAN_GOLDEN_DIR, _manifest_entry
+from test_goldens import CUBIC, HUMAN_GOLDEN_DIR, _manifest_entry
 
 SLOW_MANIFEST = HUMAN_GOLDEN_DIR / "slow-manifest.json"
 AT_THE_DEGREE_LIMIT = "z^500 D f(z) + f(z) = 0"
-# (argv, the keys whose floats numpy's root finder gives, masked)
+README_EVAL = ["eval", CUBIC, "--initial", "0=1,1=1,2=1/4"]
+# (argv, the keys whose floats numpy's root finder gives, masked[, environment])
 SLOW_COMMANDS = [
     (["analyze", AT_THE_DEGREE_LIMIT], ()),
     (["solve", AT_THE_DEGREE_LIMIT, "--terms", "520"], ()),
@@ -25,21 +30,35 @@ SLOW_COMMANDS = [
     (["construct", "--order", "1/101"], ("char_roots",)),
     # sparse support q = 50 at the largest p: verification reads one window entry in 50
     (["construct", "--order", "50/101"], ("char_roots",)),
+    # the summation kernel at the smallest and a wide working precision
+    *(
+        (README_EVAL + tail, (), {"DELTAORDER_PRECISION": bits})
+        for bits in ("53", "1024")
+        for tail in (["--radii", "20,50,100,200", "--samples", "4096"], ["--at", "31.7+21.2j"])
+    ),
 ]
+
+
+def _entry(command) -> dict:
+    args, masked, env = (*command, {})[:3]
+    with mock.patch.dict(os.environ, env):
+        entry = _manifest_entry(args, masked)
+    return {"argv": entry.pop("argv"), **({"env": env} if env else {}), **entry}
 
 
 def main(argv) -> int:
     if argv == ["--print"]:
-        print(json.dumps([_manifest_entry(args, masked) for args, masked in SLOW_COMMANDS], indent=1))
+        print(json.dumps([_entry(command) for command in SLOW_COMMANDS], indent=1))
         return 0
     manifest = json.loads(SLOW_MANIFEST.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in manifest] == [args for args, _ in SLOW_COMMANDS]
+    assert [entry["argv"] for entry in manifest] == [command[0] for command in SLOW_COMMANDS]
     failed = 0
-    for entry, (args, masked) in zip(manifest, SLOW_COMMANDS):
+    for entry, command in zip(manifest, SLOW_COMMANDS):
         start = time.perf_counter()
-        ok = _manifest_entry(args, masked) == entry
+        ok = _entry(command) == entry
         failed += not ok
-        print(f"{'ok' if ok else 'MISMATCH':8} {time.perf_counter() - start:6.1f} s  {' '.join(args)}")
+        env = [f"{key}={value}" for key, value in entry.get("env", {}).items()]
+        print(f"{'ok' if ok else 'MISMATCH':8} {time.perf_counter() - start:6.1f} s  {' '.join(env + command[0])}")
     return 1 if failed else 0
 
 

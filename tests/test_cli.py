@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder.cli import MAX_TERMS, main
+from deltaorder.cli import MAX_TERMS, _rational, main
 from deltaorder.construction import MAX_ORDER_DENOMINATOR
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER
 from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
@@ -120,8 +122,6 @@ def test_solve_empty_space_exit_code(capsys):
 
 
 def test_solve_with_offset_three_halves(capsys):
-    from fractions import Fraction
-
     code, out, _ = run_cli(
         capsys, "solve", CUBIC_THIRD, "--rho", "3/2", "--terms", "60"
     )
@@ -776,3 +776,39 @@ def test_characteristic_roots_past_the_double_range(capsys):
     code, out, err = run_cli(capsys, "analyze", "f(z+2) + 3^1500 z^2 f(z) = 0")
     assert (code, out) == (6, "")
     assert err == "numeric range: a root of magnitude 10^357.8 is outside the double range\n"
+
+
+def test_eval_of_a_value_past_the_double_range_exits_six(capsys, tmp_path):
+    # mpmath converts such a value to inf; it once printed as the non-JSON token Infinity
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": [str(10**400)] + ["0"] * 10}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "0.5")
+    assert (code, out) == (6, "")
+    assert err == "evaluation failed: value exceeds the double range\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sign=st.sampled_from(("", "+", "-")),
+    num_digits=st.one_of(st.integers(1, 3), st.integers(630, 650), st.integers(1, 700)),
+    den_digits=st.one_of(st.none(), st.integers(1, 3), st.integers(1, 700)),
+    zero_den=st.booleans(),
+    data=st.data(),
+)
+def test_rational_reads_plain_literals_as_fraction_does(sign, num_digits, den_digits, zero_den, data):
+    # _rational reads a plain [+-]digits[/digits] past parsing._INT_PIECE
+    # characters in pieces; the cutoff lies at 640 characters
+    def digits(count):
+        return data.draw(st.text("0123456789", min_size=count, max_size=count))
+
+    text = sign + digits(num_digits)
+    if den_digits is not None:
+        text += "/" + ("0" * den_digits if zero_den else digits(den_digits))
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError, match=re.escape(str(exc))):
+            _rational(text)
+    else:
+        got = _rational(text)
+        assert (type(got), got) == (Fraction, want)

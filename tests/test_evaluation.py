@@ -26,7 +26,8 @@ from deltaorder.errors import (
     GammaPoleError,
     NonConvergenceError,
 )
-from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp
+from deltaorder.evaluation import MAX_SAMPLES, _falling_power_mp, _Stream
+from deltaorder.evaluation import _sum_series as kernel_sum_series
 from deltaorder.series import detect_support_modulus
 
 from fixtures_equations import CUBIC_THIRD, falling_factorial, quartic_34_stream, third_order_stream
@@ -351,14 +352,15 @@ def oracle_eval(sol, z, tol=1e-12, prec=128):
     return (value, used, tail, log_scale)
 
 
-def oracle_max_modulus(sol, radius, samples, prec=128):
-    """The maximum over every one of the samples circle points."""
+def oracle_max_modulus(sol, radius, samples, prec=128, upper_half=False):
+    """The maximum over every one of the samples circle points, or over those
+    of the closed upper half circle only, which the kernel samples."""
     with mpmath.workprec(prec):
         coeffs_mp = _coeff_mpfs(sol)
         rho = sol.rho_offset
         rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
         best = mpmath.mpf("-inf")
-        for k in range(samples):
+        for k in range(samples // 2 + 1 if upper_half else samples):
             z = radius * mpmath.exp(mpmath.mpc(0, 1) * (2 * mpmath.pi * k / samples))
             if 2 * k == samples:
                 z = mpmath.mpc(-radius, 0)  # exp(i pi) of a rounded pi is not real
@@ -485,3 +487,112 @@ def test_cli_eval_radii_matches_recorded_output(tmp_path, capsys, radii, golden)
     assert main(["eval", "--solution", str(stream), "--radii", radii]) == 0
     got = capsys.readouterr().out
     assert got == (GOLDEN_DIR / f"{golden}.json").read_text(encoding="utf-8")
+
+
+def test_a_value_past_the_double_range_raises_evaluation_error():
+    sol = SeriesSolution.from_values([10**400] + [0] * 10)
+    with pytest.raises(EvaluationError, match="double range"):
+        eval_series(sol, 0.5)
+    assert eval_series(SeriesSolution.from_values([10**300] + [0] * 10), 0.5).value == 1e300
+
+
+# --- directed cases at the boundaries of the stopping rule's float filter ---
+#
+# The kernel takes each decision of the stopping rule (ratio below 1/2, |term|
+# within tol * (|total| + 1), a new peak) from log2 estimates, and falls back
+# to the exact rounded magnitudes within 2**-30 of the boundary.  Random
+# draws almost never land there, so these streams are built to.
+
+FILTER_PRECISIONS = (53, 128, 1024)
+
+
+def _assert_eval_matches_oracle(sol, z, tol, prec):
+    with precision(prec):
+        got = _outcome(eval_series, sol, z, tol=tol)
+    assert _fields(got) == _outcome(oracle_eval, sol, z, tol=tol, prec=prec)
+
+
+def _ratio_stream(z, tol, steps):
+    """a_n = c_n / ff(z, n): c_n falls by 3/4 until it lies far below tol, then
+    by the ratios 1/2 * (1 + s * 2**-60) for s in ``steps``, then by 1/4."""
+    ratios = [Fraction(3, 4)] * math.ceil(math.log(tol / 8) / math.log(0.75))
+    ratios += [Fraction(1, 2) * (1 + Fraction(s, 2**60)) for s in steps] + [Fraction(1, 4)] * 8
+    coeffs, c = [Fraction(1)], Fraction(1)
+    for n, ratio in enumerate(ratios, 1):
+        c *= ratio
+        coeffs.append(c / falling_factorial(z, n))
+    return SeriesSolution.from_values(coeffs)
+
+
+@pytest.mark.parametrize("prec", FILTER_PRECISIONS)
+@pytest.mark.parametrize("steps", ((0, 0, 0, 0), (-1, -1, -1, -1), (1, 1, 1, 1), (-1, 1, -1, -1, -1), (0, -1, 0, -1)))
+def test_term_ratios_at_one_half_match_the_mpc_loop(prec, steps):
+    for z, tol in ((Fraction(5, 2), 1e-12), (Fraction(-13, 4), 1e-6), (Fraction(47, 4), 0.125)):
+        _assert_eval_matches_oracle(_ratio_stream(z, tol, steps), float(z), tol, prec)
+
+
+@pytest.mark.parametrize("prec", FILTER_PRECISIONS)
+def test_term_ratios_at_one_half_match_the_full_circle(prec):
+    # at 53 bits the mirrored points of the full circle round differently
+    sol = _ratio_stream(Fraction(5, 2), 1e-12, (0, -1, 1, 0))
+    for samples in (9, 16):
+        with precision(prec):
+            got = _outcome(max_modulus, sol, 2.5, samples=samples)
+        assert got == _outcome(oracle_max_modulus, sol, 2.5, samples, prec=prec, upper_half=True)
+
+
+@pytest.mark.parametrize("prec", FILTER_PRECISIONS)
+@pytest.mark.parametrize("tol_bits", (20, 40))
+def test_a_term_exactly_at_the_bound_counts_as_small(prec, tol_bits):
+    # At z = 2 the terms are a_0, 2 a_1, 2 a_2 and then zeros, each of which
+    # counts as small.  With t_1 = 4 t_2 and t_2 = tol * (total + 1), all
+    # exact dyadics, the sum stops at n = 4 when t_2 counts as small, else at 5.
+    tol = 2.0**-tol_bits
+    for m, j in ((1, 1), (1, 2), (3, 0), (3, 1), (5, 2), (7, 0), (9, 3), (11, 1), (13, 0), (15, 2)):
+        last = Fraction(m * 2**j, 2**tol_bits)  # t_2 = tol * (total + 1)
+        first = m * 2**j - 1 - 5 * last  # total = t_0 + t_1 + t_2 = m 2**j - 1
+        sol = SeriesSolution.from_values([first, 2 * last, last / 2] + [Fraction(1)] * 8)
+        _assert_eval_matches_oracle(sol, 2.0, tol, prec)
+        with precision(prec):
+            assert eval_series(sol, 2.0, tol=tol).terms_used == 5
+
+
+@pytest.mark.parametrize("prec", FILTER_PRECISIONS)
+@pytest.mark.parametrize("sign, bits", ((0, 0), (1, 52), (-1, 52), (1, 100), (-1, 100), (1, 1000), (-1, 1000)))
+def test_terms_of_equal_rounded_modulus_compete_for_the_peak(prec, sign, bits):
+    # t_0 = 1 and t_1 = 1 + gap at z = 2; the peak's log is near 0, so the
+    # log scale shows which of the two the peak kept
+    gap = Fraction(sign, 2**bits)
+    tiny = [Fraction(1, 2**60 * math.factorial(n) ** 2) for n in range(2, 12)]
+    sol = SeriesSolution.from_values([Fraction(1), (1 + gap) / 2, *tiny])
+    _assert_eval_matches_oracle(sol, 2.0, 1e-12, prec)
+    # complex terms: t_1 = a_1 (3 + 4i) of modulus 5 a_1, against t_0 = a_0
+    for a0, a1 in ((5, 1), (1, Fraction(1, 5)), (1, Fraction(1, 5) + gap)):
+        sol = SeriesSolution.from_values([Fraction(a0), Fraction(a1), *tiny])
+        _assert_eval_matches_oracle(sol, 3 + 4j, 1e-12, prec)
+
+
+def _raw_sums(sol, z, prec):
+    """The kernel's and the mpc loop's raw (total, terms used, tail, peak) at ``z``, for rho = 0."""
+    with mpmath.workprec(prec):
+        point, tol = mpmath.mpc(z), mpmath.mpf(1e-12)
+        total, used, tail, peak = kernel_sum_series(_Stream(sol), point._mpc_, tol._mpf_)
+        got = (mpmath.mp.make_mpc(total), used, tail, mpmath.mp.make_mpf(peak))
+        want = _sum_series(_coeff_mpfs(sol), point, tol, detect_support_modulus(sol.coeffs))
+    return got, want
+
+
+@pytest.mark.parametrize("prec", FILTER_PRECISIONS)
+@pytest.mark.parametrize("scale", (Fraction(10**400), Fraction(1, 10**400), Fraction(3**2000, 7), Fraction(2**5000)))
+def test_terms_outside_the_double_range_match_the_mpc_loop(prec, scale):
+    sol = SeriesSolution.from_values([scale * Fraction((-1) ** n * (n + 1), math.factorial(n) ** 2) for n in range(80)])
+    for z in (2.5, -7.25 + 3j, 11.5j):
+        got, want = _raw_sums(sol, z, prec)
+        assert got == want
+        # the peak's exponent lies outside the double range
+        assert not -1074 < mpmath.log(want[3], 2) < 1024
+        if abs(want[0]) >= 2**1024:
+            with precision(prec), pytest.raises(EvaluationError, match="double range"):
+                eval_series(sol, z)
+        else:
+            _assert_eval_matches_oracle(sol, z, 1e-12, prec)

@@ -1,13 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder import NEG_INF, Poly, poly_delta
+from deltaorder import NEG_INF, Poly, poly_delta, polynomials
 from deltaorder.errors import GammaPoleError
 from deltaorder.evaluation import _falling_power_mp
 from deltaorder.polynomials import (
@@ -406,3 +410,26 @@ def test_chain_sum_matches_the_fraction_sum(data):
 def test_chain_sum_of_no_terms_is_zero_over_one():
     assert chain_sum(denominator_chain([]), []) == (1, 0, {})
     assert chain_sum(denominator_chain([3, 0, 7]), []) == (1, 0, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(), max_size=6))
+def test_repr_prints_fraction_reprs(coeffs):
+    p = Poly(coeffs)
+    assert repr(p) == f"Poly({list(p.coeffs)!r})"
+
+
+def test_repr_prints_coefficients_past_the_default_digit_limit():
+    # Fraction's repr calls str(int), which refuses more than 4300 digits by
+    # default; the CLI lifts that limit for its process, so this runs in a
+    # fresh interpreter
+    script = (
+        "import sys\n"
+        "from deltaorder import parse_equation\n"
+        "assert sys.get_int_max_str_digits() == 4300\n"
+        "text = repr(parse_equation('(' + '1' * 5000 + 'z) f(z) + f(z+1) = 0'))\n"
+        "assert 'Poly([Fraction(0, 1), Fraction(' + '1' * 5000 + ', 1)])' in text, text[:200]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(polynomials.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
