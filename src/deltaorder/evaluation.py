@@ -388,15 +388,16 @@ class _Term:
 def _over_bound(term: _Term, srm: int, sre: int, sim: int, sie: int, tol_log2: float) -> float:
     """The sign of log2 |term| - log2(tol * (|total| + 1)) as estimates tell it, 0 when they cannot."""
     k = _top(srm, sre, sim, sie) if srm or sim else -65  # a zero total counts as a tiny one
-    # log2(|total| + 1) = max(k, 0) + x with x in [-1, 3/2], and log2 |term| = top + f
+    # log2(|total| + 1) = k0 + x with x in [-1, 3/2], and log2 |term| = top + f
     # with f in [-1, 1/2]: the difference is d + f - x
-    d = term.top - max(k, 0) - tol_log2
+    k0 = max(k, 0)
+    d = term.top - k0 - tol_log2
     if d < -2 or d > 3:
         return d
     if k > 64:  # x = the fraction of log2 |total|, within log2(1 + 1/|total|) < 2**-62
         d -= _log2_frac(srm, sre, sim, sie, k)
     elif k >= -64:  # else x = log2(1 + |total|) < 2**-62
-        d -= math.log2(math.ldexp(2.0 ** _log2_frac(srm, sre, sim, sie, k), k) + 1) - max(k, 0)
+        d -= math.log2(math.ldexp(2.0 ** _log2_frac(srm, sre, sim, sie, k), k) + 1) - k0
     d += term.frac()
     return 0 if -_MARGIN <= d <= _MARGIN else d
 
