@@ -232,12 +232,18 @@ def _rational(value: str | int) -> Fraction:
     never writes exponents, so every file it writes still reads back.  A
     plain ``[+-]digits[/digits]`` longer than ``parsing._INT_PIECE`` has its
     digits read by ``parsing._read_int``, in subquadratic time, where
-    ``Fraction`` would read them in quadratic time.
+    ``Fraction`` would read them in quadratic time; over a zero denominator
+    it raises Fraction's ZeroDivisionError with the numerator's digits as
+    written, read into no int.  The callers report a zero denominator
+    without that message, which holds the whole numerator.
     """
     if isinstance(value, str):
         plain = _PLAIN_RATIONAL.fullmatch(value) if len(value) > _INT_PIECE else None
         if plain:
             sign, num, den = plain.groups()
+            if den and not den.strip("0"):
+                digits = num.lstrip("0") or "0"
+                raise ZeroDivisionError(f"Fraction({'-' if sign == '-' and digits != '0' else ''}{digits}, 0)")
             numerator = _read_int(num)
             return Fraction(-numerator if sign == "-" else numerator, _read_int(den) if den else 1)
         _, sep, exponent = value.lower().partition("e")
@@ -250,7 +256,9 @@ def _rational(value: str | int) -> Fraction:
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return _rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise _CommandError(EXIT_PARSE, f"invalid {what}: zero denominator in {text[:40]!r}")
+    except ValueError as exc:
         raise _CommandError(EXIT_PARSE, f"invalid {what}: {exc}")
 
 
@@ -268,7 +276,7 @@ def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
             raise _CommandError(EXIT_PARSE, f"invalid initial pin {piece!r}: {exc}")
         if key in pins:
             raise _CommandError(EXIT_PARSE, f"initial pin index {key} is given twice")
-        pins[key] = _parse_rational(value, "initial value")
+        pins[key] = _parse_rational(value, f"initial value at index {key}")
     return pins
 
 
@@ -408,7 +416,7 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
     if index < 0:
         raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
     try:
@@ -418,10 +426,30 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         if type(coeffs) is not list or any(type(c) not in (str, int) for c in [*coeffs, rho]):
             raise TypeError("coefficients must list rational strings or integers, and rho be one")
         return SeriesSolution.from_values(
-            [_rational(c) for c in coeffs], rho=_rational(rho), provenance=entry.get("provenance")
+            [_stream_rational(c, k) for k, c in enumerate(coeffs)],
+            rho=_stream_rational(rho, None),
+            provenance=entry.get("provenance"),
         )
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal, its digits read by ``parsing._read_int`` in subquadratic time."""
+    return -_read_int(text[1:]) if text[0] == "-" else _read_int(text)
+
+
+def _stream_rational(value: str | int, index: int | None) -> Fraction:
+    """``_rational(value)`` for coefficient ``index`` of a solution file, or for its rho at None.
+
+    A zero denominator raises ValueError with the index and at most 40
+    characters of the literal.
+    """
+    try:
+        return _rational(value)
+    except ZeroDivisionError:
+        where = "rho" if index is None else f"coefficient {index}"
+        raise ValueError(f"{where} has a zero denominator: {value[:40]!r}") from None
 
 
 def _load_solution(args, eq: DifferenceEquation | None, terms: int):

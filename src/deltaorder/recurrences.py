@@ -56,6 +56,15 @@ _OUTSIDE = "a root is outside the double range"
 #: took 0.1 s, and 0.9 s at degree 500, on a shared 2-vCPU host.
 MAX_DIVISOR_SEARCH = 2**20
 
+#: Most bits that the rows kept for one modulus may take
+#: (:meth:`CoefficientRecurrence.rows`), each row counted as the last and
+#: each pair (stream index, value) as its value's bits plus 1024 for the pair
+#: and index objects, about 128 bytes.  The widest rows that the solver keeps
+#: in the benchmark, the cubic's to N = 803, count 3.4 Mbit and took 0.30 MB
+#: under tracemalloc; the rows of "z^500 D f(z) + f(z) = 0" to N = 520 would
+#: count 0.93 Gbit.
+KEPT_ROW_BITS = 2**24
+
 
 class CoefficientRecurrence(Record):
     """Exact window rows  sum_i a_{n-i} Q_i(n) = 0  for a coefficient stream.
@@ -68,10 +77,11 @@ class CoefficientRecurrence(Record):
     -order).  ``scale`` = s^D, D the largest entry degree, clears the rows'
     denominators.  ``rows`` is the one way to read the rows, in order from
     ``first_row``; which indices they leave free is for a row reduction to
-    find.
+    find.  The rows a caller asks to keep stay with the recurrence, outside
+    its fields, so equality, hash and repr do not see them.
     """
 
-    # a __dict__ holds the cached ``window``
+    # a __dict__ holds the cached ``window`` and the kept rows
     __slots__ = ("sums", "rho_offset", "scale", "__dict__")
     _fields = ("sums", "rho_offset")
 
@@ -112,23 +122,64 @@ class CoefficientRecurrence(Record):
             for i, b in self.sums.items()
         }
 
-    def rows(self, last: int, modulus: int = 1):
+    @functools.cached_property
+    def _kept(self) -> dict[int, tuple]:
+        """The rows kept per modulus, (n, row) from ``first_row`` on."""
+        return {}
+
+    def rows(self, last: int, modulus: int = 1, keep: bool = False):
         """(n, row) for n from ``first_row`` to ``last``, each row times ``scale``.
 
-        A row lists pairs (stream index, value), each value the integer
-        scale * Q_i(n), from the deepest entry up; stream indices below zero
-        (zero coefficients by convention) and zero values are omitted.  The
-        values come by Horner's rule in integers over the Newton factors
+        A row is a tuple of pairs (stream index, value), each value the
+        integer scale * Q_i(n), from the deepest entry up; stream indices
+        below zero (zero coefficients by convention) and zero values are
+        omitted.  Only the entries whose stream index n - i is a multiple of
+        ``modulus`` are listed: a stream supported on multiples of it meets
+        no other.
+
+        The rows kept for ``modulus`` are read first, and the rest are made
+        (:meth:`_made_rows`).  With ``keep`` the rows to ``last`` are kept
+        when ``KEPT_ROW_BITS`` holds as many rows as the last, the widest;
+        else none of those made are.  The solver keeps its rows, so that the
+        verifications of its streams read them instead of evaluating the
+        window again; a caller that reads the rows once keeps none.
+        """
+        kept = self._kept.get(modulus, ())
+        head = kept[: last + 1 - self.first_row]
+        yield from head
+        first = self.first_row + len(head)
+        if first > last:
+            return
+        made = self._made_rows(first, last, modulus)
+        if keep and self._fits(last, modulus):
+            made = tuple(made)
+            self._kept[modulus] = kept + made
+        yield from made
+
+    def _fits(self, last: int, modulus: int) -> bool:
+        """Whether ``KEPT_ROW_BITS`` holds the rows to ``last``, each counted as the last.
+
+        The last row's pairs are counted first, from the sums, so that a
+        window too wide to keep has none of its values made twice.
+        """
+        count = last + 1 - self.first_row
+        pairs = sum(1 for i, b in self.sums.items() if b and i <= last and (last - i) % modulus == 0)
+        if count * pairs * 1024 > KEPT_ROW_BITS:
+            return False
+        _, top = next(self._made_rows(last, last, modulus))
+        return count * sum([value.bit_length() + 1024 for _, value in top]) <= KEPT_ROW_BITS
+
+    def _made_rows(self, first: int, last: int, modulus: int):
+        """The rows from ``first`` to ``last``, evaluated from the sums.
+
+        The values come by Horner's rule in integers over the Newton factors
         n s - ((i + u) s - r), rho = r/s, on the sums lifted once to
         B_{i,u} s^(D - u), so that every value lands on the common
         ``scale`` = s^D.  At an integer offset r, ff(k, u) = 0 for
         u > k = n + r - i >= 0, so Horner's rule starts at B_{i,k} where k
-        is below the entry's degree.
-
-        Only the entries whose stream index n - i is a multiple of
-        ``modulus`` are listed: a stream supported on multiples of it meets
-        no other.  The entries are grouped by i mod ``modulus`` once per
-        call, and row n reads the group of n mod ``modulus``.
+        is below the entry's degree.  The entries are grouped by
+        i mod ``modulus`` once per call, and row n reads the group of
+        n mod ``modulus``.
         """
         r, s = self.rho_offset.numerator, self.rho_offset.denominator
         depth = max(map(len, self.sums.values())) - 1
@@ -139,7 +190,7 @@ class CoefficientRecurrence(Record):
             if b:
                 lead, *rest = [c * s ** (depth - u) for u, c in enumerate(b)][::-1]
                 groups[i % modulus].append((i, r - (i + len(b) - 1) * s, lead, rest))
-        for n in range(self.first_row, last + 1):
+        for n in range(first, last + 1):
             x, out = n * s, []
             low = n < steady
             for i, offset, value, rest in groups[n % modulus]:
@@ -154,7 +205,7 @@ class CoefficientRecurrence(Record):
                     value = value * factor + c
                 if value:
                     out.append((n - i, value))
-            yield n, out
+            yield n, tuple(out)
 
 
 def _window_entry(falling_coeffs, i: int) -> tuple[int, ...]:

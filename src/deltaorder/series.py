@@ -19,19 +19,24 @@ where that pays.  Every stored denominator is built from three kinds of
 atoms: each row's nonzero lead, each elimination's pivot and each pin
 denominator.  A new value's denominator is the row's common denominator,
 whose primes come from earlier denominators, times its lead, and an
-elimination multiplies by a divisor of its pivot; so every prime of every
-stored denominator divides an atom.  The output therefore reduces each value
-over R = lcm(atoms), taken once per solve: gcd(num mod R, R) names the
-primes that value can lose, small gcds taken over remainders peel them off,
-and the Fraction is built without a second gcd (:func:`reduced_fraction`).
-Where the output numerators stay below ``ATOM_REDUCTION_BITS``, or R is not
-``ATOM_WIDTH_RATIO`` times narrower than the widest stored denominator, the
-full gcd of ``Fraction(num, den)`` is cheaper and is kept.  The result
+elimination multiplies by a divisor of its pivot; each atom is recorded
+before the value it enters, so every prime of a stored denominator divides
+an atom made before that value was last written.  The output therefore
+reduces each value over its radix, the lcm of those atoms, taking the values
+in the order they were last written so that one running lcm serves them
+all: gcd(num mod radix, radix) names the primes that value can lose, small
+gcds taken over remainders peel them off, and the Fraction is built without
+a second gcd (:func:`reduced_fraction`).  Where the output numerators stay
+below ``ATOM_REDUCTION_BITS``, or a value's radix is not
+``ATOM_WIDTH_RATIO`` times narrower than its denominator, the full gcd of
+``Fraction(num, den)`` is cheaper and is kept.  The result
 is a basis of the truncated solution space, or the stream pinned to given
 initial data with the surviving free coefficients zeroed.  The rows are
 homogeneous, as the equations are.  :func:`solve_series` is the reduction's
 only caller; checking a given stream against the rows is verification's
-job, which needs no reduction.
+job, which needs no reduction.  The solver keeps the rows it reads on its
+recurrence (:meth:`CoefficientRecurrence.rows`), so that verifying its
+streams evaluates the window no second time.
 
 A row of the reduction and a row of verification are both sums over one
 stream's denominator chain (:func:`polynomials.denominator_chain`), built
@@ -57,7 +62,6 @@ log n, and 1 over the trailing half of the nonzero subsequence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -177,7 +181,7 @@ def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
     big-by-small remainder per entry instead of a full gcd with ``den``.
     Content outside ``small`` stays in the stored value, and its primes all
     divide the reduction's atoms, over whose lcm the output reduces it
-    (:meth:`RowReduction._builder`).  A zero value is stored as 0/1.
+    (:meth:`RowReduction._fractions`).  A zero value is stored as 0/1.
     """
     lin = {f: w for f, w in lin.items() if w}
     if not const and not lin:
@@ -189,11 +193,12 @@ def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
 
 
 #: Widest output numerator, in bits, from which a solve reduces its output
-#: over the lcm of its atoms; below it ``Fraction(num, den)`` makes its own
-#: gcd, which costs little next to a narrow numerator.
+#: over the atoms' lcms; below it ``Fraction(num, den)`` makes its own gcd,
+#: which costs little next to a narrow numerator.
 ATOM_REDUCTION_BITS = 1024
-#: The atoms' lcm must be this many times narrower than the widest stored
-#: denominator for the reduction over it to pay.
+#: A value's radix, the lcm of the atoms made before it was last written,
+#: must be this many times narrower than its denominator for the reduction
+#: over it to pay.
 ATOM_WIDTH_RATIO = 4
 
 
@@ -237,13 +242,6 @@ def reduced_fraction(num: int, den: int, radix: int) -> Fraction:
     return _coprime_fraction(num, den)
 
 
-def _lcm_tree(atoms: list[int]) -> int:
-    """Positive lcm of nonzero integers, 16 at a time, so each level's operands are of one width."""
-    while len(atoms) > 16:
-        atoms = [math.lcm(*atoms[i : i + 16]) for i in range(0, len(atoms), 16)]
-    return math.lcm(*atoms)
-
-
 def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
     """Pins as {index: Fraction}, their indices checked before any row is touched.
 
@@ -276,12 +274,17 @@ class RowReduction:
     together, whatever order they arrive in.  Each new value's content is
     divided by the row's lead or the pivot quotient only (see
     :func:`_reduced`).  ``free_ids`` lists the free parameters that survive.
-    ``atoms`` lists the leads, pivots and pin denominators, which every prime
-    of every stored denominator divides.  Fractions are built only for the
-    streams that ``zeroed`` and ``basis`` return, each value reduced once,
-    over the atoms' lcm where that is measured to pay, else by
-    ``Fraction(num, den)``.  :func:`solve_series` is its only caller; a
-    constraint that fails with no free parameter left raises
+    ``atoms`` lists the leads, pivots and pin denominators in the order they
+    are made, and ``marks[k]`` counts the atoms made when ``values[k]`` was
+    last written: a lead or pin denominator is recorded just before its
+    value, and a pivot before the values it rewrites, so every prime of that
+    value's denominator divides one of ``atoms[: marks[k]]``.  Fractions are
+    built only for the streams that ``zeroed`` and ``basis`` return, each
+    value reduced once, over the lcm of its atoms where that is measured to
+    pay, else by ``Fraction(num, den)`` (:meth:`_fractions`).  The rows are
+    read with ``keep``, so that they stay on the recurrence for the
+    verifications of its streams.  :func:`solve_series` is its only caller;
+    a constraint that fails with no free parameter left raises
     InconsistentSystemError.
     """
 
@@ -294,12 +297,14 @@ class RowReduction:
         self.pins = {} if initial is None else _checked_pins(initial, count)
         self.values: list[tuple[int, int, dict[int, int]]] = []
         self.free_ids: list[int] = []
-        # every prime of every stored denominator divides one of these
+        # every prime of every stored denominator divides one of these ...
         self.atoms: list[int] = []
+        # ... and every prime of values[k]'s divides one of atoms[: marks[k]]
+        self.marks: list[int] = []
         # the denominator chain of the stored values, extended as rows read
         # them; an elimination cuts it at the first value it rewrites
         self.chain: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for n, row in rec.rows(count - rec.order):
+        for n, row in rec.rows(count - rec.order, keep=True):
             top = n + rec.order
             while len(self.values) < top:
                 self._append_free()
@@ -312,10 +317,12 @@ class RowReduction:
         idx = len(self.values)
         wanted = self.pins.get(idx)
         if wanted is not None:
-            self.values.append((wanted.denominator, wanted.numerator, {}))
             self.atoms.append(wanted.denominator)
+            self.values.append((wanted.denominator, wanted.numerator, {}))
+            self.marks.append(len(self.atoms))
             return
         self.values.append((1, 0, {idx: 1}))
+        self.marks.append(0)
         self.free_ids.append(idx)
 
     def _add_row(self, row, top: int):
@@ -337,6 +344,7 @@ class RowReduction:
         self.atoms.append(lead)
         den, vconst, vlin = _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
         self.values.append((den, vconst, vlin))
+        self.marks.append(len(self.atoms))
         wanted = self.pins.get(top)
         if wanted is not None:
             q = wanted.denominator
@@ -370,42 +378,50 @@ class RowReduction:
             for f, v in live.items():
                 nlin[f] = nlin.get(f, 0) - w * v
             self.values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
+            self.marks[k] = len(self.atoms)
 
-    def _builder(self, nums):
-        """How the output Fractions of numerators ``nums`` are built, decided once per solve.
+    def _fractions(self, columns: list[list[int]]) -> list[list[Fraction]]:
+        """The Fractions column[k] / den_k of each column, for every stored value k.
 
-        ``Fraction`` itself below ``ATOM_REDUCTION_BITS`` or where the atoms'
-        lcm is not ``ATOM_WIDTH_RATIO`` times narrower than the widest
-        stored denominator; else :func:`reduced_fraction` over that lcm.
+        Where every numerator stays below ``ATOM_REDUCTION_BITS`` each is
+        built by ``Fraction``.  Otherwise value k is reduced over its radix,
+        the lcm of ``atoms[: marks[k]]``, by :func:`reduced_fraction`, unless
+        that radix is not ``ATOM_WIDTH_RATIO`` times narrower than its
+        denominator.  The values are taken in mark order, so one running lcm
+        serves them all and grows to the lcm of every atom only for the last.
         """
-        if max((num.bit_length() for num in nums), default=0) < ATOM_REDUCTION_BITS:
-            return Fraction
-        widest = max(den.bit_length() for den, _, _ in self.values)
-        radix = _lcm_tree(self.atoms)
-        if radix.bit_length() * ATOM_WIDTH_RATIO > widest:
-            return Fraction
-        return functools.partial(reduced_fraction, radix=radix)
+        values = self.values
+        if max((num.bit_length() for column in columns for num in column), default=0) < ATOM_REDUCTION_BITS:
+            return [[Fraction(num, den) for num, (den, _, _) in zip(column, values)] for column in columns]
+        out = [[_ZERO] * len(values) for _ in columns]
+        radix, made = 1, 0
+        for k in sorted(range(len(values)), key=self.marks.__getitem__):
+            den = values[k][0]
+            # the radix divides the value's own, so a radix already too wide
+            # needs no atoms more; those that wait join it in one lcm
+            if made < (mark := self.marks[k]) and radix.bit_length() * ATOM_WIDTH_RATIO <= den.bit_length():
+                radix = math.lcm(radix, math.lcm(*self.atoms[made:mark]))
+                made = mark
+            if radix.bit_length() * ATOM_WIDTH_RATIO > den.bit_length():
+                for stream, column in zip(out, columns):
+                    stream[k] = Fraction(column[k], den)
+            else:
+                for stream, column in zip(out, columns):
+                    stream[k] = reduced_fraction(column[k], den, radix)
+        return out
 
     def zeroed(self, provenance: dict) -> SeriesSolution:
         """The stream with every surviving free parameter zero: each value's constant over its denominator."""
-        build = self._builder([vconst for _, vconst, _ in self.values])
-        return SeriesSolution.from_values(
-            [build(vconst, den) for den, vconst, _ in self.values],
-            rho=self.rec.rho_offset,
-            provenance=provenance,
-        )
+        (coeffs,) = self._fractions([[vconst for _, vconst, _ in self.values]])
+        return SeriesSolution(rho_offset=self.rec.rho_offset, coeffs=tuple(coeffs), provenance=provenance)
 
     def basis(self) -> list[SeriesSolution]:
         """One stream per surviving free parameter f, with a_f = 1."""
         rho = self.rec.rho_offset
-        build = self._builder([w for _, _, vlin in self.values for w in vlin.values()])
+        columns = [[vlin.get(fid, 0) for _, _, vlin in self.values] for fid in self.free_ids]
         return [
-            SeriesSolution.from_values(
-                [build(vlin.get(fid, 0), den) for den, _, vlin in self.values],
-                rho=rho,
-                provenance={"free": {fid: Fraction(1)}},
-            )
-            for fid in self.free_ids
+            SeriesSolution(rho_offset=rho, coeffs=tuple(coeffs), provenance={"free": {fid: Fraction(1)}})
+            for fid, coeffs in zip(self.free_ids, self._fractions(columns))
         ]
 
 

@@ -5,7 +5,9 @@ so pytest does not collect this file.  tests/goldens/slow-manifest.json holds
 their exit codes and output hashes in the form of tests/goldens/manifest.json,
 with the floats that numpy's root finder gives masked the same way.  An entry
 may also set environment variables for its command; the manifest records them
-under "env".
+under "env".  The check runs each command in a fresh child interpreter and
+prints its wall time, interpreter start included, and the child's peak RSS,
+so that a time or memory regression at the input limits shows in the output.
 
     PYTHONPATH=src python tests/slow_goldens.py           # check, exit 1 on a mismatch
     PYTHONPATH=src python tests/slow_goldens.py --print   # print the manifest anew
@@ -13,6 +15,8 @@ under "env".
 
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 from unittest import mock
@@ -46,19 +50,39 @@ def _entry(command) -> dict:
     return {"argv": entry.pop("argv"), **({"env": env} if env else {}), **entry}
 
 
+def _in_child(command) -> tuple[dict, float, float]:
+    """(manifest entry, wall seconds, peak RSS in MB) of one command, run in a fresh interpreter."""
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, __file__, "--child", str(SLOW_COMMANDS.index(command))],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    wall = time.perf_counter() - start
+    report = json.loads(child.stdout)
+    return report["entry"], wall, report["peak_rss_mb"]
+
+
 def main(argv) -> int:
     if argv == ["--print"]:
         print(json.dumps([_entry(command) for command in SLOW_COMMANDS], indent=1))
+        return 0
+    if argv[:1] == ["--child"]:
+        entry = _entry(SLOW_COMMANDS[int(argv[1])])
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps({"entry": entry, "peak_rss_mb": peak}))
         return 0
     manifest = json.loads(SLOW_MANIFEST.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in manifest] == [command[0] for command in SLOW_COMMANDS]
     failed = 0
     for entry, command in zip(manifest, SLOW_COMMANDS):
-        start = time.perf_counter()
-        ok = _entry(command) == entry
+        got, wall, peak = _in_child(command)
+        ok = got == entry
         failed += not ok
         env = [f"{key}={value}" for key, value in entry.get("env", {}).items()]
-        print(f"{'ok' if ok else 'MISMATCH':8} {time.perf_counter() - start:6.1f} s  {' '.join(env + command[0])}")
+        print(f"{'ok' if ok else 'MISMATCH':8} {wall:6.1f} s {peak:7.1f} MB  {' '.join(env + command[0])}", flush=True)
     return 1 if failed else 0
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder.cli import MAX_TERMS, _rational, main
+from deltaorder.cli import MAX_TERMS, _rational, _read_solution, main
 from deltaorder.construction import MAX_ORDER_DENOMINATOR
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER
 from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
@@ -739,6 +739,41 @@ def test_rationals_with_huge_decimal_exponents_exit_two_within_a_second(capsys, 
     code, out, _ = run_cli(capsys, "solve", first_order, "--terms", "16", "--initial", "0=1e30000")
     assert code == 0
     assert json.loads(out)["solutions"][0]["coefficients"][0] == "1" + "0" * 30000
+
+
+def test_a_zero_denominator_is_reported_in_one_short_line(capsys, tmp_path):
+    # Fraction's message wrote the whole numerator out: 3000 digits over 0
+    # made a 3039-byte line, and 400 000 digits a 400 039-byte line in 3.0 s
+    numerator = "9" * 400_000
+    stream = {"rho": "0", "coefficients": ["1", "1/2", numerator + "/0"]}
+    coefficient, rho = tmp_path / "coefficient.json", tmp_path / "rho.json"
+    coefficient.write_text(json.dumps({"solutions": [stream]}))
+    rho.write_text(json.dumps({"solutions": [{**stream, "coefficients": ["1"], "rho": f"-{numerator}/00"}]}))
+    cases = [
+        (("eval", "--solution", str(coefficient), "--at", "0.5"), "malformed solution file: coefficient 2 "),
+        (("verify", "D f(z) - f(z) = 0", "--solution", str(rho)), "malformed solution file: rho "),
+        (("solve", "D f(z) - f(z) = 0", "--terms", "16", "--initial", f"0=1,2={numerator}/000"), "invalid initial value at index 2: "),
+    ]
+    for argv, prefix in cases:
+        with deadline(5):
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(prefix) and "zero denominator" in err, err[:200]
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+
+
+def test_a_bare_json_integer_reads_as_its_digits_in_a_string(tmp_path):
+    # json's own int() reads 200 001 digits in about 0.2 s, in quadratic time;
+    # parsing._read_int reads them in about 0.05 s on a shared 2-vCPU host
+    digits = "7" + "1234567890" * 20_000
+    bare, string = tmp_path / "bare.json", tmp_path / "string.json"
+    bare.write_text('{"solutions": [{"rho": 0, "coefficients": [1, -%s, %s, 0]}]}' % (digits, digits))
+    string.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": ["1", "-" + digits, digits, "0"]}]}))
+    start = time.perf_counter()
+    got = _read_solution(str(bare), 0)
+    assert time.perf_counter() - start < 1
+    assert got == _read_solution(str(string), 0)
+    assert -got.coeffs[1] == got.coeffs[2] > 10**200_000
 
 
 def test_order_and_bits_at_the_limits_are_analyzed_within_the_deadline(capsys):

@@ -129,8 +129,8 @@ def test_rows_and_polygon_data_from_the_sums_match_the_monomial_window(rng, rho,
                 value = value * n + c
             if n - i >= 0 and value:
                 expected.append((n - i, value * rec.scale))
-        assert rows[n] == expected
-        assert on_support[n] == [(idx, value) for idx, value in expected if idx % modulus == 0]
+        assert rows[n] == tuple(expected)
+        assert on_support[n] == tuple([(idx, value) for idx, value in expected if idx % modulus == 0])
     for i, q in rec.window.items():
         sums = rec.sums[i]
         if sums:
@@ -160,6 +160,72 @@ def test_only_the_printout_builds_the_monomial_window(cubic_eq, monkeypatch):
     assert len(recs) == 4
     assert all("window" not in rec.__dict__ for rec in recs)
     assert recs[0].window and "window" in recs[0].__dict__
+
+
+@pytest.mark.parametrize("rho", [Fraction(0), Fraction(3, 2)])
+def test_kept_rows_read_as_freshly_made_rows(cubic_eq, rho):
+    rec, fresh = shifted_recurrence(cubic_eq, rho), shifted_recurrence(cubic_eq, rho)
+
+    def made(last, modulus=1):
+        return list(fresh.rows(last, modulus))
+
+    assert list(rec.rows(30, keep=True)) == made(30)
+    # after a longer call, a shorter one reads the kept rows only
+    assert list(rec.rows(20)) == made(20)
+    # after a shorter call, a longer one reads them and makes the rest
+    assert list(rec.rows(45)) == made(45)
+    assert len(rec._kept[1]) == 31 - rec.first_row
+    assert list(rec.rows(45, keep=True)) == made(45)
+    assert len(rec._kept[1]) == 46 - rec.first_row
+    # rows of another modulus are kept, and read, apart
+    assert list(rec.rows(40, 2)) == made(40, 2)
+    assert 2 not in rec._kept
+    assert list(rec.rows(25, 2, keep=True)) == made(25, 2)
+    assert list(rec.rows(40, 2)) == made(40, 2)
+    assert list(rec.rows(45)) == made(45)
+    assert rec == fresh and repr(rec) == repr(fresh)
+
+
+def test_a_caller_cannot_alter_kept_rows(cubic_eq):
+    rec = derive_recurrence(cubic_eq)
+    got = list(rec.rows(12, keep=True))
+    n, row = got[5]
+    with pytest.raises(TypeError):
+        row[0] = (0, 1)
+    with pytest.raises(AttributeError):
+        row.append((0, 1))
+    got.clear()
+    assert list(rec.rows(12)) == list(derive_recurrence(cubic_eq).rows(12))
+
+
+def test_rows_past_the_budget_are_not_kept(cubic_eq, monkeypatch):
+    from deltaorder import recurrences
+
+    rec = derive_recurrence(cubic_eq)
+    # 41 rows, each counted as the last
+    _, top = list(rec.rows(40))[-1]
+    need = 41 * sum(value.bit_length() + 1024 for _, value in top)
+    monkeypatch.setattr(recurrences, "KEPT_ROW_BITS", need - 1)
+    assert list(rec.rows(40, keep=True)) == list(derive_recurrence(cubic_eq).rows(40))
+    assert rec._kept == {}
+    monkeypatch.setattr(recurrences, "KEPT_ROW_BITS", need)
+    assert list(rec.rows(40, keep=True)) == list(derive_recurrence(cubic_eq).rows(40))
+    assert len(rec._kept[1]) == 41
+    # rows kept stay kept when a longer window does not fit
+    assert list(rec.rows(80, keep=True)) == list(derive_recurrence(cubic_eq).rows(80))
+    assert len(rec._kept[1]) == 41
+
+
+def test_only_the_solver_keeps_rows(cubic_eq):
+    from deltaorder import solve_series, verify_recurrence
+
+    rec = derive_recurrence(cubic_eq)
+    sol = solve_series(rec, 60)[0]
+    other = derive_recurrence(cubic_eq)
+    verify_recurrence(other, sol, 60 - other.order)
+    assert other._kept == {}
+    assert len(rec._kept[1]) == 60 - rec.order + 1
+    assert verify_recurrence(rec, sol, 60 - rec.order) == verify_recurrence(other, sol, 60 - other.order)
 
 
 def test_a_trailing_zero_sum_is_rejected():

@@ -18,9 +18,11 @@ oracles: verification, operator application and pinned solves on drawn
 denominators, solver rows that cross the start of a chain segment, and a
 deadline on a verification over thousands of distinct primes.
 
-The last four check the output reduction over the lcm of the reduction's
+The last five check the output reduction over the lcms of the reduction's
 atoms against ``Fraction(num, den)``, field by field: on solves forced onto
-it, far below the widths where the solver takes it, and on the helper alone.
+it, far below the widths where the solver takes it, on the prefix radix of
+each value where eliminations rewrite values made before their pivots, and
+on the helper alone.
 """
 
 import dataclasses
@@ -204,7 +206,7 @@ def recurrences(draw, min_roots=0, max_order=3):
 def test_integer_kernel_matches_fraction_oracle(rec, data):
     count = rec.span + data.draw(st.integers(0, 12))
     assert list(rec.rows(count)) == [
-        (n, [(idx, c * rec.scale) for idx, c in oracle_row(rec, n)]) for n in range(rec.first_row, count + 1)
+        (n, tuple([(idx, c * rec.scale) for idx, c in oracle_row(rec, n)])) for n in range(rec.first_row, count + 1)
     ]
     if data.draw(st.booleans()):
         # pins on the first few indices usually hit free parameters and agree
@@ -445,12 +447,28 @@ def _fields(values):
 
 
 @contextmanager
-def _atom_path_forced():
-    # both constants at 0 send every solve down the path, however narrow
+def _atom_path_forced(ratio=0):
+    # both constants at 0 send every value of every solve over its radix,
+    # however narrow; a ratio above 0 sends those whose radix is narrow
+    # enough.  The calls are counted
+    calls = []
+
+    def counted(num, den, radix):
+        calls.append(radix)
+        return reduced_fraction(num, den, radix)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series, "ATOM_REDUCTION_BITS", 0)
-        patch.setattr(series, "ATOM_WIDTH_RATIO", 0)
-        yield
+        patch.setattr(series, "ATOM_WIDTH_RATIO", ratio)
+        patch.setattr(series, "reduced_fraction", counted)
+        yield calls
+
+
+def _raw_streams(reduction, pinned):
+    """The streams of a reduction's stored values, each value by Fraction(num, den)."""
+    if pinned:
+        return [[Fraction(vconst, den) for den, vconst, _ in reduction.values]]
+    return [[Fraction(vlin.get(f, 0), den) for den, _, vlin in reduction.values] for f in reduction.free_ids]
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,16 +487,37 @@ def test_atom_reduction_matches_fraction_on_forced_solves(rec, data):
         reduction = RowReduction(rec, count, initial)
     except InconsistentSystemError:
         return
-    if initial is None:
-        expected = [[Fraction(vlin.get(f, 0), den) for den, _, vlin in reduction.values] for f in reduction.free_ids]
-        expected = [stream for stream in expected if any(stream)]
-        nums = [w for _, _, vlin in reduction.values for w in vlin.values()]
-    else:
-        expected = [[Fraction(vconst, den) for den, vconst, _ in reduction.values]]
-        nums = [vconst for _, vconst, _ in reduction.values]
-    with _atom_path_forced():
-        assert reduction._builder(nums) is not Fraction
+    expected = _raw_streams(reduction, initial is not None)
+    with _atom_path_forced() as calls:
         actual = reduction.basis() if initial is None else [reduction.zeroed({})]
+    assert len(calls) == len(expected) * len(reduction.values)
+    assert [_fields(sol.coeffs) for sol in actual] == [_fields(stream) for stream in expected]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rec=recurrences(min_roots=2, max_order=4), data=st.data())
+def test_prefix_radices_reduce_every_value_of_a_solve(rec, data):
+    # each value is reduced over the lcm of the atoms made before it was last
+    # written.  Two vanishing leads eliminate, and their pivots rewrite values
+    # made before them: a value that kept the mark of its first writing would
+    # miss the pivot's primes.  Pins over primes that no lead carries make
+    # more atoms, and more eliminations where a row determines their index.
+    # A ratio above 0 leaves some values to Fraction, and the radix waits
+    # for the next value that it is narrow enough for
+    count = rec.span + data.draw(st.integers(4, 30))
+    ratio = data.draw(st.sampled_from([0, 1, 2]))
+    initial = None
+    if data.draw(st.booleans()):
+        indices = data.draw(st.lists(st.integers(0, count), min_size=1, max_size=5, unique=True))
+        dens = st.sampled_from([1, 5, 7, 25, 49, 11 * 13, 97])
+        initial = {idx: Fraction(data.draw(st.integers(-60, 60)), data.draw(dens)) for idx in indices}
+    try:
+        reduction = RowReduction(rec, count, initial)
+    except InconsistentSystemError:
+        return
+    expected = _raw_streams(reduction, initial is not None)
+    with _atom_path_forced(ratio):
+        actual = solve_series(rec, count, initial)
     assert [_fields(sol.coeffs) for sol in actual] == [_fields(stream) for stream in expected]
 
 
