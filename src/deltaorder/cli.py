@@ -3,15 +3,18 @@
 All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
-rationals are serialized as ``num/den`` strings.  Exit codes: 0 success,
+rationals are serialized as ``num/den`` strings.  An error about --initial,
+--rho, --order or a --solution entry quotes at most the first 40 characters
+of the text it rejects (``parsing.quoted``), except that a number of at most
+640 characters keeps Python's own message for it.  Exit codes: 0 success,
 2 parse/usage error (also an input over a declared limit: a coefficient
 polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
 coefficients could reach 2**``parsing.MAX_BITS`` = 2**100000, parentheses
 nested deeper than ``parsing.MAX_NESTING`` = 100, --terms above
 ``MAX_TERMS`` = 3200, or a rational in --initial, --rho or a --solution file
-whose decimal exponent exceeds ``parsing._MAX_DIGITS`` = 30103 in
-magnitude; and a negative-integer offset, a negative or repeated pin index,
+whose decimal exponent exceeds 30103 in magnitude; and a negative-integer
+offset, a negative or repeated pin index,
 a pin index past --terms, a negative --index or --terms, --terms below the
 window span, --initial, --rho or --terms beside --solution, --index
 without it, a --radii entry that is not a number, an unreadable or
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,8 +71,8 @@ from .errors import (
     RootRangeError,
 )
 from .newton import NewtonAnalysis, analyze, verdict
-from .parsing import _INT_PIECE, _MAX_DIGITS, _read_int, format_delta_form, format_general, parse_equation
-from .polynomials import MAX_RADII, MAX_SAMPLES, working_precision
+from .parsing import format_delta_form, format_general, parse_equation, quoted, read_int, read_rational
+from .polynomials import MAX_RADII, MAX_SAMPLES, format_rational, working_precision
 
 if TYPE_CHECKING:  # pragma: no cover
     from .recurrences import AdamsPolygon, CoefficientRecurrence
@@ -103,7 +105,7 @@ class _CommandError(Exception):
 def _encode(value):
     """JSON form of the values payloads carry as they are: exact rationals and complex numbers."""
     if isinstance(value, Fraction):
-        return str(value)
+        return format_rational(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -220,46 +222,14 @@ def _equation(raw: str) -> DifferenceEquation:
         raise _CommandError(EXIT_DEGENERATE, f"degenerate equation: {exc}")
 
 
-# the form the program writes rationals in, ASCII digits only
-_PLAIN_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
-
-
-def _rational(value: str | int) -> Fraction:
-    """``Fraction(value)``, refusing a literal whose decimal exponent exceeds ``parsing._MAX_DIGITS``.
-
-    ``Fraction`` expands an exponent into digits before any limit applies, so
-    a literal as short as 1e2000000 would run for minutes.  The program
-    never writes exponents, so every file it writes still reads back.  A
-    plain ``[+-]digits[/digits]`` longer than ``parsing._INT_PIECE`` has its
-    digits read by ``parsing._read_int``, in subquadratic time, where
-    ``Fraction`` would read them in quadratic time; over a zero denominator
-    it raises Fraction's ZeroDivisionError with the numerator's digits as
-    written, read into no int.  The callers report a zero denominator
-    without that message, which holds the whole numerator.
-    """
-    if isinstance(value, str):
-        plain = _PLAIN_RATIONAL.fullmatch(value) if len(value) > _INT_PIECE else None
-        if plain:
-            sign, num, den = plain.groups()
-            if den and not den.strip("0"):
-                digits = num.lstrip("0") or "0"
-                raise ZeroDivisionError(f"Fraction({'-' if sign == '-' and digits != '0' else ''}{digits}, 0)")
-            numerator = _read_int(num)
-            return Fraction(-numerator if sign == "-" else numerator, _read_int(den) if den else 1)
-        _, sep, exponent = value.lower().partition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if sep and digits.isdecimal() and (len(digits) > 6 or int(digits) > _MAX_DIGITS):
-            raise ValueError(f"the decimal exponent of {value[:40]!r} exceeds {_MAX_DIGITS} in magnitude")
-    return Fraction(value)
-
-
-def _parse_rational(text: str, what: str) -> Fraction:
+def _rational(value: str | int, what: str, zero: str = "zero denominator in") -> Fraction:
+    """``read_rational(value)``, exiting 2 on an error; a zero denominator is reported as ``zero`` and the quoted value."""
     try:
-        return _rational(text)
+        return read_rational(value)
     except ZeroDivisionError:
-        raise _CommandError(EXIT_PARSE, f"invalid {what}: zero denominator in {text[:40]!r}")
+        raise _CommandError(EXIT_PARSE, f"{what}: {zero} {quoted(value)}")
     except ValueError as exc:
-        raise _CommandError(EXIT_PARSE, f"invalid {what}: {exc}")
+        raise _CommandError(EXIT_PARSE, f"{what}: {exc}")
 
 
 def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
@@ -269,14 +239,16 @@ def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
     for piece in text.split(","):
         idx, sep, value = piece.partition("=")
         if not sep:
-            raise _CommandError(EXIT_PARSE, f"initial pin {piece!r} must be idx=value")
+            raise _CommandError(EXIT_PARSE, f"initial pin {quoted(piece)} must be idx=value")
         try:
-            key = int(idx)
+            key = read_int(idx, MAX_TERMS)
+        except OverflowError as exc:  # past every truncation
+            raise _CommandError(EXIT_PARSE, f"pinned index {exc}")
         except ValueError as exc:
-            raise _CommandError(EXIT_PARSE, f"invalid initial pin {piece!r}: {exc}")
+            raise _CommandError(EXIT_PARSE, f"invalid initial pin {quoted(piece)}: {exc}")
         if key in pins:
             raise _CommandError(EXIT_PARSE, f"initial pin index {key} is given twice")
-        pins[key] = _parse_rational(value, f"initial value at index {key}")
+        pins[key] = _rational(value, f"invalid initial value at index {key}")
     return pins
 
 
@@ -337,7 +309,7 @@ def _solve(args, eq: DifferenceEquation, terms: int) -> tuple[CoefficientRecurre
         raise _CommandError(EXIT_PARSE, f"--terms must not be negative, got {terms}")
     if terms > MAX_TERMS:
         raise _CommandError(EXIT_PARSE, f"--terms {terms} exceeds the limit {MAX_TERMS}")
-    rho = _parse_rational(args.rho, "offset") if args.rho else Fraction(0)
+    rho = _rational(args.rho, "invalid offset") if args.rho else Fraction(0)
     rec = _recurrence(eq, rho)
     initial = _parse_initial(getattr(args, "initial", None))
     _check_rows(args, rec)
@@ -375,16 +347,19 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_construct(args) -> dict:
-    from .construction import construct_equation, roundtrip_check
+    from .construction import MAX_ORDER_DENOMINATOR, construct_equation, roundtrip_check
 
     text = args.order.strip()
     num, sep, den = text.partition("/")
     if not sep:
-        raise _CommandError(EXIT_ORDER, f"order {text!r} must look like q/p")
+        raise _CommandError(EXIT_ORDER, f"order {quoted(text)} must look like q/p")
     try:
-        q, p = int(num), int(den)
+        # an order has 0 < q < p <= MAX_ORDER_DENOMINATOR: a long q or p of more digits is not read
+        q, p = (read_int(part, MAX_ORDER_DENOMINATOR) for part in (num, den))
+    except OverflowError as exc:
+        raise _CommandError(EXIT_ORDER, f"order {quoted(text)}: {exc}")
     except ValueError:
-        raise _CommandError(EXIT_ORDER, f"order {text!r} must be a rational q/p")
+        raise _CommandError(EXIT_ORDER, f"order {quoted(text)} must be a rational q/p")
     try:
         result = construct_equation(q, p)
     except InvalidOrderError as exc:
@@ -394,7 +369,7 @@ def _cmd_construct(args) -> dict:
         "schema": SCHEMA,
         "command": "construct",
         "order": result.order_value,
-        "weights": [str(w) for w in result.weights],
+        "weights": [format_rational(w) for w in result.weights],
         "template": format_general(result.template),
         "canonical": _equation_json(result.canonical),
         "newton": _newton_json(report.analysis),
@@ -416,7 +391,7 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
     if index < 0:
         raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=read_int)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
     try:
@@ -425,31 +400,14 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         # type(), not isinstance: a JSON boolean is no integer, and a float is no exact rational
         if type(coeffs) is not list or any(type(c) not in (str, int) for c in [*coeffs, rho]):
             raise TypeError("coefficients must list rational strings or integers, and rho be one")
-        return SeriesSolution.from_values(
-            [_stream_rational(c, k) for k, c in enumerate(coeffs)],
-            rho=_stream_rational(rho, None),
-            provenance=entry.get("provenance"),
-        )
-    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+    except (LookupError, TypeError) as exc:
         raise _CommandError(EXIT_PARSE, f"malformed solution file: {exc}")
-
-
-def _json_int(text: str) -> int:
-    """A JSON integer literal, its digits read by ``parsing._read_int`` in subquadratic time."""
-    return -_read_int(text[1:]) if text[0] == "-" else _read_int(text)
-
-
-def _stream_rational(value: str | int, index: int | None) -> Fraction:
-    """``_rational(value)`` for coefficient ``index`` of a solution file, or for its rho at None.
-
-    A zero denominator raises ValueError with the index and at most 40
-    characters of the literal.
-    """
-    try:
-        return _rational(value)
-    except ZeroDivisionError:
-        where = "rho" if index is None else f"coefficient {index}"
-        raise ValueError(f"{where} has a zero denominator: {value[:40]!r}") from None
+    malformed = "malformed solution file"
+    return SeriesSolution.from_values(
+        [_rational(c, malformed, f"coefficient {k} has a zero denominator:") for k, c in enumerate(coeffs)],
+        rho=_rational(rho, malformed, "rho has a zero denominator:"),
+        provenance=entry.get("provenance"),
+    )
 
 
 def _load_solution(args, eq: DifferenceEquation | None, terms: int):
@@ -551,7 +509,7 @@ def _cmd_verify(args) -> dict:
         "direct_image_zero": all(v == 0 for v in direct) if direct else None,
     }
     if not report.exact:
-        message = f"residual {report.max_residual} at row {report.first_failing_row}"
+        message = f"residual {format_rational(report.max_residual)} at row {report.first_failing_row}"
         raise _CommandError(EXIT_EVAL, message)
     return payload
 
@@ -635,7 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        # exact coefficients outgrow CPython's default 4300-digit str/int limit
+        # Fraction reads a decimal point or exponent form, and other modules'
+        # messages print exact values, past CPython's 4300-digit str/int limit
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -10,6 +10,7 @@ Newton form, and the one conversion into that basis takes integer forward
 differences; nothing is cached between calls.  The exact row sums that the
 solver, verification and operator application share run over one prefix-lcm
 chain per stream, built once per stream index (:func:`denominator_chain`).
+:func:`format_rational` writes the exact numbers that the CLI prints.
 Everything here is exact, and the module imports only the standard library.
 
 Values are immutable after construction and safe to share across threads.
@@ -31,9 +32,7 @@ def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, or 'num/den' string to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -281,31 +280,22 @@ def _decimal_text(n: int) -> str:
     return _decimal_text(high) + _decimal_text(low).zfill(half)
 
 
+def format_rational(value) -> str:
+    """``str(value)`` for an int or Fraction of any size: ``num/den``, or ``num`` alone over 1."""
+    text = _decimal_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal_text(value.denominator)}"
+
+
 def format_poly(p: Poly) -> str:
     """Render a polynomial in descending powers, e.g. ``6z^2 + 19z + 15``."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for power in range(len(p.coeffs) - 1, -1, -1):
+    text = ""
+    for power in range(len(p.nums) - 1, -1, -1):
         c = p.coeffs[power]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        number = _decimal_text(mag.numerator)
-        if mag.denominator != 1:
-            number += f"/{_decimal_text(mag.denominator)}"
-        if power == 0:
-            body = number
-        else:
-            var = "z" if power == 1 else f"z^{power}"
-            body = var if mag == 1 else f"{number}{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        if c:
+            var = "" if power == 0 else "z" if power == 1 else f"z^{power}"
+            number = "" if var and abs(c) == 1 else format_rational(abs(c))
+            text += f" {'-' if c < 0 else '+'} {number}{var}"
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def poly_delta(p: Poly) -> Poly:

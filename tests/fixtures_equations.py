@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -27,6 +28,32 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """CPython's int/str digit limit set to ``digits`` in the block (0 lifts it, as the CLI does)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+# Magnitudes for the number readers and writer: small ones, 10^k and 10^k +- 1
+# near the writer's one-piece cut (2000 bits, 603 digits), the reader's
+# (640 characters) and past CPython's default 4300-digit limit, and values
+# near 2^2000.
+exact_magnitudes = st.one_of(
+    st.integers(0, 10**6),
+    st.builds(
+        lambda k, d: 10**k + d,
+        st.one_of(st.integers(0, 5000), st.integers(595, 650), st.integers(4290, 4310)),
+        st.integers(-1, 1),
+    ),
+    st.builds(lambda b, low: 2**b + low, st.integers(1980, 2020), st.integers(-(2**64), 2**64)),
+)
 
 
 # order-3 equation with a single admissible order 1/3

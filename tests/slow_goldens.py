@@ -40,6 +40,10 @@ SLOW_COMMANDS = [
         for bits in ("53", "1024")
         for tail in (["--radii", "20,50,100,200", "--samples", "4096"], ["--at", "31.7+21.2j"])
     ),
+    # the rational printer on long streams: coefficients of up to 48 275 bits
+    # and, over 3^1000, of up to 317 809 bits
+    (["solve", CUBIC, "--terms", "1600", "--initial", "0=1,1=0,2=0"], ()),
+    (["solve", "3^1000 f(z+1) - f(z) = 0", "--terms", "200"], ()),
 ]
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaorder.cli import MAX_TERMS, _rational, _read_solution, main
+from deltaorder.cli import MAX_TERMS, _read_solution, main
 from deltaorder.construction import MAX_ORDER_DENOMINATOR
-from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER
+from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER, read_rational
 from deltaorder.polynomials import MAX_PRECISION, MAX_RADII
 
 from fixtures_equations import (
@@ -762,9 +762,59 @@ def test_a_zero_denominator_is_reported_in_one_short_line(capsys, tmp_path):
         assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
 
 
+def test_a_long_literal_that_is_no_rational_is_quoted_in_one_short_line(capsys, tmp_path):
+    # Fraction's message held the whole literal: a 300 059-byte line for a
+    # solution coefficient, 200 068 bytes for an --initial value; argv caps one
+    # string at 128 KiB, so the checks run in process
+    literal = "7" * 400_000 + "x"
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": ["1", literal]}]}))
+    first_order = "D f(z) - f(z) = 0"
+    cases = [
+        (("eval", "--solution", str(path), "--at", "0.5"), "malformed solution file: "),
+        (("solve", first_order, "--terms", "16", "--initial", f"0={literal}"), "invalid initial value at index 0: "),
+        (("solve", first_order, "--terms", "16", "--rho", "7" * 400_000 + "/7x"), "invalid offset: "),
+        (("solve", first_order, "--terms", "16", "--initial", f"{literal}=1"), "invalid initial pin "),
+        (("solve", first_order, "--terms", "16", "--initial", literal), "initial pin "),
+        (("construct", "--order", f"1/{literal}"), "order "),
+    ]
+    for argv, prefix in cases:
+        with deadline(5):
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (5 if argv[0] == "construct" else 2, ""), argv[:4]
+        assert err.startswith(prefix), err[:200]
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+
+
+def test_a_pin_index_or_order_of_too_many_digits_is_rejected_unread(capsys):
+    # int() read 200 000 digits in 1.5 s, and the message printed them all:
+    # 200 032 bytes for a pin index, 400 045 for construct's denominator
+    nines = "9" * 100_000
+    first_order = "D f(z) - f(z) = 0"
+    cases = [
+        (("solve", first_order, "--terms", "16", "--initial", f"{nines}=1"), 2, "pinned index "),
+        (("solve", first_order, "--terms", "16", f"--initial=-{nines}=1"), 2, "pinned index "),
+        (("construct", "--order", f"1/{nines}"), 5, "order "),
+        (("construct", "--order", f"{nines}/7"), 5, "order "),
+    ]
+    for argv, exit_code, prefix in cases:
+        start = time.perf_counter()
+        with deadline(5):
+            code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv[:4]
+        assert (code, out) == (exit_code, ""), argv[:4]
+        assert err.startswith(prefix), err[:200]
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+    # leading zeros do not count, and a short literal keeps its message
+    code, _, _ = run_cli(capsys, "solve", first_order, "--terms", "16", "--initial", "0" * 100_000 + "5=1")
+    assert code == 0
+    code, _, err = run_cli(capsys, "construct", "--order", "1/1000")
+    assert (code, err) == (5, f"order 1/1000: denominator 1000 exceeds the limit {MAX_ORDER_DENOMINATOR}\n")
+
+
 def test_a_bare_json_integer_reads_as_its_digits_in_a_string(tmp_path):
     # json's own int() reads 200 001 digits in about 0.2 s, in quadratic time;
-    # parsing._read_int reads them in about 0.05 s on a shared 2-vCPU host
+    # parsing.read_int reads them in about 0.05 s on a shared 2-vCPU host
     digits = "7" + "1234567890" * 20_000
     bare, string = tmp_path / "bare.json", tmp_path / "string.json"
     bare.write_text('{"solutions": [{"rho": 0, "coefficients": [1, -%s, %s, 0]}]}' % (digits, digits))
@@ -831,7 +881,7 @@ def test_eval_of_a_value_past_the_double_range_exits_six(capsys, tmp_path):
     data=st.data(),
 )
 def test_rational_reads_plain_literals_as_fraction_does(sign, num_digits, den_digits, zero_den, data):
-    # _rational reads a plain [+-]digits[/digits] past parsing._INT_PIECE
+    # read_rational reads a plain [+-]digits[/digits] past parsing._INT_PIECE
     # characters in pieces; the cutoff lies at 640 characters
     def digits(count):
         return data.draw(st.text("0123456789", min_size=count, max_size=count))
@@ -843,7 +893,7 @@ def test_rational_reads_plain_literals_as_fraction_does(sign, num_digits, den_di
         want = Fraction(text)
     except ZeroDivisionError as exc:
         with pytest.raises(ZeroDivisionError, match=re.escape(str(exc))):
-            _rational(text)
+            read_rational(text)
     else:
-        got = _rational(text)
+        got = read_rational(text)
         assert (type(got), got) == (Fraction, want)

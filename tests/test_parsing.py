@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaorder import (
     GeneralForm,
@@ -18,9 +20,9 @@ from deltaorder import (
 )
 from deltaorder import polynomials
 from deltaorder.errors import ParseError
-from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER
+from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_ORDER, read_int, read_rational
 
-from fixtures_equations import CUBIC_THIRD, random_poly
+from fixtures_equations import CUBIC_THIRD, exact_magnitudes, int_digit_limit, random_poly
 
 
 def test_parse_cubic_third_order_equation():
@@ -242,3 +244,23 @@ def test_a_long_literal_parses_and_prints_at_the_default_digit_limit():
     env = dict(os.environ, PYTHONPATH=str(Path(polynomials.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magnitude=exact_magnitudes,
+    sign=st.sampled_from(("", "+", "-")),
+    zeros=st.integers(0, 2),
+    den=st.one_of(st.none(), exact_magnitudes.filter(bool)),
+)
+def test_the_readers_match_int_and_fraction_at_the_default_digit_limit(magnitude, sign, zeros, den):
+    # the texts the program writes, signed and with leading zeros; the
+    # oracles run with the limit lifted, the readers under CPython's default
+    with int_digit_limit(0):
+        integer = sign + "0" * zeros + str(magnitude)
+        rational = integer if den is None else f"{integer}/{den}"
+        want_int, want = int(integer), Fraction(rational)
+    with int_digit_limit(4300):
+        got_int, got = read_int(integer), read_rational(rational)
+    assert (type(got_int), got_int) == (int, want_int)
+    assert (type(got), got) == (Fraction, want)

@@ -22,12 +22,15 @@ from deltaorder.polynomials import (
     chain_sum,
     denominator_chain,
     format_poly,
+    format_rational,
 )
 
 from fixtures_equations import (
+    exact_magnitudes,
     falling_factorial_poly,
     falling_power,
     falling_product_sum,
+    int_digit_limit,
     random_poly,
     stream_denominators,
     to_falling_basis,
@@ -152,6 +155,19 @@ def test_format_poly():
     assert format_poly(Poly([15, 19, 6])) == "6z^2 + 19z + 15"
     assert format_poly(Poly([Fraction(-1, 2), 0, 1])) == "z^2 - 1/2"
     assert format_poly(Poly()) == "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=exact_magnitudes, negative=st.booleans(), den=exact_magnitudes.filter(bool))
+def test_format_rational_matches_str_at_the_default_digit_limit(num, negative, den):
+    # str() runs with the limit lifted, format_rational under CPython's default
+    value = -Fraction(num, den) if negative else Fraction(num, den)
+    integer = -num if negative else num
+    with int_digit_limit(0):
+        want, want_int = str(value), str(integer)
+    with int_digit_limit(4300):
+        got, got_int = format_rational(value), format_rational(integer)
+    assert (got, got_int) == (want, want_int)
 
 
 # --- the Newton-form kernel against products of linear factors ---------------
