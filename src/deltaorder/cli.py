@@ -3,10 +3,11 @@
 All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
-rationals are serialized as ``num/den`` strings.  An error about --initial,
---rho, --order or a --solution entry quotes at most the first 40 characters
+rationals are serialized as ``num/den`` strings.  An error about a number or
+q/p in a flag, or a --solution entry, quotes at most the first 40 characters
 of the text it rejects (``parsing.quoted``), except that a number of at most
-640 characters keeps Python's own message for it.  Exit codes: 0 success,
+640 characters keeps Python's own message for it; an int flag past
+``sys.maxsize`` reads as inf.  Exit codes: 0 success,
 2 parse/usage error (also an input over a declared limit: a coefficient
 polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
@@ -253,10 +254,14 @@ def _parse_initial(text: str | None) -> dict[int, Fraction] | None:
 
 
 def _parse_radii(text: str) -> list[float]:
-    try:
-        return [float(r) for r in text.split(",")]
-    except ValueError as exc:
-        raise _CommandError(EXIT_PARSE, f"invalid radii {text!r}: {exc}")
+    radii = []
+    for r in text.split(","):
+        try:
+            radii.append(float(r))
+        except ValueError:
+            message = f"invalid radii {quoted(text)}: could not convert string to float: {quoted(r)}"
+            raise _CommandError(EXIT_PARSE, message)
+    return radii
 
 
 def _parse_complex(text: str) -> complex:
@@ -264,7 +269,23 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(cleaned)
     except ValueError as exc:
-        raise _CommandError(EXIT_PARSE, f"invalid complex point {text!r}: {exc}")
+        raise _CommandError(EXIT_PARSE, f"invalid complex point {quoted(text)}: {exc}")
+
+
+def _reader(kind: str):
+    """The argparse ``type=`` reader of an int flag (by ``read_int``) or a float flag, quoting rejected text.
+    No int flag takes a value past ``sys.maxsize``, which bounds every list: a longer number in
+    over 40 characters is left unread as inf or -inf, for the flag's range check to reject."""
+
+    def read(text: str):
+        try:
+            return read_int(text, sys.maxsize) if kind == "int" else float(text)
+        except OverflowError:
+            return -float("inf") if text.lstrip().startswith("-") else float("inf")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {quoted(text)}") from None
+
+    return read
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -546,9 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_stream_source(p, terms: int):
         p.add_argument("--solution", default=None, help="solution file from 'solve'")
-        p.add_argument("--index", type=int, default=None, help="solution index in the file (default 0)")
+        p.add_argument("--index", type=_reader("int"), default=None, help="solution index in the file (default 0)")
         p.add_argument("--rho", default=None, help="offset when solving an equation")
-        p.add_argument("--terms", type=int, default=None, help=f"coefficients when solving (default {terms})")
+        p.add_argument("--terms", type=_reader("int"), default=None, help=f"coefficients when solving (default {terms})")
 
     p = sub.add_parser("analyze", help="degrees, order list, polygon, indicial data")
     p.add_argument("equation", help="equation text, or @file")
@@ -556,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact series solutions of the recurrence")
     p.add_argument("equation", help="equation text, or @file")
-    p.add_argument("--terms", type=int, default=200, help="largest index generated")
+    p.add_argument("--terms", type=_reader("int"), default=200, help="largest index generated")
     p.add_argument("--rho", default=None, help="falling-power offset, e.g. 3/2")
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
     p.set_defaults(func=_cmd_solve)
@@ -571,14 +592,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default=None, help="pins like 0=1,1=0,3=1/24")
     p.add_argument("--at", default=None, help="complex point, e.g. 2.5 or 1+2i")
     p.add_argument("--radii", default=None, help=f"comma list of at most {MAX_RADII}, e.g. 50,100,200,400")
-    p.add_argument("--samples", type=int, default=64, help=f"points per circle, 8 to {MAX_SAMPLES}")
-    p.add_argument("--tol", type=float, default=1e-12, help="term tolerance")
+    p.add_argument("--samples", type=_reader("int"), default=64, help=f"points per circle, 8 to {MAX_SAMPLES}")
+    p.add_argument("--tol", type=_reader("float"), default=1e-12, help="term tolerance")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="substitute a solution stream into the rows")
     p.add_argument("equation", help="equation text, or @file")
     add_stream_source(p, terms=200)
-    p.add_argument("--rows", type=int, default=None, help="rows to check")
+    p.add_argument("--rows", type=_reader("int"), default=None, help="rows to check")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compose", help="operator product of two equations")

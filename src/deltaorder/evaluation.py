@@ -12,32 +12,29 @@ three consecutive nonzero terms below tolerance with the running term ratio
 under one half.
 
 The summation kernel works on integer mantissas: each real is a pair of
-Python ints (m, e) worth m * 2**e.  Every step forms its exact result and
-rounds it once to the ambient precision, to nearest with ties to even, which
-is what ``mpmath.libmp`` does at round_nearest: ``mpf_add``, ``mpf_mul``,
-``mpf_div`` and ``mpf_sqrt`` are correctly rounded and ``mpf_hypot`` rounds
-its sum of squares toward zero at 4 more bits first.  Operands whose top bits
-lie more than prec + 4 apart are handed to ``mpf_add`` and ``mpf_hypot``
-themselves, which sum them by a nudge rather than an exact shift.  The kernel
-gives the results of a plain mpc loop bit for bit; raw mpf values appear only
-at its edges (the coefficients, base and tolerance going in, the total and
-peak coming out).  Every value that reaches a result is formed as that loop
-forms it, in its order: the terms a_n * ff(base, n), the running total and
-the falling-power weights.  The stopping rule's three comparisons (a term's
-ratio to the last nonzero term against 1/2, |term| against
-tol * (|total| + 1), and |term| against the peak) only steer the loop, so
-each is taken from estimates: first from the top exponents, where those lie
-two or more apart, then from log2 estimates read off the top 60 bits of the
-mantissas.  Those lie within 2**-46 of the exact log2 whatever the exponents,
-and the loop's rounded moduli, ratio and bound lie within a few units of
-2**-53 of the values they round, so an estimate more than 2**-30 from its
-boundary decides as the loop does.  Within 2**-30, the exact rounded values
-decide, from the same primitives the loop uses (``_hypot``, ``_div``, and
-the rounded |total| + 1 and bound).  They also run once where the sum stops:
-for the tail, the last term's modulus and ratio, and for the peak, the
-modulus of the term kept as the largest.  A sum of a few hundred terms thus
-takes a few exact moduli instead of one or two square roots and a division
-per term.
+Python ints (m, e) worth m * 2**e.  The terms a_n * ff(base, n), the running
+total and the falling-power weights are each formed exactly and rounded once
+to the ambient precision, to nearest with ties to even, as ``mpf_mul`` and
+``mpf_add`` round them at round_nearest; operands whose top bits lie more
+than prec + 4 apart go to ``mpf_add`` itself, which sums them by a nudge
+rather than an exact shift.  The kernel gives the results of a plain mpc
+loop bit for bit, in its order; raw mpf values appear only at its edges (the
+coefficients, base and tolerance going in, the total and peak coming out).
+The stopping rule's three comparisons (a term's ratio to the last nonzero
+term against 1/2, |term| against tol * (|total| + 1), and |term| against the
+peak) only steer the loop, so each is taken from estimates: first from the
+top exponents, where those lie two or more apart, then from log2 estimates
+read off the top 60 bits of the mantissas.  Those lie within 2**-46 of the
+exact log2 whatever the exponents, and the loop's rounded moduli, ratio and
+bound lie within a few units of 2**-53 of the values they round, so an
+estimate more than 2**-30 from its boundary decides as the loop does.
+Within 2**-30 the exact side decides, with libmp's own operations on the
+loop's values: ``mpf_hypot`` for the moduli, ``mpf_div`` for the ratio,
+``mpf_add`` and ``mpf_mul`` for the bound and ``mpf_lt`` to compare.  It
+also runs once where the sum stops: for the tail, the last term's modulus
+and ratio, and for the peak, the modulus of the term kept as the largest.
+A sum of a few hundred terms thus takes a few moduli instead of one or two
+square roots and a division per term.
 Each call scans the support of the exact coefficients once and converts a
 coefficient only when the sum reaches it, so a sum that settles after ten
 terms converts ten; the circle samples and radii of one call share the
@@ -63,6 +60,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import (
     fninf,
+    fone,
     from_float,
     from_int,
     from_man_exp,
@@ -77,6 +75,8 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_hypot,
     mpf_log,
+    mpf_lt,
+    mpf_mul,
     mpf_mul_int,
     mpf_pi,
     round_nearest,
@@ -89,6 +89,7 @@ from .polynomials import MAX_RADII, MAX_SAMPLES, as_rational, working_precision
 from .series import SeriesSolution
 
 _RND = round_nearest
+_HALF = from_man_exp(1, -1)
 
 
 class EvalResult(Record):
@@ -220,7 +221,7 @@ def _falling_power_mp(z, rho):
 # the sign, and zero is m == 0 with any exponent.  Each operation forms its
 # exact result and rounds it once, so it returns the same value as the libmp
 # operation it stands for at round_nearest, whatever trailing zeros the
-# mantissas carry.
+# mantissas carry.  The stopping rule's exact side calls libmp itself.
 
 
 def _pair(x) -> tuple[int, int]:
@@ -262,67 +263,6 @@ def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     return _round(xm + (ym << ye - xe), xe, prec)
 
 
-def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
-    """x / y correctly rounded to prec bits, for y nonzero: a quotient of at
-    least prec + 4 bits and a sticky bit for the remainder, as ``mpf_div``."""
-    extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
-    q, r = divmod(abs(xm) << extra, abs(ym))
-    if r:
-        q = (q << 1) | 1
-        extra += 1
-    return _round(-q if (xm < 0) != (ym < 0) else q, xe - ye - extra, prec)
-
-
-def _sqrt(m: int, e: int, prec: int) -> tuple[int, int]:
-    """sqrt(m * 2**e) correctly rounded to prec bits, for m > 0, as ``mpf_sqrt``."""
-    if e & 1:
-        m <<= 1
-        e -= 1
-    shift = max(4, 2 * prec - m.bit_length() + 4)
-    shift += shift & 1
-    m <<= shift
-    root = math.isqrt(m)
-    if root * root != m:
-        root = (root << 1) | 1
-        shift += 2
-    return _round(root, (e - shift) // 2, prec)
-
-
-def _hypot(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
-    """|x + iy| as ``mpf_hypot``: the sum of squares is rounded toward zero at
-    wp = prec + 4 bits and its square root to nearest at prec bits.  Squares
-    whose top bits lie more than wp + 4 apart go to ``mpf_hypot`` itself,
-    whose sum of squares follows ``mpf_add``'s rule for far-apart operands."""
-    if not ym:
-        return _round(abs(xm), xe, prec)
-    if not xm:
-        return _round(abs(ym), ye, prec)
-    xx, yy = xm * xm, ym * ym
-    wp = prec + 4
-    if abs(xx.bit_length() + 2 * xe - yy.bit_length() - 2 * ye) > wp + 4:
-        return _pair(mpf_hypot(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
-    if xe > ye:
-        s, e = (xx << 2 * (xe - ye)) + yy, 2 * ye
-    else:
-        s, e = xx + (yy << 2 * (ye - xe)), 2 * xe
-    shift = s.bit_length() - wp
-    if shift > 0:
-        s >>= shift
-        e += shift
-    return _sqrt(s, e, prec)
-
-
-def _less(xm: int, xe: int, ym: int, ye: int) -> bool:
-    """x < y for positive x and y."""
-    tx = xm.bit_length() + xe
-    ty = ym.bit_length() + ye
-    if tx != ty:
-        return tx < ty
-    if xe > ye:
-        return (xm << xe - ye) < ym
-    return xm < (ym << ye - xe)
-
-
 # --- the float filter of the stopping rule (see the module docstring) --------
 
 #: Half-width, in log2, of the band around a decision's boundary inside which
@@ -354,10 +294,15 @@ def _log2_frac(xm: int, xe: int, ym: int, ye: int, k: int) -> float:
     return math.log2(math.hypot(x, y)) - 60
 
 
+def _modulus(xm: int, xe: int, ym: int, ye: int, prec: int):
+    """|x + iy| as the raw mpf that ``mpf_hypot`` rounds it to."""
+    return mpf_hypot(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND)
+
+
 class _Term:
-    """A nonzero term of the sum: its parts, its top exponent, and the log2
-    estimate and rounded modulus (as ``_hypot`` gives it) of its modulus, each
-    made on first use."""
+    """A nonzero term of the sum: its parts, its top exponent, and, each made
+    on first use, the log2 estimate of its modulus and the modulus as a raw
+    mpf (``_modulus``)."""
 
     __slots__ = ("parts", "top", "_frac", "_modulus")
 
@@ -371,9 +316,9 @@ class _Term:
             self._frac = _log2_frac(*self.parts, self.top)
         return self._frac
 
-    def exact(self, prec: int) -> tuple[int, int]:
+    def exact(self, prec: int):
         if self._modulus is None:
-            self._modulus = _hypot(*self.parts, prec)
+            self._modulus = _modulus(*self.parts, prec)
         return self._modulus
 
     def over(self, other: "_Term", shift: int) -> float:
@@ -433,10 +378,11 @@ def _sum_series(stream: _Stream, base, tol):
     loop does: the term a_n * weight, the total and the weight update
     weight * (base - n).  The rule's comparisons of |term| with the last
     nonzero |term| / 2, with tol * (|total| + 1) and with the peak go through
-    the float filter above, and its exact side rounds as the mpc loop does:
-    |term|, the ratio, |total| + 1 and the bound.  A zero coefficient only
-    advances the falling-power weight, since adding an exact zero leaves the
-    total as it is.
+    the float filter above.  Its exact side makes the mpc loop's own libmp
+    calls on raw mpf values: ``mpf_hypot`` for |term| and |total|, ``mpf_div``
+    for the ratio, and ``mpf_add`` and ``mpf_mul`` for the bound, compared by
+    ``mpf_lt``.  A zero coefficient only advances the falling-power weight,
+    since adding an exact zero leaves the total as it is.
     """
     prec = mpmath.mp.prec
     last = stream.last
@@ -473,30 +419,30 @@ def _sum_series(stream: _Stream, base, tol):
                     peak = term
                 else:
                     d = term.over(peak, 0)
-                    if d > 0 or not d and _less(*peak.exact(prec), *term.exact(prec)):
+                    if d > 0 or not d and mpf_lt(peak.exact(prec), term.exact(prec)):
                         peak = term
                 small = False
                 if before is not None:
                     # the ratio test first (below 1/2 when d < 0): the bound needs |total|
                     d = term.over(before, -1)
                     if not d:
-                        qm, qe = _div(*term.exact(prec), *before.exact(prec), prec)
-                        d = qm.bit_length() + qe  # negative when the rounded ratio lies below 1/2
+                        ratio = mpf_div(term.exact(prec), before.exact(prec), prec, _RND)
+                        d = -1 if mpf_lt(ratio, _HALF) else 1
                     if d < 0:
                         d = _over_bound(term, srm, sre, sim, sie, tol_log2)
                         if not d:
                             # tol * (|total| + 1) against |term|, rounded as the mpc loop rounds them
-                            hm, he = _add(*_hypot(srm, sre, sim, sie, prec), 1, 0, prec)
-                            d = 1 if _less(*_round(tolm * hm, tole + he, prec), *term.exact(prec)) else -1
+                            total1 = mpf_add(_modulus(srm, sre, sim, sie, prec), fone, prec, _RND)
+                            d = 1 if mpf_lt(mpf_mul(tol, total1, prec, _RND), term.exact(prec)) else -1
                         small = d < 0
                 small_run = small_run + 1 if small else 0
             if small_run >= 3:
                 tail = 0.0
                 if trm or tim:
                     # this term passed ratio < 1/2, so r <= 1/2
-                    mm, me = term.exact(prec)
-                    r = to_float(from_man_exp(*_div(mm, me, *before.exact(prec), prec)), rnd=_RND)
-                    tail = to_float(from_man_exp(mm, me), rnd=_RND) * r / (1 - r) if r else 0.0
+                    modulus = term.exact(prec)
+                    r = to_float(mpf_div(modulus, before.exact(prec), prec, _RND), rnd=_RND)
+                    tail = to_float(modulus, rnd=_RND) * r / (1 - r) if r else 0.0
                 total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
                 return total, n + 1, tail, _peak_mpf(peak, prec)
         # weight * (base - n): mpc_mul sums the exact products, then rounds
@@ -512,7 +458,7 @@ def _sum_series(stream: _Stream, base, tol):
 
 
 def _peak_mpf(peak: _Term | None, prec: int):
-    return fzero if peak is None else from_man_exp(*peak.exact(prec))
+    return fzero if peak is None else peak.exact(prec)
 
 
 def _value_at(stream: _Stream, rho: Fraction, z, point, tol):

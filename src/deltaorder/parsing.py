@@ -107,6 +107,8 @@ _PUNCTUATION["−"] = ("op", "-")  # unicode minus
 # can be set to; text of at most this many characters is read by one int()
 # or Fraction() call, with their own values and messages.
 _INT_PIECE = 640
+# the most characters of user text that an error message quotes
+_QUOTED = 40
 
 # an integer literal as int() reads it, without underscores: (sign, digits)
 _PLAIN_INT = re.compile(r"\s*([+-]?)(\d+)\s*")
@@ -115,28 +117,38 @@ _PLAIN_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def quoted(text: str) -> str:
-    """User text as an error message quotes it: the repr of at most its first 40 characters."""
-    return repr(text[:40])
+    """User text as an error message quotes it: the repr of at most its first ``_QUOTED`` characters."""
+    return repr(text[:_QUOTED])
 
 
 def read_int(text: str, limit: int | None = None) -> int:
     """``int(text)`` for a decimal literal of any length, read in subquadratic time.
 
     Text longer than ``_INT_PIECE`` must be ``[+-]digits``, whitespace around
-    it allowed, and is read in halves; with ``limit``, one whose digits after
-    leading zeros outnumber those of ``limit`` raises OverflowError unread.
+    it allowed, and is read in halves.  With ``limit``, a ``[+-]digits`` text
+    longer than ``_QUOTED`` characters whose digits after leading zeros
+    outnumber those of ``limit`` raises OverflowError unread: a message could
+    not print it whole.
     """
-    if len(text) <= _INT_PIECE:
+    if len(text) <= (_INT_PIECE if limit is None else _QUOTED):
         return int(text)
     plain = _PLAIN_INT.fullmatch(text)
     if not plain:
+        if len(text) <= _INT_PIECE:
+            return int(text)
         raise ValueError(f"invalid literal for int() with base 10: {quoted(text)}")
-    sign, digits = plain.groups()
-    if limit is not None and len(digits.lstrip("0")) > len(str(limit)):
+    if limit is not None and len(plain[2].lstrip("0")) > len(str(limit)):
         raise OverflowError(f"{quoted(text)} exceeds {limit} in magnitude")
+    value = _read_digits(plain[2])
+    return -value if plain[1] == "-" else value
+
+
+def _read_digits(digits: str) -> int:
+    """The value of a run of decimal digits, read in halves down to ``_INT_PIECE`` digits."""
+    if len(digits) <= _INT_PIECE:
+        return int(digits)
     half = len(digits) // 2
-    value = read_int(digits[:-half]) * 10**half + read_int(digits[-half:]) if half else int(digits)
-    return -value if sign == "-" else value
+    return _read_digits(digits[:-half]) * 10**half + _read_digits(digits[-half:])
 
 
 def read_rational(value: str | int) -> Fraction:

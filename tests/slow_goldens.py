@@ -40,6 +40,13 @@ SLOW_COMMANDS = [
         for bits in ("53", "1024")
         for tail in (["--radii", "20,50,100,200", "--samples", "4096"], ["--at", "31.7+21.2j"])
     ),
+    # the same with the loggamma prefactor of an offset; integer radii would
+    # meet its pole at z = -20
+    *(
+        (["eval", CUBIC, "--rho", "3/2", *tail], (), {"DELTAORDER_PRECISION": bits})
+        for bits, samples in (("53", "4096"), ("1024", "256"))
+        for tail in (["--radii", "20.5,50.5,100.5,200.5", "--samples", samples], ["--at", "31.7+21.2j"])
+    ),
     # the rational printer on long streams: coefficients of up to 48 275 bits
     # and, over 3^1000, of up to 317 809 bits
     (["solve", CUBIC, "--terms", "1600", "--initial", "0=1,1=0,2=0"], ()),

@@ -812,6 +812,46 @@ def test_a_pin_index_or_order_of_too_many_digits_is_rejected_unread(capsys):
     assert (code, err) == (5, f"order 1/1000: denominator 1000 exceeds the limit {MAX_ORDER_DENOMINATOR}\n")
 
 
+def test_a_long_flag_value_is_quoted_or_left_unread_with_its_exit_code(capsys, half_order_file):
+    # each flag echoed its whole text: --terms of 100 000 nines made a
+    # 100 032-byte line in 0.29 s, --radii 200 058 bytes, --tol 100 363
+    nines, exes = "9" * 100_000, "x" * 100_000
+    first_order = "D f(z) - f(z) = 0"
+    at_one = ("eval", first_order, "--at", "1")
+    circle = ("eval", first_order, "--radii", "10,20,30,40")
+    cases = [
+        (("solve", first_order, "--terms", nines), 2, "--terms inf exceeds the limit"),
+        (("solve", first_order, "--terms", nines[:41]), 2, "--terms inf exceeds the limit"),
+        ((*at_one, "--terms", f"-{nines}"), 2, "--terms must not be negative, got -inf"),
+        (("eval", first_order, "--radii", nines + "x"), 2, "invalid radii "),
+        (("eval", first_order, "--at", nines + "x"), 2, "invalid complex point "),
+        ((*circle, "--samples", nines), 6, "evaluation failed: samples must be at most"),
+        ((*at_one, "--samples", nines), 0, ""),  # no circle, so the value goes unused, as before
+        (("verify", first_order, "--rows", nines), 6, "solution too short"),
+        (("verify", first_order, "--rows", f"-{nines}"), 2, "--rows must be at least the first row"),
+        (("eval", "--solution", str(half_order_file), "--at", "1", "--index", f"-{nines}"), 2, "--index must not"),
+        ((*at_one, "--tol", exes), 2, "usage: "),
+        ((*at_one, "--samples", exes), 2, "usage: "),
+    ]
+    for argv, exit_code, prefix in cases:
+        start = time.perf_counter()
+        with deadline(5):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the text itself
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1, argv[:4]
+        assert code == exit_code, argv[:4]
+        assert err.startswith(prefix), err[:200]
+        # argparse prints its usage lines before the message
+        assert len(err.encode()) < 600 and all(len(line) < 200 for line in err.splitlines()), err[:200]
+    # a short text keeps argparse's own message
+    with pytest.raises(SystemExit):
+        main([*at_one, "--tol", "x" * 40])
+    assert capsys.readouterr().err.endswith(f"argument --tol: invalid float value: '{'x' * 40}'\n")
+
+
 def test_a_bare_json_integer_reads_as_its_digits_in_a_string(tmp_path):
     # json's own int() reads 200 001 digits in about 0.2 s, in quadratic time;
     # parsing.read_int reads them in about 0.05 s on a shared 2-vCPU host

@@ -1,15 +1,19 @@
-"""The integer-mantissa primitives of the evaluation kernel against mpmath.libmp.
+"""The integer-mantissa arithmetic of the evaluation kernel against mpmath.libmp.
 
-Each primitive takes and returns (mantissa, exponent) pairs of Python ints.
-It must give the value that the libmp operation it stands for gives at
-round_nearest, whatever trailing zeros its operands carry: ``_round`` and
-the products against ``mpf_mul``, ``_add`` against ``mpf_add`` and
-``mpf_sub`` (far-apart operands and products of 2·prec bits included),
-``_div`` against ``mpf_div``, ``_sqrt`` against ``mpf_sqrt`` and ``_hypot``
-against ``mpf_hypot``.  Results are compared as normalized raw mpf tuples.
+The kernel's hot path (the terms, the running total and the falling-power
+weights) runs on (mantissa, exponent) pairs of Python ints.  Its two
+primitives must give the value that the libmp operation they stand for gives
+at round_nearest, whatever trailing zeros their operands carry: ``_round``
+and the products against ``mpf_mul``, and ``_add`` against ``mpf_add`` and
+``mpf_sub`` (far-apart operands and products of 2·prec bits included).
+Results are compared as normalized raw mpf tuples.  The stopping rule's
+exact side calls libmp itself, which pays only while it runs a few times per
+sum rather than once per term; a test counts those calls.  The whole kernel
+is checked against the mpc loop it stands for, in test_evaluation too.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -19,26 +23,19 @@ from hypothesis import strategies as st
 from mpmath.libmp import (
     from_man_exp,
     mpf_add,
-    mpf_div,
-    mpf_hypot,
-    mpf_lt,
     mpf_mul,
-    mpf_sqrt,
     mpf_sub,
     round_nearest,
 )
 
-from deltaorder import SeriesSolution, eval_series, max_modulus
+from deltaorder import SeriesSolution, empirical_order, eval_series, evaluation, max_modulus
 from deltaorder.evaluation import (
     _add,
     _circle_point,
-    _div,
-    _hypot,
-    _less,
     _round,
-    _sqrt,
 )
 
+from fixtures_equations import third_order_stream
 from test_evaluation import _fields, _outcome, oracle_eval, oracle_max_modulus, precision, streams
 
 RND = round_nearest
@@ -126,40 +123,6 @@ def test_round_and_products_match_mpf_mul(data, case):
     assert mpf(*_round(xm * ym, xe + ye, prec)) == want
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), case=operand_pairs())
-def test_div_matches_mpf_div(data, case):
-    prec, xm, xe, ym, ye = case
-    want = mpf_div(mpf(xm, xe), mpf(ym, ye), prec, RND)
-    xm, xe = data.draw(padded(xm, xe))
-    ym, ye = data.draw(padded(ym, ye))
-    assert mpf(*_div(xm, xe, ym, ye, prec)) == want
-    assert mpf(*_div(0, xe, ym, ye, prec)) == mpf_div(mpf(0, 0), mpf(ym, ye), prec, RND)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), case=operand_pairs())
-def test_sqrt_and_hypot_match_mpf_sqrt_and_mpf_hypot(data, case):
-    prec, xm, xe, ym, ye = case
-    want_sqrt = mpf_sqrt(mpf(abs(xm), xe), prec, RND)
-    want_hypot = mpf_hypot(mpf(xm, xe), mpf(ym, ye), prec, RND)
-    xm, xe = data.draw(padded(xm, xe))
-    ym, ye = data.draw(padded(ym, ye))
-    assert mpf(*_sqrt(abs(xm), xe, prec)) == want_sqrt
-    assert mpf(*_hypot(xm, xe, ym, ye, prec)) == want_hypot
-    assert mpf(*_hypot(0, 0, ym, ye, prec)) == mpf_hypot(mpf(0, 0), mpf(ym, ye), prec, RND)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), case=operand_pairs())
-def test_less_matches_mpf_lt(data, case):
-    _, xm, xe, ym, ye = case
-    x, y = mpf(abs(xm), xe), mpf(abs(ym), ye)
-    xm, xe = data.draw(padded(abs(xm), xe))
-    assert _less(xm, xe, abs(ym), ye) == mpf_lt(x, y)
-    assert not _less(xm, xe, xm, xe)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     prec=precisions,
@@ -183,30 +146,6 @@ def test_add_follows_mpf_add_on_wide_operands_near_a_tie(prec, kept, extra, tiny
     assert mpf(*_add(xm, 0, ym, ye, prec)) == want
     if tiny_low < -100:
         assert want != from_man_exp((xm << -ye) + ym, ye, prec, RND)  # not the exact sum
-
-
-def _sqrt_of_minus_seven(bits: int) -> int:
-    """An odd r with r * r = -7 modulo 2**bits (Hensel lifting from r = 1 modulo 8)."""
-    r = 1
-    for j in range(3, bits):
-        if (r * r + 7) >> j & 1:
-            r += 1 << (j - 1)
-    return r
-
-
-@settings(max_examples=200, deadline=None)
-@given(prec=precisions, high=st.integers(0, 2**40), ym=st.integers(2**61, 2**62).map(lambda m: m | 1))
-def test_hypot_follows_the_far_apart_sum_of_squares(prec, high, ym):
-    # x is odd with prec + 1 bits, so |x| lies halfway between two prec-bit
-    # values, and x * x ends in ...1111001 below the prec + 4 bits the sum of
-    # squares keeps.  y * y (at least 8 units there, its lowest bit 120 bits
-    # lower) would carry into the kept bits and lift the root above the tie;
-    # mpf_hypot's sum takes the far-apart rule, stays below x * x and rounds down.
-    low = prec - 2
-    xm = _sqrt_of_minus_seven(low) + ((2**prec + high) >> low << low)
-    want = mpf_hypot(mpf(xm, 0), mpf(ym, -60), prec, RND)
-    assert mpf(*_hypot(xm, 0, ym, -60, prec)) == want
-    assert want == from_man_exp(xm - 1, 0, prec, RND)  # the value below the tie
 
 
 def test_exact_ties_round_to_even():
@@ -270,3 +209,35 @@ def test_max_modulus_equals_the_full_circle_at_other_precisions(prec):
         with precision(prec):
             got = max_modulus(sol, 7.5, samples=samples)
         assert got == oracle_max_modulus(sol, 7.5, samples, prec=prec)
+
+
+def test_the_exact_side_runs_a_few_times_per_sum_not_per_term(monkeypatch):
+    # the libmp calls of the coefficient conversion, the circle points and the
+    # hot path's far-apart sums are not the stopping rule's
+    elsewhere = {"_rational_mpf", "_circle_point", "_add"}
+    per_sum = []
+
+    def counted(operation):
+        def call(*args):
+            if sys._getframe(1).f_code.co_name not in elsewhere:
+                per_sum[-1] += 1
+            return operation(*args)
+
+        return call
+
+    for name in ("mpf_hypot", "mpf_div", "mpf_add", "mpf_mul", "mpf_lt"):
+        monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
+    sum_series = evaluation._sum_series
+
+    def one_sum(*args):
+        per_sum.append(0)
+        return sum_series(*args)
+
+    monkeypatch.setattr(evaluation, "_sum_series", one_sum)
+    sol = SeriesSolution.from_values(third_order_stream(400))  # the README pins
+    eval_series(sol, 2.5)
+    max_modulus(sol, 50)
+    empirical_order(sol, [50, 100, 200, 400, 800])
+    assert len(per_sum) == 1 + 33 + 5 * 33
+    # the tail (two moduli and their ratio) and the peak's modulus
+    assert max(per_sum) <= 4
