@@ -213,7 +213,9 @@ def _equation(raw: str) -> DifferenceEquation:
     try:
         text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw
         general = parse_equation(text)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise _CommandError(EXIT_PARSE, f"cannot read equation file {quoted(raw[1:])}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
         raise _CommandError(EXIT_PARSE, f"cannot read equation file: {exc}")
     except ParseError as exc:
         raise _CommandError(EXIT_PARSE, f"parse error: {exc}")
@@ -413,7 +415,9 @@ def _read_solution(path: str, index: int) -> SeriesSolution:
         raise _CommandError(EXIT_PARSE, f"--index must not be negative, got {index}")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=read_int)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
+    except OSError as exc:
+        raise _CommandError(EXIT_PARSE, f"cannot read solution file {quoted(path)}: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise _CommandError(EXIT_PARSE, f"cannot read solution file: {exc}")
     try:
         entry = payload["solutions"][index]
@@ -553,8 +557,24 @@ def _cmd_compose(args) -> dict:
 # --- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, quoting the arguments that its messages echo (an
+    invalid choice, a subcommand or an unrecognized argument) by ``quoted``."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {quoted(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(map(quoted, extras)))
+        return args
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltaorder",
         description=(
             "Analyze linear difference equations with polynomial coefficients: "

@@ -15,11 +15,15 @@ The summation kernel works on integer mantissas: each real is a pair of
 Python ints (m, e) worth m * 2**e.  The terms a_n * ff(base, n), the running
 total and the falling-power weights are each formed exactly and rounded once
 to the ambient precision, to nearest with ties to even, as ``mpf_mul`` and
-``mpf_add`` round them at round_nearest; operands whose top bits lie more
-than prec + 4 apart go to ``mpf_add`` itself, which sums them by a nudge
-rather than an exact shift.  The kernel gives the results of a plain mpc
-loop bit for bit, in its order; raw mpf values appear only at its edges (the
-coefficients, base and tolerance going in, the total and peak coming out).
+``mpf_add`` round them at round_nearest.  Where ``mpf_add`` sums by a nudge
+rather than exactly (top bits more than prec + 4 apart and lowest set bits
+more than 100 apart), ``_add`` makes the same nudge on the integers.  The
+weight update forms base - n and both parts of weight * (base - n) in the
+loop itself, each rounded once, and hands only pairs of products whose top
+bits lie more than prec + 4 apart to ``_add``.  The kernel gives the results
+of a plain mpc loop bit for bit, in its order; raw mpf values appear only at
+its edges (the coefficients, base and tolerance going in, the total and peak
+coming out).
 The stopping rule's three comparisons (a term's ratio to the last nonzero
 term against 1/2, |term| against tol * (|total| + 1), and |term| against the
 peak) only steer the loop, so each is taken from estimates: first from the
@@ -38,11 +42,14 @@ square roots and a division per term.
 Each call scans the support of the exact coefficients once and converts a
 coefficient only when the sum reaches it, so a sum that settles after ten
 terms converts ten; the circle samples and radii of one call share the
-converted values, and nothing is kept between calls.  ``eval_series`` and
-each circle sample of the maximum modulus evaluate f(z) by one routine: the
-prefactor ff(z, rho) at the working precision, the sum at z - rho, and their
-product.  The circle points and moduli of the maximum modulus are the libmp
-operations of the mpmath expressions they replaced, in the same order.
+converted values, and no coefficient is kept between calls.  ``eval_series``
+and each circle sample of the maximum modulus evaluate f(z) by one routine:
+the prefactor ff(z, rho) at the working precision, the sum at z - rho, and
+their product.  The circle points and moduli of the maximum modulus are the
+libmp operations of the mpmath expressions they replaced, in the same order;
+the unit points exp(2 pi i k / samples) are made once per (samples,
+precision) and kept in a small cache, so each circle point costs one
+multiplication by the radius.
 
 The coefficients and the offset are rational, so |f(conj z)| = |f(z)|: the
 maximum modulus is taken over the samples k = 0 .. samples // 2 of the angles
@@ -54,6 +61,7 @@ order-free), and the sample angles are deterministic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -219,9 +227,10 @@ def _falling_power_mp(z, rho):
 #
 # A real number is a pair of ints (m, e) worth m * 2**e: the mantissa carries
 # the sign, and zero is m == 0 with any exponent.  Each operation forms its
-# exact result and rounds it once, so it returns the same value as the libmp
-# operation it stands for at round_nearest, whatever trailing zeros the
-# mantissas carry.  The stopping rule's exact side calls libmp itself.
+# exact result, or the nudged sum where mpf_add nudges, and rounds it once, so
+# it returns the same value as the libmp operation it stands for at
+# round_nearest, whatever trailing zeros the mantissas carry.  The stopping
+# rule's exact side calls libmp itself.
 
 
 def _pair(x) -> tuple[int, int]:
@@ -245,19 +254,28 @@ def _round(m: int, e: int, prec: int) -> tuple[int, int]:
 def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     """x + y rounded to prec bits as ``mpf_add`` rounds it.
 
-    The exact sum is rounded, except where the top bits lie more than
-    prec + 4 apart: such a pair goes to ``mpf_add`` itself, which nudges the
-    larger operand instead when the lowest set bits also lie more than 100
-    apart.  For operands of at most prec + 1 bits the nudge gives the
-    correctly rounded sum; for an exact product of two prec-bit values it
-    can differ from it, and ``mpc_mul`` sums such products.
+    The exact sum is rounded, except where ``mpf_add`` nudges: where the top
+    bits lie more than prec + 4 apart and the lowest set bits more than 100
+    apart, the larger operand is shifted up by prec + 4 bits and the sign of
+    the smaller one added to it.  Anything below the larger operand's lowest
+    set bit rounds as that sign does, so the trailing zeros that
+    ``mpf_add`` strips first do not matter.  For operands of at most
+    prec + 1 bits the nudge gives the correctly rounded sum; for an exact
+    product of two prec-bit values it can differ from it, and ``mpc_mul``
+    sums such products.
     """
     if not ym:
         return _round(xm, xe, prec)
     if not xm:
         return _round(ym, ye, prec)
-    if abs(xm.bit_length() + xe - ym.bit_length() - ye) > prec + 4:
-        return _pair(mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
+    d = xm.bit_length() + xe - ym.bit_length() - ye
+    if d > prec + 4 or d < -prec - 4:
+        # the lowest set bits, where from_man_exp strips the trailing zeros
+        low = xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length()
+        if d > 0 and low > 100:
+            return _round((xm << prec + 4) + (1 if ym > 0 else -1), xe - prec - 4, prec)
+        if d < 0 and low < -100:
+            return _round((ym << prec + 4) + (1 if xm > 0 else -1), ye - prec - 4, prec)
     if xe > ye:
         return _round((xm << xe - ye) + ym, ye, prec)
     return _round(xm + (ym << ye - xe), xe, prec)
@@ -394,6 +412,8 @@ def _sum_series(stream: _Stream, base, tol):
     bim, bie = _pair(base[1])
     tolm, tole = _pair(tol)
     tol_log2 = math.log2(tolm) + tole
+    far = prec + 4
+    crm, cre = brm, bre  # base - n
     wrm, wre, wim, wie = 1, 0, 0, 0  # the weight ff(base, n)
     srm, sre, sim, sie = 0, 0, 0, 0  # the total
     peak = term = before = None  # the peak, the last and the one before the last nonzero term
@@ -445,12 +465,46 @@ def _sum_series(stream: _Stream, base, tol):
                     tail = to_float(modulus, rnd=_RND) * r / (1 - r) if r else 0.0
                 total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
                 return total, n + 1, tail, _peak_mpf(peak, prec)
-        # weight * (base - n): mpc_mul sums the exact products, then rounds
-        crm, cre = _add(brm, bre, -n, 0, prec)
-        wrm, wre, wim, wie = (
-            *_add(wrm * crm, wre + cre, -wim * bim, wie + bie, prec),
-            *_add(wrm * bim, wre + bie, wim * crm, wie + cre, prec),
-        )
+        # weight * (base - n) as mpc_mul forms it: base - n rounded, then each
+        # part the sum of two exact products rounded once.  Where mpf_add
+        # would nudge base - n, the exact difference rounds the same, as
+        # neither operand has more than prec bits; a nonzero pair of products
+        # whose top bits lie more than prec + 4 apart goes to _add, whose
+        # result the rounding keeps as it is.
+        if n:
+            crm, cre = ((brm << bre) - n, 0) if bre >= 0 else (brm - (n << -bre), bre)
+            s = crm.bit_length() - prec
+            if s > 0:
+                q = crm >> s - 1
+                crm = q + 1 >> 1 if q & 1 and (q & 2 or crm & (1 << s - 1) - 1) else q >> 1
+                cre += s
+        xm, xe, ym, ye = wrm * crm, wre + cre, -wim * bim, wie + bie
+        if xm and ym:
+            if -far <= xm.bit_length() + xe - ym.bit_length() - ye <= far:
+                xm, xe = ((xm << xe - ye) + ym, ye) if xe > ye else (xm + (ym << ye - xe), xe)
+            else:
+                xm, xe = _add(xm, xe, ym, ye, prec)
+        elif ym:
+            xm, xe = ym, ye
+        s = xm.bit_length() - prec
+        if s > 0:
+            q = xm >> s - 1
+            xm = q + 1 >> 1 if q & 1 and (q & 2 or xm & (1 << s - 1) - 1) else q >> 1
+            xe += s
+        ym, ye, zm, ze = wrm * bim, wre + bie, wim * crm, wie + cre
+        if ym and zm:
+            if -far <= ym.bit_length() + ye - zm.bit_length() - ze <= far:
+                ym, ye = ((ym << ye - ze) + zm, ze) if ye > ze else (ym + (zm << ze - ye), ye)
+            else:
+                ym, ye = _add(ym, ye, zm, ze, prec)
+        elif zm:
+            ym, ye = zm, ze
+        s = ym.bit_length() - prec
+        if s > 0:
+            q = ym >> s - 1
+            ym = q + 1 >> 1 if q & 1 and (q & 2 or ym & (1 << s - 1) - 1) else q >> 1
+            ye += s
+        wrm, wre, wim, wie = xm, xe, ym, ye
     if stream.finite:
         total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
         return total, last + 1, 0.0, _peak_mpf(peak, prec)
@@ -518,17 +572,31 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     return EvalResult(value=value, terms_used=used, tail_bound=tail, log_scale=log_scale)
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_points(samples: int, prec: int) -> tuple:
+    """The raw mpc  exp(mpc(0, 1) * (2 * pi * k / samples))  for 2k < samples, as mpmath computes it.
+
+    Every radius shares them.  The cache holds the last four (samples, prec)
+    keys: 5 kB at the default 64 samples and 128 bits, 1.04 MB at
+    MAX_SAMPLES and 1024 bits (tracemalloc).
+    """
+    two_pi = mpf_mul_int(mpf_pi(prec, _RND), 2, prec, _RND)
+    points = []
+    for k in range((samples + 1) // 2):
+        angle = mpf_div(mpf_mul_int(two_pi, k, prec, _RND), from_int(samples), prec, _RND)
+        points.append(mpc_exp((fzero, angle), prec, _RND))
+    return tuple(points)
+
+
 def _circle_point(radius: float, k: int, samples: int, prec: int):
     """The raw mpc  radius * exp(mpc(0, 1) * (2 * pi * k / samples))  as mpmath computes it.
 
-    The sample on the negative axis is -radius exactly: exp(i pi) of a
-    rounded pi is not real.
+    The unit point comes from ``_unit_points``.  The sample on the negative
+    axis is -radius exactly: exp(i pi) of a rounded pi is not real.
     """
     if 2 * k == samples:
         return from_float(-radius, prec, _RND), fzero
-    two_pi = mpf_mul_int(mpf_pi(prec, _RND), 2, prec, _RND)
-    angle = mpf_div(mpf_mul_int(two_pi, k, prec, _RND), from_int(samples), prec, _RND)
-    return mpc_mul_mpf(mpc_exp((fzero, angle), prec, _RND), from_float(radius), prec, _RND)
+    return mpc_mul_mpf(_unit_points(samples, prec)[k], from_float(radius), prec, _RND)
 
 
 def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:

@@ -21,11 +21,16 @@ import sys
 import time
 from unittest import mock
 
+from fixtures_equations import QUARTIC_34
 from test_goldens import CUBIC, HUMAN_GOLDEN_DIR, _manifest_entry
 
 SLOW_MANIFEST = HUMAN_GOLDEN_DIR / "slow-manifest.json"
 AT_THE_DEGREE_LIMIT = "z^500 D f(z) + f(z) = 0"
 README_EVAL = ["eval", CUBIC, "--initial", "0=1,1=1,2=1/4"]
+# QUARTIC_34's order-3/4 solution, a_{3k} = 1/(4k)!, on nine-point circles
+QUARTIC_EVAL = [
+    "eval", QUARTIC_34, "--initial", "0=1,1=0,2=0,3=1/24", "--radii", "10.5,50,100,200,400", "--samples", "9"
+]
 # (argv, the keys whose floats numpy's root finder gives, masked[, environment])
 SLOW_COMMANDS = [
     (["analyze", AT_THE_DEGREE_LIMIT], ()),
@@ -47,6 +52,10 @@ SLOW_COMMANDS = [
         for bits, samples in (("53", "4096"), ("1024", "256"))
         for tail in (["--radii", "20.5,50.5,100.5,200.5", "--samples", samples], ["--at", "31.7+21.2j"])
     ),
+    # a support modulus of 3: two steps in three only advance the weight, and
+    # an odd sample count leaves no circle point on the negative axis
+    (QUARTIC_EVAL, ()),
+    (QUARTIC_EVAL, (), {"DELTAORDER_PRECISION": "53"}),
     # the rational printer on long streams: coefficients of up to 48 275 bits
     # and, over 3^1000, of up to 317 809 bits
     (["solve", CUBIC, "--terms", "1600", "--initial", "0=1,1=0,2=0"], ()),

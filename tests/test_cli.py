@@ -852,6 +852,36 @@ def test_a_long_flag_value_is_quoted_or_left_unread_with_its_exit_code(capsys, h
     assert capsys.readouterr().err.endswith(f"argument --tol: invalid float value: '{'x' * 40}'\n")
 
 
+def test_argparse_and_file_errors_quote_a_long_argument(capsys):
+    # argparse's messages and the OSError text held the whole argument: at
+    # 100 000 characters an invalid --format wrote 100 159 bytes, an unknown
+    # subcommand 100 234, an unrecognized argument 100 147, and an unreadable
+    # --solution or @file path 100 061 each
+    first_order = "D f(z) - f(z) = 0"
+    commands = [
+        lambda x: ("analyze", first_order, "--format", x),
+        lambda x: (x,),
+        lambda x: ("analyze", first_order, x),
+        lambda x: ("eval", "--solution", x, "--at", "1"),
+        lambda x: ("analyze", "@" + x),
+    ]
+
+    def stderr(argv):
+        with deadline(5):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the text itself
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv[:3]
+        return err
+
+    for command in commands:
+        short, long = stderr(command("x" * 40)), stderr(command("x" * 100_000))
+        assert "x" * 40 in short, short
+        assert len(long.encode()) <= len(short.encode()), long[:200]
+
+
 def test_a_bare_json_integer_reads_as_its_digits_in_a_string(tmp_path):
     # json's own int() reads 200 001 digits in about 0.2 s, in quadratic time;
     # parsing.read_int reads them in about 0.05 s on a shared 2-vCPU host

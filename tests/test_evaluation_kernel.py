@@ -148,6 +148,41 @@ def test_add_follows_mpf_add_on_wide_operands_near_a_tie(prec, kept, extra, tiny
         assert want != from_man_exp((xm << -ye) + ym, ye, prec, RND)  # not the exact sum
 
 
+@st.composite
+def far_apart_pairs(draw):
+    """Operands whose lowest set bits lie 99, 100, 101 or more apart, with x the
+    larger: mpf_add nudges x only where they lie more than 100 apart and the
+    top bits more than prec + 4.  A "tie" x holds prec kept bits, a clear round
+    bit and ones below it down to its lowest bit, and y reaches past that bit,
+    so the exact sum rounds up where the nudge rounds down."""
+    prec = draw(st.sampled_from((53, 128, 1024)))
+    low = draw(st.one_of(st.sampled_from((99, 100, 101)), st.integers(102, 3000)))
+    xe = draw(st.integers(-2000, 2000))
+    if draw(st.booleans()):
+        ybits = low + draw(st.integers(1, 60))
+        extra = ybits - low + 4 + draw(st.integers(0, 100))  # top bits more than prec + 4 apart
+        kept = draw(st.integers(2 ** (prec - 1), 2**prec - 1))
+        xm = (kept << extra + 1) | (2**extra - 1)
+    else:
+        ybits = draw(st.integers(1, 200))
+        xm = draw(st.integers(1, 2 ** draw(st.integers(1, 2 * prec + 10)))) | 1
+    ym = draw(st.integers(2 ** (ybits - 1), 2**ybits - 1)) | 1
+    xm = xm if draw(st.booleans()) else -xm
+    ym = ym if draw(st.booleans()) else -ym
+    return prec, xm, xe, ym, xe - low
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), case=far_apart_pairs())
+def test_add_applies_the_far_apart_nudge_of_mpf_add(data, case):
+    prec, xm, xe, ym, ye = case
+    want = mpf_add(mpf(xm, xe), mpf(ym, ye), prec, RND)
+    xm, xe = data.draw(padded(xm, xe))
+    ym, ye = data.draw(padded(ym, ye))
+    assert mpf(*_add(xm, xe, ym, ye, prec)) == want
+    assert mpf(*_add(ym, ye, xm, xe, prec)) == want
+
+
 def test_exact_ties_round_to_even():
     prec = 53
     even, odd = 2**52, 2**52 + 1  # 53-bit mantissas, the first even and the second odd
@@ -200,6 +235,38 @@ def test_eval_series_matches_the_mpc_loop_near_the_real_axis_and_at_high_precisi
     assert _fields(got) == _outcome(oracle_eval, sol, z, prec=prec)
 
 
+@pytest.mark.parametrize("prec", (53, 128, 1024))
+def test_eval_series_matches_the_mpc_loop_where_base_minus_n_lies_far_apart(prec):
+    # a real part far below 1, or far above every n, makes base - n a pair
+    # that mpf_add nudges; the kernel rounds the exact difference instead
+    decaying = SeriesSolution.from_values([Fraction(1, math.factorial(n) ** 2) for n in range(80)])
+    finite = SeriesSolution.from_values([Fraction(1), Fraction(-2, 3), Fraction(5), 0, 0, 0])
+    cases = [(decaying, complex(re, im)) for re in (2.0**-300, -5e-324, 1e-30, 0.0) for im in (0.0, 0.75, 1e-30)]
+    cases += [(finite, complex(re, im)) for re in (2.0**300, -(2.0**200)) for im in (0.0, 3.5, 2.0**-400)]
+    for sol, z in cases:
+        with precision(prec):
+            got = _outcome(eval_series, sol, z)
+        assert not isinstance(got, str), z
+        assert _fields(got) == _outcome(oracle_eval, sol, z, prec=prec), z
+
+
+def test_the_weight_step_nudges_a_far_apart_pair_of_products_as_mpc_mul_does():
+    # ff(z, 2) = z (z - 1).  With z = B 2**-40 + i 2**-40 (1 + 2**-52), its
+    # real part is P - Q for P = B (B - 2**40) 2**-80, whose bits below the
+    # 53 kept ones are 1, then zeros, then a 1 at 2**-80, and Q = Im(z)**2,
+    # whose top bit lies 105 bits under P's and lowest bit 104 under P's.
+    # mpc_mul nudges P and rounds up; the exact P - Q lies under the halfway
+    # point and rounds down.  B solves the congruence for P's bits.
+    sol = SeriesSolution.from_values([0, 0, 1, 0, 0, 0])
+    z = complex(6755949196869631 * 2.0**-40, 2.0**-40 * (1 + 2.0**-52))
+    with precision(53):
+        got = eval_series(sol, z)
+    want = oracle_eval(sol, z, prec=53)
+    assert _fields(got) == want
+    exact = Fraction(z.real) * (Fraction(z.real) - 1) - Fraction(z.imag) ** 2
+    assert want[0].real != float(exact)  # the nudge differs from the exact sum here
+
+
 @pytest.mark.parametrize("prec", (53, 300))
 def test_max_modulus_equals_the_full_circle_at_other_precisions(prec):
     sol = SeriesSolution.from_values(
@@ -211,10 +278,30 @@ def test_max_modulus_equals_the_full_circle_at_other_precisions(prec):
         assert got == oracle_max_modulus(sol, 7.5, samples, prec=prec)
 
 
+def test_unit_points_are_made_once_per_samples_and_precision(monkeypatch):
+    sol = SeriesSolution.from_values(
+        [Fraction(1, math.factorial(n) ** 2) for n in range(60)], rho=Fraction(3, 2)
+    )
+    for prec in (53, 128, 53):
+        for samples in (8, 9, 64):
+            with precision(prec):
+                got = max_modulus(sol, 7.5, samples=samples)
+            assert got == oracle_max_modulus(sol, 7.5, samples, prec=prec, upper_half=True)
+    made = []
+    mpc_exp = evaluation.mpc_exp
+    monkeypatch.setattr(evaluation, "mpc_exp", lambda *args: made.append(args[1]) or mpc_exp(*args))
+    evaluation._unit_points.cache_clear()
+    for prec in (128, 53):
+        with precision(prec):
+            empirical_order(sol, [3.5, 5.5, 7.5, 9.5, 11.5], samples=64)
+    # k = 0 .. 31 at each precision; k = 32 is the negative axis, -radius exactly
+    assert made == [128] * 32 + [53] * 32
+
+
 def test_the_exact_side_runs_a_few_times_per_sum_not_per_term(monkeypatch):
-    # the libmp calls of the coefficient conversion, the circle points and the
-    # hot path's far-apart sums are not the stopping rule's
-    elsewhere = {"_rational_mpf", "_circle_point", "_add"}
+    # the libmp calls of the coefficient conversion and the unit-point table
+    # are not the stopping rule's
+    elsewhere = {"_rational_mpf", "_unit_points"}
     per_sum = []
 
     def counted(operation):
