@@ -562,9 +562,12 @@ class _Parser(argparse.ArgumentParser):
     invalid choice, a subcommand or an unrecognized argument) by ``quoted``."""
 
     def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
+        # argparse decides; only its message, which holds the whole value, is replaced
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError:
             choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {quoted(value)} (choose from {choices})")
+            raise argparse.ArgumentError(action, f"invalid choice: {quoted(value)} (choose from {choices})") from None
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

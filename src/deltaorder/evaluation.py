@@ -15,15 +15,16 @@ The summation kernel works on integer mantissas: each real is a pair of
 Python ints (m, e) worth m * 2**e.  The terms a_n * ff(base, n), the running
 total and the falling-power weights are each formed exactly and rounded once
 to the ambient precision, to nearest with ties to even, as ``mpf_mul`` and
-``mpf_add`` round them at round_nearest.  Where ``mpf_add`` sums by a nudge
-rather than exactly (top bits more than prec + 4 apart and lowest set bits
-more than 100 apart), ``_add`` makes the same nudge on the integers.  The
-weight update forms base - n and both parts of weight * (base - n) in the
-loop itself, each rounded once, and hands only pairs of products whose top
-bits lie more than prec + 4 apart to ``_add``.  The kernel gives the results
-of a plain mpc loop bit for bit, in its order; raw mpf values appear only at
-its edges (the coefficients, base and tolerance going in, the total and peak
-coming out).
+``mpf_add`` round them at round_nearest; operands whose top bits lie more
+than prec + 4 apart go to ``mpf_add`` itself, which sums them by a nudge
+rather than an exact shift.  The weight update forms base - n and both parts
+of weight * (base - n) in the loop itself, each rounded once: base - n is
+the exact difference rounded, which ``mpf_add`` returns even where it
+nudges, as neither operand has more than prec bits, and a pair of products
+goes to ``_add`` only where one is zero or their top bits lie more than
+prec + 4 apart.  The kernel gives the results of a plain mpc loop bit for
+bit, in its order; raw mpf values appear only at its edges (the
+coefficients, base and tolerance going in, the total and peak coming out).
 The stopping rule's three comparisons (a term's ratio to the last nonzero
 term against 1/2, |term| against tol * (|total| + 1), and |term| against the
 peak) only steer the loop, so each is taken from estimates: first from the
@@ -227,10 +228,9 @@ def _falling_power_mp(z, rho):
 #
 # A real number is a pair of ints (m, e) worth m * 2**e: the mantissa carries
 # the sign, and zero is m == 0 with any exponent.  Each operation forms its
-# exact result, or the nudged sum where mpf_add nudges, and rounds it once, so
-# it returns the same value as the libmp operation it stands for at
-# round_nearest, whatever trailing zeros the mantissas carry.  The stopping
-# rule's exact side calls libmp itself.
+# exact result and rounds it once, so it returns the same value as the libmp
+# operation it stands for at round_nearest, whatever trailing zeros the
+# mantissas carry.  The stopping rule's exact side calls libmp itself.
 
 
 def _pair(x) -> tuple[int, int]:
@@ -254,28 +254,19 @@ def _round(m: int, e: int, prec: int) -> tuple[int, int]:
 def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     """x + y rounded to prec bits as ``mpf_add`` rounds it.
 
-    The exact sum is rounded, except where ``mpf_add`` nudges: where the top
-    bits lie more than prec + 4 apart and the lowest set bits more than 100
-    apart, the larger operand is shifted up by prec + 4 bits and the sign of
-    the smaller one added to it.  Anything below the larger operand's lowest
-    set bit rounds as that sign does, so the trailing zeros that
-    ``mpf_add`` strips first do not matter.  For operands of at most
-    prec + 1 bits the nudge gives the correctly rounded sum; for an exact
-    product of two prec-bit values it can differ from it, and ``mpc_mul``
-    sums such products.
+    The exact sum is rounded, except where the top bits lie more than
+    prec + 4 apart: such a pair goes to ``mpf_add`` itself, which nudges the
+    larger operand instead when the lowest set bits also lie more than 100
+    apart.  For operands of at most prec + 1 bits the nudge gives the
+    correctly rounded sum; for an exact product of two prec-bit values it
+    can differ from it, and ``mpc_mul`` sums such products.
     """
     if not ym:
         return _round(xm, xe, prec)
     if not xm:
         return _round(ym, ye, prec)
-    d = xm.bit_length() + xe - ym.bit_length() - ye
-    if d > prec + 4 or d < -prec - 4:
-        # the lowest set bits, where from_man_exp strips the trailing zeros
-        low = xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length()
-        if d > 0 and low > 100:
-            return _round((xm << prec + 4) + (1 if ym > 0 else -1), xe - prec - 4, prec)
-        if d < 0 and low < -100:
-            return _round((ym << prec + 4) + (1 if xm > 0 else -1), ye - prec - 4, prec)
+    if abs(xm.bit_length() + xe - ym.bit_length() - ye) > prec + 4:
+        return _pair(mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
     if xe > ye:
         return _round((xm << xe - ye) + ym, ye, prec)
     return _round(xm + (ym << ye - xe), xe, prec)
@@ -468,42 +459,20 @@ def _sum_series(stream: _Stream, base, tol):
         # weight * (base - n) as mpc_mul forms it: base - n rounded, then each
         # part the sum of two exact products rounded once.  Where mpf_add
         # would nudge base - n, the exact difference rounds the same, as
-        # neither operand has more than prec bits; a nonzero pair of products
-        # whose top bits lie more than prec + 4 apart goes to _add, whose
-        # result the rounding keeps as it is.
+        # neither operand has more than prec bits; a pair of products with a
+        # zero or with top bits more than prec + 4 apart goes to _add.
         if n:
-            crm, cre = ((brm << bre) - n, 0) if bre >= 0 else (brm - (n << -bre), bre)
-            s = crm.bit_length() - prec
-            if s > 0:
-                q = crm >> s - 1
-                crm = q + 1 >> 1 if q & 1 and (q & 2 or crm & (1 << s - 1) - 1) else q >> 1
-                cre += s
+            crm, cre = _round((brm << bre) - n, 0, prec) if bre >= 0 else _round(brm - (n << -bre), bre, prec)
         xm, xe, ym, ye = wrm * crm, wre + cre, -wim * bim, wie + bie
-        if xm and ym:
-            if -far <= xm.bit_length() + xe - ym.bit_length() - ye <= far:
-                xm, xe = ((xm << xe - ye) + ym, ye) if xe > ye else (xm + (ym << ye - xe), xe)
-            else:
-                xm, xe = _add(xm, xe, ym, ye, prec)
-        elif ym:
-            xm, xe = ym, ye
-        s = xm.bit_length() - prec
-        if s > 0:
-            q = xm >> s - 1
-            xm = q + 1 >> 1 if q & 1 and (q & 2 or xm & (1 << s - 1) - 1) else q >> 1
-            xe += s
+        if xm and ym and -far <= xm.bit_length() + xe - ym.bit_length() - ye <= far:
+            xm, xe = _round((xm << xe - ye) + ym, ye, prec) if xe > ye else _round(xm + (ym << ye - xe), xe, prec)
+        else:
+            xm, xe = _add(xm, xe, ym, ye, prec)
         ym, ye, zm, ze = wrm * bim, wre + bie, wim * crm, wie + cre
-        if ym and zm:
-            if -far <= ym.bit_length() + ye - zm.bit_length() - ze <= far:
-                ym, ye = ((ym << ye - ze) + zm, ze) if ye > ze else (ym + (zm << ze - ye), ye)
-            else:
-                ym, ye = _add(ym, ye, zm, ze, prec)
-        elif zm:
-            ym, ye = zm, ze
-        s = ym.bit_length() - prec
-        if s > 0:
-            q = ym >> s - 1
-            ym = q + 1 >> 1 if q & 1 and (q & 2 or ym & (1 << s - 1) - 1) else q >> 1
-            ye += s
+        if ym and zm and -far <= ym.bit_length() + ye - zm.bit_length() - ze <= far:
+            ym, ye = _round((ym << ye - ze) + zm, ze, prec) if ye > ze else _round(ym + (zm << ze - ye), ye, prec)
+        else:
+            ym, ye = _add(ym, ye, zm, ze, prec)
         wrm, wre, wim, wie = xm, xe, ym, ye
     if stream.finite:
         total = (from_man_exp(srm, sre), from_man_exp(sim, sie))

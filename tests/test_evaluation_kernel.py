@@ -299,9 +299,9 @@ def test_unit_points_are_made_once_per_samples_and_precision(monkeypatch):
 
 
 def test_the_exact_side_runs_a_few_times_per_sum_not_per_term(monkeypatch):
-    # the libmp calls of the coefficient conversion and the unit-point table
-    # are not the stopping rule's
-    elsewhere = {"_rational_mpf", "_unit_points"}
+    # the libmp calls of the coefficient conversion, the unit-point table and
+    # the far-apart sums are not the stopping rule's
+    elsewhere = {"_rational_mpf", "_unit_points", "_add"}
     per_sum = []
 
     def counted(operation):
