@@ -3,11 +3,12 @@
 All commands read equation text (directly or from a file via ``@path``),
 emit JSON on stdout by default (``--format human`` for aligned tables), and
 are deterministic: identical input produces byte-identical output.  Exact
-rationals are serialized as ``num/den`` strings.  An error about a number or
-q/p in a flag, or a --solution entry, quotes at most the first 40 characters
-of the text it rejects (``parsing.quoted``), except that a number of at most
-640 characters keeps Python's own message for it; an int flag past
-``sys.maxsize`` reads as inf.  Exit codes: 0 success,
+rationals are serialized as ``num/den`` strings; a diagnostic float that is
+not finite prints as null, and a value that is not exits 6.  An error about
+a number or q/p in a flag, or a --solution entry, quotes at most the first
+40 characters of the text it rejects (``parsing.quoted``), except that a
+number of at most 640 characters keeps Python's own message for it; an int
+flag past ``sys.maxsize`` reads as inf.  Exit codes: 0 success,
 2 parse/usage error (also an input over a declared limit: a coefficient
 polynomial of degree above ``parsing.MAX_DEGREE`` = 500, a difference order
 above ``parsing.MAX_ORDER`` = 100, a literal, product or power whose
@@ -24,11 +25,11 @@ malformed --solution file (rationals in it are strings or integers), or
 3 degenerate equation, 4 empty solution space, 5 invalid prescribed order
 (also a q/p whose denominator is above
 ``construction.MAX_ORDER_DENOMINATOR`` = 101, rejected before construction),
-6 evaluation failure (also an ``eval --at`` value past the double range,
-more than ``polynomials.MAX_RADII`` = 16 radii,
-a characteristic or indicial root whose magnitude is outside the double
-range, and a rational-root search of the indicial polynomial that would
-exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
+6 evaluation failure (also an ``eval --at`` value or an ``eval --radii``
+maximum modulus past the double range, more than ``polynomials.MAX_RADII``
+= 16 radii, a characteristic or indicial root whose magnitude is outside
+the double range, and a rational-root search of the indicial polynomial
+that would exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
 environment setting (a DELTAORDER_PRECISION that is not an integer or
 exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +151,11 @@ def _polygon_json(polygon: AdamsPolygon) -> dict:
     }
 
 
+def _finite(x: float) -> float | None:
+    """``x``, or None where it is not finite and so has no JSON form."""
+    return x if math.isfinite(x) else None
+
+
 def _chi(sol: SeriesSolution) -> GrowthEstimate | None:
     """The decay fit of a stream, or None when it has too few nonzero terms to fit."""
     from .series import estimate_chi
@@ -170,7 +177,7 @@ def _solution_json(sol: SeriesSolution) -> dict:
     est = _chi(sol)
     if est is not None:
         data["chi"] = {
-            "chi_hat": est.chi_hat if est.chi_hat != float("inf") else None,
+            "chi_hat": _finite(est.chi_hat),
             "mu": est.model_params[0],
             "converged": est.converged,
             "residual": est.residual,
@@ -180,7 +187,7 @@ def _solution_json(sol: SeriesSolution) -> dict:
 
 
 def _emit(payload: dict, fmt: str):
-    text = json.dumps(payload, indent=2, default=_encode)
+    text = json.dumps(payload, indent=2, default=_encode, allow_nan=False)
     if fmt == "json":
         print(text)
     else:
@@ -489,12 +496,14 @@ def _cmd_eval(args) -> dict:
                 "z": z,
                 "value": result.value,
                 "terms_used": result.terms_used,
-                "tail_bound": result.tail_bound,
-                "log_scale": result.log_scale,
+                "tail_bound": _finite(result.tail_bound),
+                "log_scale": _finite(result.log_scale),
             }
         if radii:
             if len(radii) == 1:
                 value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol)
+                if value == float("inf"):
+                    raise EvaluationError("max modulus exceeds the double range")
                 out["max_modulus"] = {"radius": radii[0], "value": value}
             else:
                 fit = empirical_order(sol, radii, samples=args.samples, tol=args.tol)

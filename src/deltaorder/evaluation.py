@@ -17,14 +17,12 @@ total and the falling-power weights are each formed exactly and rounded once
 to the ambient precision, to nearest with ties to even, as ``mpf_mul`` and
 ``mpf_add`` round them at round_nearest; operands whose top bits lie more
 than prec + 4 apart go to ``mpf_add`` itself, which sums them by a nudge
-rather than an exact shift.  The weight update forms base - n and both parts
-of weight * (base - n) in the loop itself, each rounded once: base - n is
-the exact difference rounded, which ``mpf_add`` returns even where it
-nudges, as neither operand has more than prec bits, and a pair of products
-goes to ``_add`` only where one is zero or their top bits lie more than
-prec + 4 apart.  The kernel gives the results of a plain mpc loop bit for
-bit, in its order; raw mpf values appear only at its edges (the
-coefficients, base and tolerance going in, the total and peak coming out).
+rather than an exact shift.  The weight update rounds base - n, the exact
+difference, which ``mpf_add`` returns even where it nudges, as neither
+operand has more than prec bits, and sums each part of weight * (base - n)
+from its two exact products by ``_add``.  The kernel gives the results of a
+plain mpc loop bit for bit, in its order; raw mpf values appear only at its
+edges (the coefficients, base and tolerance going in, the total coming out).
 The stopping rule's three comparisons (a term's ratio to the last nonzero
 term against 1/2, |term| against tol * (|total| + 1), and |term| against the
 peak) only steer the loop, so each is taken from estimates: first from the
@@ -35,22 +33,22 @@ bound lie within a few units of 2**-53 of the values they round, so an
 estimate more than 2**-30 from its boundary decides as the loop does.
 Within 2**-30 the exact side decides, with libmp's own operations on the
 loop's values: ``mpf_hypot`` for the moduli, ``mpf_div`` for the ratio,
-``mpf_add`` and ``mpf_mul`` for the bound and ``mpf_lt`` to compare.  It
-also runs once where the sum stops: for the tail, the last term's modulus
-and ratio, and for the peak, the modulus of the term kept as the largest.
-A sum of a few hundred terms thus takes a few moduli instead of one or two
-square roots and a division per term.
+``mpf_add`` and ``mpf_mul`` for the bound and ``mpf_lt`` to compare.  A sum
+of a few hundred terms thus takes a few moduli, or none, instead of one or
+two square roots and a division per term: the sum hands back its last two
+terms and its peak, and only ``eval_series`` forms the tail and the log
+scale from them.
 Each call scans the support of the exact coefficients once and converts a
 coefficient only when the sum reaches it, so a sum that settles after ten
 terms converts ten; the circle samples and radii of one call share the
 converted values, and no coefficient is kept between calls.  ``eval_series``
 and each circle sample of the maximum modulus evaluate f(z) by one routine:
 the prefactor ff(z, rho) at the working precision, the sum at z - rho, and
-their product.  The circle points and moduli of the maximum modulus are the
-libmp operations of the mpmath expressions they replaced, in the same order;
-the unit points exp(2 pi i k / samples) are made once per (samples,
-precision) and kept in a small cache, so each circle point costs one
-multiplication by the radius.
+their product, with rho converted once per call.  The circle points and
+moduli of the maximum modulus are the libmp operations of the mpmath
+expressions they replaced, in the same order; the unit points exp(2 pi i k /
+samples) are made once per (samples, precision) and kept in a small cache,
+so each circle point costs one multiplication by the radius.
 
 The coefficients and the offset are rational, so |f(conj z)| = |f(z)|: the
 maximum modulus is taken over the samples k = 0 .. samples // 2 of the angles
@@ -107,7 +105,9 @@ class EvalResult(Record):
     ``tail_bound`` is a geometric estimate of the omitted tail, |last term| r
     / (1 - r) with r the last term ratio (at most 1/2 when the sum stops): a
     heuristic, not a rigorous bound on the truncation error.  It is 0.0 for a
-    finitely supported stream and when the last term is zero.
+    finitely supported stream and when the last term is zero.  ``log_scale``
+    is the natural log of the largest term modulus, -inf when no term is
+    nonzero.
     """
 
     __slots__ = ("value", "terms_used", "tail_bound", "log_scale")
@@ -139,11 +139,6 @@ class EmpiricalOrder(Record):
         _set(self, "rho_hat", rho_hat)
         _set(self, "scale_hat", log_max_modulus[-1] / radii[-1] ** rho_hat)
         _set(self, "fit_residual", fit_residual)
-
-
-def _to_mpc(value) -> mpmath.mpc:
-    c = complex(value)
-    return mpmath.mpc(c.real, c.imag)
 
 
 def _rational_mpf(q, prec: int):
@@ -382,28 +377,29 @@ def _sum_series(stream: _Stream, base, tol):
     """Accumulate  sum a_n * ff(base, n)  with the three-term stopping rule.
 
     ``base`` (mpc) and ``tol`` (mpf) are raw libmp values; returns the raw
-    total, the terms used, the tail bound and the raw peak term modulus.  The
-    loop runs on (mantissa, exponent) pairs and rounds each step as the mpc
-    loop does: the term a_n * weight, the total and the weight update
-    weight * (base - n).  The rule's comparisons of |term| with the last
-    nonzero |term| / 2, with tol * (|total| + 1) and with the peak go through
-    the float filter above.  Its exact side makes the mpc loop's own libmp
-    calls on raw mpf values: ``mpf_hypot`` for |term| and |total|, ``mpf_div``
-    for the ratio, and ``mpf_add`` and ``mpf_mul`` for the bound, compared by
-    ``mpf_lt``.  A zero coefficient only advances the falling-power weight,
-    since adding an exact zero leaves the total as it is.
+    total, the terms used, the last two nonzero ``_Term``s where the sum
+    stopped on a nonzero term (else None) and the peak ``_Term`` (None when
+    no term is nonzero).  The loop runs on (mantissa, exponent) pairs and
+    rounds each step as the mpc loop does: the term a_n * weight, the total
+    and the weight update weight * (base - n).  The rule's comparisons of
+    |term| with the last nonzero |term| / 2, with tol * (|total| + 1) and
+    with the peak go through the float filter above.  Its exact side makes
+    the mpc loop's own libmp calls on raw mpf values: ``mpf_hypot`` for
+    |term| and |total|, ``mpf_div`` for the ratio, and ``mpf_add`` and
+    ``mpf_mul`` for the bound, compared by ``mpf_lt``.  A zero coefficient
+    only advances the falling-power weight, since adding an exact zero
+    leaves the total as it is.
     """
     prec = mpmath.mp.prec
     last = stream.last
     if last is None:
-        return (fzero, fzero), 1, 0.0, fzero
+        return (fzero, fzero), 1, None, None
     coeffs, pairs = stream.coeffs, stream.pairs
     have = len(pairs)
     brm, bre = _pair(base[0])
     bim, bie = _pair(base[1])
     tolm, tole = _pair(tol)
     tol_log2 = math.log2(tolm) + tole
-    far = prec + 4
     crm, cre = brm, bre  # base - n
     wrm, wre, wim, wie = 1, 0, 0, 0  # the weight ff(base, n)
     srm, sre, sim, sie = 0, 0, 0, 0  # the total
@@ -448,56 +444,39 @@ def _sum_series(stream: _Stream, base, tol):
                         small = d < 0
                 small_run = small_run + 1 if small else 0
             if small_run >= 3:
-                tail = 0.0
-                if trm or tim:
-                    # this term passed ratio < 1/2, so r <= 1/2
-                    modulus = term.exact(prec)
-                    r = to_float(mpf_div(modulus, before.exact(prec), prec, _RND), rnd=_RND)
-                    tail = to_float(modulus, rnd=_RND) * r / (1 - r) if r else 0.0
                 total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
-                return total, n + 1, tail, _peak_mpf(peak, prec)
-        # weight * (base - n) as mpc_mul forms it: base - n rounded, then each
-        # part the sum of two exact products rounded once.  Where mpf_add
-        # would nudge base - n, the exact difference rounds the same, as
-        # neither operand has more than prec bits; a pair of products with a
-        # zero or with top bits more than prec + 4 apart goes to _add.
+                return total, n + 1, (before, term) if trm or tim else None, peak
+        # weight * (base - n) as mpc_mul forms it: base - n rounded (where
+        # mpf_add would nudge it, the exact difference rounds the same, as
+        # neither operand has more than prec bits), then each part the sum of
+        # two exact products.
         if n:
             crm, cre = _round((brm << bre) - n, 0, prec) if bre >= 0 else _round(brm - (n << -bre), bre, prec)
-        xm, xe, ym, ye = wrm * crm, wre + cre, -wim * bim, wie + bie
-        if xm and ym and -far <= xm.bit_length() + xe - ym.bit_length() - ye <= far:
-            xm, xe = _round((xm << xe - ye) + ym, ye, prec) if xe > ye else _round(xm + (ym << ye - xe), xe, prec)
-        else:
-            xm, xe = _add(xm, xe, ym, ye, prec)
-        ym, ye, zm, ze = wrm * bim, wre + bie, wim * crm, wie + cre
-        if ym and zm and -far <= ym.bit_length() + ye - zm.bit_length() - ze <= far:
-            ym, ye = _round((ym << ye - ze) + zm, ze, prec) if ye > ze else _round(ym + (zm << ze - ye), ye, prec)
-        else:
-            ym, ye = _add(ym, ye, zm, ze, prec)
-        wrm, wre, wim, wie = xm, xe, ym, ye
+        wrm, wre, wim, wie = (
+            *_add(wrm * crm, wre + cre, -wim * bim, wie + bie, prec),
+            *_add(wrm * bim, wre + bie, wim * crm, wie + cre, prec),
+        )
     if stream.finite:
         total = (from_man_exp(srm, sre), from_man_exp(sim, sie))
-        return total, last + 1, 0.0, _peak_mpf(peak, prec)
+        return total, last + 1, None, peak
     raise NonConvergenceError(f"series did not settle within {len(coeffs)} coefficients")
 
 
-def _peak_mpf(peak: _Term | None, prec: int):
-    return fzero if peak is None else peak.exact(prec)
+def _value_at(stream: _Stream, rho: Fraction, rho_mpf, z, point, tol):
+    """f(z) = ff(z, rho) * sum a_n ff(z - rho, n) as a raw mpc, and ``_sum_series``' other results.
 
-
-def _value_at(stream: _Stream, rho: Fraction, z, point, tol):
-    """f(z) = ff(z, rho) * sum a_n ff(z - rho, n) as a raw mpc, and ``_sum_series``' diagnostics.
-
-    The prefactor sees ``z`` (an exact rational is tested for poles exactly)
-    and comes first, so a pole raises GammaPoleError before any term is
-    summed; the sum runs at the raw mpc ``point`` minus rho, to the raw mpf ``tol``.
+    The prefactor, made only for a nonzero rho, sees ``z`` (an exact rational
+    is tested for poles exactly) and comes first, so a pole raises
+    GammaPoleError before any term is summed; the sum runs at the raw mpc
+    ``point`` minus ``rho_mpf``, rho as a raw mpf, to the raw mpf ``tol``.
     """
     prec = mpmath.mp.prec
     prefactor = mpmath.mpc(_falling_power_mp(z, rho))._mpc_ if rho else None
-    base = mpc_sub_mpf(point, _rational_mpf(rho, prec), prec, _RND)
-    total, used, tail, peak = _sum_series(stream, base, tol)
+    base = mpc_sub_mpf(point, rho_mpf, prec, _RND)
+    total, used, stop, peak = _sum_series(stream, base, tol)
     if prefactor is not None:
         total = mpc_mul(prefactor, total, prec, _RND)
-    return total, used, tail, peak
+    return total, used, stop, peak
 
 
 def _check_tol(tol) -> None:
@@ -527,17 +506,26 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     past the double range, and ValueError for a non-finite z or a tol that
     is not a positive finite number.
     """
-    if not cmath.isfinite(complex(z)):
+    point = complex(z)
+    if not cmath.isfinite(point):
         raise ValueError(f"z must be finite, got {z!r}")
     _check_tol(tol)
     with mpmath.workprec(working_precision()):
+        prec, rho = mpmath.mp.prec, sol.rho_offset
         stream, tol_mp = _Stream(sol), mpmath.mpf(tol)._mpf_
-        value, used, tail, peak = _value_at(stream, sol.rho_offset, z, _to_mpc(z)._mpc_, tol_mp)
+        value, used, stop, peak = _value_at(stream, rho, _rational_mpf(rho, prec), z, mpmath.mpc(point)._mpc_, tol_mp)
         # mpmath converts a value past the double range to inf rather than raising
         value = complex(mpmath.mp.make_mpc(value))
         if not cmath.isfinite(value):
             raise EvaluationError("value exceeds the double range")
-        log_scale = float(mpmath.log(mpmath.mp.make_mpf(peak))) if peak != fzero else -math.inf
+        tail = 0.0
+        if stop is not None:
+            # the last term passed ratio < 1/2, so r <= 1/2
+            before, term = stop
+            modulus = term.exact(prec)
+            r = to_float(mpf_div(modulus, before.exact(prec), prec, _RND), rnd=_RND)
+            tail = to_float(modulus, rnd=_RND) * r / (1 - r) if r else 0.0
+        log_scale = -math.inf if peak is None else float(mpmath.log(mpmath.mp.make_mpf(peak.exact(prec))))
     return EvalResult(value=value, terms_used=used, tail_bound=tail, log_scale=log_scale)
 
 
@@ -575,13 +563,14 @@ def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:
     log(abs(f(z))) and of the running maximum, in their order.
     """
     with mpmath.workprec(bits):
-        tol_mp = mpmath.mpf(tol)._mpf_
+        rho = sol.rho_offset
+        rho_mpf, tol_mp = _rational_mpf(rho, bits), mpmath.mpf(tol)._mpf_
         best = fninf
         for k in range(samples // 2 + 1):
             point = _circle_point(radius, k, samples, bits)
-            z = mpmath.mp.make_mpc(point)
+            z = mpmath.mp.make_mpc(point) if rho else None
             try:
-                value = _value_at(stream, sol.rho_offset, z, point, tol_mp)[0]
+                value = _value_at(stream, rho, rho_mpf, z, point, tol_mp)[0]
             except GammaPoleError as exc:
                 raise EvaluationError(f"gamma pole on the circle at z={z}") from exc
             magnitude = mpc_abs(value, bits, _RND)

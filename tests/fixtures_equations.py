@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import signal
@@ -39,6 +40,15 @@ def int_digit_limit(digits: int):
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON, rejecting the NaN, Infinity and -Infinity that json.loads accepts."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # Magnitudes for the number readers and writer: small ones, 10^k and 10^k +- 1

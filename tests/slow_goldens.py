@@ -3,7 +3,8 @@
 These commands take seconds to tens of seconds each and print up to 60 MB,
 so pytest does not collect this file.  tests/goldens/slow-manifest.json holds
 their exit codes and output hashes in the form of tests/goldens/manifest.json,
-with the floats that numpy's root finder gives masked the same way.  An entry
+with the floats that numpy's root finder gives masked the same way and the
+same check that JSON stdout holds no NaN or Infinity token.  An entry
 may also set environment variables for its command; the manifest records them
 under "env".  The check runs each command in a fresh child interpreter and
 prints its wall time, interpreter start included, and the child's peak RSS,
@@ -21,7 +22,7 @@ import sys
 import time
 from unittest import mock
 
-from fixtures_equations import QUARTIC_34
+from fixtures_equations import QUARTIC_34, strict_json
 from test_goldens import CUBIC, HUMAN_GOLDEN_DIR, _manifest_entry
 
 SLOW_MANIFEST = HUMAN_GOLDEN_DIR / "slow-manifest.json"
@@ -80,7 +81,7 @@ def _in_child(command) -> tuple[dict, float, float]:
         check=True,
     )
     wall = time.perf_counter() - start
-    report = json.loads(child.stdout)
+    report = strict_json(child.stdout)
     return report["entry"], wall, report["peak_rss_mb"]
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fixtures_equations import (
     L8_COEFFS,
     QUARTIC_34,
     deadline,
+    strict_json,
 )
 
 
@@ -940,6 +942,41 @@ def test_eval_of_a_value_past_the_double_range_exits_six(capsys, tmp_path):
     code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "0.5")
     assert (code, out) == (6, "")
     assert err == "evaluation failed: value exceeds the double range\n"
+
+
+def test_eval_prints_an_infinite_log_scale_or_tail_bound_as_null(capsys, tmp_path):
+    # they once printed as -Infinity and Infinity
+    path = tmp_path / "stream.json"
+    # no term of an all-zero stream is nonzero, so the log scale is -inf
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": ["0"] * 10}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "2.5")
+    assert (code, err) == (0, "")
+    point = strict_json(out)["point"]
+    assert (point["value"], point["terms_used"], point["log_scale"]) == ([0.0, 0.0], 1, None)
+    # the sum stops on a term past the double range, and the prefactor's
+    # zero at z = -5/2 brings the value back into it
+    coefficients = [str(Fraction(10**330, math.factorial(n) ** 2)) for n in range(60)]
+    path.write_text(json.dumps({"solutions": [{"rho": "3/2", "coefficients": coefficients}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at=-2.5+1e-300j")
+    assert (code, err) == (0, "")
+    point = strict_json(out)["point"]
+    assert point["tail_bound"] is None and 700 < point["log_scale"] < 800
+    assert abs(complex(*point["value"])) < 1e31
+
+
+def test_eval_of_a_max_modulus_past_the_double_range_exits_six(capsys, tmp_path):
+    # max_modulus returns inf there; it once printed as Infinity
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": [str(10**400)] + ["0"] * 10}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--radii", "1")
+    assert (code, out) == (6, "")
+    assert err == "evaluation failed: max modulus exceeds the double range\n"
+    # the same stream's value below the double range still prints
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": [str(10**300)] + ["0"] * 10}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--radii", "1")
+    assert (code, err) == (0, "")
+    result = strict_json(out)["max_modulus"]
+    assert result["radius"] == 1.0 and abs(result["value"] / 1e300 - 1) < 1e-12  # exp of the log
 
 
 @settings(max_examples=300, deadline=None)

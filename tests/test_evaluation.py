@@ -573,11 +573,21 @@ def test_terms_of_equal_rounded_modulus_compete_for_the_peak(prec, sign, bits):
 
 
 def _raw_sums(sol, z, prec):
-    """The kernel's and the mpc loop's raw (total, terms used, tail, peak) at ``z``, for rho = 0."""
+    """The kernel's and the mpc loop's raw (total, terms used, tail, peak) at ``z``, for rho = 0.
+
+    The kernel hands back terms, not the tail and the peak modulus; they are
+    formed from its last two terms and its peak term as ``eval_series`` forms them.
+    """
     with mpmath.workprec(prec):
         point, tol = mpmath.mpc(z), mpmath.mpf(1e-12)
-        total, used, tail, peak = kernel_sum_series(_Stream(sol), point._mpc_, tol._mpf_)
-        got = (mpmath.mp.make_mpc(total), used, tail, mpmath.mp.make_mpf(peak))
+        total, used, stop, peak = kernel_sum_series(_Stream(sol), point._mpc_, tol._mpf_)
+        tail = 0.0
+        if stop is not None:
+            before, term = (mpmath.mp.make_mpf(t.exact(prec)) for t in stop)
+            r = float(term / before)
+            tail = float(term) * r / (1 - r) if r else 0.0
+        peak = mpmath.mpf(0) if peak is None else mpmath.mp.make_mpf(peak.exact(prec))
+        got = (mpmath.mp.make_mpc(total), used, tail, peak)
         want = _sum_series(_coeff_mpfs(sol), point, tol, detect_support_modulus(sol.coeffs))
     return got, want
 

@@ -13,9 +13,11 @@ coprime q/p with p <= 8, its char_roots floats masked as above, and of the
 README commands, their ``--format human`` forms, one command per exit code 2
 to 6, one ``analyze`` per root branch, the ``eval`` and ``verify`` of the
 cubic at offset 3/2, and the ``analyze`` and ``solve`` of a wide window, whose
-floats are masked only where numpy's root finder gives them.
-``python tests/test_goldens.py`` prints it anew.  tests/slow_goldens.py
-checks commands at the input limits against a second manifest.
+floats are masked only where numpy's root finder gives them.  The JSON
+stdout of each of its commands that exits 0 must parse with no NaN or
+Infinity token.  ``python tests/test_goldens.py`` prints it anew.
+tests/slow_goldens.py checks commands at the input limits against a second
+manifest.
 """
 
 import contextlib
@@ -30,7 +32,7 @@ import pytest
 
 from deltaorder.cli import main
 
-from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT, deadline
+from fixtures_equations import CUBIC_THIRD, L3_TEXT, L5_TEXT, deadline, strict_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 HUMAN_GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -190,6 +192,8 @@ def _manifest_entry(argv, masked) -> dict:
     run = [arg.replace("{solution}", str(GOLDEN_DIR / "solve.json")) for arg in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(run)
+    if code == 0 and "--format" not in argv:
+        strict_json(out.getvalue())  # no NaN or Infinity token
     entry = {"argv": argv, "exit": code, "stdout_sha256": _sha256(_mask_root_floats(out.getvalue(), masked)[0])}
     if err.getvalue():
         entry["stderr_sha256"] = _sha256(err.getvalue())
