@@ -502,8 +502,6 @@ def _cmd_eval(args) -> dict:
         if radii:
             if len(radii) == 1:
                 value = max_modulus(sol, radii[0], samples=args.samples, tol=args.tol)
-                if value == float("inf"):
-                    raise EvaluationError("max modulus exceeds the double range")
                 out["max_modulus"] = {"radius": radii[0], "value": value}
             else:
                 fit = empirical_order(sol, radii, samples=args.samples, tol=args.tol)

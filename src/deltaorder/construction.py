@@ -37,7 +37,7 @@ from .errors import InsufficientDataError, InvalidOrderError
 from .newton import NewtonAnalysis, analyze
 from .polynomials import Poly, _integer_falling_basis, _newton_poly
 from .recurrences import AdamsPolygon, adams_polygon, derive_recurrence, sub_one_branches
-from .series import SeriesSolution, estimate_chi, verify_recurrence
+from .series import SeriesSolution, _coprime_fraction, estimate_chi, verify_recurrence
 
 #: Recurrence rows that the round trip checks.  The predicted
 #: series of q/p runs to index ROUNDTRIP_ROWS * q + p + 1: past the deepest
@@ -141,14 +141,14 @@ def construct_equation(q: int, p: int) -> ConstructionResult:
 
 
 def _predicted_series(q: int, p: int, length: int) -> SeriesSolution:
+    """a_(qt) = 1/(pt)! for qt <= length, every other a_n one shared zero."""
     coeffs = [Fraction(0)] * (length + 1)
-    factorial, k = 1, 0  # factorial == k!, carried from one t to the next
+    factorial = 1  # (pt)!, advanced by the product of its p new factors
     for t in range(length // q + 1):
-        while k < p * t:
-            k += 1
-            factorial *= k
-        coeffs[q * t] = Fraction(1, factorial)
-    return SeriesSolution.from_values(coeffs, rho=0, provenance={"constructed": True})
+        if t:
+            factorial *= math.prod(range(p * t - p + 1, p * t + 1))
+        coeffs[q * t] = _coprime_fraction(1, factorial)
+    return SeriesSolution(rho_offset=Fraction(0), coeffs=tuple(coeffs), provenance={"constructed": True})
 
 
 class RoundTripReport(Record):

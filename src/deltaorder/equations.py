@@ -201,9 +201,10 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     With rho = r/s, the falling power ff(n + rho, L) is the integer
     prod_u (n s + r - u s) over s^L.  All weights are brought to the common
     denominator s^Lmax and summed as one integer per (output, input) pair;
-    each output sums its pairs shallowest input first over the stream's
-    denominator chain, built once per call (:func:`polynomials.chain_sum`),
-    and is a single Fraction.
+    each output sums its pairs' weights times the inputs' integer numerators,
+    shallowest input first, over the stream's denominator chain, built once
+    per call, with the integer kernel :func:`polynomials.chain_sum`, and is a
+    single Fraction.
 
     The solution must provide at least ``upto + order + 1`` coefficients.
     """
@@ -225,10 +226,11 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
                 by_length[j + k] = by_length.get(j + k, 0) + coeff_t * math.comb(t, k)
     top = max(length for by_length in weights.values() for length in by_length)
     r, s = rho.numerator, rho.denominator
-    # output index -> [(integer weight, input index)]
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(upto + 1)]
+    # output index -> [(input index, integer weight, input numerator)]
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(upto + 1)]
     for n in range(needed + 1):
-        if not coeffs[n]:
+        num = coeffs[n].numerator
+        if not num:
             continue
         # falling[L] = s^(top - L) * prod_{u < L} (n s + r - u s)
         falling = [1] * (top + 1)
@@ -241,12 +243,11 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
             if 0 <= out <= upto:
                 total = sum(w * falling[length] for length, w in by_length.items())
                 if total:
-                    pairs[out].append((total, n))
+                    rows[out].append((n, total, num))
     scale = s**top
     chain = denominator_chain([c.denominator if c else 0 for c in coeffs[: needed + 1]])
-    constant: dict = {}  # no unknowns in any value
     image = []
-    for terms in pairs:
-        common, total, _ = chain_sum(chain, [(n, w, coeffs[n].numerator, constant) for w, n in terms])
+    for terms in rows:
+        common, total = chain_sum(chain, terms)
         image.append(Fraction(total, common * scale))
     return image

@@ -584,8 +584,9 @@ def _log_max_modulus(sol, stream, radius: float, samples, tol, bits) -> float:
 def max_modulus(sol: SeriesSolution, radius: float, samples: int = 64, tol: float = 1e-12) -> float:
     """Maximum of |f| over equally spaced points on the circle |z| = radius.
 
-    Deterministic for fixed inputs; overflows to inf only past the double
-    range (log-domain fitting uses the internal log value instead).  Raises
+    Deterministic for fixed inputs.  Raises EvaluationError for a maximum
+    past the double range, as ``eval_series`` does for its value
+    (log-domain fitting uses the internal log value instead), and
     ValueError for a radius that is not positive and finite, fewer than 8 or
     more than MAX_SAMPLES samples, or a tol that is not positive and finite.
     """
@@ -594,7 +595,7 @@ def max_modulus(sol: SeriesSolution, radius: float, samples: int = 64, tol: floa
     try:
         return math.exp(log_best)
     except OverflowError:
-        return math.inf
+        raise EvaluationError("max modulus exceeds the double range") from None
 
 
 def empirical_order(sol: SeriesSolution, radii, samples: int = 64, tol: float = 1e-12) -> EmpiricalOrder:

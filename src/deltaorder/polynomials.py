@@ -7,9 +7,11 @@ edges: the public ``Poly.coeffs`` tuple, built once on first read, and
 scalar inputs and outputs.  Taylor shifts, falling powers and expansions out
 of the falling-factorial basis go through one integer kernel that expands a
 Newton form, and the one conversion into that basis takes integer forward
-differences; nothing is cached between calls.  The exact row sums that the
-solver, verification and operator application share run over one prefix-lcm
-chain per stream, built once per stream index (:func:`denominator_chain`).
+differences; nothing is cached between calls.  Every exact row sum runs over
+one prefix-lcm chain per stream, built once per stream index
+(:func:`denominator_chain`): :func:`chain_sum` sums the integer numerators of
+a finished stream for verification and operator application, and the solver
+sums its affine rows over the same chain in :mod:`deltaorder.series`.
 :func:`format_rational` writes the exact numbers that the CLI prints.
 Everything here is exact, and the module imports only the standard library.
 
@@ -353,53 +355,41 @@ def denominator_chain(dens, chain=None) -> tuple[list[int], list[int], list[int]
     return chain
 
 
-def chain_sum(chain, terms) -> tuple[int, int, dict[int, int]]:
-    """``(common, const, lin)``: a row of affine values summed over one denominator.
+def chain_sum(chain, terms) -> tuple[int, int]:
+    """``(common, total)``: a row of stream values summed over one denominator.
 
-    ``terms`` are (i, c, const_i, lin_i) over one stream's
-    :func:`denominator_chain`, i increasing: c times the value
-    (const_i + sum_f lin_i[f] x_f) / dens[i], all integers but the unknowns
-    x_f.  The row sums to (const + sum_f lin[f] x_f) / common; a row of
-    constants passes empty ``lin_i`` and reads ``const``.  Inside a segment
-    the sum runs by Horner's rule from the first term's index, each
-    coefficient times step[j] at each later index j plus c * scale[i] times
-    the next value: in a nested stream each step is a few words and each
-    scale 1.  The totals of the segments a row crosses join over the lcm of
-    their commons.  ``common`` depends on the first and last index only (1
-    for no terms).
+    ``terms`` are (i, c, num) over one stream's :func:`denominator_chain`, i
+    increasing: c times the value num / dens[i], all integers.  The row sums
+    to total / common.  Inside a segment the sum runs by Horner's rule from
+    the first term's index, the total times step[j] at each later index j
+    plus c * scale[i] times the next numerator: in a nested stream each step
+    is a few words and each scale 1.  The totals of the segments a row
+    crosses join over the lcm of their commons.  ``common`` depends on the
+    first and last index only (1 for no terms).
     """
     commons, step, scale = chain
     if not terms:
-        return 1, 0, {}
+        return 1, 0
     parts = []
-    const = 0
-    lin: dict[int, int] = {}
+    total = 0
     last = terms[0][0]
-    for i, c, vconst, vlin in terms:
+    for i, c, num in terms:
         while last < i:
             last += 1
             q = step[last]
             if not q:
-                parts.append((commons[last - 1], const, lin))
-                const, lin = 0, {}
+                parts.append((commons[last - 1], total))
+                total = 0
             elif q != 1:
-                const *= q
-                for f in lin:
-                    lin[f] *= q
+                total *= q
         s = scale[i]
-        if s != 1:
-            c *= s
-        const += c * vconst
-        for f, w in vlin.items():
-            lin[f] = lin.get(f, 0) + c * w
+        total += (c * s if s != 1 else c) * num
     common = commons[last]
-    for part_common, part_const, part_lin in reversed(parts):
+    for part_common, part_total in reversed(parts):
         lcm = math.lcm(part_common, common)
-        a, b = lcm // part_common, lcm // common
-        const = part_const * a + const * b
-        lin = {f: part_lin.get(f, 0) * a + lin.get(f, 0) * b for f in part_lin.keys() | lin.keys()}
+        total = part_total * (lcm // part_common) + total * (lcm // common)
         common = lcm
-    return common, const, lin
+    return common, total
 
 
 # --- Newton forms and the falling-factorial basis ---------------------------
@@ -463,14 +453,6 @@ def _integer_falling_basis(p: Poly) -> list[int]:
         values = [b - a for a, b in zip(values, values[1:])]
         factorial *= len(out)
     return out
-
-
-def fraction_log_abs(x) -> float:
-    """log|x| for a (possibly huge) rational, without float overflow."""
-    x = as_rational(x)
-    if x == 0:
-        raise ValueError("log of zero")
-    return _int_log(abs(x.numerator)) - _int_log(x.denominator)
 
 
 def _int_log(n: int) -> float:

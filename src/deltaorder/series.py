@@ -42,7 +42,10 @@ A row of the reduction and a row of verification are both sums over one
 stream's denominator chain (:func:`polynomials.denominator_chain`), built
 once per stream index: verification builds it once per call, and the
 reduction extends it as values are stored and cuts it at the first value
-that an elimination rewrites.  In a decaying stream each denominator is a
+that an elimination rewrites.  Verification sums a finished stream's integer
+numerators (:func:`polynomials.chain_sum`); only the reduction, whose values
+are affine in the free parameters, sums constants and free-parameter weights
+together (:func:`_affine_sum`).  In a decaying stream each denominator is a
 multiple of the one before, so a row sums by Horner's rule over the
 quotients of neighbouring denominators, each a few words long, and a row of
 k terms costs about k products of its running total by a few words.  Where
@@ -50,10 +53,10 @@ denominators do not nest, as in every third value of QUARTIC_34's pinned
 streams or in streams pinned to unrelated rationals, the chain carries the
 running lcm instead, and starts a new segment before that lcm grows past
 twice the width of the newest denominator; a row that crosses a segment
-start joins its segment totals over their lcm (:func:`polynomials.chain_sum`).
-Verification builds a Fraction only for a nonzero residual, and reads only
-the window entries that meet the stream's support: on a stream whose nonzero
-indices are the multiples of M, one entry in M.
+start joins its segment totals over their lcm.  Verification builds a
+Fraction only for a nonzero residual, and reads only the window entries that
+meet the stream's support: on a stream whose nonzero indices are the
+multiples of M, one entry in M.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
 n log n -- is estimated by a least-squares fit with nuisance terms in n,
@@ -68,7 +71,7 @@ from fractions import Fraction
 
 from ._record import Record, _set
 from .errors import InconsistentSystemError, InsufficientDataError
-from .polynomials import as_rational, chain_sum, denominator_chain, fraction_log_abs
+from .polynomials import _int_log, as_rational, chain_sum, denominator_chain
 from .recurrences import CoefficientRecurrence
 
 
@@ -134,11 +137,12 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
 
     ``rows`` below ``rec.first_row`` raises ValueError, and the stream must
     reach index rows + order.  Returns the first failing row (if any) and
-    the largest absolute residual encountered.  Each row sums integer
-    numerators over the stream's denominator chain, built once per call; a
-    residual becomes a Fraction only when that sum is nonzero.  The rows
-    read only the window entries whose stream index is a multiple of
-    ``sol.support_modulus``: an entry off it multiplies a zero coefficient.
+    the largest absolute residual encountered.  Each row sums the stream's
+    integer numerators over its denominator chain, built once per call, with
+    the integer kernel :func:`polynomials.chain_sum`; a residual becomes a
+    Fraction only when that sum is nonzero.  The rows read only the window
+    entries whose stream index is a multiple of ``sol.support_modulus``: an
+    entry off it multiplies a zero coefficient.
     """
     if rows < rec.first_row:
         raise ValueError(f"rows {rows} is below the first row {rec.first_row}")
@@ -150,13 +154,11 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     coeffs = sol.coeffs[: need + 1]
     nums = [c.numerator for c in coeffs]
     chain = denominator_chain([c.denominator if c else 0 for c in coeffs])
-    constant: dict = {}  # no unknowns in any value
     worst = Fraction(0)
     first_bad = None
     for n, row in rec.rows(rows, sol.support_modulus or 1):
         # rows list the deepest index first; the sum runs shallowest first
-        terms = [(idx, c, nums[idx], constant) for idx, c in reversed(row) if nums[idx]]
-        common, total, _ = chain_sum(chain, terms)
+        common, total = chain_sum(chain, [(idx, c, num) for idx, c in reversed(row) if (num := nums[idx])])
         if total:
             if first_bad is None:
                 first_bad = n
@@ -257,13 +259,57 @@ def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
     return pins
 
 
+def _affine_sum(chain, terms) -> tuple[int, int, dict[int, int]]:
+    """``(common, const, lin)``: a row of affine values summed over one denominator.
+
+    ``terms`` are (i, c, const_i, lin_i) over the stored values'
+    :func:`polynomials.denominator_chain`, i increasing: c times the value
+    (const_i + sum_f lin_i[f] x_f) / dens[i], all integers but the free
+    parameters x_f.  The row sums to (const + sum_f lin[f] x_f) / common, by
+    the Horner steps and segment joins of :func:`polynomials.chain_sum`,
+    which sums finished streams; ``common`` is the one that sum would give.
+    """
+    commons, step, scale = chain
+    if not terms:
+        return 1, 0, {}
+    parts = []
+    const = 0
+    lin: dict[int, int] = {}
+    last = terms[0][0]
+    for i, c, vconst, vlin in terms:
+        while last < i:
+            last += 1
+            q = step[last]
+            if not q:
+                parts.append((commons[last - 1], const, lin))
+                const, lin = 0, {}
+            elif q != 1:
+                const *= q
+                for f in lin:
+                    lin[f] *= q
+        s = scale[i]
+        if s != 1:
+            c *= s
+        const += c * vconst
+        for f, w in vlin.items():
+            lin[f] = lin.get(f, 0) + c * w
+    common = commons[last]
+    for part_common, part_const, part_lin in reversed(parts):
+        lcm = math.lcm(part_common, common)
+        a, b = lcm // part_common, lcm // common
+        const = part_const * a + const * b
+        lin = {f: part_lin.get(f, 0) * a + lin.get(f, 0) * b for f in part_lin.keys() | lin.keys()}
+        common = lcm
+    return common, const, lin
+
+
 class RowReduction:
     """Fraction-free elimination of the window rows and pins (after Bareiss).
 
     Every stream value is an affine combination of free parameters, stored as
     (den, const, {free id: num}) over integers.  A row combines its window
     entries over the denominator chain of the stored values
-    (:func:`polynomials.chain_sum`): a nonzero lead value determines the
+    (:func:`_affine_sum`): a nonzero lead value determines the
     next stream value; a zero lead turns the row into a constraint for
     :meth:`_eliminate`.  Pins given at creation enter where
     their index is made: a pinned index that no row determines is stored as
@@ -337,7 +383,7 @@ class RowReduction:
                 terms.append((idx, c, value[1], value[2]))
         fresh = self.values[len(self.chain[0]) :]
         denominator_chain([den if vconst or vlin else 0 for den, vconst, vlin in fresh], self.chain)
-        common, const, lin = chain_sum(self.chain, terms)
+        common, const, lin = _affine_sum(self.chain, terms)
         if not lead:
             self._eliminate(const, lin)
             return
@@ -496,8 +542,10 @@ MIN_CHI_TERMS = 64
 def estimate_chi(coeffs) -> GrowthEstimate:
     """Fit -log|a_n| = mu*n*log n + beta*n + gamma*log n + delta, trailing half.
 
-    The coefficients are exact (ints or Fractions).  Zero coefficients are
-    skipped (arithmetic-progression supports are fine); at least
+    The coefficients are exact (ints or Fractions).  log|a_n| is the log of
+    the integer numerator minus that of the denominator, each taken on its
+    leading 60 bits past 512 bits, so no float overflows.  Zero coefficients
+    are skipped (arithmetic-progression supports are fine); at least
     ``MIN_CHI_TERMS`` nonzero terms are required.  A non-positive fitted
     slope is reported as chi_hat = inf with converged False.
     """
@@ -506,7 +554,7 @@ def estimate_chi(coeffs) -> GrowthEstimate:
         raise InsufficientDataError(
             f"need at least {MIN_CHI_TERMS} nonzero coefficients, have {len(nonzero)}"
         )
-    tail = [(n, fraction_log_abs(c)) for n, c in nonzero[len(nonzero) // 2 :]]
+    tail = [(n, _int_log(abs(c.numerator)) - _int_log(c.denominator)) for n, c in nonzero[len(nonzero) // 2 :]]
     import numpy as np
 
     ns = np.array([float(n) for n, _ in tail])

@@ -965,7 +965,7 @@ def test_eval_prints_an_infinite_log_scale_or_tail_bound_as_null(capsys, tmp_pat
 
 
 def test_eval_of_a_max_modulus_past_the_double_range_exits_six(capsys, tmp_path):
-    # max_modulus returns inf there; it once printed as Infinity
+    # max_modulus raises EvaluationError there; it once printed as Infinity
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": [str(10**400)] + ["0"] * 10}]}))
     code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--radii", "1")

@@ -496,6 +496,14 @@ def test_a_value_past_the_double_range_raises_evaluation_error():
     assert eval_series(SeriesSolution.from_values([10**300] + [0] * 10), 0.5).value == 1e300
 
 
+def test_a_max_modulus_past_the_double_range_raises_evaluation_error():
+    # as eval_series does for its value
+    sol = SeriesSolution.from_values([10**400] + [0] * 10)
+    with pytest.raises(EvaluationError, match="max modulus exceeds the double range"):
+        max_modulus(sol, 1.0)
+    assert abs(max_modulus(SeriesSolution.from_values([10**300] + [0] * 10), 1.0) / 1e300 - 1) < 1e-12
+
+
 # --- directed cases at the boundaries of the stopping rule's float filter ---
 #
 # The kernel takes each decision of the stopping rule (ratio below 1/2, |term|

@@ -13,10 +13,11 @@ no row determines leave no free parameter and give the stream of pins at the
 surviving free parameters; and the content left by cutting only the row's
 lead stays a bounded share of each stored denominator.
 
-Three more hold the row sums over one denominator chain per stream to the
+Four more hold the row sums over one denominator chain per stream to the
 oracles: verification, operator application and pinned solves on drawn
-denominators, solver rows that cross the start of a chain segment, and a
-deadline on a verification over thousands of distinct primes.
+denominators, solver rows that cross the start of a chain segment, a
+deadline on a verification over thousands of distinct primes, and a guard
+that finished streams never reach the solver's affine row sum.
 
 The last five check the output reduction over the lcms of the reduction's
 atoms against ``Fraction(num, den)``, field by field: on solves forced onto
@@ -45,6 +46,7 @@ from deltaorder import (
     derive_recurrence,
     normalize_to_delta,
     parse_equation,
+    roundtrip_check,
     shifted_recurrence,
     solve_series,
     verify_recurrence,
@@ -402,6 +404,27 @@ def test_verify_over_distinct_primes_stays_within_its_deadline():
     with deadline(1):
         report = verify_recurrence(rec, sol, 3200 - rec.order)
     assert report.first_failing_row == rec.first_row
+
+
+def test_finished_streams_never_reach_the_solver_affine_sum(monkeypatch):
+    # verification, operator application and the construct round trip sum
+    # finished streams with the integer kernel; with the solver's affine sum
+    # made to raise they still pass, and a solve does not
+    eq = normalize_to_delta(parse_equation(CUBIC_THIRD))
+    rec, shifted = derive_recurrence(eq), shifted_recurrence(eq, Fraction(3, 2))
+    solved = [(rec, sol) for sol in solve_series(rec, 120, {0: 1, 1: 1, 2: Fraction(1, 4)}) + solve_series(rec, 120)]
+    solved += [(shifted, sol) for sol in solve_series(shifted, 120)]
+
+    def refuse(*_):
+        raise AssertionError("a finished stream reached the solver's affine row sum")
+
+    monkeypatch.setattr(series, "_affine_sum", refuse)
+    for r, sol in solved:
+        assert verify_recurrence(r, sol, 120 - r.order).exact
+        assert not any(apply_operator(eq, sol, 50))
+    assert roundtrip_check(construct_equation(3, 4)).ok
+    with pytest.raises(AssertionError, match="affine row sum"):
+        solve_series(rec, 40)
 
 
 @functools.lru_cache(maxsize=None)
