@@ -31,7 +31,9 @@ maximum modulus past the double range, more than ``polynomials.MAX_RADII``
 the double range, and a rational-root search of the indicial polynomial
 that would exceed ``recurrences.MAX_DIVISOR_SEARCH`` = 2**20 steps), 7 malformed
 environment setting (a DELTAORDER_PRECISION that is not an integer or
-exceeds ``polynomials.MAX_PRECISION`` = 1024 bits).
+exceeds ``polynomials.MAX_PRECISION`` = 1024 bits), 141 (128 + SIGPIPE)
+stdout closed before the output was written, as by ``| head``, which ends
+the command with nothing on stderr.
 
 Importing this module loads neither numpy nor mpmath, nor ``dataclasses``;
 each command loads what it computes with.  ``analyze`` and ``compose`` handle
@@ -45,9 +47,11 @@ quadratic roots in closed form, so it loads numpy only where a
 characteristic polynomial, or the part of the indicial polynomial without
 rational roots, has three or more terms and degree three or more; the
 README cubic needs none.  ``construct`` loads numpy for the chi fit of its
-round trip, and ``solve``, and ``eval`` or ``verify`` solving an equation
-themselves, load it for the chi fit of a stream with
-``series.MIN_CHI_TERMS`` = 64 nonzero coefficients.
+round trip, and ``solve`` for the chi fit of a stream with
+``series.MIN_CHI_TERMS`` = 64 nonzero coefficients.  ``eval`` and ``verify``
+solving an equation themselves load it only to choose among two or more
+basis streams by their chi fits: with --initial, or on a one-dimensional
+basis such as the cubic's at --rho 3/2, there is one stream and no fit.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -449,8 +454,9 @@ def _load_solution(args, eq: DifferenceEquation | None, terms: int):
     is rejected.  Otherwise --index is, and the equation is solved up to
     --terms, else ``terms``: pins select one stream; without them the basis
     stream with the smallest finite fitted chi is taken, or the first stream
-    when no stream has one.  A verify --rows below the recurrence's first row
-    is rejected before the equation is solved.
+    when no stream has one, and a basis of one stream is taken with no fit.
+    A verify --rows below the recurrence's first row is rejected before the
+    equation is solved.
     """
     if args.solution:
         for flag in ("initial", "rho", "terms"):
@@ -467,6 +473,8 @@ def _load_solution(args, eq: DifferenceEquation | None, terms: int):
     if eq is None:
         raise _CommandError(EXIT_PARSE, "give an equation or --solution FILE")
     rec, solutions = _solve(args, eq, terms if args.terms is None else args.terms)
+    if len(solutions) == 1:
+        return rec, solutions[0]
     fits = [(est.chi_hat, k) for k, s in enumerate(solutions) if (est := _chi(s)) is not None]
     finite = [fit for fit in fits if fit[0] != float("inf")]
     return rec, solutions[min(finite)[1] if finite else 0]
@@ -663,7 +671,16 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the interpreter's last flush writes to devnull,
+        # not to a traceback, and the exit code is the shell's for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -203,7 +203,7 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     denominator s^Lmax and summed as one integer per (output, input) pair;
     each output sums its pairs' weights times the inputs' integer numerators,
     shallowest input first, over the stream's denominator chain, built once
-    per call, with the integer kernel :func:`polynomials.chain_sum`, and is a
+    per call, with the one row kernel :func:`polynomials.chain_sum`, and is a
     single Fraction.
 
     The solution must provide at least ``upto + order + 1`` coefficients.

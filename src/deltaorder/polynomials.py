@@ -9,9 +9,9 @@ of the falling-factorial basis go through one integer kernel that expands a
 Newton form, and the one conversion into that basis takes integer forward
 differences; nothing is cached between calls.  Every exact row sum runs over
 one prefix-lcm chain per stream, built once per stream index
-(:func:`denominator_chain`): :func:`chain_sum` sums the integer numerators of
-a finished stream for verification and operator application, and the solver
-sums its affine rows over the same chain in :mod:`deltaorder.series`.
+(:func:`denominator_chain`), and :func:`chain_sum` is the one kernel that
+sums it: the integer numerators of a finished stream for verification and
+operator application, and the solver's affine rows one column at a time.
 :func:`format_rational` writes the exact numbers that the CLI prints.
 Everything here is exact, and the module imports only the standard library.
 

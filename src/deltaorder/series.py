@@ -42,10 +42,12 @@ A row of the reduction and a row of verification are both sums over one
 stream's denominator chain (:func:`polynomials.denominator_chain`), built
 once per stream index: verification builds it once per call, and the
 reduction extends it as values are stored and cuts it at the first value
-that an elimination rewrites.  Verification sums a finished stream's integer
-numerators (:func:`polynomials.chain_sum`); only the reduction, whose values
-are affine in the free parameters, sums constants and free-parameter weights
-together (:func:`_affine_sum`).  In a decaying stream each denominator is a
+that an elimination rewrites.  Both sum with the one row kernel
+:func:`polynomials.chain_sum`: verification over a finished stream's integer
+numerators, the reduction, whose values are affine in the free parameters,
+once per free parameter over its weights and, where one is nonzero, once
+over their constants.  Every column of a row sums the same indices, so all
+share one common denominator.  In a decaying stream each denominator is a
 multiple of the one before, so a row sums by Horner's rule over the
 quotients of neighbouring denominators, each a few words long, and a row of
 k terms costs about k products of its running total by a few words.  Where
@@ -139,7 +141,7 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
     reach index rows + order.  Returns the first failing row (if any) and
     the largest absolute residual encountered.  Each row sums the stream's
     integer numerators over its denominator chain, built once per call, with
-    the integer kernel :func:`polynomials.chain_sum`; a residual becomes a
+    the one row kernel :func:`polynomials.chain_sum`; a residual becomes a
     Fraction only when that sum is nonzero.  The rows read only the window
     entries whose stream index is a multiple of ``sol.support_modulus``: an
     entry off it multiplies a zero coefficient.
@@ -259,59 +261,17 @@ def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
     return pins
 
 
-def _affine_sum(chain, terms) -> tuple[int, int, dict[int, int]]:
-    """``(common, const, lin)``: a row of affine values summed over one denominator.
-
-    ``terms`` are (i, c, const_i, lin_i) over the stored values'
-    :func:`polynomials.denominator_chain`, i increasing: c times the value
-    (const_i + sum_f lin_i[f] x_f) / dens[i], all integers but the free
-    parameters x_f.  The row sums to (const + sum_f lin[f] x_f) / common, by
-    the Horner steps and segment joins of :func:`polynomials.chain_sum`,
-    which sums finished streams; ``common`` is the one that sum would give.
-    """
-    commons, step, scale = chain
-    if not terms:
-        return 1, 0, {}
-    parts = []
-    const = 0
-    lin: dict[int, int] = {}
-    last = terms[0][0]
-    for i, c, vconst, vlin in terms:
-        while last < i:
-            last += 1
-            q = step[last]
-            if not q:
-                parts.append((commons[last - 1], const, lin))
-                const, lin = 0, {}
-            elif q != 1:
-                const *= q
-                for f in lin:
-                    lin[f] *= q
-        s = scale[i]
-        if s != 1:
-            c *= s
-        const += c * vconst
-        for f, w in vlin.items():
-            lin[f] = lin.get(f, 0) + c * w
-    common = commons[last]
-    for part_common, part_const, part_lin in reversed(parts):
-        lcm = math.lcm(part_common, common)
-        a, b = lcm // part_common, lcm // common
-        const = part_const * a + const * b
-        lin = {f: part_lin.get(f, 0) * a + lin.get(f, 0) * b for f in part_lin.keys() | lin.keys()}
-        common = lcm
-    return common, const, lin
-
-
 class RowReduction:
     """Fraction-free elimination of the window rows and pins (after Bareiss).
 
     Every stream value is an affine combination of free parameters, stored as
     (den, const, {free id: num}) over integers.  A row combines its window
-    entries over the denominator chain of the stored values
-    (:func:`_affine_sum`): a nonzero lead value determines the
-    next stream value; a zero lead turns the row into a constraint for
-    :meth:`_eliminate`.  Pins given at creation enter where
+    entries over the denominator chain of the stored values, summing each
+    free parameter's weights and, where one is nonzero, the constants as
+    columns of :func:`polynomials.chain_sum` over the same indices, zeros
+    kept, so that every column has one common denominator.  A nonzero lead value
+    determines the next stream value; a zero lead turns the row into a
+    constraint for :meth:`_eliminate`.  Pins given at creation enter where
     their index is made: a pinned index that no row determines is stored as
     its value (q, p, {}) for p/q, not as a free parameter; a row-determined
     one adds the constraint "value = pin" to the same elimination.  Each
@@ -375,15 +335,24 @@ class RowReduction:
         """Impose sum row_value * a_idx = 0 on the stream."""
         lead = 0
         terms = []
+        free = set()
         # shallowest index first; zero values are stored 0/1 and summed by no row
         for idx, c in reversed(row):
             if idx == top:
                 lead = c
             elif (value := self.values[idx])[1] or value[2]:
-                terms.append((idx, c, value[1], value[2]))
+                terms.append((idx, c, value))
+                free.update(value[2])
         fresh = self.values[len(self.chain[0]) :]
-        denominator_chain([den if vconst or vlin else 0 for den, vconst, vlin in fresh], self.chain)
-        common, const, lin = _affine_sum(self.chain, terms)
+        chain = denominator_chain([den if vconst or vlin else 0 for den, vconst, vlin in fresh], self.chain)
+        # every column sums the same indices, its zeros kept, so all share one
+        # common; the constants are summed only where one is nonzero, which in
+        # a basis solve none is
+        common, const, lin = 1, 0, {}
+        for f in free:
+            common, lin[f] = chain_sum(chain, [(idx, c, value[2].get(f, 0)) for idx, c, value in terms])
+        if any(value[1] for _, _, value in terms):
+            common, const = chain_sum(chain, [(idx, c, value[1]) for idx, c, value in terms])
         if not lead:
             self._eliminate(const, lin)
             return

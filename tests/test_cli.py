@@ -2,14 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltaorder
 from deltaorder.cli import MAX_TERMS, _read_solution, main
 from deltaorder.construction import MAX_ORDER_DENOMINATOR
 from deltaorder.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING, MAX_ORDER, read_rational
@@ -31,6 +36,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_a_closed_stdout_ends_the_command_quietly(fmt):
+    # about 537 kB of output, far past a pipe buffer; the reader takes 100 bytes and goes
+    argv = ["solve", CUBIC_THIRD, "--terms", "400", "--initial", "0=1,1=1,2=1/4", "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=str(Path(deltaorder.__file__).resolve().parent.parent))
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen([sys.executable, "-m", "deltaorder.cli", *argv], env=env, **pipes) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (code, err) == (141, b"")
 
 
 def test_analyze_cubic_json(capsys):

@@ -15,7 +15,13 @@ to 6, one ``analyze`` per root branch, the ``eval`` and ``verify`` of the
 cubic at offset 3/2, and the ``analyze`` and ``solve`` of a wide window, whose
 floats are masked only where numpy's root finder gives them.  The JSON
 stdout of each of its commands that exits 0 must parse with no NaN or
-Infinity token.  ``python tests/test_goldens.py`` prints it anew.
+Infinity token.  Outside pytest the file prints the manifest anew, or
+names the entries that no longer match it, so that a change of output names
+exactly the commands it changes:
+
+    PYTHONPATH=src python tests/test_goldens.py           # print the manifest anew
+    PYTHONPATH=src python tests/test_goldens.py --diff    # print each differing argv, exit 1 if any
+
 tests/slow_goldens.py checks commands at the input limits against a second
 manifest.
 """
@@ -26,6 +32,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,4 +228,11 @@ def test_commands_match_the_manifest():
 
 
 if __name__ == "__main__":
-    print(json.dumps([_manifest_entry(argv, masked) for argv, masked in MANIFEST_COMMANDS], indent=1))
+    entries = [_manifest_entry(argv, masked) for argv, masked in MANIFEST_COMMANDS]
+    if sys.argv[1:] != ["--diff"]:
+        print(json.dumps(entries, indent=1))
+        sys.exit()
+    recorded = {json.dumps(entry["argv"]): entry for entry in json.loads(MANIFEST.read_text(encoding="utf-8"))}
+    differing = [json.dumps(entry["argv"]) for entry in entries if recorded.get(json.dumps(entry["argv"])) != entry]
+    print("\n".join(differing) or f"all {len(entries)} entries match {MANIFEST.name}")
+    sys.exit(1 if differing else 0)

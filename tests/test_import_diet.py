@@ -88,8 +88,11 @@ def test_importing_the_cli_loads_no_stream_module():
         (("verify", CUBIC_THIRD, "--solution", "stream.json"), []),
         (("compose", L3_TEXT, L5_TEXT), []),
         (("eval", "--solution", "stream.json", "--at", "2.5"), ["mpmath"]),
+        # one solved stream, pinned or a one-dimensional basis, needs no chi fit to choose it
+        (("eval", CUBIC_THIRD, "--terms", "120", "--initial", "0=1,1=1,2=1/4", "--at", "1.5"), ["mpmath"]),
+        (("verify", CUBIC_THIRD, "--rho", "3/2"), []),
     ],
-    ids=["analyze", "verify", "compose", "eval"],
+    ids=["analyze", "verify", "compose", "eval", "eval-pinned", "verify-one-stream"],
 )
 def test_commands_load_only_what_they_compute_with(stream_dir, argv, loaded):
     assert [m for m in NUMERIC if m in probe(*argv, cwd=stream_dir)] == loaded

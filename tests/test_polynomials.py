@@ -24,7 +24,6 @@ from deltaorder.polynomials import (
     format_poly,
     format_rational,
 )
-from deltaorder.series import _affine_sum
 
 from fixtures_equations import (
     exact_magnitudes,
@@ -400,9 +399,8 @@ def test_denominator_chain_is_the_lcm_of_each_segment(data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_chain_sum_matches_the_fraction_sum(data):
-    # the integer kernel over rows of constants and the solver's affine sum
-    # over the same rows with up to three unknowns added: negative weights,
-    # zero numerators and rows that cross segment starts
+    # rows of constants with negative weights, zero numerators and rows that
+    # cross segment starts
     dens = data.draw(stream_denominators(data.draw(st.integers(1, 30))))
     chain = denominator_chain(dens)
     lo = data.draw(st.integers(0, len(dens) - 1))
@@ -410,32 +408,23 @@ def test_chain_sum_matches_the_fraction_sum(data):
     big = st.integers(-(10**30), 10**30)
     nums = st.one_of(st.just(0), big)
     terms = [
-        (i, data.draw(st.integers(-50, 50)), data.draw(nums), data.draw(st.dictionaries(st.integers(0, 2), big, max_size=3)))
+        (i, data.draw(st.integers(-50, 50)), data.draw(nums))
         for i in range(lo, hi + 1)
         if dens[i] and data.draw(st.booleans())
     ]
-    common, total = chain_sum(chain, [(i, c, num) for i, c, num, _ in terms])
-    affine_common, const, lin = _affine_sum(chain, terms)
-    exact = sum((Fraction(c * num, dens[i]) for i, c, num, _ in terms), Fraction(0))
-    assert Fraction(total, common) == exact
-    assert Fraction(const, affine_common) == exact
-    for f in range(3):
-        exact = sum((Fraction(c * vlin.get(f, 0), dens[i]) for i, c, _, vlin in terms), Fraction(0))
-        assert Fraction(lin.get(f, 0), affine_common) == exact
-    # both share one common, a multiple of every denominator summed and set
-    # by the first and last index
-    assert affine_common == common
-    assert all(common % dens[i] == 0 for i, _, _, _ in terms)
+    common, total = chain_sum(chain, terms)
+    assert Fraction(total, common) == sum((Fraction(c * num, dens[i]) for i, c, num in terms), Fraction(0))
+    # the common is a multiple of every denominator summed and is set by the
+    # first and last index, so the solver's columns over one row share it
+    assert all(common % dens[i] == 0 for i, _, _ in terms)
     if terms:
         first, last = terms[0][0], terms[-1][0]
         assert chain_sum(chain, [(first, 0, 0), (last, 0, 0)])[0] == common
-        assert _affine_sum(chain, [(first, 0, 0, {}), (last, 0, 0, {})])[0] == common
 
 
 def test_chain_sum_of_no_terms_is_zero_over_one():
     for dens in ([], [3, 0, 7]):
         assert chain_sum(denominator_chain(dens), []) == (1, 0)
-        assert _affine_sum(denominator_chain(dens), []) == (1, 0, {})
 
 
 @settings(max_examples=200, deadline=None)
