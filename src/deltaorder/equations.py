@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, _set
 from .errors import DegenerateEquationError, InsufficientDataError
-from .polynomials import Poly, _integer_falling_basis, chain_sum, denominator_chain, poly_delta
+from .polynomials import Poly, _integer_falling_basis, chain_sum, poly_delta, stream_chain
 
 if TYPE_CHECKING:  # pragma: no cover
     from .series import SeriesSolution
@@ -201,9 +201,9 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
     With rho = r/s, the falling power ff(n + rho, L) is the integer
     prod_u (n s + r - u s) over s^L.  All weights are brought to the common
     denominator s^Lmax and summed as one integer per (output, input) pair;
-    each output sums its pairs' weights times the inputs' integer numerators,
-    shallowest input first, over the stream's denominator chain, built once
-    per call, with the one row kernel :func:`polynomials.chain_sum`, and is a
+    each output sums its (input, weight) pairs, shallowest input first, over
+    the stream's integer numerators and denominator chain, built once per
+    call, with the one row kernel :func:`polynomials.chain_sum`, and is a
     single Fraction.
 
     The solution must provide at least ``upto + order + 1`` coefficients.
@@ -226,11 +226,11 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
                 by_length[j + k] = by_length.get(j + k, 0) + coeff_t * math.comb(t, k)
     top = max(length for by_length in weights.values() for length in by_length)
     r, s = rho.numerator, rho.denominator
-    # output index -> [(input index, integer weight, input numerator)]
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(upto + 1)]
+    nums, chain = stream_chain(coeffs[: needed + 1])
+    # output index -> [(input index, integer weight)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(upto + 1)]
     for n in range(needed + 1):
-        num = coeffs[n].numerator
-        if not num:
+        if not nums[n]:
             continue
         # falling[L] = s^(top - L) * prod_{u < L} (n s + r - u s)
         falling = [1] * (top + 1)
@@ -243,11 +243,10 @@ def apply_operator(eq: DifferenceEquation, solution: "SeriesSolution", upto: int
             if 0 <= out <= upto:
                 total = sum(w * falling[length] for length, w in by_length.items())
                 if total:
-                    rows[out].append((n, total, num))
+                    rows[out].append((n, total))
     scale = s**top
-    chain = denominator_chain([c.denominator if c else 0 for c in coeffs[: needed + 1]])
     image = []
     for terms in rows:
-        common, total = chain_sum(chain, terms)
+        common, total = chain_sum(chain, terms, nums)
         image.append(Fraction(total, common * scale))
     return image

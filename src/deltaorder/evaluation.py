@@ -102,12 +102,14 @@ _HALF = from_man_exp(1, -1)
 class EvalResult(Record):
     """A single series evaluation with convergence diagnostics.
 
-    ``tail_bound`` is a geometric estimate of the omitted tail, |last term| r
-    / (1 - r) with r the last term ratio (at most 1/2 when the sum stops): a
-    heuristic, not a rigorous bound on the truncation error.  It is 0.0 for a
-    finitely supported stream and when the last term is zero.  ``log_scale``
-    is the natural log of the largest term modulus, -inf when no term is
-    nonzero.
+    ``tail_bound`` is a geometric estimate of the omitted tail of ``value``,
+    |ff(z, rho)| |last term| r / (1 - r) with r the last term ratio (at most
+    1/2 when the sum stops): a heuristic, not a rigorous bound on the
+    truncation error.  It is 0.0 for a finitely supported stream, when the
+    last term is zero and when the prefactor ff(z, rho) is.  ``log_scale``
+    is the natural log of the largest term modulus times |ff(z, rho)|, the
+    largest term of ``value``; -inf when no term or the prefactor is zero.
+    At rho 0 the prefactor is 1.
     """
 
     __slots__ = ("value", "terms_used", "tail_bound", "log_scale")
@@ -463,12 +465,13 @@ def _sum_series(stream: _Stream, base, tol):
 
 
 def _value_at(stream: _Stream, rho: Fraction, rho_mpf, z, point, tol):
-    """f(z) = ff(z, rho) * sum a_n ff(z - rho, n) as a raw mpc, and ``_sum_series``' other results.
+    """f(z) = ff(z, rho) * sum a_n ff(z - rho, n) as a raw mpc, ``_sum_series``' other results and ff(z, rho).
 
     The prefactor, made only for a nonzero rho, sees ``z`` (an exact rational
     is tested for poles exactly) and comes first, so a pole raises
     GammaPoleError before any term is summed; the sum runs at the raw mpc
     ``point`` minus ``rho_mpf``, rho as a raw mpf, to the raw mpf ``tol``.
+    The prefactor is returned as a raw mpc, or None for rho 0.
     """
     prec = mpmath.mp.prec
     prefactor = mpmath.mpc(_falling_power_mp(z, rho))._mpc_ if rho else None
@@ -476,7 +479,7 @@ def _value_at(stream: _Stream, rho: Fraction, rho_mpf, z, point, tol):
     total, used, stop, peak = _sum_series(stream, base, tol)
     if prefactor is not None:
         total = mpc_mul(prefactor, total, prec, _RND)
-    return total, used, stop, peak
+    return total, used, stop, peak, prefactor
 
 
 def _check_tol(tol) -> None:
@@ -513,19 +516,30 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-12) -> EvalResult:
     with mpmath.workprec(working_precision()):
         prec, rho = mpmath.mp.prec, sol.rho_offset
         stream, tol_mp = _Stream(sol), mpmath.mpf(tol)._mpf_
-        value, used, stop, peak = _value_at(stream, rho, _rational_mpf(rho, prec), z, mpmath.mpc(point)._mpc_, tol_mp)
+        value, used, stop, peak, prefactor = _value_at(
+            stream, rho, _rational_mpf(rho, prec), z, mpmath.mpc(point)._mpc_, tol_mp
+        )
         # mpmath converts a value past the double range to inf rather than raising
         value = complex(mpmath.mp.make_mpc(value))
         if not cmath.isfinite(value):
             raise EvaluationError("value exceeds the double range")
+        # the tail and the peak describe the printed value: the sum's times
+        # |ff(z, rho)|, formed before the float, so that a term past the
+        # double range times a tiny prefactor still prints
+        size = None if prefactor is None else mpc_abs(prefactor, prec, _RND)
         tail = 0.0
         if stop is not None:
             # the last term passed ratio < 1/2, so r <= 1/2
             before, term = stop
             modulus = term.exact(prec)
             r = to_float(mpf_div(modulus, before.exact(prec), prec, _RND), rnd=_RND)
+            if size is not None:
+                modulus = mpf_mul(modulus, size, prec, _RND)
             tail = to_float(modulus, rnd=_RND) * r / (1 - r) if r else 0.0
-        log_scale = -math.inf if peak is None else float(mpmath.log(mpmath.mp.make_mpf(peak.exact(prec))))
+        log_scale = -math.inf
+        if peak is not None:
+            top = peak.exact(prec) if size is None else mpf_mul(peak.exact(prec), size, prec, _RND)
+            log_scale = float(mpmath.log(mpmath.mp.make_mpf(top)))
     return EvalResult(value=value, terms_used=used, tail_bound=tail, log_scale=log_scale)
 
 

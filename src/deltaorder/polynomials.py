@@ -7,11 +7,11 @@ edges: the public ``Poly.coeffs`` tuple, built once on first read, and
 scalar inputs and outputs.  Taylor shifts, falling powers and expansions out
 of the falling-factorial basis go through one integer kernel that expands a
 Newton form, and the one conversion into that basis takes integer forward
-differences; nothing is cached between calls.  Every exact row sum runs over
-one prefix-lcm chain per stream, built once per stream index
-(:func:`denominator_chain`), and :func:`chain_sum` is the one kernel that
-sums it: the integer numerators of a finished stream for verification and
-operator application, and the solver's affine rows one column at a time.
+differences; nothing is cached between calls.  A stream's values enter a
+row sum as integer numerator columns over one prefix-lcm chain of their
+denominators, built once per stream index (:func:`denominator_chain`), and
+:func:`chain_sum` is the one kernel that sums (index, weight) pairs over
+it, for verification, operator application and the solver's columns alike.
 :func:`format_rational` writes the exact numbers that the CLI prints.
 Everything here is exact, and the module imports only the standard library.
 
@@ -320,8 +320,8 @@ def denominator_chain(dens, chain=None) -> tuple[list[int], list[int], list[int]
     """The prefix-lcm chain ``(common, step, scale)`` of a stream's denominators.
 
     ``dens[i]`` is the positive denominator of stream value i, or 0 for a
-    zero value, which no sum reads.  ``common[i]`` is the lcm of the
-    denominators from the start of i's segment to i, ``step[i]`` is
+    zero value, whose scale 0 drops it from every sum.  ``common[i]`` is the
+    lcm of the denominators from the start of i's segment to i, ``step[i]`` is
     common[i] // common[i-1], 0 where a segment starts, and ``scale[i]`` is
     common[i] // dens[i] (0 for a zero value).  Where dens[i] is a multiple
     of common[i-1], as in a decaying stream, the index costs one divmod and
@@ -355,15 +355,20 @@ def denominator_chain(dens, chain=None) -> tuple[list[int], list[int], list[int]
     return chain
 
 
-def chain_sum(chain, terms) -> tuple[int, int]:
+def stream_chain(coeffs) -> tuple[list[int], tuple[list[int], list[int], list[int]]]:
+    """``(nums, chain)``: a finished stream's integer numerators and its denominator chain."""
+    return [c.numerator for c in coeffs], denominator_chain([c.denominator if c else 0 for c in coeffs])
+
+
+def chain_sum(chain, terms, nums) -> tuple[int, int]:
     """``(common, total)``: a row of stream values summed over one denominator.
 
-    ``terms`` are (i, c, num) over one stream's :func:`denominator_chain`, i
-    increasing: c times the value num / dens[i], all integers.  The row sums
-    to total / common.  Inside a segment the sum runs by Horner's rule from
-    the first term's index, the total times step[j] at each later index j
-    plus c * scale[i] times the next numerator: in a nested stream each step
-    is a few words and each scale 1.  The totals of the segments a row
+    ``terms`` are (i, c) pairs over one stream's :func:`denominator_chain`, i
+    increasing: c times the value nums[i] / dens[i], all integers.  The row
+    sums to total / common.  Inside a segment the sum runs by Horner's rule
+    from the first term's index, the total times step[j] at each later index
+    j plus c * scale[i] times the next numerator: in a nested stream each
+    step is a few words and each scale 1.  The totals of the segments a row
     crosses join over the lcm of their commons.  ``common`` depends on the
     first and last index only (1 for no terms).
     """
@@ -373,7 +378,7 @@ def chain_sum(chain, terms) -> tuple[int, int]:
     parts = []
     total = 0
     last = terms[0][0]
-    for i, c, num in terms:
+    for i, c in terms:
         while last < i:
             last += 1
             q = step[last]
@@ -383,7 +388,7 @@ def chain_sum(chain, terms) -> tuple[int, int]:
             elif q != 1:
                 total *= q
         s = scale[i]
-        total += (c * s if s != 1 else c) * num
+        total += (c * s if s != 1 else c) * nums[i]
     common = commons[last]
     for part_common, part_total in reversed(parts):
         lcm = math.lcm(part_common, common)

@@ -7,12 +7,12 @@ an integer affine combination of the free coefficients over one integer
 denominator.  Each row either determines its deepest stream coefficient
 (when the window's top entry is nonzero at that row) or becomes a linear
 constraint that eliminates the newest free coefficient it involves.  Pins
-enter where their index is created: a pinned index that no row determines
-is stored as its known value, not as a free coefficient, and a pinned index
-that a row determines becomes a constraint, eliminated like a zero-lead
-row, as soon as its value is made.  A new value's content is divided by its
-gcd with the row's lead value (or the pivot quotient of an elimination), a
-number a few words long, so the content that does not divide it stays.
+enter where their index is created: as soon as a value is made, a new free
+coefficient or a row's, its pin becomes a constraint, eliminated like a
+zero-lead row, so that a pinned index no row determines holds its known
+value.  A new value's content is divided by its gcd with the row's lead
+value (or the pivot quotient of an elimination), a number a few words long,
+so the content that does not divide it stays.
 
 The exact reduction is made once, at output, and without a full-width gcd
 where that pays.  Every stored denominator is built from three kinds of
@@ -38,26 +38,26 @@ job, which needs no reduction.  The solver keeps the rows it reads on its
 recurrence (:meth:`CoefficientRecurrence.rows`), so that verifying its
 streams evaluates the window no second time.
 
-A row of the reduction and a row of verification are both sums over one
+A stream is held in one form for both the reduction and verification:
+integer numerator columns over one denominator list, 0 for a zero value.  A
+finished stream has one column; the reduction has one per free parameter
+and, in a pinned solve, one of constants.  A row of either is a sum over the
 stream's denominator chain (:func:`polynomials.denominator_chain`), built
 once per stream index: verification builds it once per call, and the
 reduction extends it as values are stored and cuts it at the first value
-that an elimination rewrites.  Both sum with the one row kernel
-:func:`polynomials.chain_sum`: verification over a finished stream's integer
-numerators, the reduction, whose values are affine in the free parameters,
-once per free parameter over its weights and, where one is nonzero, once
-over their constants.  Every column of a row sums the same indices, so all
-share one common denominator.  In a decaying stream each denominator is a
-multiple of the one before, so a row sums by Horner's rule over the
-quotients of neighbouring denominators, each a few words long, and a row of
-k terms costs about k products of its running total by a few words.  Where
-denominators do not nest, as in every third value of QUARTIC_34's pinned
-streams or in streams pinned to unrelated rationals, the chain carries the
-running lcm instead, and starts a new segment before that lcm grows past
-twice the width of the newest denominator; a row that crosses a segment
-start joins its segment totals over their lcm.  Verification builds a
-Fraction only for a nonzero residual, and reads only the window entries that
-meet the stream's support: on a stream whose nonzero indices are the
+that an elimination rewrites.  Both sum the row's (index, weight) pairs with
+the one row kernel :func:`polynomials.chain_sum`, once per column, so every
+column of a row shares one common denominator.  In a decaying stream each
+denominator is a multiple of the one before, so a row sums by Horner's rule
+over the quotients of neighbouring denominators, each a few words long, and
+a row of k terms costs about k products of its running total by a few words.
+Where denominators do not nest, as in every third value of QUARTIC_34's
+pinned streams or in streams pinned to unrelated rationals, the chain
+carries the running lcm instead, and starts a new segment before that lcm
+grows past twice the width of the newest denominator; a row that crosses a
+segment start joins its segment totals over their lcm.  Verification builds
+a Fraction only for a nonzero residual, and reads only the window entries
+that meet the stream's support: on a stream whose nonzero indices are the
 multiples of M, one entry in M.
 
 The growth quantity of a stream -- the reciprocal slope of -log|a_n| against
@@ -73,7 +73,7 @@ from fractions import Fraction
 
 from ._record import Record, _set
 from .errors import InconsistentSystemError, InsufficientDataError
-from .polynomials import _int_log, as_rational, chain_sum, denominator_chain
+from .polynomials import _int_log, as_rational, chain_sum, denominator_chain, stream_chain
 from .recurrences import CoefficientRecurrence
 
 
@@ -153,14 +153,12 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
         raise InsufficientDataError(
             f"need {need + 1} coefficients to check {rows} rows"
         )
-    coeffs = sol.coeffs[: need + 1]
-    nums = [c.numerator for c in coeffs]
-    chain = denominator_chain([c.denominator if c else 0 for c in coeffs])
+    nums, chain = stream_chain(sol.coeffs[: need + 1])
     worst = Fraction(0)
     first_bad = None
     for n, row in rec.rows(rows, sol.support_modulus or 1):
         # rows list the deepest index first; the sum runs shallowest first
-        common, total = chain_sum(chain, [(idx, c, num) for idx, c in reversed(row) if (num := nums[idx])])
+        common, total = chain_sum(chain, row[::-1], nums)
         if total:
             if first_bad is None:
                 first_bad = n
@@ -177,23 +175,22 @@ def verify_recurrence(rec: CoefficientRecurrence, sol: SeriesSolution, rows: int
 # --- exact solver -------------------------------------------------------------
 
 
-def _reduced(small: int, den: int, const: int, lin: dict[int, int]):
-    """A stream value (const + sum lin[f]*free_f) / den, its content cut by ``small``.
+def _reduced(small: int, den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """A stream value's column numerators over ``den``, their content cut by ``small``.
 
     ``small`` divides ``den``: it is the row's lead value or the pivot
     quotient of an elimination, a few words long, so the gcd costs one
     big-by-small remainder per entry instead of a full gcd with ``den``.
     Content outside ``small`` stays in the stored value, and its primes all
     divide the reduction's atoms, over whose lcm the output reduces it
-    (:meth:`RowReduction._fractions`).  A zero value is stored as 0/1.
+    (:meth:`RowReduction._fractions`).  A zero value is stored over 0.
     """
-    lin = {f: w for f, w in lin.items() if w}
-    if not const and not lin:
-        return 1, 0, lin
-    g = math.gcd(small, const, *lin.values())
+    if not any(nums):
+        return 0, nums
+    g = math.gcd(small, *nums)
     if g == 1:
-        return den, const, lin
-    return den // g, const // g, {f: w // g for f, w in lin.items()}
+        return den, nums
+    return den // g, [v // g for v in nums]
 
 
 #: Widest output numerator, in bits, from which a solve reduces its output
@@ -261,37 +258,41 @@ def _checked_pins(initial: dict, count: int) -> dict[int, Fraction]:
     return pins
 
 
+#: The key of a pinned solve's constant column: below every free parameter's stream index.
+_CONSTANTS = -1
+
+
 class RowReduction:
     """Fraction-free elimination of the window rows and pins (after Bareiss).
 
-    Every stream value is an affine combination of free parameters, stored as
-    (den, const, {free id: num}) over integers.  A row combines its window
-    entries over the denominator chain of the stored values, summing each
-    free parameter's weights and, where one is nonzero, the constants as
-    columns of :func:`polynomials.chain_sum` over the same indices, zeros
-    kept, so that every column has one common denominator.  A nonzero lead value
-    determines the next stream value; a zero lead turns the row into a
-    constraint for :meth:`_eliminate`.  Pins given at creation enter where
-    their index is made: a pinned index that no row determines is stored as
-    its value (q, p, {}) for p/q, not as a free parameter; a row-determined
-    one adds the constraint "value = pin" to the same elimination.  Each
-    constraint removes the newest free parameter it involves, so the
-    eliminated set is the set of leading columns of all constraints
-    together, whatever order they arrive in.  Each new value's content is
-    divided by the row's lead or the pivot quotient only (see
-    :func:`_reduced`).  ``free_ids`` lists the free parameters that survive.
-    ``atoms`` lists the leads, pivots and pin denominators in the order they
-    are made, and ``marks[k]`` counts the atoms made when ``values[k]`` was
-    last written: a lead or pin denominator is recorded just before its
-    value, and a pivot before the values it rewrites, so every prime of that
-    value's denominator divides one of ``atoms[: marks[k]]``.  Fractions are
-    built only for the streams that ``zeroed`` and ``basis`` return, each
-    value reduced once, over the lcm of its atoms where that is measured to
-    pay, else by ``Fraction(num, den)`` (:meth:`_fractions`).  The rows are
-    read with ``keep``, so that they stay on the recurrence for the
-    verifications of its streams.  :func:`solve_series` is its only caller;
-    a constraint that fails with no free parameter left raises
-    InconsistentSystemError.
+    Every stream value is an affine combination of free parameters over one
+    integer denominator, stored in columns aligned with the stream:
+    ``dens[k]`` is value k's denominator, 0 for a zero value as
+    :func:`polynomials.denominator_chain` reads it, and ``columns`` holds one
+    numerator list per free parameter, keyed by its stream index, after a
+    pinned solve's constants under ``_CONSTANTS``; a basis solve has no
+    constant column, and a zero value has 0 in every column.  A row sums every
+    column over the same (index, weight) pairs (see the module docstring).  A
+    nonzero lead value determines the next stream value; a zero lead turns the
+    row into a constraint for :meth:`_eliminate`.  Pins given at creation enter
+    where their index is made: each value, a new free parameter or a row's, is
+    stored and then held to its pin by the same elimination.  Each constraint
+    removes the newest free parameter it involves, so the eliminated set is
+    the set of leading columns of all constraints together, whatever order
+    they arrive in.  Each new value's content is divided by the row's lead or
+    the pivot quotient only (see :func:`_reduced`).  ``free_ids``, the keys of
+    the other columns in the order they were made, lists the free parameters
+    that survive.  ``atoms`` lists the leads and pivots in the order they are
+    made, and ``marks[k]`` counts the atoms made when value k was last
+    written: a lead is recorded just before its value, and a pivot before the
+    values it rewrites, so every prime of that value's denominator divides one
+    of ``atoms[: marks[k]]``.  Fractions are built only for the streams that
+    ``zeroed`` and ``basis`` return, each value reduced once, over the lcm of
+    its atoms where that is measured to pay, else by ``Fraction(num, den)``
+    (:meth:`_fractions`).  The rows are read with ``keep``, so that they stay
+    on the recurrence for the verifications of its streams.
+    :func:`solve_series` is its only caller; a constraint that fails with no
+    free parameter left raises InconsistentSystemError.
     """
 
     def __init__(self, rec: CoefficientRecurrence, count: int, initial=None):
@@ -301,102 +302,96 @@ class RowReduction:
             )
         self.rec = rec
         self.pins = {} if initial is None else _checked_pins(initial, count)
-        self.values: list[tuple[int, int, dict[int, int]]] = []
-        self.free_ids: list[int] = []
+        self.dens: list[int] = []
+        self.columns: dict[int, list[int]] = {} if initial is None else {_CONSTANTS: []}
         # every prime of every stored denominator divides one of these ...
         self.atoms: list[int] = []
-        # ... and every prime of values[k]'s divides one of atoms[: marks[k]]
+        # ... and every prime of dens[k] divides one of atoms[: marks[k]]
         self.marks: list[int] = []
         # the denominator chain of the stored values, extended as rows read
         # them; an elimination cuts it at the first value it rewrites
         self.chain: tuple[list[int], list[int], list[int]] = ([], [], [])
         for n, row in rec.rows(count - rec.order, keep=True):
             top = n + rec.order
-            while len(self.values) < top:
+            while len(self.dens) < top:
                 self._append_free()
             self._add_row(row, top)
-        while len(self.values) <= count:
+        while len(self.dens) <= count:
             self._append_free()
 
+    @property
+    def free_ids(self) -> list[int]:
+        return [key for key in self.columns if key != _CONSTANTS]
+
     def _append_free(self):
-        """Append the next value no row determines: its pin, else a new free parameter."""
-        idx = len(self.values)
-        wanted = self.pins.get(idx)
+        """Append the next value no row determines, a new free parameter: 1 in its own column."""
+        idx = len(self.dens)
+        self.columns[idx] = [0] * idx
+        self._append(1, [0] * (len(self.columns) - 1) + [1])
+
+    def _append(self, den: int, nums: list[int]):
+        """Store the next value, nums[j] in the j-th column over ``den``, and impose its pin.
+
+        A pin p/q becomes the constraint q * value - p = 0, eliminated like a
+        zero-lead row: at a free parameter's index, the value is then p/q.
+        """
+        k = len(self.dens)
+        self.dens.append(den)
+        for column, num in zip(self.columns.values(), nums):
+            column.append(num)
+        self.marks.append(len(self.atoms))
+        wanted = self.pins.get(k)
         if wanted is not None:
-            self.atoms.append(wanted.denominator)
-            self.values.append((wanted.denominator, wanted.numerator, {}))
-            self.marks.append(len(self.atoms))
-            return
-        self.values.append((1, 0, {idx: 1}))
-        self.marks.append(0)
-        self.free_ids.append(idx)
+            constraint = {key: column[k] * wanted.denominator for key, column in self.columns.items()}
+            # the value's own denominator: a zero value, stored over 0, is 0/1 here
+            constraint[_CONSTANTS] -= wanted.numerator * (den or 1)
+            self._eliminate(constraint)
 
     def _add_row(self, row, top: int):
         """Impose sum row_value * a_idx = 0 on the stream."""
-        lead = 0
-        terms = []
-        free = set()
-        # shallowest index first; zero values are stored 0/1 and summed by no row
-        for idx, c in reversed(row):
-            if idx == top:
-                lead = c
-            elif (value := self.values[idx])[1] or value[2]:
-                terms.append((idx, c, value))
-                free.update(value[2])
-        fresh = self.values[len(self.chain[0]) :]
-        chain = denominator_chain([den if vconst or vlin else 0 for den, vconst, vlin in fresh], self.chain)
-        # every column sums the same indices, its zeros kept, so all share one
-        # common; the constants are summed only where one is nonzero, which in
-        # a basis solve none is
-        common, const, lin = 1, 0, {}
-        for f in free:
-            common, lin[f] = chain_sum(chain, [(idx, c, value[2].get(f, 0)) for idx, c, value in terms])
-        if any(value[1] for _, _, value in terms):
-            common, const = chain_sum(chain, [(idx, c, value[1]) for idx, c, value in terms])
+        # rows list the deepest index first, top itself where its value is nonzero
+        lead = row[0][1] if row and row[0][0] == top else 0
+        terms = row[:0:-1] if lead else row[::-1]
+        chain = denominator_chain(self.dens[len(self.chain[0]) :], self.chain)
+        common, totals = 1, {}
+        for key, column in self.columns.items():
+            common, totals[key] = chain_sum(chain, terms, column)
         if not lead:
-            self._eliminate(const, lin)
+            self._eliminate(totals)
             return
         self.atoms.append(lead)
-        den, vconst, vlin = _reduced(lead, common * lead, -const, {f: -w for f, w in lin.items()})
-        self.values.append((den, vconst, vlin))
-        self.marks.append(len(self.atoms))
-        wanted = self.pins.get(top)
-        if wanted is not None:
-            q = wanted.denominator
-            self._eliminate(vconst * q - wanted.numerator * den, {f: w * q for f, w in vlin.items()})
+        self._append(*_reduced(lead, common * lead, [-total for total in totals.values()]))
 
-    def _eliminate(self, const: int, lin: dict[int, int]):
-        """Impose const + sum lin[f]*free_f = 0 by solving it for its newest free parameter.
+    def _eliminate(self, totals: dict[int, int]):
+        """Impose sum totals[key] * column_key = 0 by solving it for its newest free parameter.
 
-        Every stored value that involves that parameter is rewritten over the
-        pivot quotient.  With no free parameter left, a nonzero constant
-        raises InconsistentSystemError.
+        The constant column counts as 1.  Every stored value that involves
+        that parameter is rewritten over the pivot quotient, and its column
+        is dropped.  With no free parameter left, a nonzero constant raises
+        InconsistentSystemError.
         """
-        live = {f: w for f, w in lin.items() if w}
-        if not live:
-            if const:
-                raise InconsistentSystemError("rows force a nonzero constant")
+        target = max((key for key, total in totals.items() if total), default=None)
+        if target is None:
             return
-        target = max(live)
-        pivot = live.pop(target)
+        if target == _CONSTANTS:
+            raise InconsistentSystemError("rows force a nonzero constant")
+        pivot = totals.pop(target)
         self.atoms.append(pivot)
-        self.free_ids.remove(target)
-        for k, (den, vconst, vlin) in enumerate(self.values):
-            w = vlin.get(target)
-            if w is None:
+        for k, w in enumerate(self.columns.pop(target)):
+            if not w:
                 continue
             for part in self.chain:  # from the first value rewritten on
                 del part[k:]
             g = math.gcd(w, pivot)
             p, w = pivot // g, w // g
-            nlin = {f: v * p for f, v in vlin.items() if f != target}
-            for f, v in live.items():
-                nlin[f] = nlin.get(f, 0) - w * v
-            self.values[k] = _reduced(p, den * p, vconst * p - w * const, nlin)
+            nums = [column[k] * p - w * totals[key] for key, column in self.columns.items()]
+            self.dens[k], nums = _reduced(p, self.dens[k] * p, nums)
+            for column, num in zip(self.columns.values(), nums):
+                column[k] = num
             self.marks[k] = len(self.atoms)
 
     def _fractions(self, columns: list[list[int]]) -> list[list[Fraction]]:
-        """The Fractions column[k] / den_k of each column, for every stored value k.
+        """The Fractions column[k] / dens[k] of each column, for every stored value k.
 
         Where every numerator stays below ``ATOM_REDUCTION_BITS`` each is
         built by ``Fraction``.  Otherwise value k is reduced over its radix,
@@ -405,13 +400,13 @@ class RowReduction:
         denominator.  The values are taken in mark order, so one running lcm
         serves them all and grows to the lcm of every atom only for the last.
         """
-        values = self.values
+        dens = [den or 1 for den in self.dens]  # a zero value's numerators are 0
         if max((num.bit_length() for column in columns for num in column), default=0) < ATOM_REDUCTION_BITS:
-            return [[Fraction(num, den) for num, (den, _, _) in zip(column, values)] for column in columns]
-        out = [[_ZERO] * len(values) for _ in columns]
+            return [[Fraction(num, den) for num, den in zip(column, dens)] for column in columns]
+        out = [[_ZERO] * len(dens) for _ in columns]
         radix, made = 1, 0
-        for k in sorted(range(len(values)), key=self.marks.__getitem__):
-            den = values[k][0]
+        for k in sorted(range(len(dens)), key=self.marks.__getitem__):
+            den = dens[k]
             # the radix divides the value's own, so a radix already too wide
             # needs no atoms more; those that wait join it in one lcm
             if made < (mark := self.marks[k]) and radix.bit_length() * ATOM_WIDTH_RATIO <= den.bit_length():
@@ -426,17 +421,16 @@ class RowReduction:
         return out
 
     def zeroed(self, provenance: dict) -> SeriesSolution:
-        """The stream with every surviving free parameter zero: each value's constant over its denominator."""
-        (coeffs,) = self._fractions([[vconst for _, vconst, _ in self.values]])
+        """The stream with every surviving free parameter zero: its constant column."""
+        (coeffs,) = self._fractions([self.columns[_CONSTANTS]])
         return SeriesSolution(rho_offset=self.rec.rho_offset, coeffs=tuple(coeffs), provenance=provenance)
 
     def basis(self) -> list[SeriesSolution]:
-        """One stream per surviving free parameter f, with a_f = 1."""
+        """One stream per surviving free parameter f, with a_f = 1: its column."""
         rho = self.rec.rho_offset
-        columns = [[vlin.get(fid, 0) for _, _, vlin in self.values] for fid in self.free_ids]
         return [
             SeriesSolution(rho_offset=rho, coeffs=tuple(coeffs), provenance={"free": {fid: Fraction(1)}})
-            for fid, coeffs in zip(self.free_ids, self._fractions(columns))
+            for fid, coeffs in zip(self.columns, self._fractions(list(self.columns.values())))
         ]
 
 
@@ -459,9 +453,8 @@ def solve_series(
     reduction = RowReduction(rec, count, initial)
     if initial is None:
         return reduction.basis()
-    pins = reduction.pins
-    solution = reduction.zeroed({"pinned": dict(sorted(pins.items()))})
-    for idx, wanted in pins.items():
+    solution = reduction.zeroed({"pinned": dict(sorted(reduction.pins.items()))})
+    for idx, wanted in reduction.pins.items():
         if solution.coeffs[idx] != wanted:
             raise RuntimeError(f"pinned value at index {idx} was not reproduced")
     return [solution]

@@ -972,15 +972,39 @@ def test_eval_prints_an_infinite_log_scale_or_tail_bound_as_null(capsys, tmp_pat
     assert (code, err) == (0, "")
     point = strict_json(out)["point"]
     assert (point["value"], point["terms_used"], point["log_scale"]) == ([0.0, 0.0], 1, None)
-    # the sum stops on a term past the double range, and the prefactor's
-    # zero at z = -5/2 brings the value back into it
-    coefficients = [str(Fraction(10**330, math.factorial(n) ** 2)) for n in range(60)]
+    # terms near 1e330 cancel to a value near 1e290, and the sum stops, at a
+    # tolerance of 1e300, on a last term of 5e318 that ratio 1/3 sends past
+    # the double range
+    terms = [10**330, -(10**330 + 3 * 10**319), 4 * 10**319, -15 * 10**318, 5 * 10**318]
+    weights = [1, Fraction(1, 2), Fraction(-1, 4), Fraction(3, 8), Fraction(-15, 16)]  # ff(1/2, n)
+    coefficients = [str(Fraction(t) / w) for t, w in zip(terms, weights)]
+    path.write_text(json.dumps({"solutions": [{"rho": "0", "coefficients": coefficients}]}))
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at", "0.5", "--tol", "1e300")
+    assert (code, err) == (0, "")
+    point = strict_json(out)["point"]
+    assert point["tail_bound"] is None and 700 < point["log_scale"] < 800
+    assert abs(complex(*point["value"])) < 1e300
+
+
+def test_eval_diagnostics_describe_the_printed_value(capsys, tmp_path):
+    # the sum at rho 3/2 reaches terms past the double range, and the
+    # prefactor ff(z, 3/2), about 1.418e-299 at z = -5/2 + 1e-300 i, brings
+    # them back into it: the tail and the log scale are the printed value's,
+    # as they once were the sum's (a null tail and log scale 761.46)
+    path = tmp_path / "stream.json"
+    coefficients = [str(Fraction(10**330, math.factorial(n) ** 2)) for n in range(200)]
     path.write_text(json.dumps({"solutions": [{"rho": "3/2", "coefficients": coefficients}]}))
     code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at=-2.5+1e-300j")
     assert (code, err) == (0, "")
     point = strict_json(out)["point"]
-    assert point["tail_bound"] is None and 700 < point["log_scale"] < 800
-    assert abs(complex(*point["value"])) < 1e31
+    assert abs(point["log_scale"] - (761.4625 + math.log(1.41796e-299))) < 1e-3
+    assert 0 < point["tail_bound"] < 1e-12 * abs(complex(*point["value"]))
+    assert 1e30 < abs(complex(*point["value"])) < 1e31
+    # at z = -5/2 the prefactor is zero, and so is the value
+    code, out, err = run_cli(capsys, "eval", "--solution", str(path), "--at=-2.5")
+    assert (code, err) == (0, "")
+    point = strict_json(out)["point"]
+    assert (point["value"], point["tail_bound"], point["log_scale"]) == ([0.0, 0.0], 0.0, None)
 
 
 def test_eval_of_a_max_modulus_past_the_double_range_exits_six(capsys, tmp_path):

@@ -281,11 +281,12 @@ def _coeff_mpfs(sol: SeriesSolution) -> list:
     ]
 
 
-def _sum_series(coeffs_mp, base, tol, modulus=None):
+def _sum_series(coeffs_mp, base, tol, modulus=None, scale=1):
     """Accumulate  sum a_n * ff(base, n)  with the three-term stopping rule.
 
     A trailing zero run longer than the support modulus marks a finitely
-    supported stream, which sums exactly.
+    supported stream, which sums exactly.  The tail is that of ``scale``
+    times the sum.
     """
     total = mpmath.mpc(0)
     weight = mpmath.mpc(1)
@@ -320,7 +321,7 @@ def _sum_series(coeffs_mp, base, tol, modulus=None):
             last_mag = mag
         if small_run >= 3:
             r = 0.0 if mag == 0 else min(float(ratio), 0.5)
-            tail = float(mag) * r / (1 - r) if r else 0.0
+            tail = float(mag * scale) * r / (1 - r) if r else 0.0
             return total, terms_used, tail, peak
     raise NonConvergenceError(
         f"series did not settle within {len(coeffs_mp)} coefficients"
@@ -344,10 +345,13 @@ def oracle_eval(sol, z, tol=1e-12, prec=128):
         if rho != 0:
             prefactor = mpmath.mpc(_falling_power_mp(z, rho))
         base = _to_mpc(z) - mpmath.mpf(rho.numerator) / rho.denominator
+        # the tail and the peak of the value: the sum's times |prefactor|
+        size = abs(prefactor)
         total, used, tail, peak = _sum_series(
-            _coeff_mpfs(sol), base, mpmath.mpf(tol), detect_support_modulus(sol.coeffs)
+            _coeff_mpfs(sol), base, mpmath.mpf(tol), detect_support_modulus(sol.coeffs), size
         )
         value = complex(prefactor * total)
+        peak = peak * size
         log_scale = float(mpmath.log(peak)) if peak > 0 else -math.inf
     return (value, used, tail, log_scale)
 

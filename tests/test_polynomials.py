@@ -399,32 +399,28 @@ def test_denominator_chain_is_the_lcm_of_each_segment(data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_chain_sum_matches_the_fraction_sum(data):
-    # rows of constants with negative weights, zero numerators and rows that
-    # cross segment starts
+    # rows of constants with negative weights, zero numerators, zero values
+    # (whose scale 0 drops even a nonzero numerator) and rows that cross
+    # segment starts
     dens = data.draw(stream_denominators(data.draw(st.integers(1, 30))))
     chain = denominator_chain(dens)
+    nums = data.draw(st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), min_size=len(dens), max_size=len(dens)))
     lo = data.draw(st.integers(0, len(dens) - 1))
     hi = data.draw(st.integers(lo, min(lo + 8, len(dens) - 1)))
-    big = st.integers(-(10**30), 10**30)
-    nums = st.one_of(st.just(0), big)
-    terms = [
-        (i, data.draw(st.integers(-50, 50)), data.draw(nums))
-        for i in range(lo, hi + 1)
-        if dens[i] and data.draw(st.booleans())
-    ]
-    common, total = chain_sum(chain, terms)
-    assert Fraction(total, common) == sum((Fraction(c * num, dens[i]) for i, c, num in terms), Fraction(0))
+    terms = [(i, data.draw(st.integers(-50, 50))) for i in range(lo, hi + 1) if data.draw(st.booleans())]
+    common, total = chain_sum(chain, terms, nums)
+    assert Fraction(total, common) == sum((Fraction(c * nums[i], dens[i]) for i, c in terms if dens[i]), Fraction(0))
     # the common is a multiple of every denominator summed and is set by the
     # first and last index, so the solver's columns over one row share it
-    assert all(common % dens[i] == 0 for i, _, _ in terms)
+    assert all(common % dens[i] == 0 for i, _ in terms if dens[i])
     if terms:
         first, last = terms[0][0], terms[-1][0]
-        assert chain_sum(chain, [(first, 0, 0), (last, 0, 0)])[0] == common
+        assert chain_sum(chain, [(first, 0), (last, 0)], [0] * len(dens))[0] == common
 
 
 def test_chain_sum_of_no_terms_is_zero_over_one():
     for dens in ([], [3, 0, 7]):
-        assert chain_sum(denominator_chain(dens), []) == (1, 0)
+        assert chain_sum(denominator_chain(dens), [], [1] * len(dens)) == (1, 0)
 
 
 @settings(max_examples=200, deadline=None)

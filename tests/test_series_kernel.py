@@ -11,7 +11,9 @@ row-determined indices, imposed as the reduction creates their indices, give
 the oracle's stream of pins applied after every row; pins at every index that
 no row determines leave no free parameter and give the stream of pins at the
 surviving free parameters; and the content left by cutting only the row's
-lead stays a bounded share of each stored denominator.
+lead stays a bounded share of each stored denominator.  One more holds the
+solver's column form after every row: one entry per value in each column,
+0 over 0 for a zero value, a constant column exactly for a pinned solve.
 
 Three more hold the row sums over one denominator chain per stream to the
 oracles: verification, operator application and solves on drawn
@@ -299,10 +301,54 @@ def test_stored_denominators_stay_near_the_exact_ones(rec, data):
     initial = {f: data.draw(small_rationals) for f in unpinned.free_ids}
     for reduction in (unpinned, RowReduction(rec, count, initial)):
         exact_bits = 0
-        for den, const, lin in reduction.values:
-            exact = den // math.gcd(den, const, *lin.values())
+        for k, den in enumerate(reduction.dens):
+            if not den:  # a zero value, stored over 0
+                continue
+            exact = den // math.gcd(den, *[column[k] for column in reduction.columns.values()])
             exact_bits = max(exact_bits, exact.bit_length())
             assert den.bit_length() <= 2 * exact_bits + 32
+
+
+def _check_columns(reduction, pinned):
+    """The column form of a reduction's stored values, as ``RowReduction`` documents it."""
+    dens, columns = reduction.dens, reduction.columns
+    assert all(len(column) == len(dens) for column in columns.values())
+    for k, den in enumerate(dens):
+        # a zero value, and only a zero value, is 0 over 0
+        assert (den == 0) == all(column[k] == 0 for column in columns.values())
+    assert (series._CONSTANTS in columns) == pinned
+    free = [key for key in columns if key != series._CONSTANTS]
+    assert reduction.free_ids == free == sorted(free)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rec=recurrences(min_roots=1), data=st.data())
+def test_columns_stay_aligned_with_the_stored_values(rec, data):
+    # after every row of basis and pinned solves, rho 0, 3/2 and 7/3, with
+    # vanishing leads: no pins, none at all ({}), zero pins, and pins at
+    # indices no row determines and at indices a row determines
+    count = rec.span + data.draw(st.integers(0, 16))
+    initial = data.draw(st.sampled_from([None, {}, "drawn"]))
+    if initial == "drawn":
+        spots = data.draw(st.lists(st.integers(0, count), min_size=1, max_size=5, unique=True))
+        initial = {idx: data.draw(st.just(Fraction(0)) | small_rationals) for idx in spots}
+    rows = 0
+    add_row = RowReduction._add_row
+
+    def checked(self, row, top):
+        nonlocal rows
+        add_row(self, row, top)
+        _check_columns(self, initial is not None)
+        rows += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RowReduction, "_add_row", checked)
+        try:
+            reduction = RowReduction(rec, count, initial)
+        except InconsistentSystemError:
+            return
+    _check_columns(reduction, initial is not None)
+    assert rows == count - rec.order + 1 - rec.first_row
 
 
 def _verify_stream(kind):
@@ -351,9 +397,9 @@ def test_chain_sums_match_the_fraction_oracle_on_drawn_denominators(monkeypatch)
 
     def counted(self, row, top):
         nonlocal crossings
-        summed = [idx for idx, _ in row if idx != top and (self.values[idx][1] or self.values[idx][2])]
-        if any(self.values[idx][2] for idx in summed):
-            _, step, _ = denominator_chain([den if c or lin else 0 for den, c, lin in self.values[:top]])
+        summed = [idx for idx, _ in row if idx != top and self.dens[idx]]
+        if any(self.columns[f][idx] for f in self.free_ids for idx in summed):
+            _, step, _ = denominator_chain(self.dens[:top])
             crossings += 0 in step[min(summed) + 1 : max(summed) + 1]
         add_row(self, row, top)
 
@@ -498,10 +544,9 @@ def _atom_path_forced(ratio=0):
 
 
 def _raw_streams(reduction, pinned):
-    """The streams of a reduction's stored values, each value by Fraction(num, den)."""
-    if pinned:
-        return [[Fraction(vconst, den) for den, vconst, _ in reduction.values]]
-    return [[Fraction(vlin.get(f, 0), den) for den, _, vlin in reduction.values] for f in reduction.free_ids]
+    """The streams of a reduction's stored values, each value by Fraction(num, den), a zero value 0/1."""
+    keys = [series._CONSTANTS] if pinned else reduction.free_ids
+    return [[Fraction(num, den or 1) for num, den in zip(reduction.columns[key], reduction.dens)] for key in keys]
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,7 +568,7 @@ def test_atom_reduction_matches_fraction_on_forced_solves(rec, data):
     expected = _raw_streams(reduction, initial is not None)
     with _atom_path_forced() as calls:
         actual = reduction.basis() if initial is None else [reduction.zeroed({})]
-    assert len(calls) == len(expected) * len(reduction.values)
+    assert len(calls) == len(expected) * len(reduction.dens)
     assert [_fields(sol.coeffs) for sol in actual] == [_fields(stream) for stream in expected]
 
 
@@ -561,7 +606,7 @@ def test_atom_reduction_cancels_the_primes_of_pins_at_free_indices():
     reduction = RowReduction(rec, 6, {0: Fraction(1, 97), 1: Fraction(96, 97)})
     with _atom_path_forced():
         coeffs = reduction.zeroed({}).coeffs
-    assert _fields(coeffs) == _fields([Fraction(vconst, den) for den, vconst, _ in reduction.values])
+    assert _fields(coeffs) == _fields(_raw_streams(reduction, True)[0])
     assert coeffs[2] == 1
 
 
